@@ -7,7 +7,6 @@ recovers initial data, separable-source spatial factors, and the
 fractional order from observations on positive-measure subsets.
 """
 
-from ._kernels import backend_name
 from .errors import (
     ConfigError,
     EigenSolveError,

@@ -1,106 +1,28 @@
-"""Hot numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Causal convolution, the one primitive behind the discrete operators.
 
 Every discrete fractional operator in this package (L1 Caputo derivative,
 Riemann-Liouville product integration, modal source convolution, Duhamel
-convolution) reduces to one primitive: a causal convolution along the time
-axis,
+convolution) reduces to a causal convolution along the time axis,
 
-    out[i] = sum_{j<=i} signal[j] * kernel[i-j],    i = 0..n-1.
+    out[i] = sum_{j<=i} signal[j] * kernel[i-j],    i = 0..n-1,
 
-The numba path runs the O(n^2) loop compiled; the numpy path uses FFT
-convolution.  Selection: env var TFSLAB_NUMBA=0 forces the numpy fallback,
-anything else (or unset) uses numba when importable.  ``benchmarks/`` holds
-a script comparing the two.
+evaluated here by FFT convolution.
 """
 
-import logging
-import os
-
 import numpy as np
-
-log = logging.getLogger("tfslab.kernels")
-
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("TFSLAB_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def causal_conv_numpy(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """FFT-based causal convolution truncated to the signal length (axis 0)."""
-    from scipy.signal import fftconvolve
-
-    n = signal.shape[0]
-    if signal.ndim == 1:
-        return fftconvolve(signal, kernel[:n])[:n]
-    return fftconvolve(signal, kernel[:n, None], axes=0)[:n]
-
-
-_HAVE_NUMBA = False
-if _numba_requested():
-    try:
-        import numba
-
-        @numba.njit(cache=True)
-        def _cc1(signal, kernel, out):  # pragma: no cover - compiled
-            n = signal.shape[0]
-            for i in range(n):
-                acc = 0.0 + 0.0j
-                for j in range(i + 1):
-                    acc += signal[j] * kernel[i - j]
-                out[i] = acc
-
-        @numba.njit(cache=True)
-        def _cc2(signal, kernel, out):  # pragma: no cover - compiled
-            n, m = signal.shape
-            for i in range(n):
-                for j in range(i + 1):
-                    kv = kernel[i - j]
-                    for c in range(m):
-                        out[i, c] += signal[j, c] * kv
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised via env flag instead
-        log.warning("numba not importable; falling back to numpy kernels")
-
-
-def causal_conv_numba(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Direct-loop causal convolution (requires numba)."""
-    if not _HAVE_NUMBA:
-        raise RuntimeError("numba backend unavailable")
-    sig = np.ascontiguousarray(signal, dtype=np.complex128)
-    ker = np.ascontiguousarray(kernel[: sig.shape[0]], dtype=np.complex128)
-    out = np.zeros_like(sig)
-    if sig.ndim == 1:
-        _cc1(sig, ker, out)
-    else:
-        _cc2(sig, ker, out)
-    return out
-
-
-USE_NUMBA = _HAVE_NUMBA
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
 
 
 def causal_conv(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Causal convolution of ``signal`` (1D or 2D, time on axis 0) with a
-    scalar ``kernel`` of length >= signal length."""
+    scalar ``kernel`` of length >= signal length, truncated to the signal
+    length."""
+    from scipy.signal import fftconvolve
+
     signal = np.asarray(signal, dtype=np.complex128)
     kernel = np.asarray(kernel, dtype=np.complex128)
-    if kernel.shape[0] < signal.shape[0]:
+    n = signal.shape[0]
+    if kernel.shape[0] < n:
         raise ValueError("kernel shorter than signal")
-    if USE_NUMBA:
-        return causal_conv_numba(signal, kernel)
-    return causal_conv_numpy(signal, kernel)
-
-
-def warmup() -> None:
-    """Trigger JIT compilation so timed runs do not pay compile cost."""
-    if not USE_NUMBA:
-        return
-    z = np.ones(4, dtype=np.complex128)
-    causal_conv_numba(z, z)
-    causal_conv_numba(np.ones((4, 2), dtype=np.complex128), z)
+    if signal.ndim == 1:
+        return fftconvolve(signal, kernel[:n])[:n]
+    return fftconvolve(signal, kernel[:n, None], axes=0)[:n]

@@ -114,9 +114,10 @@ def _datum_spec(obj, path):
                                   field=path)
     elif kind == "samples":
         _check_keys(obj, path, ("kind", "re"), ("im",))
-        _float_list(obj["re"], f"{path}.re")
-        if "im" in obj:
-            _float_list(obj["im"], f"{path}.im")
+        re = _float_list(obj["re"], f"{path}.re")
+        if "im" in obj and len(_float_list(obj["im"], f"{path}.im")) != len(re):
+            raise ConfigError(f"{path}.im must hold as many samples as {path}.re",
+                              field=f"{path}.im")
     else:
         raise ConfigError(f"{path}.kind must be mode|mix|samples", field=f"{path}.kind")
     return obj
@@ -201,8 +202,15 @@ def validate_config(raw: dict, problem: str) -> dict:
         if (not isinstance(iv, list)) or len(iv) != 2:
             raise ConfigError(f"mask.intervals[{k}] must be [lo, hi]",
                               field="mask.intervals")
-        _number(iv[0], f"mask.intervals[{k}][0]", lo=0.0)
-        _number(iv[1], f"mask.intervals[{k}][1]", lo=0.0)
+        lo = _number(iv[0], f"mask.intervals[{k}][0]")
+        hi = _number(iv[1], f"mask.intervals[{k}][1]")
+        if not 0.0 <= lo < hi <= grid["L"]:
+            raise ConfigError(f"mask.intervals[{k}] must satisfy "
+                              f"0 <= lo < hi <= L={grid['L']}", field="mask.intervals")
+    ivs = sorted(mask["intervals"])
+    for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]):
+        if lo2 < hi1:
+            raise ConfigError("mask.intervals overlap", field="mask.intervals")
 
     if "initial" in cfg:
         _datum_spec(cfg["initial"], "initial")
@@ -244,12 +252,22 @@ def validate_config(raw: dict, problem: str) -> dict:
         if problem == "invert-order":
             _check_keys(inv, "inversion",
                         ("alpha_lo", "alpha_hi"), ("coarse_points", "refine_tol"))
-            _number(inv["alpha_lo"], "inversion.alpha_lo", lo=0.0, strict_lo=True)
-            _number(inv["alpha_hi"], "inversion.alpha_hi", hi=1.0, strict_hi=True)
+            lo = _number(inv["alpha_lo"], "inversion.alpha_lo", lo=0.0, strict_lo=True)
+            hi = _number(inv["alpha_hi"], "inversion.alpha_hi", hi=1.0, strict_hi=True)
+            if lo >= hi:
+                raise ConfigError("inversion.alpha_lo must be below inversion.alpha_hi",
+                                  field="inversion.alpha_lo")
+            if "coarse_points" in inv:
+                _integer(inv["coarse_points"], "inversion.coarse_points", lo=3)
+            if "refine_tol" in inv:
+                _number(inv["refine_tol"], "inversion.refine_tol", lo=0.0,
+                        strict_lo=True)
         else:
             _check_keys(inv, "inversion", ("gamma", "n_modes"))
             _number(inv["gamma"], "inversion.gamma", lo=0.0)
-            _integer(inv["n_modes"], "inversion.n_modes", lo=1)
+            if _integer(inv["n_modes"], "inversion.n_modes", lo=1) > n_modes:
+                raise ConfigError("inversion.n_modes exceeds the top-level n_modes",
+                                  field="inversion.n_modes")
 
     if "output_dir" in cfg and not isinstance(cfg["output_dir"], str):
         raise ConfigError("output_dir must be a string", field="output_dir")
@@ -272,18 +290,18 @@ def _build_eigensystem(cfg, grid):
     return eigen_solve(assemble_operator(spec, grid), n_modes, grid)
 
 
-def _build_datum(spec, eig):
+def _build_datum(spec, eig, path):
     if spec["kind"] == "mode":
         idx = spec["index"]
         if idx > eig.n:
             raise ConfigError(f"mode index {idx} beyond n_modes={eig.n}",
-                              field="initial.index")
+                              field=f"{path}.index")
         return eig.phis[idx - 1].astype(complex)
     if spec["kind"] == "mix":
         re = np.array(spec["coeffs_re"], dtype=float)
         im = np.array(spec.get("coeffs_im", np.zeros_like(re)), dtype=float)
         if re.size > eig.n:
-            raise ConfigError("more mix coefficients than modes", field="initial")
+            raise ConfigError("more mix coefficients than modes", field=path)
         coeffs = np.zeros(eig.n, dtype=complex)
         coeffs[: re.size] = re + 1j * im
         return coeffs @ eig.phis
@@ -291,7 +309,7 @@ def _build_datum(spec, eig):
     im = np.array(spec.get("im", np.zeros_like(re)), dtype=float)
     if re.size != eig.grid.m:
         raise ConfigError(f"sample length {re.size} vs grid m={eig.grid.m}",
-                          field="initial")
+                          field=path)
     return re + 1j * im
 
 
@@ -316,7 +334,7 @@ class _Phases:
         self.seconds[self._name] = time.perf_counter() - self._t0
 
 
-def run(cfg: dict, output_dir: str, seed_override=None, workers: int = 1) -> dict:
+def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
     """Execute the configured pipeline and write artifacts; returns the run
     report (also written as report.json)."""
     problem = cfg["problem"]
@@ -343,12 +361,12 @@ def run(cfg: dict, output_dir: str, seed_override=None, workers: int = 1) -> dic
     mask = make_mask([tuple(iv) for iv in cfg["mask"]["intervals"]], grid)
 
     if problem == "forward":
-        y0 = _build_datum(cfg["initial"], eig)
+        y0 = _build_datum(cfg["initial"], eig, "initial")
         src = SourceSpec.none()
         if cfg.get("source", {"kind": "none"})["kind"] == "separable":
             src = SourceSpec.separable(
                 _build_rho(cfg["source"]["rho"], tg),
-                _build_datum(cfg["source"]["g"], eig),
+                _build_datum(cfg["source"]["g"], eig, "source.g"),
             )
         phases.start("forward")
         fieldv = solve_forward(y0, src, order, eig, tg)
@@ -369,7 +387,7 @@ def run(cfg: dict, output_dir: str, seed_override=None, workers: int = 1) -> dic
         emit("field.json", dumps_canonical(field_to_json(fieldv)))
 
     elif problem == "invert-initial":
-        y0 = _build_datum(cfg["truth"]["initial"], eig)
+        y0 = _build_datum(cfg["truth"]["initial"], eig, "truth.initial")
         phases.start("forward")
         fieldv = solve_forward(y0, SourceSpec.none(), order, eig, tg)
         phases.stop()
@@ -397,7 +415,7 @@ def run(cfg: dict, output_dir: str, seed_override=None, workers: int = 1) -> dic
 
     elif problem == "invert-source":
         rho = _build_rho(cfg["truth"]["rho"], tg)
-        g = _build_datum(cfg["truth"]["g"], eig)
+        g = _build_datum(cfg["truth"]["g"], eig, "truth.g")
         phases.start("forward")
         fieldv = solve_forward(np.zeros(grid.m), SourceSpec.separable(rho, g),
                                order, eig, tg)
@@ -424,7 +442,7 @@ def run(cfg: dict, output_dir: str, seed_override=None, workers: int = 1) -> dic
 
     elif problem == "invert-order":
         truth_alpha = cfg["truth"]["alpha"]
-        y0 = _build_datum(cfg["truth"]["initial"], eig)
+        y0 = _build_datum(cfg["truth"]["initial"], eig, "truth.initial")
         gen_order = FractionalOrder(truth_alpha,
                                     cfg["order"].get("phase", "standard_i"))
         phases.start("forward")
@@ -442,8 +460,7 @@ def run(cfg: dict, output_dir: str, seed_override=None, workers: int = 1) -> dic
         )
         phases.start("inverse")
         result = invert_order(data, y0, eig, tg, mask, search,
-                              phase=cfg["order"].get("phase", "standard_i"),
-                              workers=workers)
+                              phase=cfg["order"].get("phase", "standard_i"))
         phases.stop()
         checks["alpha_hat"] = result.order
         checks["alpha_abs_error"] = abs(result.order - truth_alpha)
@@ -494,7 +511,7 @@ def _cmd_experiment(problem, args):
                     "output_dir")
         return 2
     try:
-        report = run(cfg, output_dir, seed_override=args.seed, workers=args.threads)
+        report = run(cfg, output_dir, seed_override=args.seed)
     except ConfigError as exc:
         _error_json("config", str(exc), exc.field)
         return 2
@@ -555,8 +572,6 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--output", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="noise seed override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for scan phases")
     p = sub.add_parser("ml-eval", help="evaluate the Mittag-Leffler function")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)

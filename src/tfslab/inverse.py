@@ -134,19 +134,17 @@ def _weighted_data(data: ObservedData, tg: TimeGrid) -> np.ndarray:
 
 
 def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
-    """Solve (G*G + gamma I) c = G* d via an SPD factorization.  For
-    gamma = 0 the design must be numerically full rank."""
-    sing = scipy.linalg.svdvals(G)
-    smin, smax = float(sing[-1]), float(sing[0])
+    """Minimize |G c - d|^2 + gamma |c|^2 from one thin SVD G = U S V*,
+    with Tikhonov filter factors: c = V diag(s / (s^2 + gamma)) U* d.
+    For gamma = 0 the design must be numerically full rank."""
+    U, s, Vh = scipy.linalg.svd(G, full_matrices=False)
+    smin, smax = float(s[-1]), float(s[0])
     if gamma == 0.0 and smin <= 1e-8 * smax:
         raise RankDeficientError(
             f"design matrix is rank deficient (sigma_min/sigma_max = "
             f"{smin / max(smax, 1e-300):.3e}); use gamma > 0"
         )
-    normal = G.conj().T @ G + gamma * np.eye(G.shape[1])
-    rhs = G.conj().T @ d
-    c, low = scipy.linalg.cho_factor(normal)
-    coeffs = scipy.linalg.cho_solve((c, low), rhs)
+    coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ d))
     resid = float(np.linalg.norm(G @ coeffs - d))
     diag = {"sigma_min": smin, "sigma_max": smax}
     return coeffs, resid, diag
@@ -236,28 +234,17 @@ def order_misfit(data: ObservedData, y0: np.ndarray, alpha: float,
 
 def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
                  tg: TimeGrid, mask: ObservationMask, cfg: OrderSearchConfig,
-                 phase: str = "standard_i", workers: int = 1) -> InversionResult:
+                 phase: str = "standard_i") -> InversionResult:
     """Order recovery by misfit minimization: coarse scan over the bracket
     followed by golden-section refinement (the landscape may be
-    non-convex).  A flat landscape is flagged rather than minimized.
-    ``workers`` parallelizes the coarse scan; results are position-ordered,
-    so the output does not depend on the pool size."""
+    non-convex).  A flat landscape is flagged rather than minimized."""
     y0 = np.asarray(y0, dtype=np.complex128)
     if float(np.max(np.abs(y0))) == 0.0:
         raise SourceHypothesisError("generating datum u must not vanish")
     alphas = np.linspace(cfg.alpha_lo, cfg.alpha_hi, cfg.coarse_points)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            misfits = np.array(list(pool.map(
-                lambda a: order_misfit(data, y0, float(a), phase, eig, tg, mask),
-                alphas,
-            )))
-    else:
-        misfits = np.array(
-            [order_misfit(data, y0, float(a), phase, eig, tg, mask) for a in alphas]
-        )
+    misfits = np.array(
+        [order_misfit(data, y0, float(a), phase, eig, tg, mask) for a in alphas]
+    )
     spread = float(misfits.max() - misfits.min())
     if spread <= 1e-13 * (1.0 + float(misfits.max())):
         raise FlatMisfitError(

@@ -3,8 +3,7 @@ desk scale via ``tfslab selftest`` or pytest.
 
 Each criterion is a function that raises ``AssertionError`` with a message
 on failure and returns a one-line detail string on success; the runner
-times them against the declared budgets (JIT warmup happens before any
-clock starts).
+times them against the declared budgets after a warm-up call.
 """
 
 import cmath
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
-from . import _kernels
 from .errors import SourceHypothesisError
 from .forward import (
     SourceSpec,
@@ -411,9 +409,11 @@ CRITERIA = [
 
 
 def warmup():
-    """Compile the JIT kernels and touch each evaluator region once so the
-    timed criteria measure steady-state numerics."""
-    _kernels.warmup()
+    """Touch each evaluator region once so the timed criteria measure
+    steady-state numerics."""
+    # Kept so that the first ML calls in each region and the lazy
+    # scipy.signal import (inside caputo_l1's convolution) happen before
+    # any criterion's clock starts.
     order = FractionalOrder(0.5)
     ml_kernel(order, 1.0, 0.5, "state")
     ml_kernel(order, 100.0, 10.0, "integral")

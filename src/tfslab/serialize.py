@@ -113,19 +113,6 @@ def eigensystem_to_json(eig) -> dict:
     }
 
 
-def eigensystem_from_json(doc: dict):
-    """Rebuild a validated EigenSystem from its JSON form (CLI cache)."""
-    from .spectral import EigenGroup, EigenSystem, Grid1D
-
-    grid = Grid1D(doc["grid"]["L"], doc["grid"]["m"])
-    lam = np.asarray(doc["lambdas"], dtype=float)
-    phis = np.asarray(doc["phis_row_major"], dtype=float).reshape(lam.size, grid.m)
-    groups = tuple(
-        EigenGroup(g["mu"], g["start"], g["stop"]) for g in doc["distinct"]
-    )
-    return EigenSystem(grid, lam, phis, groups)
-
-
 def observed_to_json(data) -> dict:
     flat = data.values.ravel()
     return {

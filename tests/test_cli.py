@@ -31,6 +31,18 @@ def forward_config(**overrides):
     return cfg
 
 
+def inversion_config(problem, truth, inversion):
+    cfg = forward_config(problem=problem, n_modes=4, truth=truth,
+                         inversion=inversion)
+    del cfg["initial"]
+    return cfg
+
+
+SOURCE_TRUTH = {"rho": {"kind": "const", "value": 1.0},
+                "g": {"kind": "mode", "index": 1}}
+ORDER_TRUTH = {"alpha": 0.5, "initial": {"kind": "mode", "index": 1}}
+
+
 class TestForwardCommand:
     def test_single_mode_run(self, tmp_path, capsys):
         cfg = write_config(tmp_path, forward_config())
@@ -102,6 +114,62 @@ class TestValidation:
         rc = cli.main(["forward", "--config", str(path),
                        "--output", str(tmp_path / "o")])
         assert rc == 2
+
+
+    def assert_config_error(self, tmp_path, capsys, cfg, field):
+        path = write_config(tmp_path, cfg)
+        rc = cli.main([cfg["problem"], "--config", path,
+                       "--output", str(tmp_path / "o")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"]["kind"] == "config"
+        assert err["error"]["field"] == field
+
+    @pytest.mark.parametrize("problem,truth", [
+        ("invert-initial", {"initial": {"kind": "mode", "index": 1}}),
+        ("invert-source", SOURCE_TRUTH),
+    ])
+    def test_inversion_n_modes_above_n_modes(self, tmp_path, capsys, problem, truth):
+        cfg = inversion_config(problem, truth, {"gamma": 1e-8, "n_modes": 5})
+        self.assert_config_error(tmp_path, capsys, cfg, "inversion.n_modes")
+
+    def test_alpha_bracket_reversed(self, tmp_path, capsys):
+        cfg = inversion_config("invert-order", ORDER_TRUTH,
+                               {"alpha_lo": 0.7, "alpha_hi": 0.3})
+        self.assert_config_error(tmp_path, capsys, cfg, "inversion.alpha_lo")
+
+    @pytest.mark.parametrize("key,value", [
+        ("coarse_points", 2), ("coarse_points", "many"), ("refine_tol", 0.0)])
+    def test_order_search_controls(self, tmp_path, capsys, key, value):
+        cfg = inversion_config("invert-order", ORDER_TRUTH,
+                               {"alpha_lo": 0.3, "alpha_hi": 0.7, key: value})
+        self.assert_config_error(tmp_path, capsys, cfg, f"inversion.{key}")
+
+    @pytest.mark.parametrize("intervals", [
+        [[0.2, 1.5]], [[-0.1, 0.4]], [[0.4, 0.2]], [[0.3, 0.3]],
+        [[0.1, 0.4], [0.3, 0.6]],
+    ])
+    def test_mask_interval_out_of_range_or_overlapping(self, tmp_path, capsys,
+                                                       intervals):
+        cfg = forward_config(mask={"intervals": intervals})
+        self.assert_config_error(tmp_path, capsys, cfg, "mask.intervals")
+
+    def test_touching_mask_intervals_accepted(self, tmp_path):
+        cfg = forward_config(mask={"intervals": [[0.1, 0.3], [0.3, 0.5]]})
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["forward", "--config", path,
+                         "--output", str(tmp_path / "o")]) == 0
+
+    def test_samples_im_length_must_match_re(self, tmp_path, capsys):
+        cfg = forward_config(initial={"kind": "samples", "re": [1.0] * 63,
+                                      "im": [0.5]})
+        self.assert_config_error(tmp_path, capsys, cfg, "initial.im")
+
+    def test_datum_error_names_its_path(self, tmp_path, capsys):
+        truth = dict(SOURCE_TRUTH, g={"kind": "samples", "re": [1.0] * 10})
+        cfg = inversion_config("invert-source", truth,
+                               {"gamma": 1e-8, "n_modes": 4})
+        self.assert_config_error(tmp_path, capsys, cfg, "truth.g")
 
 
 class TestInversionCommands:

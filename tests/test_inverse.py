@@ -145,6 +145,25 @@ class TestInvertInitial:
             errs.append(np.linalg.norm(res.modal - truth))
         assert errs[0] > errs[1] > errs[2]
 
+    def test_matches_stacked_least_squares(self, setup):
+        # reference: min |G c - d|^2 + gamma |c|^2 as one least-squares
+        # problem on [G; sqrt(gamma) I] c = [d; 0]
+        grid, eig, tg, mask = setup
+        order = FractionalOrder(0.9)
+        G = build_initial_design(eig, order, tg, mask, 8)
+        y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
+        y = solve_forward(y0.astype(complex), SourceSpec.none(), order, eig, tg)
+        data = observe(y, mask, 1e-3, 5)
+        gamma = 1e-6
+        res = invert_initial(data, G, TikhonovConfig(gamma, 8), eig)
+        d = math.sqrt(grid.h * tg.dt) * data.values.ravel()
+        A = np.vstack([G, math.sqrt(gamma) * np.eye(8)])
+        ref = np.linalg.lstsq(A, np.concatenate([d, np.zeros(8)]), rcond=None)[0]
+        np.testing.assert_allclose(res.modal, ref, rtol=1e-9, atol=1e-12)
+        sing = scipy.linalg.svdvals(G)
+        assert res.diagnostics["sigma_min"] == pytest.approx(sing[-1], rel=1e-12)
+        assert res.diagnostics["sigma_max"] == pytest.approx(sing[0], rel=1e-12)
+
 
 class TestInvertSource:
     def test_noiseless_mode_recovery(self, setup):
@@ -232,16 +251,6 @@ class TestInvertOrder:
         with pytest.raises(SourceHypothesisError):
             invert_order(data, np.zeros(grid.m), eig, tg, mask,
                          OrderSearchConfig(0.3, 0.7))
-
-    def test_workers_do_not_change_result(self, setup):
-        grid, eig, tg, mask = setup
-        y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.5), eig, tg)
-        data = observe(y, mask, 0.0, 0)
-        cfg = OrderSearchConfig(0.3, 0.7, 9, 1e-3)
-        r1 = invert_order(data, y0, eig, tg, mask, cfg, workers=1)
-        r2 = invert_order(data, y0, eig, tg, mask, cfg, workers=4)
-        assert r1.order == r2.order
 
     def test_flat_landscape_flagged(self, setup, monkeypatch):
         grid, eig, tg, mask = setup

@@ -33,15 +33,6 @@ def test_2d_matches_bruteforce(rng):
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
 
 
-def test_backends_agree(rng):
-    sig = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
-    ker = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    a = _kernels.causal_conv_numpy(sig, ker)
-    if _kernels.USE_NUMBA:
-        b = _kernels.causal_conv_numba(sig, ker)
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
-
-
 def test_short_kernel_rejected(rng):
     with pytest.raises(ValueError):
         _kernels.causal_conv(np.ones(5, dtype=complex), np.ones(3, dtype=complex))

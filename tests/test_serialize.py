@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from tfslab.forward import SourceSpec, TimeGrid, solve_forward
@@ -9,7 +8,6 @@ from tfslab.observe import make_mask, observe
 from tfslab.serialize import (
     atomic_write_text,
     dumps_canonical,
-    eigensystem_from_json,
     eigensystem_to_json,
     field_to_json,
     observed_to_json,
@@ -20,14 +18,6 @@ from tfslab.spectral import Grid1D, analytic_eigensystem
 @pytest.fixture(scope="module")
 def eig():
     return analytic_eigensystem(1.0, 4, Grid1D(1.0, 19))
-
-
-def test_eigensystem_round_trip(eig):
-    doc = json.loads(dumps_canonical(eigensystem_to_json(eig)))
-    back = eigensystem_from_json(doc)
-    np.testing.assert_allclose(back.lambdas, eig.lambdas, rtol=1e-15)
-    np.testing.assert_allclose(back.phis, eig.phis, rtol=1e-15)
-    assert [g.multiplicity for g in back.distinct] == [1, 1, 1, 1]
 
 
 def test_observed_json_shape(eig):
