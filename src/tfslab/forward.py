@@ -16,12 +16,7 @@ import numpy as np
 from ._kernels import causal_conv
 from .errors import GridMismatchError, MLDomainError
 from .gamma import rgamma_real
-from .mlf import (
-    Z_MAX_DEFAULT,
-    FractionalOrder,
-    integral_kernel_grid,
-    state_kernel_grid,
-)
+from .mlf import FractionalOrder, kernel_grid
 from .spectral import EigenSystem, Grid1D, Tridiag, _freeze
 
 # A modal vector is a plain complex array of expansion coefficients.
@@ -149,8 +144,7 @@ def projection_tail_energy(samples: np.ndarray, eig: EigenSystem) -> float:
 
 
 def solve_forward(y0: np.ndarray, src: SourceSpec, order: FractionalOrder,
-                  eig: EigenSystem, tg: TimeGrid, *,
-                  z_max: float = Z_MAX_DEFAULT) -> SpaceTimeField:
+                  eig: EigenSystem, tg: TimeGrid) -> SpaceTimeField:
     """Modal solution: per mode,
     c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + p * conv(f_n, dW_n)(t)
     where p is the phase factor and W_n(tau) = tau^a E_{a,a+1}(p lam_n tau^a)
@@ -161,7 +155,7 @@ def solve_forward(y0: np.ndarray, src: SourceSpec, order: FractionalOrder,
     times = tg.times
     coeffs = np.empty((eig.n, tg.n_t), dtype=np.complex128)
     for n in range(eig.n):
-        coeffs[n] = c0[n] * state_kernel_grid(order, eig.lambdas[n], times, z_max=z_max)
+        coeffs[n] = c0[n] * kernel_grid(order, eig.lambdas[n], times, "state")
     if src.kind != "none":
         fmodal = _modal_source(src, eig, tg)
         pf = order.phase_factor
@@ -169,7 +163,7 @@ def solve_forward(y0: np.ndarray, src: SourceSpec, order: FractionalOrder,
         for n in range(eig.n):
             if not np.any(fmodal[n]):
                 continue
-            w = integral_kernel_grid(order, eig.lambdas[n], taus, z_max=z_max)
+            w = kernel_grid(order, eig.lambdas[n], taus, "integral")
             dw = np.diff(w)
             coeffs[n] += pf * causal_conv(fmodal[n], dw)
     values = coeffs.T @ eig.phis
@@ -192,7 +186,7 @@ def _modal_source(src: SourceSpec, eig: EigenSystem, tg: TimeGrid) -> np.ndarray
 
 
 def eval_homogeneous(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
-                     times: np.ndarray, *, z_max: float = Z_MAX_DEFAULT) -> np.ndarray:
+                     times: np.ndarray) -> np.ndarray:
     """Homogeneous solution at arbitrary positive times (long-horizon
     experiments run outside any uniform grid)."""
     order.require_strict("the forward evolution")
@@ -202,7 +196,7 @@ def eval_homogeneous(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
     c0 = project(np.asarray(y0, dtype=np.complex128), eig)
     coeffs = np.empty((eig.n, times.size), dtype=np.complex128)
     for n in range(eig.n):
-        coeffs[n] = c0[n] * state_kernel_grid(order, eig.lambdas[n], times, z_max=z_max)
+        coeffs[n] = c0[n] * kernel_grid(order, eig.lambdas[n], times, "state")
     return coeffs.T @ eig.phis
 
 
@@ -294,9 +288,7 @@ def decay_slope(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
     solution over [t_lo, t_hi]; asymptotically -alpha, so decay is algebraic
     rather than faster than every polynomial."""
     times = np.geomspace(t_lo, t_hi, n_pts)
-    lam_max = float(eig.lambdas[-1])
-    cap = max(Z_MAX_DEFAULT, 2.0 * lam_max * t_hi**order.alpha)
-    vals = eval_homogeneous(y0, order, eig, times, z_max=cap)
+    vals = eval_homogeneous(y0, order, eig, times)
     norms = np.array(
         [math.sqrt(eig.grid.h) * np.linalg.norm(vals[i, indices]) for i in range(n_pts)]
     )

@@ -25,8 +25,9 @@ from .errors import (
     RankDeficientError,
     SourceHypothesisError,
 )
-from .forward import SourceSpec, TimeGrid, solve_forward
-from .mlf import FractionalOrder, MLParams, ml_eval, state_kernel_grid
+from ._kernels import causal_conv
+from .forward import TimeGrid, eval_homogeneous
+from .mlf import FractionalOrder, MLParams, kernel_grid, ml_eval
 from .observe import ObservationMask, ObservedData
 from .spectral import EigenSystem
 
@@ -137,6 +138,8 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     """Minimize |G c - d|^2 + gamma |c|^2 from one thin SVD G = U S V*,
     with Tikhonov filter factors: c = V diag(s / (s^2 + gamma)) U* d.
     For gamma = 0 the design must be numerically full rank."""
+    if G.shape[0] != d.size:
+        raise GridMismatchError(f"design rows {G.shape[0]} vs data size {d.size}")
     U, s, Vh = scipy.linalg.svd(G, full_matrices=False)
     smin, smax = float(s[-1]), float(s[0])
     if gamma == 0.0 and smin <= 1e-8 * smax:
@@ -150,33 +153,48 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     return coeffs, resid, diag
 
 
-def build_initial_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
-                         mask: ObservationMask, n_modes: int) -> np.ndarray:
-    """Observation operator of the initial-data problem on the truncated
-    modal space: rows indexed by (t_i, masked node), columns by mode,
-    entries E_{a,1}(p lam_n t_i^a) phi_n(x_j) sqrt(h dt) so that G*G
-    approximates the continuous normal operator."""
+def _separable_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
+                      mask: ObservationMask, n_modes: int,
+                      rho: np.ndarray = None) -> np.ndarray:
+    """Observation operator on the truncated modal space: rows indexed by
+    (t_i, masked node), columns by mode, entries r_n(t_i) phi_n(x_j)
+    sqrt(h dt) so that G*G approximates the continuous normal operator.
+
+    Without ``rho``, r_n(t) = E_{a,1}(p lam_n t^a) is mode n's response to
+    the initial datum phi_n; with it, r_n = p * conv(rho, dW_n) is the
+    response to the source rho(t) phi_n(x), W_n the integral kernel on the
+    grid including t = 0, as in the forward solver's source term."""
+    order.require_strict("the observation operator")
     if n_modes > eig.n:
         raise GridMismatchError(f"{n_modes} modes requested, eigensystem has {eig.n}")
     if mask.grid != eig.grid:
         raise GridMismatchError("mask and eigensystem live on different grids")
     w = math.sqrt(eig.grid.h * tg.dt)
-    times = tg.times
-    rows = tg.n_t * mask.n_nodes
-    G = np.empty((rows, n_modes), dtype=np.complex128)
+    taus = tg.dt * np.arange(tg.n_t + 1)
+    G = np.empty((tg.n_t * mask.n_nodes, n_modes), dtype=np.complex128)
     phi_masked = eig.phis[:, mask.indices]
     for n in range(n_modes):
-        kern = state_kernel_grid(order, eig.lambdas[n], times)
-        G[:, n] = w * np.outer(kern, phi_masked[n]).ravel()
+        lam = eig.lambdas[n]
+        if rho is None:
+            r = kernel_grid(order, lam, tg.times, "state")
+        else:
+            dw = np.diff(kernel_grid(order, lam, taus, "integral"))
+            r = order.phase_factor * causal_conv(rho, dw)
+        G[:, n] = w * np.outer(r, phi_masked[n]).ravel()
     return G
+
+
+def build_initial_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
+                         mask: ObservationMask, n_modes: int) -> np.ndarray:
+    """Observation operator of the initial-data problem: column n carries
+    E_{a,1}(p lam_n t_i^a) phi_n(x_j) sqrt(h dt)."""
+    return _separable_design(eig, order, tg, mask, n_modes)
 
 
 def invert_initial(data: ObservedData, G: np.ndarray, cfg: TikhonovConfig,
                    eig: EigenSystem) -> InversionResult:
     """Tikhonov recovery of the initial datum from masked observations."""
     d = _weighted_data(data, data.tg)
-    if G.shape[0] != d.size:
-        raise GridMismatchError(f"design rows {G.shape[0]} vs data size {d.size}")
     if G.shape[1] != cfg.n_modes:
         raise GridMismatchError(f"design cols {G.shape[1]} vs n_modes {cfg.n_modes}")
     coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
@@ -203,12 +221,7 @@ def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder,
         )
     if rho.shape[0] != tg.n_t:
         raise GridMismatchError(f"rho sampled at {rho.shape[0]} times vs {tg.n_t}")
-    w = math.sqrt(eig.grid.h * tg.dt)
-    G = np.empty((tg.n_t * mask.n_nodes, cfg.n_modes), dtype=np.complex128)
-    for n in range(cfg.n_modes):
-        src = SourceSpec.separable(rho, eig.phis[n])
-        traj = solve_forward(np.zeros(eig.grid.m), src, order, eig, tg)
-        G[:, n] = w * mask.restrict(traj.values).ravel()
+    G = _separable_design(eig, order, tg, mask, cfg.n_modes, rho)
     d = _weighted_data(data, tg)
     coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
     spatial = coeffs @ eig.phis[: cfg.n_modes]
@@ -224,11 +237,10 @@ def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder,
 def order_misfit(data: ObservedData, y0: np.ndarray, alpha: float,
                  phase: str, eig: EigenSystem, tg: TimeGrid,
                  mask: ObservationMask) -> float:
-    """Squared weighted misfit between the observation of the alpha-solve
-    and the data."""
+    """Squared weighted misfit between the observation of the homogeneous
+    alpha-solution and the data."""
     order = FractionalOrder(alpha, phase)
-    traj = solve_forward(y0, SourceSpec.none(), order, eig, tg)
-    diff = mask.restrict(traj.values) - data.values
+    diff = mask.restrict(eval_homogeneous(y0, order, eig, tg.times)) - data.values
     return float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
 
 

@@ -279,8 +279,7 @@ def ml_eval(params: MLParams, z: complex, *, z_max: float = Z_MAX_DEFAULT,
     return val
 
 
-def ml_kernel(order: FractionalOrder, lam: float, t: float, kind: str, *,
-              z_max: float = Z_MAX_DEFAULT) -> complex:
+def ml_kernel(order: FractionalOrder, lam: float, t: float, kind: str) -> complex:
     """Solver kernels built from E: ``state`` = E_{a,1}(pz),
     ``impulse`` = t^{a-1} E_{a,a}(pz), ``integral`` = t^a E_{a,a+1}(pz),
     with pz = phase_factor * lam * t^alpha.
@@ -293,10 +292,7 @@ def ml_kernel(order: FractionalOrder, lam: float, t: float, kind: str, *,
     if lam < 0.0:
         raise MLDomainError(f"eigenvalue must be nonnegative, got {lam}")
     a = order.alpha
-    x = lam * t**a
-    if x > z_max:
-        raise MLDomainError(f"|argument|={x:.4g} beyond cap {z_max:.4g}")
-    z = order.phase_factor * x
+    z = order.phase_factor * (lam * t**a)
     if kind == "state":
         val = _ml(a, 1.0, z)
     elif kind == "impulse":
@@ -312,23 +308,16 @@ def ml_kernel(order: FractionalOrder, lam: float, t: float, kind: str, *,
     return val
 
 
-def state_kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray, *,
-                      z_max: float = Z_MAX_DEFAULT) -> np.ndarray:
-    """Vector of state kernels E_{a,1}(phase * lam * t^a) over a time array."""
-    return np.array(
-        [ml_kernel(order, lam, float(t), "state", z_max=z_max) for t in times],
-        dtype=np.complex128,
-    )
-
-
-def integral_kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray, *,
-                         z_max: float = Z_MAX_DEFAULT) -> np.ndarray:
-    """Vector of integral kernels t^a E_{a,a+1}(phase * lam * t^a); t = 0
-    entries are exactly 0."""
+def kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray,
+                kind: str) -> np.ndarray:
+    """One mode's ``state`` or ``integral`` kernel (see ``ml_kernel``) over a
+    time array; integral entries at t = 0 are exactly 0."""
+    if kind not in ("state", "integral"):
+        raise MLDomainError(f"kernel grids are state or integral, got {kind!r}")
     out = np.zeros(len(times), dtype=np.complex128)
     for i, t in enumerate(times):
-        if t > 0.0:
-            out[i] = ml_kernel(order, lam, float(t), "integral", z_max=z_max)
+        if kind == "state" or t != 0.0:
+            out[i] = ml_kernel(order, lam, float(t), kind)
     return out
 
 

@@ -76,6 +76,18 @@ class TestForwardCommand:
         assert cli.main(["forward", "--config", path,
                          "--output", str(tmp_path / "o")]) == 0
 
+    def test_many_modes_on_unit_interval(self, tmp_path):
+        # lambda_33 * T^alpha = (33 pi)^2 ~ 1.07e4 lies beyond the modulus
+        # cap that ml_eval keeps; the solver kernels admit it
+        cfg = forward_config(n_modes=33, time={"T": 1.0, "n_t": 50},
+                             initial={"kind": "mode", "index": 33})
+        out = tmp_path / "out"
+        rc = cli.main(["forward", "--config", write_config(tmp_path, cfg),
+                       "--output", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["checks"]["kernel_trajectory_max_dev"] <= 1e-12
+
 
 class TestValidation:
     def test_malformed_alpha_exits_2_and_names_field(self, tmp_path, capsys):

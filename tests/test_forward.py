@@ -363,7 +363,6 @@ class TestDecay:
     def test_decay_is_algebraic_not_exponential(self, eig):
         # norms drop by ~10^alpha per decade, far from exponential decay
         order = FractionalOrder(0.5)
-        vals = eval_homogeneous(eig.phis[0], order, eig,
-                                np.array([1e2, 1e3, 1e4]), z_max=1e6)
+        vals = eval_homogeneous(eig.phis[0], order, eig, np.array([1e2, 1e3, 1e4]))
         norms = [eig.grid.norm(v) for v in vals]
         assert norms[2] >= norms[0] * 10 ** (-2 * 0.5) * 0.5

@@ -29,7 +29,15 @@ from tfslab.inverse import (
 )
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import make_mask, observe
-from tfslab.spectral import EigenGroup, EigenSystem, Grid1D, analytic_eigensystem
+from tfslab.spectral import (
+    EigenGroup,
+    EigenSystem,
+    Grid1D,
+    OperatorSpec,
+    analytic_eigensystem,
+    assemble_operator,
+    eigen_solve,
+)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +222,88 @@ class TestInvertSource:
         with pytest.raises(SourceHypothesisError):
             invert_source(zero, np.zeros(tg.n_t), order, eig, tg, mask,
                           TikhonovConfig(1e-10, 8))
+
+
+class TestSourceGuards:
+    def test_too_many_unknowns(self, setup):
+        grid, eig, tg, mask = setup
+        rho = np.ones(tg.n_t, dtype=complex)
+        data = observe(solve_forward(np.zeros(grid.m), SourceSpec.none(),
+                                     FractionalOrder(0.5), eig, tg), mask, 0.0, 0)
+        with pytest.raises(GridMismatchError):
+            invert_source(data, rho, FractionalOrder(0.5), eig, tg, mask,
+                          TikhonovConfig(1e-10, eig.n + 1))
+
+    def test_mask_on_another_grid(self, setup):
+        grid, eig, tg, mask = setup
+        rho = np.ones(tg.n_t, dtype=complex)
+        data = observe(solve_forward(np.zeros(grid.m), SourceSpec.none(),
+                                     FractionalOrder(0.5), eig, tg), mask, 0.0, 0)
+        other = make_mask([(0.2, 0.4)], Grid1D(1.0, 49))
+        with pytest.raises(GridMismatchError):
+            invert_source(data, rho, FractionalOrder(0.5), eig, tg, other,
+                          TikhonovConfig(1e-10, 4))
+
+    @pytest.mark.parametrize("where", ["mask", "time"])
+    def test_data_observed_elsewhere(self, setup, where):
+        grid, eig, tg, mask = setup
+        order = FractionalOrder(0.5)
+        data_tg, data_mask = tg, mask
+        if where == "mask":
+            data_mask = make_mask([(0.5, 0.9)], grid)
+        else:
+            data_tg = TimeGrid(tg.T, tg.n_t // 2)
+        data = observe(solve_forward(eig.phis[0].astype(complex), SourceSpec.none(),
+                                     order, eig, data_tg), data_mask, 0.0, 0)
+        rho = np.ones(tg.n_t, dtype=complex)
+        with pytest.raises(GridMismatchError):
+            invert_source(data, rho, order, eig, tg, mask, TikhonovConfig(1e-10, 4))
+
+
+class TestModalDesignsMatchForwardSolves:
+    """The closed-form designs against columns and misfits assembled from
+    full forward solves, the reference they replace."""
+
+    @pytest.fixture(scope="class", params=["analytic", "finite-difference"])
+    def system(self, request):
+        if request.param == "analytic":
+            eig = analytic_eigensystem(1.0, 10, Grid1D(1.0, 99))
+            order = FractionalOrder(0.6)
+        else:
+            grid = Grid1D(1.0, 63)
+            spec = OperatorSpec.from_callables(lambda x: 1.0 + 0.5 * x,
+                                               lambda x: 2.0 * x, grid)
+            eig = eigen_solve(assemble_operator(spec, grid), 10, grid)
+            order = FractionalOrder(0.95, "power_i_alpha")
+        return eig, order, TimeGrid(1.0, 60), make_mask([(0.1, 0.35)], eig.grid)
+
+    def test_source_design(self, system):
+        import tfslab.inverse as inv
+
+        eig, order, tg, mask = system
+        t = tg.times
+        rho = (np.cos(3.0 * t) + 1j * t).astype(complex)
+        w = math.sqrt(eig.grid.h * tg.dt)
+        ref = np.column_stack([
+            w * mask.restrict(solve_forward(
+                np.zeros(eig.grid.m), SourceSpec.separable(rho, eig.phis[n]),
+                order, eig, tg).values).ravel()
+            for n in range(6)
+        ])
+        got = inv._separable_design(eig, order, tg, mask, 6, rho)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_order_misfit_is_exact(self, system):
+        eig, order, tg, mask = system
+        y0 = (eig.phis[0] - 0.5j * eig.phis[2]).astype(complex)
+        data = observe(solve_forward(y0, SourceSpec.none(), order, eig, tg),
+                       mask, 1e-3, 11)
+        for alpha in (0.45, 0.8):
+            trial = FractionalOrder(alpha, order.phase)
+            traj = solve_forward(y0, SourceSpec.none(), trial, eig, tg)
+            diff = mask.restrict(traj.values) - data.values
+            ref = float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
+            assert order_misfit(data, y0, alpha, order.phase, eig, tg, mask) == ref
 
 
 class TestInvertOrder:

@@ -11,6 +11,7 @@ from tfslab.mlf import (
     MLParams,
     SectorParams,
     certify_c0,
+    kernel_grid,
     ml_eval,
     ml_kernel,
     rotated_power_angle,
@@ -177,6 +178,20 @@ class TestKernels:
         with pytest.raises(MLDomainError):
             ml_kernel(FractionalOrder(0.5), 1.0, 1.0, "resolvent")
 
+    @pytest.mark.parametrize("x", [1.011e4, 1e5, 1e6])
+    def test_half_order_kernels_beyond_old_cap(self, x):
+        # E_{1/2,1}(z) = exp(z^2) erfc(-z), E_{1/2,3/2}(z) = (E_{1/2,1}(z) - 1)/z
+        # on the standard ray z = -i x; x = 1.011e4 is mode 33 on (0, 1) at t = 1
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            z = mpmath.mpc(0.0, -x)
+            e1 = mpmath.exp(z * z) * mpmath.erfc(-z)
+            expect = {"state": complex(e1), "integral": complex((e1 - 1) / z)}
+        order = FractionalOrder(0.5)
+        for kind, ref in expect.items():
+            got = ml_kernel(order, x, 1.0, kind)
+            assert abs(got - ref) <= 1e-12 * abs(ref), kind
+
     def test_order_validation(self):
         with pytest.raises(MLDomainError):
             FractionalOrder(0.0)
@@ -184,6 +199,26 @@ class TestKernels:
             FractionalOrder(1.2)
         with pytest.raises(MLDomainError):
             FractionalOrder(0.5, "i_to_the_alpha")
+
+
+class TestKernelGrid:
+    def test_values_come_from_ml_kernel(self):
+        order = FractionalOrder(0.6)
+        times = np.array([0.0, 0.5, 2.0])
+        integral = kernel_grid(order, 3.0, times, "integral")
+        assert integral[0] == 0.0
+        for t, v in zip(times[1:], integral[1:]):
+            assert v == ml_kernel(order, 3.0, float(t), "integral")
+        state = kernel_grid(order, 3.0, times[1:], "state")
+        assert state[1] == ml_kernel(order, 3.0, 2.0, "state")
+
+    def test_state_rejects_zero_time(self):
+        with pytest.raises(MLDomainError):
+            kernel_grid(FractionalOrder(0.5), 1.0, np.array([0.0, 1.0]), "state")
+
+    def test_only_state_and_integral(self):
+        with pytest.raises(MLDomainError):
+            kernel_grid(FractionalOrder(0.5), 1.0, np.array([1.0]), "impulse")
 
 
 class TestSector:
