@@ -30,8 +30,8 @@ _EXP_ARG_MAX = 700.0
 _TARGET = 1.0e-15
 _LOG_TARGET = math.log(1.0 / _TARGET) + 4.0  # margin on top of the tolerance
 
-# Test hook: multiplies every ml_kernel value by (1 + eps) so the selftest
-# battery can prove its own sensitivity.  Never set outside tests.
+# Test hook: multiplies every ml_kernel and kernel_grid value by (1 + eps) so
+# the selftest battery can prove its own sensitivity.  Never set outside tests.
 _PERTURB = float(os.environ.get("TFSLAB_PERTURB_KERNEL", "0") or 0.0)
 
 
@@ -248,6 +248,169 @@ def _ml(alpha: float, beta: float, z: complex) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# row evaluators: the same regions and per-point rules as above, applied to
+# an array of arguments at once (alpha <= 1).  Series weights are computed
+# once per call and shared by every point; a point leaves a sum as soon as
+# its own stopping rule fires.
+
+_CONTOUR_BLOCK = 4096  # contour nodes per numpy pass; bounds the temporaries
+
+
+def _exp_branch(alpha: float, beta: float, z: np.ndarray, logz: np.ndarray,
+                s0: np.ndarray) -> np.ndarray:
+    """exp(((1-beta)/alpha) log z + s0)/alpha, the contribution of the pole
+    s0 = z^{1/alpha}; raises where it overflows, 0 where it underflows."""
+    big = s0.real > _EXP_ARG_MAX
+    if big.any():
+        raise MLOverflowError(
+            f"E_{{{alpha},{beta}}} at |z|={abs(z[big][0]):.3g} exceeds double range"
+        )
+    out = np.zeros(z.shape, dtype=np.complex128)
+    live = s0.real > -745.0
+    out[live] = np.exp(((1.0 - beta) / alpha) * logz[live] + s0[live]) / alpha
+    return out
+
+
+def _taylor_row(alpha: float, beta: float, z: np.ndarray):
+    """Row form of ``_taylor``: (values, trustworthy) per point."""
+    total = np.full(z.shape, complex(rgamma_real(beta)))
+    ok = np.zeros(z.shape, dtype=bool)
+    live = np.arange(z.size)
+    zl, acc = z, total.copy()
+    power = np.ones_like(z)
+    peak = np.abs(acc)
+    streak = np.zeros(z.shape, dtype=int)
+    for k in range(1, int(200 + 24.0 / alpha) + 1):
+        power = power * zl
+        contrib = power * rgamma_real(alpha * k + beta)
+        acc = acc + contrib
+        mag = np.abs(contrib)
+        peak = np.maximum(peak, mag)
+        if alpha * k + beta > 2.0:
+            streak = np.where(mag < 1e-18 * (peak + 1e-300), streak + 1, 0)
+        else:
+            streak[:] = 0
+        done = streak >= 3
+        if done.any():
+            # cancellation estimate: roundoff floor is eps * largest summand
+            total[live[done]] = acc[done]
+            ok[live[done]] = peak[done] * 2.3e-16 <= 1e-11 * (np.abs(acc[done]) + 1e-300)
+            keep = ~done
+            live, zl, power, acc, peak, streak = (
+                live[keep], zl[keep], power[keep], acc[keep], peak[keep], streak[keep])
+            if live.size == 0:
+                break
+    total[live] = acc  # not converged: left untrusted
+    return total, ok
+
+
+def _asymptotic_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """Row form of ``_asymptotic``, with its optimal-truncation stop."""
+    val = np.zeros(z.shape, dtype=np.complex128)
+    branch = np.abs(np.angle(z)) <= alpha * math.pi + 1e-14
+    if branch.any():
+        logz = np.log(z[branch])
+        val[branch] = _exp_branch(alpha, beta, z[branch], logz, np.exp(logz / alpha))
+    out = val.copy()
+    live = np.arange(z.size)
+    inv, vl = 1.0 / z, val
+    power = np.ones_like(z)
+    acc = np.zeros_like(z)
+    prev = np.full(z.shape, math.inf)
+    for k in range(1, 200):
+        x = beta - alpha * k
+        if 1.0 - x > 171.0:
+            break
+        power = power * inv
+        rg = rgamma_real(x)
+        if rg == 0.0:
+            continue  # reciprocal-Gamma pole: the term is exactly absent
+        term = power * rg
+        mag = np.abs(term)
+        truncate = mag > prev  # optimal truncation reached: term not added
+        acc = np.where(truncate, acc, acc + term)
+        prev = np.where(truncate, prev, mag)
+        done = truncate | (mag < 1e-17 * (np.abs(vl - acc) + 1e-300))
+        if done.any():
+            out[live[done]] = vl[done] - acc[done]
+            keep = ~done
+            live, inv, vl, power, acc, prev = (
+                live[keep], inv[keep], vl[keep], power[keep], acc[keep], prev[keep])
+            if live.size == 0:
+                break
+    out[live] = vl - acc
+    return out
+
+
+def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """Row form of ``_contour``: each point keeps its own (mu, h, n) node
+    set; the sets are laid end to end and summed with ``np.add.reduceat``."""
+    theta = np.angle(z)
+    pole = np.abs(theta) <= alpha * math.pi
+    mu = np.full(z.shape, 2.0)
+    strip = np.ones(z.shape)
+    out = np.zeros(z.shape, dtype=np.complex128)  # residues, then integrals
+    if pole.any():
+        logz = np.log(z[pole])
+        s0 = np.exp(logz / alpha)
+        half = np.cos(theta[pole] / (2.0 * alpha))  # cos(arg(s0)/2) >= 0
+        a = np.abs(s0) * half * half
+        far = a >= 0.72
+        mu[pole] = np.where(far, np.clip(0.25 * a, 0.18, 5.0), 2.0)
+        if far.any():
+            at = np.flatnonzero(pole)[far]
+            out[at] = _exp_branch(alpha, beta, z[at], logz[far], s0[far])
+        w = np.sqrt(s0 / mu[pole])
+        strip[pole] = np.minimum(1.0, np.abs(w.real - 1.0))
+    strip *= 0.9
+    # truncation: e^{mu(1-U^2)} (mu(1+U^2))^{max(0, alpha-beta)} <= target
+    u_max = np.sqrt(1.0 + _LOG_TARGET / mu)
+    grow = max(0.0, alpha - beta)
+    if grow > 0.0:
+        extra = grow * np.log(mu * (1.0 + u_max * u_max) + 2.0)
+        u_max = np.sqrt(1.0 + (_LOG_TARGET + extra) / mu)
+    h = 2.0 * math.pi * strip / _LOG_TARGET
+    n = np.ceil(u_max / h).astype(int)
+    counts = 2 * n + 1
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < z.size:
+        # at least one point per block, however many nodes it has
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _CONTOUR_BLOCK,
+                                             side="right")))
+        c = counts[lo:hi]
+        starts = np.concatenate(([0], np.cumsum(c)[:-1]))
+        owner = np.repeat(np.arange(hi - lo), c)
+        k = np.arange(int(c.sum())) - np.repeat(starts, c) - np.repeat(n[lo:hi], c)
+        iu1 = 1.0 + 1j * (np.repeat(h[lo:hi], c) * k)
+        s = np.repeat(mu[lo:hi], c) * iu1 * iu1
+        log_s = np.log(s)  # one log serves both powers of s
+        vals = (np.exp(s + (alpha - beta) * log_s) * iu1
+                / (np.exp(alpha * log_s) - z[lo:hi][owner]))
+        out[lo:hi] += (h[lo:hi] * mu[lo:hi] / math.pi) * np.add.reduceat(vals, starts)
+        lo = hi
+    return out
+
+
+def _ml_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta} over an array of arguments, alpha <= 1 (see ``_ml``)."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    az = np.abs(z)
+    series = az <= SERIES_RADIUS
+    far = az >= ASYMPTOTIC_RADIUS
+    contour = ~(series | far)
+    if series.any():
+        val, ok = _taylor_row(alpha, beta, z[series])
+        out[series] = val
+        contour[np.flatnonzero(series)[~ok]] = True  # guard tripped
+    if far.any():
+        out[far] = _asymptotic_row(alpha, beta, z[far])
+    if contour.any():
+        out[contour] = _contour_row(alpha, beta, z[contour])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -311,13 +474,31 @@ def ml_kernel(order: FractionalOrder, lam: float, t: float, kind: str) -> comple
 def kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray,
                 kind: str) -> np.ndarray:
     """One mode's ``state`` or ``integral`` kernel (see ``ml_kernel``) over a
-    time array; integral entries at t = 0 are exactly 0."""
+    time array; integral entries at t = 0 are exactly 0.
+
+    The row is evaluated as arrays, so values agree with ``ml_kernel`` to
+    rounding, not bit for bit."""
     if kind not in ("state", "integral"):
         raise MLDomainError(f"kernel grids are state or integral, got {kind!r}")
-    out = np.zeros(len(times), dtype=np.complex128)
-    for i, t in enumerate(times):
-        if kind == "state" or t != 0.0:
-            out[i] = ml_kernel(order, lam, float(t), kind)
+    if lam < 0.0:
+        raise MLDomainError(f"eigenvalue must be nonnegative, got {lam}")
+    times = np.asarray(times, dtype=float)
+    bad = times <= 0.0 if kind == "state" else times < 0.0
+    if bad.any():
+        raise MLDomainError(f"kernel time must be positive, got {times[bad][0]}")
+    a = order.alpha
+    out = np.zeros(times.shape, dtype=np.complex128)
+    at = times != 0.0
+    ta = times[at] ** a
+    z = order.phase_factor * (lam * ta)
+    if kind == "state":
+        out[at] = _ml_row(a, 1.0, z)
+    else:
+        out[at] = ta * _ml_row(a, a + 1.0, z)
+    if _PERTURB:
+        out *= 1.0 + _PERTURB
+    if not np.isfinite(out).all():
+        raise MLOverflowError("kernel evaluation produced a non-finite value")
     return out
 
 
@@ -365,10 +546,9 @@ def certify_c0(order: FractionalOrder, mu: float,
         raise MLDomainError("certification grids must be non-empty")
     if np.any(lambda_grid < 0.0) or np.any(t_grid <= 0.0):
         raise MLDomainError("certification grids must be nonnegative/positive")
+    standard = FractionalOrder(a)
     best = 1.0
     for lam in lambda_grid:
-        x = lam * t_grid**a
-        for xi in x:
-            val = abs(_ml(a, 1.0, complex(0.0, -xi)))
-            best = max(best, val * (1.0 + xi))
+        val = np.abs(kernel_grid(standard, lam, t_grid, "state"))
+        best = max(best, float(np.max(val * (1.0 + lam * t_grid**a))))
     return best

@@ -1,9 +1,14 @@
 import cmath
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from tfslab import mlf
 from tfslab.errors import MLDomainError, MLOverflowError
 from tfslab.gamma import gamma_real, rgamma_real
 from tfslab.mlf import (
@@ -106,6 +111,9 @@ class TestMLEval:
     def test_overflow_is_an_error(self):
         with pytest.raises(MLOverflowError):
             ml_eval(MLParams(0.3, 1.0), 40.0)
+        for x in (40.0, 60.0):  # contour and asymptotic region of the row form
+            with pytest.raises(MLOverflowError):
+                mlf._ml_row(0.3, 1.0, np.array([0.5, x], dtype=complex))
 
     def test_invalid_params(self):
         with pytest.raises(MLDomainError):
@@ -202,15 +210,84 @@ class TestKernels:
 
 
 class TestKernelGrid:
-    def test_values_come_from_ml_kernel(self):
-        order = FractionalOrder(0.6)
-        times = np.array([0.0, 0.5, 2.0])
-        integral = kernel_grid(order, 3.0, times, "integral")
-        assert integral[0] == 0.0
-        for t, v in zip(times[1:], integral[1:]):
-            assert v == ml_kernel(order, 3.0, float(t), "integral")
-        state = kernel_grid(order, 3.0, times[1:], "state")
-        assert state[1] == ml_kernel(order, 3.0, 2.0, "state")
+    def test_matches_ml_kernel(self):
+        # The grid is evaluated as arrays and ml_kernel point by point, so
+        # they agree to rounding.  On the power_i_alpha ray both start from
+        # a rounded phase factor and drift from the exact value like
+        # eps * x^{1/alpha} (see the README), so the bound there carries
+        # that envelope.
+        for phase in ("standard_i", "power_i_alpha"):
+            for alpha in (0.3, 0.5, 0.6, 0.9, 0.99):
+                order = FractionalOrder(alpha, phase)
+                for n_t in (50, 200):
+                    times = np.linspace(0.0, 1.0, n_t + 1)
+                    for n in range(1, 34):
+                        lam = (n * math.pi) ** 2
+                        integral = kernel_grid(order, lam, times, "integral")
+                        assert integral[0] == 0.0
+                        grids = {"state": kernel_grid(order, lam, times[1:], "state"),
+                                 "integral": integral[1:]}
+                        for kind, grid in grids.items():
+                            for t, v in zip(times[1:], grid):
+                                ref = ml_kernel(order, lam, float(t), kind)
+                                bound = 1e-13 * max(1.0, abs(ref))
+                                if phase == "power_i_alpha":
+                                    bound *= max(1.0, (lam * t**alpha) ** (1.0 / alpha))
+                                assert abs(v - ref) <= bound, (phase, alpha, n_t, n, kind, t)
+        # A scan of both kernel rays found no argument that trips the series'
+        # cancellation guard, so the fallback to the contour is checked off
+        # the rays: z0 is a zero of E_{0.6,-0.5} inside the unit disk.
+        z0 = 0.4052576574529808
+        assert not mlf._taylor(0.6, -0.5, complex(z0))[1]
+        z = np.array([z0, 0.3 - 0.2j, -0.9j], dtype=complex)
+        row = mlf._ml_row(0.6, -0.5, z)
+        assert row[0] == mlf._contour_row(0.6, -0.5, z[:1])[0]
+        for v, zi in zip(row, z):
+            ref = mlf._ml(0.6, -0.5, complex(zi))
+            assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
+        # At alpha = 0.143 and x = 50 the asymptotic sum stops at its optimal
+        # truncation (term 8 outgrows term 7).  Both evaluators add the same
+        # terms there; summing past the stop moves the value by 2e-13.
+        order = FractionalOrder(0.143)
+        grid = kernel_grid(order, 50.0, np.array([1.0, 1.2]), "state")
+        for t, v in zip((1.0, 1.2), grid):
+            ref = ml_kernel(order, 50.0, t, "state")
+            assert abs(v - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_half_order_state_grid_against_mpmath(self, n):
+        # E_{1/2,1}(z) = exp(z^2) erfc(-z) on the standard ray z = -i lam t^{1/2}
+        mpmath = pytest.importorskip("mpmath")
+        lam = (n * math.pi) ** 2
+        times = np.linspace(0.0, 1.0, 201)[1:]
+        grid = kernel_grid(FractionalOrder(0.5), lam, times, "state")
+        with mpmath.workdps(40):
+            for t, v in zip(times, grid):
+                z = mpmath.mpc(0.0, -lam * math.sqrt(t))
+                ref = complex(mpmath.exp(z * z) * mpmath.erfc(-z))
+                assert abs(v - ref) <= 1e-12 * abs(ref), t
+
+    def test_perturbation_hook_scales_grid(self):
+        script = (
+            "import json, numpy as np\n"
+            "from tfslab.mlf import FractionalOrder, kernel_grid\n"
+            "times = np.concatenate(([0.0], np.geomspace(1e-5, 1.0, 40)))\n"
+            "order = FractionalOrder(0.6)\n"
+            "g = np.concatenate([kernel_grid(order, 300.0, times[1:], 'state'),\n"
+            "                    kernel_grid(order, 300.0, times, 'integral')])\n"
+            "print(json.dumps([[v.real, v.imag] for v in g.tolist()]))\n"
+        )
+
+        def grid(perturb):
+            env = dict(os.environ, TFSLAB_PERTURB_KERNEL=perturb)
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, check=True)
+            return np.array([complex(re, im) for re, im in json.loads(proc.stdout)])
+
+        base, scaled = grid("0"), grid("1e-3")
+        assert scaled[40] == 0.0  # integral at t = 0 stays exactly 0
+        assert not np.array_equal(scaled, base)
+        assert np.array_equal(scaled, base * (1.0 + 1e-3))
 
     def test_state_rejects_zero_time(self):
         with pytest.raises(MLDomainError):
