@@ -28,9 +28,7 @@ _GAMMA_OVERFLOW_X = 171.62  # Gamma(x) overflows float64 above this
 def _lanczos_positive(x):
     # valid for x >= 0.5; the factored power overflows long before Gamma
     # itself does, so switch to log space for large arguments
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_COEF[i] / (x - 1.0 + i)
+    acc = _lanczos_positive_series(x)
     t = x + _LANCZOS_G - 0.5
     if x <= 100.0:
         return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * acc

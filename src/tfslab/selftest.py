@@ -411,9 +411,9 @@ CRITERIA = [
 def warmup():
     """Touch each evaluator region once so the timed criteria measure
     steady-state numerics."""
-    # Kept so that the first ML calls in each region and the lazy
-    # scipy.signal import (inside caputo_l1's convolution) happen before
-    # any criterion's clock starts.
+    # Kept so that the first ML calls in each region and the first FFT
+    # convolution (inside caputo_l1) happen before any criterion's clock
+    # starts.
     order = FractionalOrder(0.5)
     ml_kernel(order, 1.0, 0.5, "state")
     ml_kernel(order, 100.0, 10.0, "integral")

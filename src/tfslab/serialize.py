@@ -12,27 +12,21 @@ import tempfile
 import numpy as np
 
 
-def jsonify(obj):
-    """Recursively convert numpy containers/scalars to plain Python."""
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
+def _json_default(obj):
+    """``json.dumps`` hook for the values the stdlib encoder does not know:
+    arrays become lists, numpy scalars Python scalars, and complex numbers
+    ``{"re", "im"}`` objects."""
     if isinstance(obj, np.ndarray):
-        return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return obj.tolist()
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(jsonify(obj), sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, default=_json_default, sort_keys=True, indent=2) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -54,41 +48,50 @@ def write_json(path: str, obj) -> None:
     atomic_write_text(path, dumps_canonical(obj))
 
 
+def _re_im(values) -> np.ndarray:
+    """Real and imaginary parts interleaved, [re_0, im_0, re_1, im_1, ...],
+    in row-major order of ``values``."""
+    flat = np.ravel(values)
+    return np.column_stack([flat.real, flat.imag]).ravel()
+
+
+def _complex_csv(header, nodes, values, times=None) -> str:
+    """CSV lines ``[t,]x,re,im``, time-major, one row of ``values`` per
+    time (without ``times``, ``values`` is that one row).  Each node and
+    time is rendered once and the values one row at a time."""
+    xs = [repr(x) for x in np.asarray(nodes, dtype=float).tolist()]
+    values = np.asarray(values)
+    if times is None:
+        prefixes, values = [""], values[None]
+    else:
+        prefixes = [f"{t!r}," for t in np.asarray(times, dtype=float).tolist()]
+    rows = [header]
+    for prefix, row in zip(prefixes, values, strict=True):
+        rows.append("\n".join([f"{prefix}{x},{re!r},{im!r}" for x, re, im in
+                               zip(xs, row.real.tolist(), row.imag.tolist(), strict=True)]))
+    rows.append("")  # the final newline, without a copy of the whole text
+    return "\n".join(rows)
+
+
 # ---------------------------------------------------------------------------
 # domain objects
 
 
 def field_to_csv(field) -> str:
-    lines = ["t,x,re_y,im_y"]
-    times = field.tg.times
-    nodes = field.grid.nodes
-    for i in range(field.tg.n_t):
-        t = float(times[i])
-        for j in range(field.grid.m):
-            v = complex(field.values[i, j])
-            lines.append(f"{t!r},{float(nodes[j])!r},{v.real!r},{v.imag!r}")
-    return "\n".join(lines) + "\n"
+    return _complex_csv("t,x,re_y,im_y", field.grid.nodes, field.values, field.tg.times)
 
 
 def field_to_json(field) -> dict:
-    flat = field.values.ravel()
     return {
         "time": {"T": field.tg.T, "n_t": field.tg.n_t},
         "grid": {"L": field.grid.L, "m": field.grid.m},
-        "values_re_im": np.column_stack([flat.real, flat.imag]).ravel(),
+        "values_re_im": _re_im(field.values),
     }
 
 
 def observed_to_csv(data) -> str:
-    lines = ["t,x,re,im"]
-    times = data.tg.times
     nodes = data.mask.grid.nodes[data.mask.indices]
-    for i in range(data.values.shape[0]):
-        t = float(times[i])
-        for j, x in enumerate(nodes):
-            v = complex(data.values[i, j])
-            lines.append(f"{t!r},{float(x)!r},{v.real!r},{v.imag!r}")
-    return "\n".join(lines) + "\n"
+    return _complex_csv("t,x,re,im", nodes, data.values, data.tg.times)
 
 
 def mask_to_json(mask) -> dict:
@@ -114,13 +117,12 @@ def eigensystem_to_json(eig) -> dict:
 
 
 def observed_to_json(data) -> dict:
-    flat = data.values.ravel()
     return {
         "time": {"T": data.tg.T, "n_t": data.tg.n_t},
         "mask": mask_to_json(data.mask),
         "noise_level": data.noise_level,
         "seed": data.seed,
-        "values_re_im": np.column_stack([flat.real, flat.imag]).ravel(),
+        "values_re_im": _re_im(data.values),
     }
 
 
@@ -131,21 +133,13 @@ def result_to_json(result) -> dict:
         "diagnostics": result.diagnostics,
     }
     if result.modal is not None:
-        out["modal_re_im"] = np.column_stack(
-            [result.modal.real, result.modal.imag]
-        ).ravel()
+        out["modal_re_im"] = _re_im(result.modal)
     if result.spatial is not None:
-        out["spatial_re_im"] = np.column_stack(
-            [result.spatial.real, result.spatial.imag]
-        ).ravel()
+        out["spatial_re_im"] = _re_im(result.spatial)
     if result.order is not None:
         out["order"] = result.order
     return out
 
 
 def spatial_to_csv(nodes, values) -> str:
-    lines = ["x,re,im"]
-    for x, v in zip(nodes, values):
-        v = complex(v)
-        lines.append(f"{float(x)!r},{v.real!r},{v.imag!r}")
-    return "\n".join(lines) + "\n"
+    return _complex_csv("x,re,im", nodes, values)

@@ -248,6 +248,55 @@ class TestInversionCommands:
         assert report["checks"]["modal_rel_error"] <= 1e-5
 
 
+class TestDeterminism:
+    """Each pipeline, run twice on one config, writes the same bytes; only
+    the wall times under ``phase_seconds`` may differ."""
+
+    SOURCE = {"kind": "separable", "rho": {"kind": "const", "value": 1.0},
+              "g": {"kind": "mode", "index": 2}}
+    NOISE = {"level": 1e-3, "seed": 11}
+    CONFIGS = {
+        "forward": forward_config(source=SOURCE),
+        "invert-initial": inversion_config(
+            "invert-initial",
+            {"initial": {"kind": "mix", "coeffs_re": [0.7, 0.2], "coeffs_im": [0.0, 0.1]}},
+            {"gamma": 1e-6, "n_modes": 4}),
+        "invert-source": inversion_config("invert-source", SOURCE_TRUTH,
+                                          {"gamma": 1e-6, "n_modes": 2}),
+        "invert-order": inversion_config(
+            "invert-order", ORDER_TRUTH,
+            {"alpha_lo": 0.3, "alpha_hi": 0.8, "coarse_points": 5, "refine_tol": 1e-2}),
+    }
+
+    @staticmethod
+    def without_phase_seconds(text):
+        doc = json.loads(text)
+        report = doc.get("report", doc)
+        return report.pop("phase_seconds").keys(), doc
+
+    @pytest.mark.parametrize("problem", sorted(CONFIGS))
+    def test_artifacts_repeat_byte_for_byte(self, tmp_path, capsys, problem):
+        cfg = dict(self.CONFIGS[problem], grid={"L": 1.0, "m": 31},
+                   time={"T": 1.0, "n_t": 12})
+        if problem != "forward":
+            cfg["noise"] = self.NOISE
+        path = write_config(tmp_path, cfg)
+        outs, stdouts = [tmp_path / "a", tmp_path / "b"], []
+        for out in outs:
+            assert cli.main([problem, "--config", path, "--output", str(out)]) == 0
+            stdouts.append(capsys.readouterr().out)
+        names = sorted(os.listdir(outs[0]))
+        assert names == sorted(os.listdir(outs[1]))
+        assert "report.json" in names and len(names) >= 3
+        for name in names:
+            first, second = ((out / name).read_text() for out in outs)
+            if name == "report.json":
+                assert self.without_phase_seconds(first) == self.without_phase_seconds(second)
+            else:
+                assert first == second, name
+        assert self.without_phase_seconds(stdouts[0]) == self.without_phase_seconds(stdouts[1])
+
+
 class TestMlEval:
     def test_exponential_value(self, capsys):
         rc = cli.main(["ml-eval", "--alpha", "1.0", "--beta", "1.0", "--re", "1.0"])

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -43,3 +46,18 @@ def test_longer_kernel_is_truncated(rng):
     ker = rng.standard_normal(17) + 0j
     got = _kernels.causal_conv(sig, ker)
     np.testing.assert_allclose(got, brute_conv(sig, ker[:10]), rtol=1e-12)
+
+
+def test_convolution_does_not_import_scipy_signal():
+    # scipy.signal costs most of a CLI call's start-up and the convolution
+    # needs only scipy.fft
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from tfslab.forward import TimeGrid, caputo_l1\n"
+        "caputo_l1(np.ones(5, dtype=complex), 0.5, TimeGrid(0.1, 4))\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
