@@ -31,11 +31,9 @@ from .observe import make_mask, observe
 from .serialize import (
     dumps_canonical,
     eigensystem_to_json,
-    observed_to_json,
-    field_to_csv,
-    field_to_json,
+    field_texts,
     mask_to_json,
-    observed_to_csv,
+    observed_texts,
     result_to_json,
     spatial_to_csv,
     write_json,
@@ -343,9 +341,14 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
     artifacts = []
     checks = {}
 
-    def emit(name, text):
+    def emit(name, text):  # text: a string or an iterable of chunks
         atomic_write_text(os.path.join(output_dir, name), text)
         artifacts.append(name)
+
+    def emit_observed(data):
+        data_csv, data_json = observed_texts(data)
+        emit("data.csv", data_csv)
+        emit("data.json", data_json)
 
     grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["m"])
     tg = TimeGrid(cfg["time"]["T"], cfg["time"]["n_t"])
@@ -383,8 +386,9 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
                 c = complex(project(fieldv.values[i], eig)[idx])
                 dev = max(dev, abs(c - ml_kernel(order, lam, float(t), "state")))
             checks["kernel_trajectory_max_dev"] = dev
-        emit("field.csv", field_to_csv(fieldv))
-        emit("field.json", dumps_canonical(field_to_json(fieldv)))
+        field_csv, field_json = field_texts(fieldv)
+        emit("field.csv", field_csv)
+        emit("field.json", field_json)
 
     elif problem == "invert-initial":
         y0 = _build_datum(cfg["truth"]["initial"], eig, "truth.initial")
@@ -394,8 +398,7 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
         phases.start("observe")
         data = observe(fieldv, mask, noise_cfg["level"], seed)
         phases.stop()
-        emit("data.csv", observed_to_csv(data))
-        emit("data.json", dumps_canonical(observed_to_json(data)))
+        emit_observed(data)
         emit("mask.json", dumps_canonical(mask_to_json(mask)))
         inv_cfg = TikhonovConfig(cfg["inversion"]["gamma"],
                                  cfg["inversion"]["n_modes"])
@@ -423,8 +426,7 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
         phases.start("observe")
         data = observe(fieldv, mask, noise_cfg["level"], seed)
         phases.stop()
-        emit("data.csv", observed_to_csv(data))
-        emit("data.json", dumps_canonical(observed_to_json(data)))
+        emit_observed(data)
         emit("mask.json", dumps_canonical(mask_to_json(mask)))
         inv_cfg = TikhonovConfig(cfg["inversion"]["gamma"],
                                  cfg["inversion"]["n_modes"])
@@ -451,8 +453,7 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
         phases.start("observe")
         data = observe(fieldv, mask, noise_cfg["level"], seed)
         phases.stop()
-        emit("data.csv", observed_to_csv(data))
-        emit("data.json", dumps_canonical(observed_to_json(data)))
+        emit_observed(data)
         inv = cfg["inversion"]
         search = OrderSearchConfig(
             inv["alpha_lo"], inv["alpha_hi"],

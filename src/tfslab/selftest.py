@@ -16,7 +16,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
+import scipy.integrate  # loaded with the battery; the CLI pipelines never integrate
+import scipy.linalg
 
 from .errors import SourceHypothesisError
 from .forward import (

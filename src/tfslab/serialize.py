@@ -3,6 +3,14 @@
 Floats are rendered with Python's shortest-roundtrip repr (max 17
 significant digits); JSON keys are sorted.  Identical inputs therefore
 produce byte-identical artifacts.
+
+The complex arrays of the field and the observed data are rendered one
+time row at a time, each float's repr once (``repr`` of the row's list, in
+C), and the CSV and the JSON artifact are both built from those row
+strings: the JSON is the small document through ``json.dumps`` with the
+array spliced in.  Both texts come as chunk iterators, one chunk per row,
+that ``atomic_write_text`` streams to disk, so no full artifact text is
+ever held.
 """
 
 import json
@@ -29,14 +37,15 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, default=_json_default, sort_keys=True, indent=2) + "\n"
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus rename, so readers
-    never see a partial artifact."""
+def atomic_write_text(path: str, text) -> None:
+    """Write ``text``, a string or an iterable of string chunks, via a temp
+    file in the same directory plus rename, so readers never see a partial
+    artifact."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tfslab-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -55,43 +64,108 @@ def _re_im(values) -> np.ndarray:
     return np.column_stack([flat.real, flat.imag]).ravel()
 
 
-def _complex_csv(header, nodes, values, times=None) -> str:
-    """CSV lines ``[t,]x,re,im``, time-major, one row of ``values`` per
-    time (without ``times``, ``values`` is that one row).  Each node and
-    time is rendered once and the values one row at a time."""
+def _rows(values) -> list:
+    """Each row of ``values`` (a 1-D array is one row) as one string of its
+    interleaved parts, ``"re_0, im_0, re_1, im_1, ..."``; ``repr`` of the
+    row's list renders every float once, with the digits ``f"{x!r}"`` and
+    ``json`` give."""
+    return [repr(_re_im(row).tolist())[1:-1] for row in np.atleast_2d(values)]
+
+
+def _csv_chunks(header, nodes, rows, times=None):
+    """CSV lines ``[t,]x,re,im``, time-major, one chunk per row of ``rows``
+    (without ``times``, ``rows`` is that one row)."""
     xs = [repr(x) for x in np.asarray(nodes, dtype=float).tolist()]
-    values = np.asarray(values)
     if times is None:
-        prefixes, values = [""], values[None]
+        prefixes = [""]
     else:
         prefixes = [f"{t!r}," for t in np.asarray(times, dtype=float).tolist()]
-    rows = [header]
-    for prefix, row in zip(prefixes, values, strict=True):
-        rows.append("\n".join([f"{prefix}{x},{re!r},{im!r}" for x, re, im in
-                               zip(xs, row.real.tolist(), row.imag.tolist(), strict=True)]))
-    rows.append("")  # the final newline, without a copy of the whole text
-    return "\n".join(rows)
+    yield header + "\n"
+    for prefix, row in zip(prefixes, rows, strict=True):
+        parts = iter(row.split(", "))
+        yield "".join([f"{prefix}{x},{re},{im}\n"
+                       for x, re, im in zip(xs, parts, parts, strict=True)])
+
+
+# stands in for the array while json.dumps renders the rest of the document
+_SPLICE = "\0splice"
+# repr spells non-finite floats the CSV way; json.dumps spells them so
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_row(row: str) -> str:
+    if "n" not in row:  # a finite repr holds only digits, ".", "-", "+" and "e"
+        return row
+    return ", ".join([_JSON_SPELLING.get(part, part) for part in row.split(", ")])
+
+
+def _json_chunks(meta: dict, rows):
+    """``dumps_canonical({**meta, "values_re_im": <the floats of rows>})`` in
+    chunks: the small document goes through ``json.dumps`` with a
+    placeholder, and the array is spliced in from the row strings, one
+    chunk per row.  The key is top-level, so its items sit at indent 4."""
+    head, _, tail = dumps_canonical({**meta, "values_re_im": _SPLICE}).partition(
+        json.dumps(_SPLICE))
+    sep = ",\n    "
+    yield head + "[\n    "
+    for i, row in enumerate(rows):
+        yield (sep if i else "") + _json_row(row).replace(", ", sep)
+    yield "\n  ]" + tail
+
+
+def _texts(header, nodes, times, values, meta):
+    """The CSV and the JSON (``meta`` plus ``values_re_im``) of a time-major
+    complex array, as chunk iterators over one rendering of its floats."""
+    rows = _rows(values)
+    return _csv_chunks(header, nodes, rows, times), _json_chunks(meta, rows)
 
 
 # ---------------------------------------------------------------------------
 # domain objects
 
 
-def field_to_csv(field) -> str:
-    return _complex_csv("t,x,re_y,im_y", field.grid.nodes, field.values, field.tg.times)
-
-
-def field_to_json(field) -> dict:
+def _field_meta(field) -> dict:
     return {
         "time": {"T": field.tg.T, "n_t": field.tg.n_t},
         "grid": {"L": field.grid.L, "m": field.grid.m},
-        "values_re_im": _re_im(field.values),
     }
 
 
+def field_texts(field):
+    """``(csv, json)``: ``field_to_csv(field)`` and
+    ``dumps_canonical(field_to_json(field))`` as chunk iterators that share
+    one rendering of the field's floats."""
+    return _texts("t,x,re_y,im_y", field.grid.nodes, field.tg.times, field.values,
+                  _field_meta(field))
+
+
+def field_to_csv(field) -> str:
+    return "".join(field_texts(field)[0])
+
+
+def field_to_json(field) -> dict:
+    return {**_field_meta(field), "values_re_im": _re_im(field.values)}
+
+
+def _observed_meta(data) -> dict:
+    return {
+        "time": {"T": data.tg.T, "n_t": data.tg.n_t},
+        "mask": mask_to_json(data.mask),
+        "noise_level": data.noise_level,
+        "seed": data.seed,
+    }
+
+
+def observed_texts(data):
+    """``(csv, json)``: ``observed_to_csv(data)`` and
+    ``dumps_canonical(observed_to_json(data))`` as chunk iterators that
+    share one rendering of the data's floats."""
+    return _texts("t,x,re,im", data.mask.grid.nodes[data.mask.indices], data.tg.times,
+                  data.values, _observed_meta(data))
+
+
 def observed_to_csv(data) -> str:
-    nodes = data.mask.grid.nodes[data.mask.indices]
-    return _complex_csv("t,x,re,im", nodes, data.values, data.tg.times)
+    return "".join(observed_texts(data)[0])
 
 
 def mask_to_json(mask) -> dict:
@@ -117,13 +191,7 @@ def eigensystem_to_json(eig) -> dict:
 
 
 def observed_to_json(data) -> dict:
-    return {
-        "time": {"T": data.tg.T, "n_t": data.tg.n_t},
-        "mask": mask_to_json(data.mask),
-        "noise_level": data.noise_level,
-        "seed": data.seed,
-        "values_re_im": _re_im(data.values),
-    }
+    return {**_observed_meta(data), "values_re_im": _re_im(data.values)}
 
 
 def result_to_json(result) -> dict:
@@ -142,4 +210,4 @@ def result_to_json(result) -> dict:
 
 
 def spatial_to_csv(nodes, values) -> str:
-    return _complex_csv("x,re,im", nodes, values)
+    return "".join(_csv_chunks("x,re,im", nodes, _rows(values)))

@@ -339,3 +339,12 @@ class TestSelftestCommand:
         second = capsys.readouterr().out.splitlines()[0].split()[0]
         assert rc1 == rc2 == 0
         assert first == second == "PASS"
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only the proof machinery integrates, and scipy.integrate costs about
+    # a quarter of a second of every CLI call's start-up
+    script = "import sys\nimport tfslab.cli\nprint('scipy.integrate' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,17 +1,24 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tfslab.forward import SourceSpec, SpaceTimeField, TimeGrid, solve_forward
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import ObservedData, make_mask, observe
 from tfslab.serialize import (
+    _json_default,
     atomic_write_text,
     dumps_canonical,
     eigensystem_to_json,
+    field_texts,
     field_to_csv,
     field_to_json,
+    observed_texts,
     observed_to_csv,
     observed_to_json,
     spatial_to_csv,
@@ -48,6 +55,40 @@ def test_atomic_write_replaces_content(tmp_path):
     atomic_write_text(str(target), "second\n")
     assert target.read_text() == "second\n"
     assert list(tmp_path.iterdir()) == [target]
+
+
+class TestAtomicWrite:
+    def chunks(self):
+        yield "first chunk\n"
+        raise RuntimeError("renderer failed")
+
+    def test_failed_stream_leaves_nothing(self, tmp_path):
+        target = tmp_path / "artifact.csv"
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            atomic_write_text(str(target), self.chunks())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_stream_keeps_the_old_target(self, tmp_path):
+        target = tmp_path / "artifact.csv"
+        atomic_write_text(str(target), "old\n")
+        with pytest.raises(RuntimeError):
+            atomic_write_text(str(target), self.chunks())
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_chunks_are_written_in_order(self, tmp_path):
+        target = tmp_path / "artifact.csv"
+        atomic_write_text(str(target), (f"{i}\n" for i in range(3)))
+        assert target.read_text() == "0\n1\n2\n"
+
+    def test_string_is_written_whole(self, tmp_path):
+        class Uniterable(str):
+            def __iter__(self):
+                raise AssertionError("a string was iterated")
+
+        target = tmp_path / "artifact.json"
+        atomic_write_text(str(target), Uniterable("whole\n"))
+        assert target.read_text() == "whole\n"
 
 
 def test_field_json_flat_layout(eig):
@@ -147,3 +188,197 @@ class TestExactText:
     def test_dumps_rejects_unknown_objects(self):
         with pytest.raises(TypeError):
             dumps_canonical({"x": object()})
+
+    def test_field_json(self):
+        field = SpaceTimeField(self.values, self.tg, self.grid)
+        text = "".join(field_texts(field)[1])
+        assert text == dumps_canonical(field_to_json(field))
+        assert text == """{
+  "grid": {
+    "L": 0.4,
+    "m": 3
+  },
+  "time": {
+    "T": 0.3,
+    "n_t": 2
+  },
+  "values_re_im": [
+    -0.0,
+    0.1,
+    0.3333333333333333,
+    0.0,
+    1e-300,
+    -0.0,
+    0.0,
+    -0.3333333333333333,
+    2.5,
+    1e-300,
+    -1.0,
+    0.0
+  ]
+}
+"""
+
+    def test_observed_json(self):
+        mask = make_mask([(0.15, 0.35)], self.grid)
+        data = ObservedData(self.values[:, mask.indices], mask, self.tg, 0.0, 0)
+        text = "".join(observed_texts(data)[1])
+        assert text == dumps_canonical(observed_to_json(data))
+        assert text == """{
+  "mask": {
+    "grid": {
+      "L": 0.4,
+      "m": 3
+    },
+    "indices": [
+      1,
+      2
+    ],
+    "intervals": [
+      [
+        0.15,
+        0.35
+      ]
+    ],
+    "measure": 0.19999999999999998
+  },
+  "noise_level": 0.0,
+  "seed": 0,
+  "time": {
+    "T": 0.3,
+    "n_t": 2
+  },
+  "values_re_im": [
+    0.3333333333333333,
+    0.0,
+    1e-300,
+    -0.0,
+    2.5,
+    1e-300,
+    -1.0,
+    0.0
+  ]
+}
+"""
+
+    def test_one_by_one_field(self):
+        # the serializer reads only these attributes; a real grid has at
+        # least 3 nodes and 2 times
+        field = stand_in_field(np.array([[complex(5e-324, 1e16)]]), [1e-5], [1e-5])
+        csv_text, json_text = ("".join(chunks) for chunks in field_texts(field))
+        assert csv_text == "t,x,re_y,im_y\n1e-05,1e-05,5e-324,1e+16\n"
+        assert json_text == """{
+  "grid": {
+    "L": 1.0,
+    "m": 1
+  },
+  "time": {
+    "T": 1.0,
+    "n_t": 1
+  },
+  "values_re_im": [
+    5e-324,
+    1e+16
+  ]
+}
+"""
+
+    def test_non_finite_spelling(self):
+        # SpaceTimeField rejects non-finite samples; observed data and
+        # estimates do not, and keep json's and repr's spellings
+        nan, inf = float("nan"), float("inf")
+        mask = make_mask([(0.15, 0.35)], self.grid)
+        data = ObservedData(np.array([[complex(nan, inf), complex(-inf, 0.5)],
+                                      [complex(1.0, nan), complex(inf, -inf)]]),
+                            mask, self.tg, 0.0, 0)
+        csv_text, json_text = ("".join(chunks) for chunks in observed_texts(data))
+        assert csv_text == observed_to_csv(data) == (
+            "t,x,re,im\n"
+            "0.15,0.2,nan,inf\n"
+            "0.15,0.30000000000000004,-inf,0.5\n"
+            "0.3,0.2,1.0,nan\n"
+            "0.3,0.30000000000000004,inf,-inf\n"
+        )
+        assert json_text == dumps_canonical(observed_to_json(data))
+        assert json_text.endswith("""  "values_re_im": [
+    NaN,
+    Infinity,
+    -Infinity,
+    0.5,
+    1.0,
+    NaN,
+    Infinity,
+    -Infinity
+  ]
+}
+""")
+        assert spatial_to_csv(self.grid.nodes, np.array([nan, -inf, complex(0.25, inf)])) == (
+            "x,re,im\n"
+            "0.1,nan,0.0\n"
+            "0.2,-inf,0.0\n"
+            "0.30000000000000004,0.25,inf\n"
+        )
+
+
+def stand_in_field(values, times, nodes):
+    """An object with the attributes the field serializer reads, on any
+    shape (the domain grids need at least 3 nodes and 2 times)."""
+    values = np.asarray(values)
+    return SimpleNamespace(
+        values=values,
+        tg=SimpleNamespace(T=1.0, n_t=values.shape[0], times=np.asarray(times)),
+        grid=SimpleNamespace(L=1.0, m=values.shape[1], nodes=np.asarray(nodes)))
+
+
+def reference_csv(header, nodes, values, times):
+    """The per-float CSV writer the row renderer replaced."""
+    lines = [header]
+    for t, row in zip(np.asarray(times, dtype=float).tolist(), values):
+        lines += [f"{t!r},{x!r},{re!r},{im!r}" for x, re, im in zip(
+            np.asarray(nodes, dtype=float).tolist(), row.real.tolist(), row.imag.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(doc):
+    """``json.dumps`` on the whole document, arrays included."""
+    return json.dumps(doc, default=_json_default, sort_keys=True, indent=2) + "\n"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def fields(draw):
+    n_t = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 5))
+    values = draw(arrays(np.complex128, (n_t, m),
+                         elements=st.complex_numbers(allow_nan=False, allow_infinity=False)))
+    times = draw(arrays(np.float64, n_t, elements=finite))
+    nodes = draw(arrays(np.float64, m, elements=finite))
+    return stand_in_field(values, times, nodes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields())
+def test_streamed_field_matches_reference_texts(field):
+    csv_text, json_text = ("".join(chunks) for chunks in field_texts(field))
+    assert csv_text == field_to_csv(field) == reference_csv(
+        "t,x,re_y,im_y", field.grid.nodes, field.values, field.tg.times)
+    assert json_text == reference_json(field_to_json(field))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_streamed_observed_matches_reference_texts(data):
+    grid = Grid1D(1.0, data.draw(st.integers(3, 9)))
+    lo = data.draw(st.floats(0.0, 0.7))
+    mask = make_mask([(lo, lo + 0.3)], grid)
+    tg = TimeGrid(data.draw(st.floats(1e-3, 1e3)), data.draw(st.integers(2, 4)))
+    values = data.draw(arrays(np.complex128, (tg.n_t, mask.n_nodes), elements=st.complex_numbers(
+        allow_nan=False, allow_infinity=False)))
+    observed = ObservedData(values, mask, tg, data.draw(st.floats(0.0, 1.0)),
+                            data.draw(st.integers(0, 2**31)))
+    csv_text, json_text = ("".join(chunks) for chunks in observed_texts(observed))
+    assert csv_text == observed_to_csv(observed) == reference_csv(
+        "t,x,re,im", grid.nodes[mask.indices], values, tg.times)
+    assert json_text == reference_json(observed_to_json(observed))
