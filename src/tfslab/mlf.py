@@ -1,6 +1,7 @@
 """Two-parameter Mittag-Leffler function and the mode-evolution kernels.
 
-The evaluator switches between three regions of the complex plane: a
+The evaluator works on arrays of arguments and sends each point to one of
+three regions of the complex plane: a
 guarded Taylor series on the unit disk, numerical inversion of the Laplace
 transform on a parabolic contour in the mid range, and the algebraic
 asymptotic expansion far out.  Orders above 1 are reduced through the exact
@@ -31,7 +32,8 @@ _TARGET = 1.0e-15
 _LOG_TARGET = math.log(1.0 / _TARGET) + 4.0  # margin on top of the tolerance
 
 # Test hook: multiplies every ml_kernel and kernel_grid value by (1 + eps) so
-# the selftest battery can prove its own sensitivity.  Never set outside tests.
+# the selftest battery can prove its own sensitivity; ml_eval stays unscaled
+# as the battery's oracle.  Never set outside tests.
 _PERTURB = float(os.environ.get("TFSLAB_PERTURB_KERNEL", "0") or 0.0)
 
 
@@ -107,151 +109,10 @@ class SectorParams:
 
 
 # ---------------------------------------------------------------------------
-# region evaluators
-
-
-def _taylor(alpha: float, beta: float, z: complex):
-    """Power series with cancellation guard; returns (value, trustworthy)."""
-    total = complex(rgamma_real(beta))
-    power = 1.0 + 0.0j
-    peak = abs(total)
-    small_streak = 0
-    cap = int(200 + 24.0 / alpha)
-    converged = False
-    for k in range(1, cap + 1):
-        power *= z
-        contrib = power * rgamma_real(alpha * k + beta)
-        total += contrib
-        mag = abs(contrib)
-        peak = max(peak, mag)
-        if mag < 1e-18 * (peak + 1e-300) and alpha * k + beta > 2.0:
-            small_streak += 1
-            if small_streak >= 3:
-                converged = True
-                break
-        else:
-            small_streak = 0
-    if not converged:
-        return total, False
-    # cancellation estimate: roundoff floor is eps * largest summand
-    ok = peak * 2.3e-16 <= 1e-11 * (abs(total) + 1e-300)
-    return total, ok
-
-
-def _asymptotic(alpha: float, beta: float, z: complex) -> complex:
-    """Algebraic expansion plus the exponential branch when present."""
-    theta = cmath.phase(z)
-    val = 0.0 + 0.0j
-    if abs(theta) <= alpha * math.pi + 1e-14:
-        s0 = cmath.exp(cmath.log(z) / alpha)
-        if s0.real > _EXP_ARG_MAX:
-            raise MLOverflowError(
-                f"E_{{{alpha},{beta}}} at |z|={abs(z):.3g} exceeds double range"
-            )
-        if s0.real > -745.0:
-            val = cmath.exp(((1.0 - beta) / alpha) * cmath.log(z) + s0) / alpha
-    inv = 1.0 / z
-    power = 1.0 + 0.0j
-    acc = 0.0 + 0.0j
-    prev = math.inf
-    for k in range(1, 200):
-        x = beta - alpha * k
-        if 1.0 - x > 171.0:
-            break
-        power *= inv
-        rg = rgamma_real(x)
-        if rg == 0.0:
-            continue  # reciprocal-Gamma pole: the term is exactly absent
-        term = power * rg
-        mag = abs(term)
-        if mag > prev:
-            break  # optimal truncation reached
-        acc += term
-        prev = mag
-        if mag < 1e-17 * (abs(val - acc) + 1e-300):
-            break
-    return val - acc
-
-
-def _contour(alpha: float, beta: float, z: complex) -> complex:
-    """Laplace-inversion on a parabolic contour with pole subtraction.
-
-    The pole of s^alpha - z in the principal sheet (present iff
-    |arg z| <= alpha*pi) is subtracted as a residue whenever it falls to the
-    right of the contour; the contour scale mu is chosen so the pole stays
-    well clear of the contour in the quadrature strip.
-    """
-    theta = cmath.phase(z)
-    have_pole = abs(theta) <= alpha * math.pi
-    residue = 0.0 + 0.0j
-    if have_pole:
-        s0 = cmath.exp(cmath.log(z) / alpha)
-        half = math.cos(theta / (2.0 * alpha))  # cos(arg(s0)/2) >= 0
-        a = abs(s0) * half * half
-        if a >= 0.72:
-            mu = min(max(0.25 * a, 0.18), 5.0)
-            if s0.real > _EXP_ARG_MAX:
-                raise MLOverflowError(
-                    f"E_{{{alpha},{beta}}} at |z|={abs(z):.3g} exceeds double range"
-                )
-            if s0.real > -745.0:
-                residue = cmath.exp(((1.0 - beta) / alpha) * cmath.log(z) + s0) / alpha
-        else:
-            mu = 2.0
-        w = cmath.sqrt(s0 / mu)
-        strip = min(1.0, abs(w.real - 1.0))
-    else:
-        mu = 2.0
-        strip = 1.0
-    strip *= 0.9
-    # truncation: e^{mu(1-U^2)} (mu(1+U^2))^{max(0, alpha-beta)} <= target
-    u_max = math.sqrt(1.0 + _LOG_TARGET / mu)
-    grow = max(0.0, alpha - beta)
-    if grow > 0.0:
-        extra = grow * math.log(mu * (1.0 + u_max * u_max) + 2.0)
-        u_max = math.sqrt(1.0 + (_LOG_TARGET + extra) / mu)
-    h = 2.0 * math.pi * strip / _LOG_TARGET
-    n = int(math.ceil(u_max / h))
-    u = h * np.arange(-n, n + 1)
-    iu1 = 1.0 + 1j * u
-    s = mu * iu1 * iu1
-    vals = np.exp(s) * s ** (alpha - beta) * iu1 / (s**alpha - z)
-    integral = (h * mu / math.pi) * vals.sum()
-    return complex(integral) + residue
-
-
-def _reduce_order(alpha: float, beta: float, z: complex) -> complex:
-    """Exact order reduction for alpha > 1 via n-th roots of the argument."""
-    n = int(math.ceil(alpha))
-    a = alpha / n
-    if z == 0:
-        return complex(rgamma_real(beta))
-    root = cmath.exp(cmath.log(z) / n)
-    total = 0.0 + 0.0j
-    for hh in range(n):
-        total += _ml(a, beta, root * cmath.exp(2j * math.pi * hh / n))
-    return total / n
-
-
-def _ml(alpha: float, beta: float, z: complex) -> complex:
-    if alpha > 1.0:
-        return _reduce_order(alpha, beta, z)
-    az = abs(z)
-    if az <= SERIES_RADIUS:
-        val, ok = _taylor(alpha, beta, z)
-        if ok:
-            return val
-        return _contour(alpha, beta, z)
-    if az >= ASYMPTOTIC_RADIUS:
-        return _asymptotic(alpha, beta, z)
-    return _contour(alpha, beta, z)
-
-
-# ---------------------------------------------------------------------------
-# row evaluators: the same regions and per-point rules as above, applied to
-# an array of arguments at once (alpha <= 1).  Series weights are computed
-# once per call and shared by every point; a point leaves a sum as soon as
-# its own stopping rule fires.
+# region evaluators, each over a 1-D array of arguments (alpha <= 1).  Series
+# weights are computed once per call and shared by every point; a point
+# leaves a sum as soon as its own stopping rule fires, so each value depends
+# on its own argument only.
 
 _CONTOUR_BLOCK = 4096  # contour nodes per numpy pass; bounds the temporaries
 
@@ -272,7 +133,7 @@ def _exp_branch(alpha: float, beta: float, z: np.ndarray, logz: np.ndarray,
 
 
 def _taylor_row(alpha: float, beta: float, z: np.ndarray):
-    """Row form of ``_taylor``: (values, trustworthy) per point."""
+    """Power series with cancellation guard: (values, trustworthy) per point."""
     total = np.full(z.shape, complex(rgamma_real(beta)))
     ok = np.zeros(z.shape, dtype=bool)
     live = np.arange(z.size)
@@ -305,7 +166,8 @@ def _taylor_row(alpha: float, beta: float, z: np.ndarray):
 
 
 def _asymptotic_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Row form of ``_asymptotic``, with its optimal-truncation stop."""
+    """Algebraic expansion, stopped at its optimal truncation, plus the
+    exponential branch where present."""
     val = np.zeros(z.shape, dtype=np.complex128)
     branch = np.abs(np.angle(z)) <= alpha * math.pi + 1e-14
     if branch.any():
@@ -343,8 +205,14 @@ def _asymptotic_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
 
 def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """Row form of ``_contour``: each point keeps its own (mu, h, n) node
-    set; the sets are laid end to end and summed with ``np.add.reduceat``."""
+    """Laplace inversion on a parabolic contour with pole subtraction.
+
+    The pole of s^alpha - z in the principal sheet (present iff
+    |arg z| <= alpha*pi) is subtracted as a residue whenever it falls to the
+    right of the contour; the contour scale mu is chosen so the pole stays
+    well clear of the contour in the quadrature strip.  Each point keeps its
+    own (mu, h, n) node set; the sets are laid end to end and summed with
+    ``np.add.reduceat``."""
     theta = np.angle(z)
     pole = np.abs(theta) <= alpha * math.pi
     mu = np.full(z.shape, 2.0)
@@ -393,7 +261,18 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
 
 def _ml_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta} over an array of arguments, alpha <= 1 (see ``_ml``)."""
+    """E_{alpha,beta} over a 1-D array of arguments: the series on the unit
+    disk unless its guard trips, the asymptotic expansion from
+    ASYMPTOTIC_RADIUS on, the contour in between."""
+    if alpha > 1.0:
+        # exact order reduction through the n-th roots of the argument
+        n = math.ceil(alpha)
+        root = np.zeros(z.shape, dtype=np.complex128)
+        nonzero = z != 0
+        root[nonzero] = np.exp(np.log(z[nonzero]) / n)
+        turns = np.exp(2j * math.pi * np.arange(n) / n)
+        parts = _ml_row(alpha / n, beta, (root[:, None] * turns).ravel())
+        return parts.reshape(z.size, n).sum(axis=1) / n
     out = np.empty(z.shape, dtype=np.complex128)
     az = np.abs(z)
     series = az <= SERIES_RADIUS
@@ -414,59 +293,61 @@ def _ml_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 # public operations
 
 
-def ml_eval(params: MLParams, z: complex, *, z_max: float = Z_MAX_DEFAULT,
-            verify: bool = True) -> complex:
-    """Evaluate E_{alpha,beta}(z).
+def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
+            verify: bool = True):
+    """Evaluate E_{alpha,beta}(z) at a complex number (returns a complex) or
+    over an array (returns an array of its shape).
 
     ``z_max`` caps the admissible modulus (raise it deliberately for
     long-horizon experiments).  With ``verify`` the value is cross-checked
     against the shift recurrence E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z);
     a violation raises ``MLAccuracyError`` instead of returning silently.
+    Every element is checked.
     """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    z = np.asarray(z, dtype=np.complex128)
+    flat = z.ravel()
+    if not np.isfinite(flat).all():
         raise MLDomainError("argument must be finite")
-    if abs(z) > z_max:
-        raise MLDomainError(f"|z|={abs(z):.4g} beyond cap {z_max:.4g}")
-    val = _ml(params.alpha, params.beta, z)
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+    big = np.abs(flat) > z_max
+    if big.any():
+        raise MLDomainError(f"|z|={abs(flat[big][0]):.4g} beyond cap {z_max:.4g}")
+    val = _ml_row(params.alpha, params.beta, flat)
+    if not np.isfinite(val).all():
         raise MLOverflowError("evaluation produced a non-finite value")
     if verify:
-        shifted = _ml(params.alpha, params.alpha + params.beta, z)
-        gap = abs(val - rgamma_real(params.beta) - z * shifted)
-        if gap > 1e-9 * (1.0 + abs(val)):
+        shifted = _ml_row(params.alpha, params.alpha + params.beta, flat)
+        gap = np.abs(val - rgamma_real(params.beta) - flat * shifted)
+        bad = np.flatnonzero(gap > 1e-9 * (1.0 + np.abs(val)))
+        if bad.size:
+            i = bad[0]
             raise MLAccuracyError(
                 f"recurrence check failed for (alpha={params.alpha}, "
-                f"beta={params.beta}, z={z}): residual {gap:.3e}"
+                f"beta={params.beta}, z={complex(flat[i])}): residual {gap[i]:.3e}"
             )
-    return val
+    return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
 
 def ml_kernel(order: FractionalOrder, lam: float, t: float, kind: str) -> complex:
     """Solver kernels built from E: ``state`` = E_{a,1}(pz),
     ``impulse`` = t^{a-1} E_{a,a}(pz), ``integral`` = t^a E_{a,a+1}(pz),
-    with pz = phase_factor * lam * t^alpha.
+    with pz = phase_factor * lam * t^alpha; one point of ``kernel_grid``
+    for the first and last.
 
     The impulse kind carries the raw t^{alpha-1} singularity; callers must
     not sample it at t = 0.
     """
     if t <= 0.0:
         raise MLDomainError(f"kernel time must be positive, got {t}")
+    if kind != "impulse":
+        return complex(kernel_grid(order, lam, np.array([t], dtype=float), kind)[0])
     if lam < 0.0:
         raise MLDomainError(f"eigenvalue must be nonnegative, got {lam}")
     a = order.alpha
-    z = order.phase_factor * (lam * t**a)
-    if kind == "state":
-        val = _ml(a, 1.0, z)
-    elif kind == "impulse":
-        val = t ** (a - 1.0) * _ml(a, a, z)
-    elif kind == "integral":
-        val = t**a * _ml(a, a + 1.0, z)
-    else:
-        raise MLDomainError(f"unknown kernel kind {kind!r}")
+    z = np.array([order.phase_factor * (lam * t**a)])
+    val = t ** (a - 1.0) * complex(_ml_row(a, a, z)[0])
     if _PERTURB:
         val *= 1.0 + _PERTURB
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+    if not cmath.isfinite(val):
         raise MLOverflowError("kernel evaluation produced a non-finite value")
     return val
 
@@ -474,10 +355,7 @@ def ml_kernel(order: FractionalOrder, lam: float, t: float, kind: str) -> comple
 def kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray,
                 kind: str) -> np.ndarray:
     """One mode's ``state`` or ``integral`` kernel (see ``ml_kernel``) over a
-    time array; integral entries at t = 0 are exactly 0.
-
-    The row is evaluated as arrays, so values agree with ``ml_kernel`` to
-    rounding, not bit for bit."""
+    time array; integral entries at t = 0 are exactly 0."""
     if kind not in ("state", "integral"):
         raise MLDomainError(f"kernel grids are state or integral, got {kind!r}")
     if lam < 0.0:
@@ -546,9 +424,6 @@ def certify_c0(order: FractionalOrder, mu: float,
         raise MLDomainError("certification grids must be non-empty")
     if np.any(lambda_grid < 0.0) or np.any(t_grid <= 0.0):
         raise MLDomainError("certification grids must be nonnegative/positive")
-    standard = FractionalOrder(a)
-    best = 1.0
-    for lam in lambda_grid:
-        val = np.abs(kernel_grid(standard, lam, t_grid, "state"))
-        best = max(best, float(np.max(val * (1.0 + lam * t_grid**a))))
-    return best
+    x = (lambda_grid[:, None] * t_grid**a).ravel()
+    val = np.abs(_ml_row(a, 1.0, -1j * x))
+    return max(1.0, float(np.max(val * (1.0 + x))))

@@ -46,6 +46,10 @@ def atomic_write_text(path: str, text) -> None:
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines([text] if isinstance(text, str) else text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

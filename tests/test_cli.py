@@ -342,9 +342,13 @@ class TestSelftestCommand:
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    # only the proof machinery integrates, and scipy.integrate costs about
-    # a quarter of a second of every CLI call's start-up
-    script = "import sys\nimport tfslab.cli\nprint('scipy.integrate' in sys.modules)\n"
+    # scipy.integrate costs about a quarter of a second of start-up, and the
+    # proof machinery integrates with its own Gauss-Legendre rules
+    script = ("import sys\nimport tfslab.cli\nimport tfslab.selftest\n"
+              "from tfslab.inverse import laplace_identity_gap\n"
+              "from tfslab.mlf import FractionalOrder\n"
+              "laplace_identity_gap(FractionalOrder(0.5), 4.0, 1.0, 40.0)\n"
+              "print('scipy.integrate' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"

@@ -8,10 +8,12 @@ import scipy.linalg
 from tfslab.errors import (
     FlatMisfitError,
     GridMismatchError,
+    MLAccuracyError,
     MLDomainError,
     RankDeficientError,
     SourceHypothesisError,
 )
+from tfslab import inverse
 from tfslab.forward import SourceSpec, TimeGrid, project, solve_forward
 from tfslab.inverse import (
     OrderSearchConfig,
@@ -366,6 +368,23 @@ class TestLaplaceIdentity:
         assert g1 <= 1e-4
         g2 = laplace_identity_gap(FractionalOrder(0.7), 5.0, 2.0 + 3.0j, 14.0)
         assert g2 <= 1e-4
+
+    @pytest.mark.parametrize("alpha,mu,z,T", [
+        (0.9, 400.0, 1.0, 40.0),  # a fixed graded rule misses these two by
+        (0.95, 1000.0, 3.0 + 40.0j, 10.0),  # 3e-7 and 7e-5
+        (0.15, 1.0, 0.2, 200.0),
+        (0.6, 1e4, 1.0 + 1.0j, 30.0),
+    ])
+    def test_stress_cases_match_closed_form(self, alpha, mu, z, T):
+        gap = laplace_identity_gap(FractionalOrder(alpha), mu, z, T, tail_tol=1e-2)
+        assert gap <= 1e-12
+
+    def test_unresolved_integrand_raises(self, monkeypatch):
+        # the panel bound keeps an integrand the rule cannot resolve from
+        # growing the rows without limit
+        monkeypatch.setattr(inverse, "_GL_MAX_PANELS", 4)
+        with pytest.raises(MLAccuracyError, match="panels"):
+            laplace_identity_gap(FractionalOrder(0.9), 400.0, 1.0, 40.0)
 
     def test_gap_shrinks_with_horizon(self):
         g_short = laplace_identity_gap(FractionalOrder(0.5), 4.0, 0.5 + 0j, 30.0,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tfslab import mlf
-from tfslab.errors import MLDomainError, MLOverflowError
+from tfslab.errors import MLAccuracyError, MLDomainError, MLOverflowError
 from tfslab.gamma import gamma_real, rgamma_real
 from tfslab.mlf import (
     FractionalOrder,
@@ -22,6 +22,9 @@ from tfslab.mlf import (
     rotated_power_angle,
     sector_bounds,
 )
+
+_KERNEL_REFERENCE = os.path.join(os.path.dirname(__file__), "data",
+                                 "ml_kernel_reference.json")
 
 # Reference values computed offline with a high-precision series (working
 # precision sized from the largest series term) and, on the half-order ray,
@@ -52,9 +55,22 @@ class TestMLEval:
     def test_exponential(self):
         assert ml_eval(MLParams(1.0, 1.0), 1.0) == pytest.approx(math.e, rel=1e-12)
 
-    def test_cosine(self):
+    def test_cosine(self, monkeypatch):
+        orders = []
+        row = mlf._ml_row
+
+        def spy(alpha, beta, z):
+            orders.append(alpha)
+            return row(alpha, beta, z)
+
+        monkeypatch.setattr(mlf, "_ml_row", spy)
         got = ml_eval(MLParams(2.0, 1.0), -1.0)
         assert got == pytest.approx(math.cos(1.0), rel=1e-12)
+        assert orders[:2] == [2.0, 1.0]  # reduced to E_{1,1} at the square roots
+        # E_{2,1}(-x^2) = cos x and E_{2,1}(x^2) = cosh x, over a row
+        got = ml_eval(MLParams(2.0, 1.0), np.array([-1.0, -4.0, 0.0, 9.0]))
+        expect = [math.cos(1.0), math.cos(2.0), 1.0, math.cosh(3.0)]
+        assert got == pytest.approx(expect, rel=1e-12)
 
     def test_half_order_erfc_value(self):
         got = ml_eval(MLParams(0.5, 1.0), 1.0)
@@ -97,6 +113,42 @@ class TestMLEval:
 
     def test_self_check_accepts_normal_input(self):
         ml_eval(MLParams(0.6, 1.0), complex(2.0, -1.0), verify=True)
+
+    @pytest.mark.parametrize("alpha,beta", [(0.45, 1.0), (0.7, 1.2), (1.4, 0.9)])
+    def test_array_matches_scalar_calls(self, alpha, beta):
+        # the series, contour and asymptotic regions on the left half plane
+        rng = np.random.default_rng(np.random.Philox(37))
+        angle = math.pi * rng.uniform(0.5, 1.5, (3, 7))
+        z = 80.0 * np.sqrt(rng.random((3, 7))) * np.exp(1j * angle)
+        params = MLParams(alpha, beta)
+        got = ml_eval(params, z)
+        assert isinstance(got, np.ndarray) and got.shape == z.shape
+        assert isinstance(ml_eval(params, z[0, 0]), complex)
+        expect = [[ml_eval(params, complex(v)) for v in row] for row in z]
+        assert np.array_equal(got, np.array(expect))
+
+    def test_array_checks_every_element(self, monkeypatch):
+        params = MLParams(0.5, 1.0)
+        with pytest.raises(MLDomainError, match="beyond cap"):
+            ml_eval(params, np.array([1.0, -2e4]))
+        with pytest.raises(MLDomainError, match="finite"):
+            ml_eval(params, np.array([[0.5, 1.0], [2.0, complex(0.0, math.inf)]]))
+        with pytest.raises(MLOverflowError):
+            ml_eval(MLParams(0.3, 1.0), np.array([0.5, -3.0, 40.0]))
+        # a wrong last value of E_{1/2,1} breaks the shift recurrence there
+        row = mlf._ml_row
+
+        def skewed(alpha, beta, z):
+            out = row(alpha, beta, z)
+            if beta == 1.0:
+                out[-1] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(mlf, "_ml_row", skewed)
+        z = np.array([0.5, -2.0j, 3.0 - 1.0j])
+        ml_eval(params, z, verify=False)
+        with pytest.raises(MLAccuracyError, match=r"z=\(3-1j\)"):
+            ml_eval(params, z)
 
     def test_cap_enforced(self):
         with pytest.raises(MLDomainError):
@@ -211,48 +263,55 @@ class TestKernels:
 
 class TestKernelGrid:
     def test_matches_ml_kernel(self):
-        # The grid is evaluated as arrays and ml_kernel point by point, so
-        # they agree to rounding.  On the power_i_alpha ray both start from
-        # a rounded phase factor and drift from the exact value like
+        # The reference holds values of the scalar evaluator that ml_kernel
+        # used before it became one point of kernel_grid, so the grid agrees
+        # with them to rounding.  On the power_i_alpha ray both start from a
+        # rounded phase factor and drift from the exact value like
         # eps * x^{1/alpha} (see the README), so the bound there carries
         # that envelope.
-        for phase in ("standard_i", "power_i_alpha"):
-            for alpha in (0.3, 0.5, 0.6, 0.9, 0.99):
-                order = FractionalOrder(alpha, phase)
-                for n_t in (50, 200):
-                    times = np.linspace(0.0, 1.0, n_t + 1)
-                    for n in range(1, 34):
-                        lam = (n * math.pi) ** 2
-                        integral = kernel_grid(order, lam, times, "integral")
-                        assert integral[0] == 0.0
-                        grids = {"state": kernel_grid(order, lam, times[1:], "state"),
-                                 "integral": integral[1:]}
-                        for kind, grid in grids.items():
-                            for t, v in zip(times[1:], grid):
-                                ref = ml_kernel(order, lam, float(t), kind)
-                                bound = 1e-13 * max(1.0, abs(ref))
-                                if phase == "power_i_alpha":
-                                    bound *= max(1.0, (lam * t**alpha) ** (1.0 / alpha))
-                                assert abs(v - ref) <= bound, (phase, alpha, n_t, n, kind, t)
+        with open(_KERNEL_REFERENCE) as fh:
+            reference = json.load(fh)
+        for row in reference["sweep"]:
+            alpha = row["alpha"]
+            order = FractionalOrder(alpha, row["phase"])
+            lam = (row["mode"] * math.pi) ** 2
+            times = np.array(row["times"])
+            ref = np.array(row["re"]) + 1j * np.array(row["im"])
+            if row["kind"] == "state":
+                grid = kernel_grid(order, lam, times, "state")
+            else:
+                grid = kernel_grid(order, lam, np.concatenate(([0.0], times)), "integral")
+                assert grid[0] == 0.0
+                grid = grid[1:]
+            bound = 1e-13 * np.maximum(1.0, np.abs(ref))
+            if row["phase"] == "power_i_alpha":
+                bound *= np.maximum(1.0, (lam * times**alpha) ** (1.0 / alpha))
+            assert np.all(np.abs(grid - ref) <= bound), (row["phase"], alpha, row["mode"],
+                                                         row["kind"])
+        # At alpha = 0.143 and x = 50 the asymptotic sum stops at its optimal
+        # truncation (term 8 outgrows term 7).  The reference and the row add
+        # the same terms there; summing past the stop moves the value by 2e-13.
+        row = reference["truncation"]
+        grid = kernel_grid(FractionalOrder(row["alpha"]), row["lam"], np.array(row["times"]),
+                           row["kind"])
+        ref = np.array(row["re"]) + 1j * np.array(row["im"])
+        assert np.all(np.abs(grid - ref) <= 1e-15 * np.abs(ref))
+
+    def test_series_guard_falls_back_to_contour(self):
         # A scan of both kernel rays found no argument that trips the series'
         # cancellation guard, so the fallback to the contour is checked off
         # the rays: z0 is a zero of E_{0.6,-0.5} inside the unit disk.
-        z0 = 0.4052576574529808
-        assert not mlf._taylor(0.6, -0.5, complex(z0))[1]
-        z = np.array([z0, 0.3 - 0.2j, -0.9j], dtype=complex)
+        mpmath = pytest.importorskip("mpmath")
+        z = np.array([0.4052576574529808, 0.3 - 0.2j, -0.9j], dtype=complex)
+        assert mlf._taylor_row(0.6, -0.5, z)[1].tolist() == [False, True, True]
         row = mlf._ml_row(0.6, -0.5, z)
         assert row[0] == mlf._contour_row(0.6, -0.5, z[:1])[0]
-        for v, zi in zip(row, z):
-            ref = mlf._ml(0.6, -0.5, complex(zi))
-            assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref))
-        # At alpha = 0.143 and x = 50 the asymptotic sum stops at its optimal
-        # truncation (term 8 outgrows term 7).  Both evaluators add the same
-        # terms there; summing past the stop moves the value by 2e-13.
-        order = FractionalOrder(0.143)
-        grid = kernel_grid(order, 50.0, np.array([1.0, 1.2]), "state")
-        for t, v in zip((1.0, 1.2), grid):
-            ref = ml_kernel(order, 50.0, t, "state")
-            assert abs(v - ref) <= 1e-15 * abs(ref)
+        with mpmath.workdps(40):
+            for v, zi in zip(row, z):
+                w = mpmath.mpc(zi.real, zi.imag)
+                ref = complex(mpmath.fsum(w**k * mpmath.rgamma(0.6 * k - 0.5)
+                                          for k in range(200)))
+                assert abs(v - ref) <= 1e-13 * max(1.0, abs(ref)), zi
 
     @pytest.mark.parametrize("n", [1, 4, 16])
     def test_half_order_state_grid_against_mpmath(self, n):

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,6 +91,20 @@ class TestAtomicWrite:
         target = tmp_path / "artifact.json"
         atomic_write_text(str(target), Uniterable("whole\n"))
         assert target.read_text() == "whole\n"
+
+    def test_mode_follows_the_umask(self, tmp_path):
+        # as open() would create it, not mkstemp's 0600
+        modes = {}
+        old = os.umask(0o022)
+        try:
+            for umask in (0o022, 0o077):
+                os.umask(umask)
+                target = tmp_path / f"artifact-{umask:o}.json"
+                atomic_write_text(str(target), "x\n")
+                modes[umask] = stat.S_IMODE(target.stat().st_mode)
+        finally:
+            os.umask(old)
+        assert modes == {0o022: 0o644, 0o077: 0o600}
 
 
 def test_field_json_flat_layout(eig):
