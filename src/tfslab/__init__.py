@@ -18,6 +18,7 @@ from .errors import (
     MLDomainError,
     MLOverflowError,
     NumericalError,
+    OperatorOverflowError,
     RankDeficientError,
     SourceHypothesisError,
     TfslabError,

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, TfslabError
+from .errors import ConfigError, EmptyMaskError, NumericalError, TfslabError
 from .forward import SourceSpec, TimeGrid, project, solve_forward, projection_tail_energy
 from .inverse import (
     OrderSearchConfig,
@@ -336,19 +336,9 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
     """Execute the configured pipeline and write artifacts; returns the run
     report (also written as report.json)."""
     problem = cfg["problem"]
-    os.makedirs(output_dir, exist_ok=True)
     phases = _Phases()
     artifacts = []
     checks = {}
-
-    def emit(name, text):  # text: a string or an iterable of chunks
-        atomic_write_text(os.path.join(output_dir, name), text)
-        artifacts.append(name)
-
-    def emit_observed(data):
-        data_csv, data_json = observed_texts(data)
-        emit("data.csv", data_csv)
-        emit("data.json", data_json)
 
     grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["m"])
     tg = TimeGrid(cfg["time"]["T"], cfg["time"]["n_t"])
@@ -356,12 +346,53 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
                             cfg["order"].get("phase", "standard_i"))
     noise_cfg = cfg.get("noise", {"level": 0.0, "seed": 0})
     seed = seed_override if seed_override is not None else noise_cfg["seed"]
+    # a mask that captures no node is an invalid config: caught before any
+    # solve and before any artifact is written
+    try:
+        mask = make_mask([tuple(iv) for iv in cfg["mask"]["intervals"]], grid)
+    except EmptyMaskError as exc:
+        raise ConfigError(str(exc), field="mask.intervals") from exc
+    os.makedirs(output_dir, exist_ok=True)
+
+    def emit(name, text):  # text: a string or an iterable of chunks
+        atomic_write_text(os.path.join(output_dir, name), text)
+        artifacts.append(name)
 
     phases.start("spectral")
     eig = _build_eigensystem(cfg, grid)
     phases.stop()
     emit("eigensystem.json", dumps_canonical(eigensystem_to_json(eig)))
-    mask = make_mask([tuple(iv) for iv in cfg["mask"]["intervals"]], grid)
+
+    def observed(y0, src, gen_order):
+        """Forward solve, observation and the data artifacts."""
+        phases.start("forward")
+        fieldv = solve_forward(y0, src, gen_order, eig, tg)
+        phases.stop()
+        phases.start("observe")
+        data = observe(fieldv, mask, noise_cfg["level"], seed)
+        phases.stop()
+        data_csv, data_json = observed_texts(data)
+        emit("data.csv", data_csv)
+        emit("data.json", data_json)
+        return data
+
+    def tikhonov_tail(truth_datum, invert):
+        """A Tikhonov inversion ``invert(tikhonov_config)``, its checks
+        against the truth's modes and its artifacts."""
+        inv_cfg = TikhonovConfig(cfg["inversion"]["gamma"],
+                                 cfg["inversion"]["n_modes"])
+        phases.start("inverse")
+        result = invert(inv_cfg)
+        phases.stop()
+        truth = project(truth_datum, eig)[: inv_cfg.n_modes]
+        checks["sigma_min"] = result.diagnostics["sigma_min"]
+        checks["modal_rel_error"] = float(
+            np.linalg.norm(result.modal - truth)
+            / max(np.linalg.norm(truth), 1e-300)
+        )
+        emit("mask.json", dumps_canonical(mask_to_json(mask)))
+        emit("estimate.json", dumps_canonical(result_to_json(result)))
+        emit("estimate.csv", spatial_to_csv(grid.nodes, result.spatial))
 
     if problem == "forward":
         y0 = _build_datum(cfg["initial"], eig, "initial")
@@ -391,76 +422,29 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
 
     elif problem == "invert-initial":
         y0 = _build_datum(cfg["truth"]["initial"], eig, "truth.initial")
-        phases.start("forward")
-        fieldv = solve_forward(y0, SourceSpec.none(), order, eig, tg)
-        phases.stop()
-        phases.start("observe")
-        data = observe(fieldv, mask, noise_cfg["level"], seed)
-        phases.stop()
-        emit_observed(data)
-        emit("mask.json", dumps_canonical(mask_to_json(mask)))
-        inv_cfg = TikhonovConfig(cfg["inversion"]["gamma"],
-                                 cfg["inversion"]["n_modes"])
-        phases.start("inverse")
-        G = build_initial_design(eig, order, tg, mask, inv_cfg.n_modes)
-        result = invert_initial(data, G, inv_cfg, eig)
-        phases.stop()
-        truth = project(y0, eig)[: inv_cfg.n_modes]
-        checks["sigma_min"] = result.diagnostics["sigma_min"]
-        checks["modal_rel_error"] = float(
-            np.linalg.norm(result.modal - truth)
-            / max(np.linalg.norm(truth), 1e-300)
-        )
+        data = observed(y0, SourceSpec.none(), order)
+        tikhonov_tail(y0, lambda tik: invert_initial(
+            data, build_initial_design(eig, order, tg, mask, tik.n_modes), tik, eig))
         checks["tail_energy"] = projection_tail_energy(y0, eig)
-        emit("estimate.json", dumps_canonical(result_to_json(result)))
-        emit("estimate.csv", spatial_to_csv(grid.nodes, result.spatial))
 
     elif problem == "invert-source":
         rho = _build_rho(cfg["truth"]["rho"], tg)
         g = _build_datum(cfg["truth"]["g"], eig, "truth.g")
-        phases.start("forward")
-        fieldv = solve_forward(np.zeros(grid.m), SourceSpec.separable(rho, g),
-                               order, eig, tg)
-        phases.stop()
-        phases.start("observe")
-        data = observe(fieldv, mask, noise_cfg["level"], seed)
-        phases.stop()
-        emit_observed(data)
-        emit("mask.json", dumps_canonical(mask_to_json(mask)))
-        inv_cfg = TikhonovConfig(cfg["inversion"]["gamma"],
-                                 cfg["inversion"]["n_modes"])
-        phases.start("inverse")
-        result = invert_source(data, rho, order, eig, tg, mask, inv_cfg)
-        phases.stop()
-        truth = project(g, eig)[: inv_cfg.n_modes]
-        checks["sigma_min"] = result.diagnostics["sigma_min"]
-        checks["modal_rel_error"] = float(
-            np.linalg.norm(result.modal - truth)
-            / max(np.linalg.norm(truth), 1e-300)
-        )
-        emit("estimate.json", dumps_canonical(result_to_json(result)))
-        emit("estimate.csv", spatial_to_csv(grid.nodes, result.spatial))
+        data = observed(np.zeros(grid.m), SourceSpec.separable(rho, g), order)
+        tikhonov_tail(g, lambda tik: invert_source(
+            data, rho, order, eig, tg, mask, tik))
 
     elif problem == "invert-order":
         truth_alpha = cfg["truth"]["alpha"]
         y0 = _build_datum(cfg["truth"]["initial"], eig, "truth.initial")
-        gen_order = FractionalOrder(truth_alpha,
-                                    cfg["order"].get("phase", "standard_i"))
-        phases.start("forward")
-        fieldv = solve_forward(y0, SourceSpec.none(), gen_order, eig, tg)
-        phases.stop()
-        phases.start("observe")
-        data = observe(fieldv, mask, noise_cfg["level"], seed)
-        phases.stop()
-        emit_observed(data)
+        data = observed(y0, SourceSpec.none(), FractionalOrder(truth_alpha, order.phase))
         inv = cfg["inversion"]
         search = OrderSearchConfig(
             inv["alpha_lo"], inv["alpha_hi"],
             inv.get("coarse_points", 25), inv.get("refine_tol", 1e-4),
         )
         phases.start("inverse")
-        result = invert_order(data, y0, eig, tg, mask, search,
-                              phase=cfg["order"].get("phase", "standard_i"))
+        result = invert_order(data, y0, eig, tg, mask, search, phase=order.phase)
         phases.stop()
         checks["alpha_hat"] = result.order
         checks["alpha_abs_error"] = abs(result.order - truth_alpha)

@@ -38,6 +38,11 @@ class EllipticityError(NumericalError):
     """Diffusion coefficient drops below the declared ellipticity floor."""
 
 
+class OperatorOverflowError(NumericalError):
+    """A discretized operator (the stencil of L or a weighted observation
+    design) exceeds double-precision range."""
+
+
 class EigenSolveError(NumericalError):
     """Eigen-iteration failed to converge or produced an invalid system."""
 

@@ -48,27 +48,20 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Source term: none, separable rho(t) g(x), or general samples."""
+    """Source term: none or separable rho(t) g(x)."""
 
     kind: str
     rho: np.ndarray = None
     g: np.ndarray = None
-    f_general: np.ndarray = None
 
     def __post_init__(self):
-        if self.kind not in ("none", "separable", "general"):
+        if self.kind not in ("none", "separable"):
             raise GridMismatchError(f"unknown source kind {self.kind!r}")
         if self.kind == "separable":
             if self.rho is None or self.g is None:
                 raise GridMismatchError("separable source requires rho and g")
             object.__setattr__(self, "rho", _freeze(np.asarray(self.rho, np.complex128)))
             object.__setattr__(self, "g", _freeze(np.asarray(self.g, np.complex128)))
-        if self.kind == "general":
-            if self.f_general is None:
-                raise GridMismatchError("general source requires field samples")
-            object.__setattr__(
-                self, "f_general", _freeze(np.asarray(self.f_general, np.complex128))
-            )
 
     @classmethod
     def none(cls):
@@ -78,21 +71,11 @@ class SourceSpec:
     def separable(cls, rho, g):
         return cls("separable", rho=rho, g=g)
 
-    @classmethod
-    def general(cls, values):
-        return cls("general", f_general=values)
-
-    @property
-    def rho_nonzero(self) -> bool:
-        return self.kind == "separable" and float(np.max(np.abs(self.rho))) > 0.0
-
     def sample(self, i: int, tg: TimeGrid, grid: Grid1D) -> np.ndarray:
         """Spatial samples of f at time index i (0-based into tg.times)."""
         if self.kind == "none":
             return np.zeros(grid.m, dtype=np.complex128)
-        if self.kind == "separable":
-            return self.rho[i] * self.g
-        return self.f_general[i]
+        return self.rho[i] * self.g
 
 
 @dataclass(frozen=True)
@@ -143,46 +126,45 @@ def projection_tail_energy(samples: np.ndarray, eig: EigenSystem) -> float:
     return max(0.0, total - float(np.sum(np.abs(c) ** 2)))
 
 
+def state_rows(order: FractionalOrder, lambdas: np.ndarray,
+               times: np.ndarray) -> np.ndarray:
+    """Each mode's response E_{a,1}(p lam_n t^a) to its initial datum, one
+    row per eigenvalue over ``times``."""
+    return np.array([kernel_grid(order, lam, times, "state") for lam in lambdas])
+
+
+def source_rows(order: FractionalOrder, lambdas: np.ndarray, tg: TimeGrid,
+                forcing: np.ndarray) -> np.ndarray:
+    """Each mode's response p * conv(f_n, dW_n) to its forcing row f_n on
+    the grid times, where p is the phase factor and
+    W_n(tau) = tau^a E_{a,a+1}(p lam_n tau^a) on the grid including t = 0
+    integrates the impulse kernel exactly over grid subintervals.  A mode
+    whose forcing vanishes responds with exact zeros."""
+    taus = tg.dt * np.arange(tg.n_t + 1)
+    rows = np.zeros((len(lambdas), tg.n_t), dtype=np.complex128)
+    for n, lam in enumerate(lambdas):
+        if np.any(forcing[n]):
+            dw = np.diff(kernel_grid(order, lam, taus, "integral"))
+            rows[n] = order.phase_factor * causal_conv(forcing[n], dw)
+    return rows
+
+
 def solve_forward(y0: np.ndarray, src: SourceSpec, order: FractionalOrder,
                   eig: EigenSystem, tg: TimeGrid) -> SpaceTimeField:
     """Modal solution: per mode,
     c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + p * conv(f_n, dW_n)(t)
-    where p is the phase factor and W_n(tau) = tau^a E_{a,a+1}(p lam_n tau^a)
-    integrates the impulse kernel exactly over grid subintervals."""
+    (see ``state_rows`` and ``source_rows``)."""
     order.require_strict("the forward evolution")
-    y0 = np.asarray(y0, dtype=np.complex128)
-    c0 = project(y0, eig)
-    times = tg.times
-    coeffs = np.empty((eig.n, tg.n_t), dtype=np.complex128)
-    for n in range(eig.n):
-        coeffs[n] = c0[n] * kernel_grid(order, eig.lambdas[n], times, "state")
-    if src.kind != "none":
-        fmodal = _modal_source(src, eig, tg)
-        pf = order.phase_factor
-        taus = tg.dt * np.arange(tg.n_t + 1)
-        for n in range(eig.n):
-            if not np.any(fmodal[n]):
-                continue
-            w = kernel_grid(order, eig.lambdas[n], taus, "integral")
-            dw = np.diff(w)
-            coeffs[n] += pf * causal_conv(fmodal[n], dw)
-    values = coeffs.T @ eig.phis
-    return SpaceTimeField(values, tg, eig.grid)
-
-
-def _modal_source(src: SourceSpec, eig: EigenSystem, tg: TimeGrid) -> np.ndarray:
+    c0 = project(np.asarray(y0, dtype=np.complex128), eig)
+    coeffs = c0[:, None] * state_rows(order, eig.lambdas, tg.times)
     if src.kind == "separable":
         if src.rho.shape[0] != tg.n_t:
             raise GridMismatchError(
                 f"rho sampled at {src.rho.shape[0]} times, grid has {tg.n_t}"
             )
-        return np.outer(project(src.g, eig), src.rho)
-    if src.f_general.shape != (tg.n_t, eig.grid.m):
-        raise GridMismatchError(
-            f"general source shape {src.f_general.shape} vs "
-            f"({tg.n_t}, {eig.grid.m})"
-        )
-    return np.array([project(row, eig) for row in src.f_general]).T
+        forcing = np.outer(project(src.g, eig), src.rho)
+        coeffs += source_rows(order, eig.lambdas, tg, forcing)
+    return SpaceTimeField(coeffs.T @ eig.phis, tg, eig.grid)
 
 
 def eval_homogeneous(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
@@ -190,14 +172,8 @@ def eval_homogeneous(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
     """Homogeneous solution at arbitrary positive times (long-horizon
     experiments run outside any uniform grid)."""
     order.require_strict("the forward evolution")
-    times = np.asarray(times, dtype=float)
-    if np.any(times <= 0.0):
-        raise MLDomainError("evaluation times must be positive")
     c0 = project(np.asarray(y0, dtype=np.complex128), eig)
-    coeffs = np.empty((eig.n, times.size), dtype=np.complex128)
-    for n in range(eig.n):
-        coeffs[n] = c0[n] * kernel_grid(order, eig.lambdas[n], times, "state")
-    return coeffs.T @ eig.phis
+    return (c0[:, None] * state_rows(order, eig.lambdas, times)).T @ eig.phis
 
 
 def caputo_l1(series: np.ndarray, alpha: float, tg: TimeGrid) -> np.ndarray:

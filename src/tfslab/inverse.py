@@ -22,12 +22,12 @@ from .errors import (
     GridMismatchError,
     MLAccuracyError,
     MLDomainError,
+    OperatorOverflowError,
     RankDeficientError,
     SourceHypothesisError,
 )
-from ._kernels import causal_conv
-from .forward import TimeGrid, eval_homogeneous
-from .mlf import FractionalOrder, MLParams, kernel_grid, ml_eval
+from .forward import TimeGrid, eval_homogeneous, source_rows, state_rows
+from .mlf import FractionalOrder, MLParams, ml_eval
 from .observe import ObservationMask, ObservedData
 from .spectral import EigenSystem
 
@@ -131,17 +131,14 @@ def contour_for_mode(eig: EigenSystem, ell: int, n_quad: int = 64,
 # Tikhonov machinery
 
 
-def _weighted_data(data: ObservedData, tg: TimeGrid) -> np.ndarray:
-    w = math.sqrt(data.mask.grid.h * tg.dt)
-    return w * data.values.ravel()
-
-
 def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     """Minimize |G c - d|^2 + gamma |c|^2 from one thin SVD G = U S V*,
     with Tikhonov filter factors: c = V diag(s / (s^2 + gamma)) U* d.
     For gamma = 0 the design must be numerically full rank."""
     if G.shape[0] != d.size:
         raise GridMismatchError(f"design rows {G.shape[0]} vs data size {d.size}")
+    if not (np.isfinite(G).all() and np.isfinite(d).all()):
+        raise OperatorOverflowError("weighted design or data overflow double precision")
     U, s, Vh = scipy.linalg.svd(G, full_matrices=False)
     smin, smax = float(s[-1]), float(s[0])
     if gamma == 0.0 and smin <= 1e-8 * smax:
@@ -155,6 +152,21 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     return coeffs, resid, diag
 
 
+def _tikhonov_result(G: np.ndarray, data: ObservedData, tg: TimeGrid,
+                     cfg: TikhonovConfig, eig: EigenSystem) -> InversionResult:
+    """Tikhonov recovery of the modal coefficients behind ``data`` and their
+    synthesis; the data are weighted by sqrt(h dt) like the design."""
+    d = math.sqrt(data.mask.grid.h * tg.dt) * data.values.ravel()
+    coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
+    return InversionResult(
+        residual=resid,
+        reg_norm=float(np.linalg.norm(coeffs)),
+        diagnostics=diag,
+        modal=coeffs,
+        spatial=coeffs @ eig.phis[: cfg.n_modes],
+    )
+
+
 def _separable_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
                       mask: ObservationMask, n_modes: int,
                       rho: np.ndarray = None) -> np.ndarray:
@@ -162,28 +174,23 @@ def _separable_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
     (t_i, masked node), columns by mode, entries r_n(t_i) phi_n(x_j)
     sqrt(h dt) so that G*G approximates the continuous normal operator.
 
-    Without ``rho``, r_n(t) = E_{a,1}(p lam_n t^a) is mode n's response to
-    the initial datum phi_n; with it, r_n = p * conv(rho, dW_n) is the
-    response to the source rho(t) phi_n(x), W_n the integral kernel on the
-    grid including t = 0, as in the forward solver's source term."""
+    Without ``rho``, r_n is mode n's response to the initial datum phi_n
+    (``state_rows``); with it, r_n is the response to the source
+    rho(t) phi_n(x) (``source_rows``), as in the forward solver."""
     order.require_strict("the observation operator")
     if n_modes > eig.n:
         raise GridMismatchError(f"{n_modes} modes requested, eigensystem has {eig.n}")
     if mask.grid != eig.grid:
         raise GridMismatchError("mask and eigensystem live on different grids")
+    lambdas = eig.lambdas[:n_modes]
+    if rho is None:
+        rows = state_rows(order, lambdas, tg.times)
+    else:
+        rows = source_rows(order, lambdas, tg, np.broadcast_to(rho, (n_modes, tg.n_t)))
+    phi_masked = eig.phis[:n_modes, mask.indices]
+    # (time, node) rows in C order, like the ravelled observations
     w = math.sqrt(eig.grid.h * tg.dt)
-    taus = tg.dt * np.arange(tg.n_t + 1)
-    G = np.empty((tg.n_t * mask.n_nodes, n_modes), dtype=np.complex128)
-    phi_masked = eig.phis[:, mask.indices]
-    for n in range(n_modes):
-        lam = eig.lambdas[n]
-        if rho is None:
-            r = kernel_grid(order, lam, tg.times, "state")
-        else:
-            dw = np.diff(kernel_grid(order, lam, taus, "integral"))
-            r = order.phase_factor * causal_conv(rho, dw)
-        G[:, n] = w * np.outer(r, phi_masked[n]).ravel()
-    return G
+    return w * (rows.T[:, None, :] * phi_masked.T).reshape(-1, n_modes)
 
 
 def build_initial_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
@@ -196,18 +203,9 @@ def build_initial_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
 def invert_initial(data: ObservedData, G: np.ndarray, cfg: TikhonovConfig,
                    eig: EigenSystem) -> InversionResult:
     """Tikhonov recovery of the initial datum from masked observations."""
-    d = _weighted_data(data, data.tg)
     if G.shape[1] != cfg.n_modes:
         raise GridMismatchError(f"design cols {G.shape[1]} vs n_modes {cfg.n_modes}")
-    coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
-    spatial = coeffs @ eig.phis[: cfg.n_modes]
-    return InversionResult(
-        residual=resid,
-        reg_norm=float(np.linalg.norm(coeffs)),
-        diagnostics=diag,
-        modal=coeffs,
-        spatial=spatial,
-    )
+    return _tikhonov_result(G, data, data.tg, cfg, eig)
 
 
 def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder,
@@ -224,16 +222,7 @@ def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder,
     if rho.shape[0] != tg.n_t:
         raise GridMismatchError(f"rho sampled at {rho.shape[0]} times vs {tg.n_t}")
     G = _separable_design(eig, order, tg, mask, cfg.n_modes, rho)
-    d = _weighted_data(data, tg)
-    coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
-    spatial = coeffs @ eig.phis[: cfg.n_modes]
-    return InversionResult(
-        residual=resid,
-        reg_norm=float(np.linalg.norm(coeffs)),
-        diagnostics=diag,
-        modal=coeffs,
-        spatial=spatial,
-    )
+    return _tikhonov_result(G, data, tg, cfg, eig)
 
 
 def order_misfit(data: ObservedData, y0: np.ndarray, alpha: float,
@@ -274,7 +263,9 @@ def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
     x2 = a + _GOLDEN * (b - a)
     f1 = order_misfit(data, y0, x1, phase, eig, tg, mask)
     f2 = order_misfit(data, y0, x2, phase, eig, tg, mask)
-    while b - a > cfg.refine_tol:
+    # below the bracket's float resolution the golden points land on its
+    # ends and the bracket stops shrinking, so the search ends there too
+    while b - a > cfg.refine_tol and a < x1 < b and a < x2 < b:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import EigenSolveError, EllipticityError, GridMismatchError
+from .errors import (EigenSolveError, EllipticityError, GridMismatchError,
+                     OperatorOverflowError)
 
 ORTHO_TOL = 1e-10
 RAYLEIGH_TOL = 1e-8
@@ -213,6 +214,10 @@ def assemble_operator(spec: OperatorSpec, grid: Grid1D) -> Tridiag:
     h2 = grid.h * grid.h
     diag = (spec.a[:-1] + spec.a[1:]) / h2 + spec.p
     off = -spec.a[1:-1] / h2
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise OperatorOverflowError(
+            f"operator stencil overflows double precision at spacing h={grid.h:.4g}"
+        )
     return Tridiag(diag, off)
 
 

@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tfslab import cli
 
@@ -88,6 +96,19 @@ class TestForwardCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["kernel_trajectory_max_dev"] <= 1e-12
 
+    @pytest.mark.parametrize("op", [
+        {"a_const": 1e306, "p_const": 0.0},
+        {"a": [1e308] * 16, "p": [0.0] * 15, "kappa": 1.0},
+    ])
+    def test_overflowing_stencil_exits_3(self, tmp_path, capsys, op):
+        cfg = forward_config(grid={"L": 1.0, "m": 15}, n_modes=3, operator=op)
+        rc = cli.main(["forward", "--config", write_config(tmp_path, cfg),
+                       "--output", str(tmp_path / "o")])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["kind"] == "numerical"
+        assert "overflows" in err["message"]
+
 
 class TestValidation:
     def test_malformed_alpha_exits_2_and_names_field(self, tmp_path, capsys):
@@ -165,6 +186,13 @@ class TestValidation:
                                                        intervals):
         cfg = forward_config(mask={"intervals": intervals})
         self.assert_config_error(tmp_path, capsys, cfg, "mask.intervals")
+
+    @pytest.mark.parametrize("grid", [{"L": 16.0, "m": 15}, {"L": 100.0, "m": 63}])
+    def test_mask_capturing_no_node(self, tmp_path, capsys, grid):
+        cfg = forward_config(grid=grid)
+        self.assert_config_error(tmp_path, capsys, cfg, "mask.intervals")
+        out = tmp_path / "o"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_touching_mask_intervals_accepted(self, tmp_path):
         cfg = forward_config(mask={"intervals": [[0.1, 0.3], [0.3, 0.5]]})
@@ -295,6 +323,93 @@ class TestDeterminism:
             else:
                 assert first == second, name
         assert self.without_phase_seconds(stdouts[0]) == self.without_phase_seconds(stdouts[1])
+
+
+TINY = dict(grid={"L": 1.0, "m": 15}, time={"T": 1.0, "n_t": 8}, n_modes=3)
+NOISE = {"level": 1e-3, "seed": 1}
+FUZZ_CONFIGS = {
+    "forward": forward_config(
+        **TINY, source=TestDeterminism.SOURCE,
+        operator={"a": [1.0 + 0.1 * j for j in range(16)], "p": [0.5] * 15,
+                  "kappa": 0.5}),
+    "invert-initial": dict(
+        inversion_config("invert-initial",
+                         {"initial": {"kind": "mix", "coeffs_re": [1.0, 0.5]}},
+                         {"gamma": 1e-6, "n_modes": 2}),
+        **TINY, operator={"a_const": 1.0, "p_const": 0.0}, noise=NOISE),
+    "invert-source": dict(
+        inversion_config("invert-source", SOURCE_TRUTH, {"gamma": 1e-6, "n_modes": 2}),
+        **TINY, noise=NOISE),
+    "invert-order": dict(
+        inversion_config("invert-order", ORDER_TRUTH,
+                         {"alpha_lo": 0.3, "alpha_hi": 0.9, "coarse_points": 3,
+                          "refine_tol": 1e-2}),
+        **TINY, noise=NOISE),
+}
+FUZZ_POOL = [0, 1, -1, 0.5, 2, 16, 100, 1e-12, 1e-300, 1e300, 1e308,
+             True, None, "x", [], {}]
+
+
+def config_paths(node, keys, path=()):
+    """Paths to every object key (``keys``) or to every leaf of a config."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return [] if keys else [path]
+    found = [path + (k,) for k, _ in items] if keys and isinstance(node, dict) else []
+    for k, child in items:
+        found += config_paths(child, keys, path + (k,))
+    return found
+
+
+@st.composite
+def mutated_configs(draw):
+    """A tiny config with one key deleted, or with one or two leaves
+    replaced by values from ``FUZZ_POOL``."""
+    problem = draw(st.sampled_from(sorted(FUZZ_CONFIGS)))
+    cfg = copy.deepcopy(FUZZ_CONFIGS[problem])
+    if draw(st.booleans()):
+        *where, key = draw(st.sampled_from(config_paths(cfg, keys=True)))
+        del functools.reduce(operator.getitem, where, cfg)[key]
+    else:
+        for _ in range(draw(st.integers(1, 2))):
+            *where, key = draw(st.sampled_from(config_paths(cfg, keys=False)))
+            functools.reduce(operator.getitem, where, cfg)[key] = draw(
+                st.sampled_from(FUZZ_POOL))
+    return problem, cfg
+
+
+def with_leaves(problem, leaves):
+    """The tiny ``problem`` config with dotted-path leaves replaced."""
+    cfg = copy.deepcopy(FUZZ_CONFIGS[problem])
+    for path, value in leaves.items():
+        *where, key = path.split(".")
+        functools.reduce(operator.getitem, where, cfg)[key] = value
+    return problem, cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_configs())
+@example(with_leaves("invert-order", {"inversion.refine_tol": 1e-300}))
+@example(with_leaves("invert-source", {"time.T": 1e300, "truth.rho.value": 1e300}))
+def test_mutated_config_runs_or_names_its_fault(case):
+    # an invalid config exits 2 naming its field; exit 3 is kept for real
+    # numerical failures (an overflowing L or rho, a flat misfit)
+    problem, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main([problem, "--config", path,
+                           "--output", os.path.join(tmp, "out")])
+    if rc != 0:
+        err = json.loads(out.getvalue())["error"]
+        assert (rc == 2 and err.get("field")) or (
+            rc == 3 and err["kind"] == "numerical"), (rc, err, cfg)
 
 
 class TestMlEval:

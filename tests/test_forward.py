@@ -192,16 +192,6 @@ class TestSolveForward:
             solve_forward(eig.phis[0].astype(complex), SourceSpec.none(),
                           FractionalOrder(1.0), eig, tg)
 
-    def test_general_source_matches_separable(self, eig):
-        order = FractionalOrder(0.5)
-        tg = TimeGrid(1.0, 15)
-        rho = np.linspace(0.3, 1.0, tg.n_t).astype(complex)
-        g = eig.phis[2].astype(complex)
-        sep = solve_forward(np.zeros(99), SourceSpec.separable(rho, g), order, eig, tg)
-        fgen = np.outer(rho, g)
-        gen = solve_forward(np.zeros(99), SourceSpec.general(fgen), order, eig, tg)
-        assert np.max(np.abs(sep.values - gen.values)) <= 1e-12
-
 
 class TestFractionalCalculus:
     def test_caputo_of_constant_vanishes(self):
@@ -346,8 +336,7 @@ class TestResidualAndDuhamel:
         values = np.outer(tg.times, eig.phis[0]).astype(complex)
         field = SpaceTimeField(values, tg, eig.grid)
         dcap = tg.times ** 0.5 / gamma_real(1.5)
-        f_rows = np.outer(1j * dcap - lam * tg.times, eig.phis[0])
-        src = SourceSpec.general(f_rows)
+        src = SourceSpec.separable(1j * dcap - lam * tg.times, eig.phis[0])
         r = pde_residual(field, np.zeros(eig.grid.m), src, order, A)
         assert r <= 1e-10
 

@@ -344,6 +344,25 @@ class TestInvertOrder:
             invert_order(data, np.zeros(grid.m), eig, tg, mask,
                          OrderSearchConfig(0.3, 0.7))
 
+    def test_refine_tol_below_float_resolution_ends(self, setup, monkeypatch):
+        # the bracket cannot shrink below one ulp; a tolerance under that
+        # must end the search at the float resolution, not loop forever
+        grid, eig, tg, mask = setup
+        y0 = eig.phis[0].astype(complex)
+        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.5), eig, tg)
+        data = observe(y, mask, 0.0, 0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            assert len(calls) <= 200, "the order search did not end"
+            return order_misfit(*args)
+
+        monkeypatch.setattr(inverse, "order_misfit", counted)
+        res = invert_order(data, y0, eig, tg, mask,
+                           OrderSearchConfig(0.25, 0.85, 25, 1e-300))
+        assert abs(res.order - 0.5) <= 1e-3
+
     def test_flat_landscape_flagged(self, setup, monkeypatch):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
