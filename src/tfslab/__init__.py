@@ -8,6 +8,7 @@ fractional order from observations on positive-measure subsets.
 """
 
 from .errors import (
+    CheckOverflowError,
     ConfigError,
     EigenSolveError,
     EllipticityError,

@@ -16,7 +16,8 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, EmptyMaskError, NumericalError, TfslabError
+from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, NumericalError,
+                     TfslabError)
 from .forward import SourceSpec, TimeGrid, project, solve_forward, projection_tail_energy
 from .inverse import (
     OrderSearchConfig,
@@ -183,9 +184,19 @@ def validate_config(raw: dict, problem: str) -> dict:
         _number(op["p_const"], "operator.p_const", lo=0.0)
     else:
         _check_keys(op, "operator", ("a", "p", "kappa"))
-        _float_list(op["a"], "operator.a")
-        _float_list(op["p"], "operator.p")
-        _number(op["kappa"], "operator.kappa", lo=0.0, strict_lo=True)
+        m = grid["m"]
+        a = _float_list(op["a"], "operator.a")
+        if len(a) != m + 1 or not all(v > 0.0 for v in a):
+            raise ConfigError(f"operator.a must hold m+1={m + 1} positive numbers "
+                              "(the midpoint samples)", field="operator.a")
+        p = _float_list(op["p"], "operator.p")
+        if len(p) != m or not all(v >= 0.0 for v in p):
+            raise ConfigError(f"operator.p must hold m={m} nonnegative numbers "
+                              "(the node samples)", field="operator.p")
+        kappa = _number(op["kappa"], "operator.kappa", lo=0.0, strict_lo=True)
+        if kappa > min(a):
+            raise ConfigError(f"operator.kappa={kappa} exceeds min(operator.a)={min(a)}",
+                              field="operator.kappa")
 
     n_modes = _integer(cfg["n_modes"], "n_modes", lo=1)
     if n_modes > grid["m"]:
@@ -386,10 +397,9 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
         phases.stop()
         truth = project(truth_datum, eig)[: inv_cfg.n_modes]
         checks["sigma_min"] = result.diagnostics["sigma_min"]
-        checks["modal_rel_error"] = float(
-            np.linalg.norm(result.modal - truth)
-            / max(np.linalg.norm(truth), 1e-300)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks["modal_rel_error"] = float(np.linalg.norm(result.modal - truth)
+                                              / max(np.linalg.norm(truth), 1e-300))
         emit("mask.json", dumps_canonical(mask_to_json(mask)))
         emit("estimate.json", dumps_canonical(result_to_json(result)))
         emit("estimate.csv", spatial_to_csv(grid.nodes, result.spatial))
@@ -453,6 +463,11 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
     else:  # pragma: no cover - validate_config guards this
         raise ConfigError(f"unknown problem {problem!r}", field="problem")
 
+    for name, value in checks.items():
+        if not math.isfinite(value):
+            raise CheckOverflowError(
+                f"{name}: {value} is not a finite number; the run's values exceed "
+                "double precision")
     report = {
         "config": cfg,
         "phase_seconds": phases.seconds,

@@ -43,6 +43,11 @@ class OperatorOverflowError(NumericalError):
     design) exceeds double-precision range."""
 
 
+class CheckOverflowError(NumericalError):
+    """A reported check (an energy or a relative error) is not a finite
+    number: the data it measures exceed double-precision range."""
+
+
 class EigenSolveError(NumericalError):
     """Eigen-iteration failed to converge or produced an invalid system."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import causal_conv
-from .errors import GridMismatchError, MLDomainError
+from .errors import CheckOverflowError, GridMismatchError, MLDomainError
 from .gamma import rgamma_real
 from .mlf import FractionalOrder, kernel_grid
 from .spectral import EigenSystem, Grid1D, Tridiag, _freeze
@@ -120,10 +120,14 @@ def synthesize(coeffs: ModalVector, eig: EigenSystem) -> np.ndarray:
 
 def projection_tail_energy(samples: np.ndarray, eig: EigenSystem) -> float:
     """Energy of the component outside span{phi_1..phi_N}: the declared
-    truncation approximation of a solve."""
+    truncation approximation of a solve; raises where an energy overflows."""
     c = project(samples, eig)
-    total = eig.grid.norm(samples) ** 2
-    return max(0.0, total - float(np.sum(np.abs(c) ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = eig.grid.norm(samples) ** 2
+        captured = float(np.sum(np.abs(c) ** 2))
+    if not (math.isfinite(total) and math.isfinite(captured)):
+        raise CheckOverflowError("tail_energy: the datum's energy exceeds double precision")
+    return max(0.0, total - captured)
 
 
 def state_rows(order: FractionalOrder, lambdas: np.ndarray,

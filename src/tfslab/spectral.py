@@ -209,7 +209,8 @@ def assemble_operator(spec: OperatorSpec, grid: Grid1D) -> Tridiag:
     positive definite for p >= 0."""
     if spec.a.shape[0] != grid.m + 1 or spec.p.shape[0] != grid.m:
         raise GridMismatchError(
-            f"coefficients sampled for m={spec.p.shape[0]} nodes, grid has m={grid.m}"
+            f"coefficients sampled on {spec.a.shape[0]} midpoints and {spec.p.shape[0]} "
+            f"nodes, grid has m={grid.m}"
         )
     h2 = grid.h * grid.h
     diag = (spec.a[:-1] + spec.a[1:]) / h2 + spec.p

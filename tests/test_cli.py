@@ -205,6 +205,17 @@ class TestValidation:
                                       "im": [0.5]})
         self.assert_config_error(tmp_path, capsys, cfg, "initial.im")
 
+    @pytest.mark.parametrize("op,field", [
+        ({"a": [-1.0] + [1.0] * 15, "p": [0.0] * 15, "kappa": 0.5}, "operator.a"),
+        ({"a": [1.0] * 16, "p": [0.0] * 15, "kappa": 2.0}, "operator.kappa"),
+        ({"a": [1.0] * 16, "p": [-1.0] + [0.0] * 14, "kappa": 0.5}, "operator.p"),
+        ({"a": [1.0] * 15, "p": [0.0] * 15, "kappa": 0.5}, "operator.a"),
+    ])
+    def test_operator_samples_checked(self, tmp_path, capsys, op, field):
+        # m = 15: a on the 16 midpoints, p on the 15 nodes, kappa <= min(a)
+        cfg = forward_config(grid={"L": 1.0, "m": 15}, n_modes=3, operator=op)
+        self.assert_config_error(tmp_path, capsys, cfg, field)
+
     def test_datum_error_names_its_path(self, tmp_path, capsys):
         truth = dict(SOURCE_TRUTH, g={"kind": "samples", "re": [1.0] * 10})
         cfg = inversion_config("invert-source", truth,
@@ -410,6 +421,24 @@ def test_mutated_config_runs_or_names_its_fault(case):
         err = json.loads(out.getvalue())["error"]
         assert (rc == 2 and err.get("field")) or (
             rc == 3 and err["kind"] == "numerical"), (rc, err, cfg)
+
+
+@pytest.mark.parametrize("problem,leaves,check", [
+    ("invert-initial", {"truth.initial.coeffs_re": [1e200, 1e200]}, "tail_energy"),
+    ("invert-initial", {"noise.level": 1e308}, "modal_rel_error"),
+    ("forward", {"initial": {"kind": "mix", "coeffs_re": [1e200, 1e200]}}, "tail_energy"),
+    ("forward", {"source.rho.value": 1e300}, "max_field_norm"),
+])
+def test_overflowing_check_exits_3(tmp_path, capsys, problem, leaves, check):
+    # a check that is not a finite number fails the run; no report.json
+    # carries NaN or a false 0
+    _, cfg = with_leaves(problem, leaves)
+    out = tmp_path / "out"
+    rc = cli.main([problem, "--config", write_config(tmp_path, cfg), "--output", str(out)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["kind"] == "numerical" and err["message"].startswith(check)
+    assert not (out / "report.json").exists()
 
 
 class TestMlEval:

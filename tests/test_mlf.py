@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfslab import mlf
 from tfslab.errors import MLAccuracyError, MLDomainError, MLOverflowError
@@ -265,7 +267,9 @@ class TestKernelGrid:
     def test_matches_ml_kernel(self):
         # The reference holds values of the scalar evaluator that ml_kernel
         # used before it became one point of kernel_grid, so the grid agrees
-        # with them to rounding.  On the power_i_alpha ray both start from a
+        # with them to rounding; where that evaluator ended an asymptotic sum
+        # early, the reference holds the mpmath sum instead (see its
+        # "about").  On the power_i_alpha ray both start from a
         # rounded phase factor and drift from the exact value like
         # eps * x^{1/alpha} (see the README), so the bound there carries
         # that envelope.
@@ -288,9 +292,10 @@ class TestKernelGrid:
                 bound *= np.maximum(1.0, (lam * times**alpha) ** (1.0 / alpha))
             assert np.all(np.abs(grid - ref) <= bound), (row["phase"], alpha, row["mode"],
                                                          row["kind"])
-        # At alpha = 0.143 and x = 50 the asymptotic sum stops at its optimal
-        # truncation (term 8 outgrows term 7).  The reference and the row add
-        # the same terms there; summing past the stop moves the value by 2e-13.
+        # At alpha = 0.143 and x = 50 the weight 1/Gamma(1 - 7 alpha) of term 7
+        # is near zero, so term 8 outgrows it; the sum must not stop there.
+        # The reference holds mpmath sums of the whole expansion; stopping
+        # at term 7 moves the value by 1.8e-13.
         row = reference["truncation"]
         grid = kernel_grid(FractionalOrder(row["alpha"]), row["lam"], np.array(row["times"]),
                            row["kind"])
@@ -355,6 +360,80 @@ class TestKernelGrid:
     def test_only_state_and_integral(self):
         with pytest.raises(MLDomainError):
             kernel_grid(FractionalOrder(0.5), 1.0, np.array([1.0]), "impulse")
+
+
+def _mp_series(alpha, beta, z):
+    """E_{alpha,beta}(z) from its power series in mpmath, with enough digits
+    to absorb the cancellation of terms that peak near exp(|z|^{1/alpha})."""
+    mpmath = pytest.importorskip("mpmath")
+    growth = float(abs(z)) ** (1.0 / float(alpha))
+    with mpmath.workdps(30 + int(growth / math.log(10.0))):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        total, power, k = mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            term = power * mpmath.rgamma(a * k + b)
+            total += term
+            if k * alpha > growth + 2 and abs(term) < mpmath.mpf(10) ** -32:
+                return complex(total)
+            k += 1
+            power *= z
+
+
+def _mp_asymptotic(alpha, beta, z):
+    """-sum_k z^{-k}/Gamma(beta - alpha k) in mpmath at a complex double z
+    with |arg z| > alpha*pi, summed until three terms in a row fall below
+    1e-40 of the sum (at |z| = 50 they do for alpha below about 0.85)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        w, a, b = mpmath.mpc(z.real, z.imag), mpmath.mpf(alpha), mpmath.mpf(beta)
+        total, small = mpmath.mpf(0), 0
+        for k in range(1, 400):
+            term = w ** -k * mpmath.rgamma(b - a * k)
+            total -= term
+            small = small + 1 if abs(term) < mpmath.mpf(10) ** -40 * abs(total) else 0
+            if small == 3:
+                return complex(total)
+    raise AssertionError(f"expansion at alpha={alpha}, |z|={abs(z)} stays above 1e-40")
+
+
+class TestRowEvaluator:
+    @pytest.mark.parametrize("alpha", [0.143, 0.111])
+    def test_asymptotic_sum_passes_tiny_weights(self, alpha):
+        # 1/Gamma(1 - 7 * 0.143) is -1e-3: term 7 is tiny and term 8 outgrows
+        # it, but the expansion's envelope still falls; the sum goes on
+        got = ml_kernel(FractionalOrder(alpha), 50.0, 1.0, "state")
+        ref = _mp_asymptotic(alpha, 1.0, complex(-50j))
+        assert abs(got - ref) <= 1e-15 * abs(ref)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.05, 1.0, exclude_max=True),
+           reach=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           phase=st.sampled_from(["standard_i", "power_i_alpha"]),
+           kind=st.sampled_from(["state", "integral"]))
+    def test_kernels_against_mpmath_series(self, alpha, reach, phase, kind):
+        # 1 < x < 50 with x^{1/alpha} <= 250, where the mpmath series still
+        # resolves its cancellation; E_{alpha,1} and E_{alpha,alpha+1} at
+        # t = 1, on the power_i_alpha ray at the exact phase
+        mpmath = pytest.importorskip("mpmath")
+        x = min(50.0, 250.0**alpha) ** reach
+        got = complex(kernel_grid(FractionalOrder(alpha, phase), x, np.array([1.0]), kind)[0])
+        with mpmath.workdps(30):
+            unit = mpmath.mpc(0, -1) if phase == "standard_i" else mpmath.expjpi(-alpha / 2)
+            ref = _mp_series(alpha, 1.0 if kind == "state" else alpha + 1.0, x * unit)
+        if phase == "standard_i":
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+        else:  # the README's envelope for the rounded phase factor
+            assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)) * max(1.0, x ** (1 / alpha))
+
+    def test_contour_row_is_pointwise(self):
+        # 1e5 points over every node set, in many blocks: the row equals its
+        # two halves evaluated separately, bit for bit
+        rng = np.random.default_rng(np.random.Philox(41))
+        z = rng.uniform(1.0, 50.0, 100_000) * np.exp(1j * rng.uniform(-math.pi, math.pi, 100_000))
+        row = mlf._contour_row(0.7, 1.7, z)
+        halves = np.concatenate([mlf._contour_row(0.7, 1.7, z[:50_000]),
+                                 mlf._contour_row(0.7, 1.7, z[50_000:])])
+        assert np.array_equal(row, halves)
 
 
 class TestSector:
