@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, NumericalError,
                      TfslabError)
-from .forward import SourceSpec, TimeGrid, project, solve_forward, projection_tail_energy
+from .forward import (SourceSpec, TimeGrid, project, projection_tail_energy, solve_forward,
+                      source_rows, state_rows)
 from .inverse import (
     OrderSearchConfig,
     TikhonovConfig,
@@ -27,7 +28,7 @@ from .inverse import (
     invert_order,
     invert_source,
 )
-from .mlf import FractionalOrder, MLParams, kernel_grid, ml_eval
+from .mlf import FractionalOrder, MLParams, ml_eval
 from .observe import make_mask, observe
 from .serialize import (
     dumps_canonical,
@@ -420,12 +421,18 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
             grid.norm(fieldv.values[i]) for i in range(tg.n_t)
         )
         if cfg["initial"]["kind"] == "mode":
+            # the mode's full response: its unit initial datum plus the part
+            # of the source that drives it
             idx = cfg["initial"]["index"] - 1
-            kernel = kernel_grid(order, float(eig.lambdas[idx]), tg.times, "state")
+            lam = eig.lambdas[idx:idx + 1]
+            expect = state_rows(order, lam, tg.times)[0]
+            if src.kind == "separable":
+                forcing = project(src.g, eig)[idx] * src.rho
+                expect += source_rows(order, lam, tg, forcing[None, :])[0]
             # a row at a time: one projection of the whole field costs a
             # BLAS buffer of about 1 MB of peak memory
             traj = np.array([project(row, eig)[idx] for row in fieldv.values])
-            checks["kernel_trajectory_max_dev"] = float(np.max(np.abs(traj - kernel)))
+            checks["kernel_trajectory_max_dev"] = float(np.max(np.abs(traj - expect)))
         field_csv, field_json = field_texts(fieldv)
         emit("field.csv", field_csv)
         emit("field.json", field_json)

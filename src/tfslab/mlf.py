@@ -1,12 +1,13 @@
 """Two-parameter Mittag-Leffler function and the mode-evolution kernels.
 
 The evaluator works on arrays of arguments and sends each point to one of
-three regions of the complex plane: a guarded Taylor series on the unit
-disk, numerical inversion of the Laplace transform on parabolic contours in
-the mid range, and the algebraic asymptotic expansion far out.  The contour
-points of a row share a few node sets per (alpha, beta), one per rung of a
-fixed ladder of contour scales and quadrature strips (Weideman & Trefethen,
-Math. Comp. 76 (2007); Garrappa, SIAM J. Numer. Anal. 53 (2015)), so each
+two regions of the complex plane: numerical inversion of the Laplace
+transform on parabolic contours inside |z| = 50, and the algebraic
+asymptotic expansion from there on.  The contour points of a row share a
+few node sets per (alpha, beta) (Weideman & Trefethen, Math. Comp. 76
+(2007); Garrappa, SIAM J. Numer. Anal. 53 (2015)): one for the closed unit
+disk, whose contour encloses every pole of that disk, and one per rung of
+a fixed ladder of contour scales and quadrature strips outside it.  Each
 value is one row of a Cauchy product sum_k w_k / (s_k^alpha - z).  The
 expansion is summed 16 terms per pass.  Orders above 1 are reduced through
 the exact root-splitting identity
@@ -28,7 +29,6 @@ import numpy as np
 from .errors import MLAccuracyError, MLDomainError, MLOverflowError
 from .gamma import gamma_real, rgamma_real
 
-SERIES_RADIUS = 1.0
 ASYMPTOTIC_RADIUS = 50.0
 Z_MAX_DEFAULT = 1.0e4
 
@@ -114,10 +114,10 @@ class SectorParams:
 
 
 # ---------------------------------------------------------------------------
-# region evaluators, each over a 1-D array of arguments (alpha <= 1).  Series
-# weights and contour node sets depend on (alpha, beta) only and are shared
-# by every point; a point leaves a sum as soon as its own stopping rule
-# fires, so each value depends on its own argument only.
+# region evaluators, each over a 1-D array of arguments (alpha <= 1).
+# Expansion weights and contour node sets depend on (alpha, beta) only and
+# are shared by every point; a point leaves a sum as soon as its own
+# stopping rule fires, so each value depends on its own argument only.
 
 _CONTOUR_BLOCK = 16384  # points x nodes per numpy pass; bounds the temporaries
 # contour scale mu of a point with a far pole: the largest rung <= a/4.
@@ -128,8 +128,14 @@ _FAR_MU = tuple(0.18 * 2.0**k for k in range(5))
 # quadrature strip of a point with a near pole or none: its pole clearance
 # rounded down onto this ladder, at mu = 2
 _NEAR_STRIP = (0.4, 0.7, 1.0)
-# (mu, strip) of every node set: the far rungs first, then mu = 2
+# (mu, strip) of every node set outside the unit disk: the far rungs
+# first, then mu = 2
 _NODE_SETS = tuple((mu, 1.0) for mu in _FAR_MU) + tuple((2.0, s) for s in _NEAR_STRIP)
+# quadrature strip of the unit disk's node set, whose scale is
+# mu = max(_FAR_MU[-1], beta - alpha): the floor beta - alpha puts the
+# parabola near the saddle of e^s s^{alpha - beta}, where mu = 2 lost
+# 4e-7 relative at beta = 5
+_DISK_STRIP = 0.4
 _ASYMPTOTIC_CHUNK = 16  # expansion terms per numpy pass
 _ASYMPTOTIC_TERMS = 199  # the expansion ends here at the latest
 
@@ -154,39 +160,6 @@ def _exp_branch(alpha: float, beta: float, z: np.ndarray, logz: np.ndarray,
     live = s0.real > -745.0
     out[live] = np.exp(((1.0 - beta) / alpha) * logz[live] + s0[live]) / alpha
     return out
-
-
-def _taylor_row(alpha: float, beta: float, z: np.ndarray):
-    """Power series with cancellation guard: (values, trustworthy) per point."""
-    total = np.full(z.shape, complex(rgamma_real(beta)))
-    ok = np.zeros(z.shape, dtype=bool)
-    live = np.arange(z.size)
-    zl, acc = z, total.copy()
-    power = np.ones_like(z)
-    peak = np.abs(acc)
-    streak = np.zeros(z.shape, dtype=int)
-    for k in range(1, int(200 + 24.0 / alpha) + 1):
-        power = power * zl
-        contrib = power * rgamma_real(alpha * k + beta)
-        acc = acc + contrib
-        mag = np.abs(contrib)
-        peak = np.maximum(peak, mag)
-        if alpha * k + beta > 2.0:
-            streak = np.where(mag < 1e-18 * (peak + 1e-300), streak + 1, 0)
-        else:
-            streak[:] = 0
-        done = streak >= 3
-        if done.any():
-            # cancellation estimate: roundoff floor is eps * largest summand
-            total[live[done]] = acc[done]
-            ok[live[done]] = peak[done] * 2.3e-16 <= 1e-11 * (np.abs(acc[done]) + 1e-300)
-            keep = ~done
-            live, zl, power, acc, peak, streak = (
-                live[keep], zl[keep], power[keep], acc[keep], peak[keep], streak[keep])
-            if live.size == 0:
-                break
-    total[live] = acc  # not converged: left untrusted
-    return total, ok
 
 
 @functools.lru_cache(maxsize=16)
@@ -288,20 +261,30 @@ def _contour_nodes(alpha: float, beta: float, mu: float, strip: float):
 def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Laplace inversion on parabolic contours with pole subtraction.
 
-    The pole s0 = z^{1/alpha} of 1/(s^alpha - z) in the principal sheet
-    (present iff |arg z| <= alpha*pi) lies at distance a = |s0|
-    cos^2(arg(s0)/2) along the real axis of the parabola's parameter plane.
-    A far pole (a >= 0.72) is subtracted as a residue and the point takes
-    the largest mu <= a/4 of ``_FAR_MU``: the pole then clears the contour
-    by sqrt(a/mu) - 1 >= 1, the full quadrature strip.  A near pole, or
-    none, takes mu = 2 and its clearance rounded down onto ``_NEAR_STRIP``.
-    So a row uses at most eight node sets per (alpha, beta); each is built
+    Every point of the closed unit disk takes one node set, the parabola
+    with mu = max(_FAR_MU[-1], beta - alpha) and strip ``_DISK_STRIP``.  A
+    disk point's pole s0 = z^{1/alpha}, where present, has |s0| <= 1, so it
+    lies inside that parabola, clear of it by
+    1 - sqrt(|s0|/mu) >= 1 - sqrt(1/2.88) = 0.41: the integral covers it and
+    the point needs no residue.
+
+    Outside the disk the pole in the principal sheet (present iff
+    |arg z| <= alpha*pi) lies at distance a = |s0| cos^2(arg(s0)/2) along
+    the real axis of the parabola's parameter plane.  A far pole
+    (a >= 0.72) is subtracted as a residue and the point takes the largest
+    mu <= a/4 of ``_FAR_MU``: the pole then clears the contour by
+    sqrt(a/mu) - 1 >= 1, the full quadrature strip.  A near pole, or none,
+    takes mu = 2 and its clearance rounded down onto ``_NEAR_STRIP``.
+
+    So a row uses at most nine node sets per (alpha, beta); each is built
     once (``_contour_nodes``), and each point's value is one row of the
     Cauchy product sum_k w_k / (s_k^alpha - z), in blocks of at most
     ``_CONTOUR_BLOCK`` points x nodes."""
+    sets = _NODE_SETS + ((max(_FAR_MU[-1], beta - alpha), _DISK_STRIP),)
     theta = np.angle(z)
-    pole = np.abs(theta) <= alpha * math.pi
-    which = np.full(z.shape, len(_NODE_SETS) - 1)  # index into _NODE_SETS
+    disk = np.abs(z) <= 1.0
+    pole = ~disk & (np.abs(theta) <= alpha * math.pi)
+    which = np.where(disk, len(_NODE_SETS), len(_NODE_SETS) - 1)  # into sets
     out = np.zeros(z.shape, dtype=np.complex128)  # residues, then integrals
     if pole.any():
         at = np.flatnonzero(pole)
@@ -317,7 +300,7 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         rung = np.searchsorted(_NEAR_STRIP, clear, side="right") - 1
         which[at[~far]] = len(_FAR_MU) + np.maximum(rung, 0)
     for j in np.unique(which).tolist():
-        sa, w = _contour_nodes(alpha, beta, *_NODE_SETS[j])
+        sa, w = _contour_nodes(alpha, beta, *sets[j])
         idx = np.flatnonzero(which == j)
         step = max(1, _CONTOUR_BLOCK // sa.size)
         for lo in range(0, idx.size, step):
@@ -329,9 +312,8 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
 
 def _ml_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta} over a 1-D array of arguments: the series on the unit
-    disk unless its guard trips, the asymptotic expansion from
-    ASYMPTOTIC_RADIUS on, the contour in between."""
+    """E_{alpha,beta} over a 1-D array of arguments: the asymptotic
+    expansion from ASYMPTOTIC_RADIUS on, the contour inside it."""
     if alpha > 1.0:
         # exact order reduction through the n-th roots of the argument
         n = math.ceil(alpha)
@@ -342,18 +324,11 @@ def _ml_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         parts = _ml_row(alpha / n, beta, (root[:, None] * turns).ravel())
         return parts.reshape(z.size, n).sum(axis=1) / n
     out = np.empty(z.shape, dtype=np.complex128)
-    az = np.abs(z)
-    series = az <= SERIES_RADIUS
-    far = az >= ASYMPTOTIC_RADIUS
-    contour = ~(series | far)
-    if series.any():
-        val, ok = _taylor_row(alpha, beta, z[series])
-        out[series] = val
-        contour[np.flatnonzero(series)[~ok]] = True  # guard tripped
+    far = np.abs(z) >= ASYMPTOTIC_RADIUS
     if far.any():
         out[far] = _asymptotic_row(alpha, beta, z[far])
-    if contour.any():
-        out[contour] = _contour_row(alpha, beta, z[contour])
+    if not far.all():
+        out[~far] = _contour_row(alpha, beta, z[~far])
     return out
 
 

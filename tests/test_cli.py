@@ -84,6 +84,20 @@ class TestForwardCommand:
         assert cli.main(["forward", "--config", path,
                          "--output", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("g_mode", [1, 2])
+    def test_trajectory_check_counts_the_source(self, tmp_path, g_mode):
+        # a source on the initial datum's own mode is part of that mode's
+        # response, not a deviation from it
+        cfg = forward_config(n_modes=8, time={"T": 1.0, "n_t": 50})
+        cfg["source"] = {"kind": "separable",
+                         "rho": {"kind": "const", "value": 1.0},
+                         "g": {"kind": "mode", "index": g_mode}}
+        out = tmp_path / "out"
+        assert cli.main(["forward", "--config", write_config(tmp_path, cfg),
+                         "--output", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["checks"]["kernel_trajectory_max_dev"] <= 1e-12
+
     def test_many_modes_on_unit_interval(self, tmp_path):
         # lambda_33 * T^alpha = (33 pi)^2 ~ 1.07e4 lies beyond the modulus
         # cap that ml_eval keeps; the solver kernels admit it

@@ -118,7 +118,7 @@ class TestMLEval:
 
     @pytest.mark.parametrize("alpha,beta", [(0.45, 1.0), (0.7, 1.2), (1.4, 0.9)])
     def test_array_matches_scalar_calls(self, alpha, beta):
-        # the series, contour and asymptotic regions on the left half plane
+        # the unit disk, contour and asymptotic ranges on the left half plane
         rng = np.random.default_rng(np.random.Philox(37))
         angle = math.pi * rng.uniform(0.5, 1.5, (3, 7))
         z = 80.0 * np.sqrt(rng.random((3, 7))) * np.exp(1j * angle)
@@ -302,15 +302,13 @@ class TestKernelGrid:
         ref = np.array(row["re"]) + 1j * np.array(row["im"])
         assert np.all(np.abs(grid - ref) <= 1e-15 * np.abs(ref))
 
-    def test_series_guard_falls_back_to_contour(self):
-        # A scan of both kernel rays found no argument that trips the series'
-        # cancellation guard, so the fallback to the contour is checked off
-        # the rays: z0 is a zero of E_{0.6,-0.5} inside the unit disk.
+    def test_disk_contour_near_a_zero(self):
+        # z0 is a zero of E_{0.6,-0.5} inside the unit disk, where the value
+        # is all cancellation; the disk's contour resolves it like the
+        # points beside it
         mpmath = pytest.importorskip("mpmath")
         z = np.array([0.4052576574529808, 0.3 - 0.2j, -0.9j], dtype=complex)
-        assert mlf._taylor_row(0.6, -0.5, z)[1].tolist() == [False, True, True]
         row = mlf._ml_row(0.6, -0.5, z)
-        assert row[0] == mlf._contour_row(0.6, -0.5, z[:1])[0]
         with mpmath.workdps(40):
             for v, zi in zip(row, z):
                 w = mpmath.mpc(zi.real, zi.imag)
@@ -424,6 +422,41 @@ class TestRowEvaluator:
             assert abs(got - ref) <= 1e-12 * abs(ref)
         else:  # the README's envelope for the rounded phase factor
             assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref)) * max(1.0, x ** (1 / alpha))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.05, 1.0),
+           kind=st.sampled_from(["state", "integral", "other"]),
+           other=st.floats(-0.5, 10.0),
+           radius=st.floats(0.0, 1.0),
+           angle=st.floats(-math.pi, math.pi))
+    def test_unit_disk_against_mpmath_series(self, alpha, kind, other, radius, angle):
+        # the closed unit disk is one contour node set per (alpha, beta);
+        # the kernels' beta in {1, alpha + 1} are held to a tighter bound
+        beta = {"state": 1.0, "integral": alpha + 1.0}.get(kind, other)
+        z = radius * cmath.exp(1j * angle)
+        got = complex(mlf._ml_row(alpha, beta, np.array([z]))[0])
+        ref = _mp_series(alpha, beta, z)
+        tol = 2e-15 if kind != "other" else 2e-14
+        assert abs(got - ref) <= tol * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.63, 0.99, 1.0, 1.6])
+    def test_value_at_zero(self, alpha):
+        # z = 0 is a disk point like any other: no pole and no log(0)
+        mpmath = pytest.importorskip("mpmath")
+        for beta in (1.0, alpha + 1.0, -0.5, 0.5, 2.5, 10.0):
+            ref = float(mpmath.rgamma(beta))
+            tol = 1e-15 if beta in (1.0, alpha + 1.0) else 2e-14 * max(1.0, abs(ref))
+            assert abs(ml_eval(MLParams(alpha, beta), 0.0) - ref) <= tol, beta
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.63, 0.99])
+    def test_kernels_at_lambda_zero(self, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        order = FractionalOrder(alpha)
+        state = kernel_grid(order, 0.0, np.array([0.5, 1.0]), "state")
+        integral = kernel_grid(order, 0.0, np.array([0.0, 1.0]), "integral")
+        assert np.all(np.abs(state - 1.0) <= 1e-15)
+        assert integral[0] == 0.0
+        assert abs(integral[1] - float(mpmath.rgamma(alpha + 1.0))) <= 1e-15
 
     def test_contour_row_is_pointwise(self):
         # 1e5 points over every node set, in many blocks: the row equals its
