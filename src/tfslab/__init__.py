@@ -58,7 +58,6 @@ from .inverse import (
 from .mlf import (
     FractionalOrder,
     MLParams,
-    SectorParams,
     certify_c0,
     ml_eval,
     ml_kernel,

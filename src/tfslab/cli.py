@@ -95,7 +95,10 @@ def _float_list(obj, path):
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
     ):
         raise ConfigError(f"{path} must be a list of numbers", field=path)
-    return [float(v) for v in obj]
+    values = [float(v) for v in obj]
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{path} must hold finite numbers", field=path)
+    return values
 
 
 def _datum_spec(obj, path):
@@ -180,7 +183,7 @@ def validate_config(raw: dict, problem: str) -> dict:
     if op.get("analytic"):
         _check_keys(op, "operator", ("analytic",))
     elif "a_const" in op:
-        _check_keys(op, "operator", ("a_const", "p_const"), ("kappa",))
+        _check_keys(op, "operator", ("a_const", "p_const"))
         _number(op["a_const"], "operator.a_const", lo=0.0, strict_lo=True)
         _number(op["p_const"], "operator.p_const", lo=0.0)
     else:
@@ -342,6 +345,7 @@ class _Phases:
 
     def stop(self):
         self.seconds[self._name] = time.perf_counter() - self._t0
+        log.debug("phase %s: %.6f s", self._name, self.seconds[self._name])
 
 
 def run(cfg: dict, output_dir: str, seed_override=None) -> dict:

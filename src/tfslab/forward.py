@@ -15,8 +15,7 @@ import numpy as np
 
 from ._kernels import causal_conv
 from .errors import CheckOverflowError, GridMismatchError, MLDomainError
-from .gamma import rgamma_real
-from .mlf import FractionalOrder, kernel_grid
+from .mlf import FractionalOrder, kernel_grid, rgamma_real
 from .spectral import EigenSystem, Grid1D, Tridiag, _freeze
 
 # A modal vector is a plain complex array of expansion coefficients.

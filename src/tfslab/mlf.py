@@ -22,12 +22,12 @@ import cmath
 import functools
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MLAccuracyError, MLDomainError, MLOverflowError
-from .gamma import gamma_real, rgamma_real
 
 ASYMPTOTIC_RADIUS = 50.0
 Z_MAX_DEFAULT = 1.0e4
@@ -40,6 +40,22 @@ _LOG_TARGET = math.log(1.0 / _TARGET) + 4.0  # margin on top of the tolerance
 # the selftest battery can prove its own sensitivity; ml_eval stays unscaled
 # as the battery's oracle.  Never set outside tests.
 _PERTURB = float(os.environ.get("TFSLAB_PERTURB_KERNEL", "0") or 0.0)
+
+
+def rgamma_real(x: float) -> float:
+    """1/Gamma(x) for real x: exactly 0.0 at the poles (non-positive
+    integers), and from log space above 171, where Gamma overflows and
+    1/Gamma underflows to 0.0.  Below -170 Gamma(x) underflows to a
+    subnormal or to 0, so 1/Gamma(x) leaves double range and
+    ``MLOverflowError`` is raised."""
+    if x > 171.0:
+        return math.exp(-math.lgamma(x))
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    g = math.gamma(x)
+    if abs(g) < sys.float_info.min:
+        raise MLOverflowError(f"1/Gamma({x}) exceeds double range")
+    return 1.0 / g
 
 
 @dataclass(frozen=True)
@@ -93,24 +109,6 @@ class FractionalOrder:
     def require_strict(self, what: str) -> None:
         if self.alpha >= 1.0:
             raise MLDomainError(f"{what} requires alpha strictly inside (0, 1)")
-
-
-@dataclass(frozen=True)
-class SectorParams:
-    """Sector opening mu and the empirically certified bound constant c0."""
-
-    alpha: float
-    mu: float
-    c0: float
-
-    def __post_init__(self):
-        lo, hi = 0.5 * math.pi * self.alpha, math.pi * self.alpha
-        if not (lo < self.mu < hi):
-            raise MLDomainError(
-                f"mu must lie in (pi*alpha/2, pi*alpha) = ({lo:.6g}, {hi:.6g})"
-            )
-        if not (self.c0 >= 1.0 and math.isfinite(self.c0)):
-            raise MLDomainError(f"c0 must be finite and >= 1, got {self.c0}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def _asymptotic_weights(alpha: float, beta: float, chunk: int):
         if 1.0 - x > 171.0:
             break
         rg.append(rgamma_real(x))
-        env.append(gamma_real(1.0 - x) / math.pi if x < 0.5 else abs(rg[-1]))
+        env.append(math.gamma(1.0 - x) / math.pi if x < 0.5 else abs(rg[-1]))
     return _frozen(np.array(rg), np.array(env))
 
 
@@ -371,28 +369,12 @@ def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
 
 
 def ml_kernel(order: FractionalOrder, lam: float, t: float, kind: str) -> complex:
-    """Solver kernels built from E: ``state`` = E_{a,1}(pz),
-    ``impulse`` = t^{a-1} E_{a,a}(pz), ``integral`` = t^a E_{a,a+1}(pz),
-    with pz = phase_factor * lam * t^alpha; one point of ``kernel_grid``
-    for the first and last.
-
-    The impulse kind carries the raw t^{alpha-1} singularity; callers must
-    not sample it at t = 0.
-    """
+    """Solver kernels built from E: ``state`` = E_{a,1}(pz) and
+    ``integral`` = t^a E_{a,a+1}(pz), with pz = phase_factor * lam * t^alpha;
+    one point of ``kernel_grid`` at a positive time t."""
     if t <= 0.0:
         raise MLDomainError(f"kernel time must be positive, got {t}")
-    if kind != "impulse":
-        return complex(kernel_grid(order, lam, np.array([t], dtype=float), kind)[0])
-    if lam < 0.0:
-        raise MLDomainError(f"eigenvalue must be nonnegative, got {lam}")
-    a = order.alpha
-    z = np.array([order.phase_factor * (lam * t**a)])
-    val = t ** (a - 1.0) * complex(_ml_row(a, a, z)[0])
-    if _PERTURB:
-        val *= 1.0 + _PERTURB
-    if not cmath.isfinite(val):
-        raise MLOverflowError("kernel evaluation produced a non-finite value")
-    return val
+    return complex(kernel_grid(order, lam, np.array([t], dtype=float), kind)[0])
 
 
 def kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray,

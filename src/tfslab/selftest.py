@@ -43,8 +43,15 @@ from .inverse import (
     modal_resolvent,
     order_misfit,
 )
-from .gamma import rgamma_real
-from .mlf import MLParams, FractionalOrder, certify_c0, kernel_grid, ml_eval, ml_kernel
+from .mlf import (
+    MLParams,
+    FractionalOrder,
+    certify_c0,
+    kernel_grid,
+    ml_eval,
+    ml_kernel,
+    rgamma_real,
+)
 from .observe import make_mask, observe
 from .spectral import Grid1D, OperatorSpec, analytic_eigensystem, assemble_operator, eigen_solve
 
@@ -56,10 +63,6 @@ class CriterionResult:
     runtime: float
     limit: float
     detail: str
-
-
-def _mixed(a, b):
-    return abs(a - b) / (1.0 + abs(b))
 
 
 def _safe_radius(alpha, theta, rng_r, cap=50.0):

@@ -111,11 +111,6 @@ class Tridiag:
         y[1:] += self.off.reshape((-1,) + (1,) * (x.ndim - 1)) * x[:-1]
         return y
 
-    def toarray(self) -> np.ndarray:
-        a = np.diag(self.diag)
-        a += np.diag(self.off, 1) + np.diag(self.off, -1)
-        return a
-
 
 @dataclass(frozen=True)
 class EigenGroup:

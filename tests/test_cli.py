@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import json
+import logging
 import math
 import operator
 import os
@@ -109,6 +110,15 @@ class TestForwardCommand:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["kernel_trajectory_max_dev"] <= 1e-12
+
+    def test_debug_log_names_each_phase(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="tfslab.cli")
+        cfg = write_config(tmp_path, forward_config(n_modes=2))
+        assert cli.main(["forward", "--config", cfg, "--output", str(tmp_path / "o")]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        logged = [r.getMessage().split()[1].rstrip(":") for r in caplog.records
+                  if r.name == "tfslab.cli" and r.levelno == logging.DEBUG]
+        assert sorted(logged) == sorted(report["phase_seconds"])  # once each
 
     @pytest.mark.parametrize("op", [
         {"a_const": 1e306, "p_const": 0.0},
@@ -224,10 +234,31 @@ class TestValidation:
         ({"a": [1.0] * 16, "p": [0.0] * 15, "kappa": 2.0}, "operator.kappa"),
         ({"a": [1.0] * 16, "p": [-1.0] + [0.0] * 14, "kappa": 0.5}, "operator.p"),
         ({"a": [1.0] * 15, "p": [0.0] * 15, "kappa": 0.5}, "operator.a"),
+        ({"a_const": 1.0, "p_const": 0.0, "kappa": 5.0}, "operator"),
     ])
     def test_operator_samples_checked(self, tmp_path, capsys, op, field):
         # m = 15: a on the 16 midpoints, p on the 15 nodes, kappa <= min(a)
         cfg = forward_config(grid={"L": 1.0, "m": 15}, n_modes=3, operator=op)
+        self.assert_config_error(tmp_path, capsys, cfg, field)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["initial.re", "initial.coeffs_re", "source.rho.re",
+                                       "operator.a", "operator.p"])
+    def test_nonfinite_list_entry_names_its_field(self, tmp_path, capsys, field, bad):
+        # json.load reads NaN and Infinity; m = 15 and n_t = 20
+        cfg = forward_config(
+            grid={"L": 1.0, "m": 15}, n_modes=3,
+            initial={"kind": "samples", "re": [1.0] * 15},
+            source={"kind": "separable", "rho": {"kind": "samples", "re": [1.0] * 20},
+                    "g": {"kind": "mode", "index": 1}},
+            operator={"a": [1.0] * 16, "p": [0.0] * 15, "kappa": 0.5})
+        if field == "initial.coeffs_re":
+            cfg["initial"] = {"kind": "mix", "coeffs_re": [1.0, 0.5]}
+        node = cfg
+        *parents, key = field.split(".")
+        for name in parents:
+            node = node[name]
+        node[key] = [bad] + node[key][1:]
         self.assert_config_error(tmp_path, capsys, cfg, field)
 
     def test_datum_error_names_its_path(self, tmp_path, capsys):
@@ -463,8 +494,11 @@ class TestMlEval:
         assert out["value"]["re"] == pytest.approx(math.e, rel=1e-12)
 
     def test_domain_error_exits_3(self, capsys):
-        rc = cli.main(["ml-eval", "--alpha", "-1.0", "--beta", "1.0", "--re", "1.0"])
-        assert rc == 3
+        # a negative order, and a weight 1/Gamma(-200.5) beyond double range
+        for alpha, beta, re in (("-1.0", "1.0", "1.0"), ("0.5", "-200.5", "-60")):
+            rc = cli.main(["ml-eval", "--alpha", alpha, "--beta", beta, "--re", re])
+            assert rc == 3
+            assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
 
 
 class TestSelftestCommand:

@@ -21,7 +21,6 @@ from tfslab.forward import (
     solve_forward,
     synthesize,
 )
-from tfslab.gamma import gamma_real
 from tfslab.mlf import FractionalOrder, MLParams, ml_eval, ml_kernel
 from tfslab.spectral import Grid1D, OperatorSpec, analytic_eigensystem, assemble_operator, eigen_solve
 
@@ -205,7 +204,7 @@ class TestFractionalCalculus:
         alpha = 0.5
         series = np.concatenate([[0.0], tg.times]).astype(complex)
         out = caputo_l1(series, alpha, tg)
-        expect = tg.times ** (1.0 - alpha) / gamma_real(2.0 - alpha)
+        expect = tg.times ** (1.0 - alpha) / math.gamma(2.0 - alpha)
         np.testing.assert_allclose(out.real, expect, rtol=1e-12)
         np.testing.assert_allclose(out.imag, np.zeros_like(expect), atol=1e-14)
 
@@ -217,7 +216,7 @@ class TestFractionalCalculus:
             tg = TimeGrid(1.0, n_t)
             series = np.concatenate([[0.0], tg.times**2]).astype(complex)
             out = caputo_l1(series, alpha, tg)
-            expect = gamma_real(3.0) / gamma_real(2.5) * tg.times**1.5
+            expect = math.gamma(3.0) / math.gamma(2.5) * tg.times**1.5
             errs.append(np.max(np.abs(out - expect)))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(o >= 1.4 for o in orders)  # scheme order 2 - alpha = 1.5
@@ -236,7 +235,7 @@ class TestFractionalCalculus:
         tg = TimeGrid(2.0, 16)
         beta = 0.5
         out = rl_integral(np.ones(tg.n_t, dtype=complex), beta, tg)
-        expect = tg.times**beta / gamma_real(beta + 1.0)
+        expect = tg.times**beta / math.gamma(beta + 1.0)
         np.testing.assert_allclose(out.real, expect, rtol=1e-12)
 
     def test_rl_order_one_is_running_integral(self):
@@ -252,7 +251,7 @@ class TestFractionalCalculus:
         for n_t in (100, 200):
             tg = TimeGrid(1.0, n_t)
             out = rl_integral(tg.times.astype(complex), beta, tg)
-            expect = gamma_real(2.0) / gamma_real(2.5) * tg.times**1.5
+            expect = math.gamma(2.0) / math.gamma(2.5) * tg.times**1.5
             errs.append(np.max(np.abs(out - expect)))
         assert errs[1] <= 0.6 * errs[0]
 
@@ -335,7 +334,7 @@ class TestResidualAndDuhamel:
         lam = float(eig.lambdas[0])
         values = np.outer(tg.times, eig.phis[0]).astype(complex)
         field = SpaceTimeField(values, tg, eig.grid)
-        dcap = tg.times ** 0.5 / gamma_real(1.5)
+        dcap = tg.times ** 0.5 / math.gamma(1.5)
         src = SourceSpec.separable(1j * dcap - lam * tg.times, eig.phis[0])
         r = pde_residual(field, np.zeros(eig.grid.m), src, order, A)
         assert r <= 1e-10
