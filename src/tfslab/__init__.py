@@ -44,7 +44,6 @@ from .inverse import (
     InversionResult,
     OrderSearchConfig,
     TikhonovConfig,
-    build_initial_design,
     contour_for_mode,
     convolution_sigma_min,
     extract_modal_projection,

@@ -16,14 +16,13 @@ import time
 
 import numpy as np
 
-from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, NumericalError,
-                     TfslabError)
+from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, MLDomainError,
+                     NumericalError, TfslabError)
 from .forward import (SourceSpec, TimeGrid, project, projection_tail_energy, solve_forward,
                       source_rows, state_rows)
 from .inverse import (
     OrderSearchConfig,
     TikhonovConfig,
-    build_initial_design,
     invert_initial,
     invert_order,
     invert_source,
@@ -444,16 +443,14 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
     elif problem == "invert-initial":
         y0 = _build_datum(cfg["truth"]["initial"], eig, "truth.initial")
         data = observed(y0, SourceSpec.none(), order)
-        tikhonov_tail(y0, lambda tik: invert_initial(
-            data, build_initial_design(eig, order, tg, mask, tik.n_modes), tik, eig))
+        tikhonov_tail(y0, lambda tik: invert_initial(data, order, eig, tik))
         checks["tail_energy"] = projection_tail_energy(y0, eig)
 
     elif problem == "invert-source":
         rho = _build_rho(cfg["truth"]["rho"], tg)
         g = _build_datum(cfg["truth"]["g"], eig, "truth.g")
         data = observed(np.zeros(grid.m), SourceSpec.separable(rho, g), order)
-        tikhonov_tail(g, lambda tik: invert_source(
-            data, rho, order, eig, tg, mask, tik))
+        tikhonov_tail(g, lambda tik: invert_source(data, rho, order, eig, tik))
 
     elif problem == "invert-order":
         truth_alpha = cfg["truth"]["alpha"]
@@ -465,7 +462,7 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
             inv.get("coarse_points", 25), inv.get("refine_tol", 1e-4),
         )
         phases.start("inverse")
-        result = invert_order(data, y0, eig, tg, mask, search, phase=order.phase)
+        result = invert_order(data, y0, eig, search, phase=order.phase)
         phases.stop()
         checks["alpha_hat"] = result.order
         checks["alpha_abs_error"] = abs(result.order - truth_alpha)
@@ -537,9 +534,16 @@ def _cmd_experiment(problem, args):
 
 def _cmd_ml_eval(args):
     try:
-        params = MLParams(args.alpha, args.beta)
-        value = ml_eval(params, complex(args.re, args.im),
+        params = MLParams(_number(args.alpha, "alpha", lo=0.0, strict_lo=True),
+                          _number(args.beta, "beta"))
+        value = ml_eval(params, complex(_number(args.re, "re"), _number(args.im, "im")),
                         verify=not args.no_verify)
+    except ConfigError as exc:
+        _error_json("config", str(exc), exc.field)
+        return 2
+    except MLDomainError as exc:  # the modulus cap
+        _error_json("config", str(exc), "z")
+        return 2
     except TfslabError as exc:
         _error_json("numerical", str(exc))
         return 3

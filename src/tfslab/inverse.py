@@ -134,29 +134,35 @@ def contour_for_mode(eig: EigenSystem, ell: int, n_quad: int = 64,
 def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     """Minimize |G c - d|^2 + gamma |c|^2 from one thin SVD G = U S V*,
     with Tikhonov filter factors: c = V diag(s / (s^2 + gamma)) U* d.
-    For gamma = 0 the design must be numerically full rank."""
-    if G.shape[0] != d.size:
-        raise GridMismatchError(f"design rows {G.shape[0]} vs data size {d.size}")
+    For gamma = 0 the design must be numerically full rank; a design with
+    fewer rows than columns has a null space, so its sigma_min is 0."""
     if not (np.isfinite(G).all() and np.isfinite(d).all()):
         raise OperatorOverflowError("weighted design or data overflow double precision")
     U, s, Vh = scipy.linalg.svd(G, full_matrices=False)
-    smin, smax = float(s[-1]), float(s[0])
+    smin = 0.0 if G.shape[0] < G.shape[1] else float(s[-1])
+    smax = float(s[0])
     if gamma == 0.0 and smin <= 1e-8 * smax:
         raise RankDeficientError(
             f"design matrix is rank deficient (sigma_min/sigma_max = "
             f"{smin / max(smax, 1e-300):.3e}); use gamma > 0"
         )
-    coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ d))
-    resid = float(np.linalg.norm(G @ coeffs - d))
+    # data near the float range can overflow the coefficients; the CLI's
+    # finiteness checks turn that into exit 3
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ d))
+        resid = float(np.linalg.norm(G @ coeffs - d))
     diag = {"sigma_min": smin, "sigma_max": smax}
     return coeffs, resid, diag
 
 
-def _tikhonov_result(G: np.ndarray, data: ObservedData, tg: TimeGrid,
-                     cfg: TikhonovConfig, eig: EigenSystem) -> InversionResult:
+def _tikhonov_result(data: ObservedData, order: FractionalOrder, eig: EigenSystem,
+                     cfg: TikhonovConfig, rho: np.ndarray = None) -> InversionResult:
     """Tikhonov recovery of the modal coefficients behind ``data`` and their
-    synthesis; the data are weighted by sqrt(h dt) like the design."""
-    d = math.sqrt(data.mask.grid.h * tg.dt) * data.values.ravel()
+    synthesis, through the design on the data's mask and time grid; the data
+    are weighted by sqrt(h dt) like the design."""
+    G = _separable_design(eig, order, data.tg, data.mask, cfg.n_modes, rho)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _tikhonov_solve
+        d = math.sqrt(data.mask.grid.h * data.tg.dt) * data.values.ravel()
     coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
     return InversionResult(
         residual=resid,
@@ -190,27 +196,18 @@ def _separable_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
     phi_masked = eig.phis[:n_modes, mask.indices]
     # (time, node) rows in C order, like the ravelled observations
     w = math.sqrt(eig.grid.h * tg.dt)
-    return w * (rows.T[:, None, :] * phi_masked.T).reshape(-1, n_modes)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _tikhonov_solve
+        return w * (rows.T[:, None, :] * phi_masked.T).reshape(-1, n_modes)
 
 
-def build_initial_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
-                         mask: ObservationMask, n_modes: int) -> np.ndarray:
-    """Observation operator of the initial-data problem: column n carries
-    E_{a,1}(p lam_n t_i^a) phi_n(x_j) sqrt(h dt)."""
-    return _separable_design(eig, order, tg, mask, n_modes)
-
-
-def invert_initial(data: ObservedData, G: np.ndarray, cfg: TikhonovConfig,
-                   eig: EigenSystem) -> InversionResult:
+def invert_initial(data: ObservedData, order: FractionalOrder, eig: EigenSystem,
+                   cfg: TikhonovConfig) -> InversionResult:
     """Tikhonov recovery of the initial datum from masked observations."""
-    if G.shape[1] != cfg.n_modes:
-        raise GridMismatchError(f"design cols {G.shape[1]} vs n_modes {cfg.n_modes}")
-    return _tikhonov_result(G, data, data.tg, cfg, eig)
+    return _tikhonov_result(data, order, eig, cfg)
 
 
 def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder,
-                  eig: EigenSystem, tg: TimeGrid, mask: ObservationMask,
-                  cfg: TikhonovConfig) -> InversionResult:
+                  eig: EigenSystem, cfg: TikhonovConfig) -> InversionResult:
     """Tikhonov recovery of the spatial factor g of a separable source
     rho(t) g(x); the temporal factor must not vanish identically."""
     rho = np.asarray(rho, dtype=np.complex128)
@@ -219,25 +216,25 @@ def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder,
             "temporal factor rho vanishes identically; the spatial factor "
             "is not identifiable"
         )
-    if rho.shape[0] != tg.n_t:
-        raise GridMismatchError(f"rho sampled at {rho.shape[0]} times vs {tg.n_t}")
-    G = _separable_design(eig, order, tg, mask, cfg.n_modes, rho)
-    return _tikhonov_result(G, data, tg, cfg, eig)
+    if rho.shape[0] != data.tg.n_t:
+        raise GridMismatchError(f"rho sampled at {rho.shape[0]} times vs {data.tg.n_t}")
+    return _tikhonov_result(data, order, eig, cfg, rho)
 
 
 def order_misfit(data: ObservedData, y0: np.ndarray, alpha: float,
-                 phase: str, eig: EigenSystem, tg: TimeGrid,
-                 mask: ObservationMask) -> float:
+                 phase: str, eig: EigenSystem) -> float:
     """Squared weighted misfit between the observation of the homogeneous
     alpha-solution and the data."""
+    if data.mask.grid != eig.grid:
+        raise GridMismatchError("mask and eigensystem live on different grids")
     order = FractionalOrder(alpha, phase)
-    diff = mask.restrict(eval_homogeneous(y0, order, eig, tg.times)) - data.values
+    tg = data.tg
+    diff = data.mask.restrict(eval_homogeneous(y0, order, eig, tg.times)) - data.values
     return float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
 
 
 def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
-                 tg: TimeGrid, mask: ObservationMask, cfg: OrderSearchConfig,
-                 phase: str = "standard_i") -> InversionResult:
+                 cfg: OrderSearchConfig, phase: str = "standard_i") -> InversionResult:
     """Order recovery by misfit minimization: coarse scan over the bracket
     followed by golden-section refinement (the landscape may be
     non-convex).  A flat landscape is flagged rather than minimized."""
@@ -246,7 +243,7 @@ def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
         raise SourceHypothesisError("generating datum u must not vanish")
     alphas = np.linspace(cfg.alpha_lo, cfg.alpha_hi, cfg.coarse_points)
     misfits = np.array(
-        [order_misfit(data, y0, float(a), phase, eig, tg, mask) for a in alphas]
+        [order_misfit(data, y0, float(a), phase, eig) for a in alphas]
     )
     spread = float(misfits.max() - misfits.min())
     if spread <= 1e-13 * (1.0 + float(misfits.max())):
@@ -261,22 +258,22 @@ def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
     a, b = float(lo), float(hi)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = order_misfit(data, y0, x1, phase, eig, tg, mask)
-    f2 = order_misfit(data, y0, x2, phase, eig, tg, mask)
+    f1 = order_misfit(data, y0, x1, phase, eig)
+    f2 = order_misfit(data, y0, x2, phase, eig)
     # below the bracket's float resolution the golden points land on its
     # ends and the bracket stops shrinking, so the search ends there too
     while b - a > cfg.refine_tol and a < x1 < b and a < x2 < b:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = order_misfit(data, y0, x1, phase, eig, tg, mask)
+            f1 = order_misfit(data, y0, x1, phase, eig)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = order_misfit(data, y0, x2, phase, eig, tg, mask)
+            f2 = order_misfit(data, y0, x2, phase, eig)
         iters += 1
     alpha_hat = 0.5 * (a + b)
-    final = order_misfit(data, y0, alpha_hat, phase, eig, tg, mask)
+    final = order_misfit(data, y0, alpha_hat, phase, eig)
     return InversionResult(
         residual=final,
         reg_norm=0.0,

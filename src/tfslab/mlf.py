@@ -44,15 +44,16 @@ _PERTURB = float(os.environ.get("TFSLAB_PERTURB_KERNEL", "0") or 0.0)
 
 def rgamma_real(x: float) -> float:
     """1/Gamma(x) for real x: exactly 0.0 at the poles (non-positive
-    integers), and from log space above 171, where Gamma overflows and
-    1/Gamma underflows to 0.0.  Below -170 Gamma(x) underflows to a
-    subnormal or to 0, so 1/Gamma(x) leaves double range and
-    ``MLOverflowError`` is raised."""
-    if x > 171.0:
-        return math.exp(-math.lgamma(x))
+    integers), and from log space where Gamma overflows (x > 171.624...),
+    where 1/Gamma is subnormal or underflows to 0.0.  Below -170 Gamma(x)
+    underflows to a subnormal or to 0, so 1/Gamma(x) leaves double range
+    and ``MLOverflowError`` is raised."""
     if x <= 0.0 and x == math.floor(x):
         return 0.0
-    g = math.gamma(x)
+    try:
+        g = math.gamma(x)
+    except OverflowError:
+        return math.exp(-math.lgamma(x))
     if abs(g) < sys.float_info.min:
         raise MLOverflowError(f"1/Gamma({x}) exceeds double range")
     return 1.0 / g

@@ -49,8 +49,8 @@ class ObservationMask:
 
 @dataclass(frozen=True)
 class ObservedData:
-    """Masked field samples, possibly noisy; column count equals the number
-    of captured nodes."""
+    """Masked field samples, possibly noisy: one row per time of ``tg`` and
+    one column per captured node of ``mask``."""
 
     values: np.ndarray
     mask: ObservationMask
@@ -60,9 +60,9 @@ class ObservedData:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.ndim != 2 or vals.shape[1] != self.mask.n_nodes:
+        if vals.shape != (self.tg.n_t, self.mask.n_nodes):
             raise GridMismatchError(
-                f"data shape {vals.shape} vs {self.mask.n_nodes} masked nodes"
+                f"data shape {vals.shape} vs {self.tg.n_t} times x {self.mask.n_nodes} nodes"
             )
         object.__setattr__(self, "values", _freeze(vals))
         if self.noise_level < 0.0:

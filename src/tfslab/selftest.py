@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SourceHypothesisError
 from .forward import (
@@ -33,7 +32,6 @@ from .forward import (
 from .inverse import (
     OrderSearchConfig,
     TikhonovConfig,
-    build_initial_design,
     contour_for_mode,
     extract_modal_projection,
     invert_initial,
@@ -223,18 +221,17 @@ def _c8_initial_recovery():
     # columns oscillatory enough that the design is well conditioned
     grid, eig, tg, mask = _recovery_setup()
     order = FractionalOrder(0.95)
-    G = build_initial_design(eig, order, tg, mask, 8)
-    smin = float(scipy.linalg.svdvals(G)[-1])
-    assert smin > 0.0, "sigma_min(G) vanished"
     y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
     truth = project(y0, eig)[:8]
     fieldv = solve_forward(y0, SourceSpec.none(), order, eig, tg)
     clean = observe(fieldv, mask, 0.0, 0)
-    res = invert_initial(clean, G, TikhonovConfig(1e-10, 8), eig)
+    res = invert_initial(clean, order, eig, TikhonovConfig(1e-10, 8))
+    smin = res.diagnostics["sigma_min"]
+    assert smin > 0.0, "sigma_min(G) vanished"
     err_clean = float(np.linalg.norm(res.modal - truth))
     assert err_clean <= 1e-6, f"noiseless recovery error {err_clean:.3e} > 1e-6"
     noisy = observe(fieldv, mask, 1e-3, 7)
-    resn = invert_initial(noisy, G, TikhonovConfig(1e-6, 8), eig)
+    resn = invert_initial(noisy, order, eig, TikhonovConfig(1e-6, 8))
     err_noisy = float(np.linalg.norm(resn.modal - truth) / np.linalg.norm(truth))
     assert err_noisy <= 1e-1, f"noisy recovery error {err_noisy:.3e} > 1e-1"
     return f"sigma_min {smin:.2e}; errors {err_clean:.1e} / {err_noisy:.1e}"
@@ -247,14 +244,13 @@ def _c9_source_recovery():
     g = eig.phis[1].astype(complex)
     fieldv = solve_forward(np.zeros(grid.m), SourceSpec.separable(rho, g), order, eig, tg)
     clean = observe(fieldv, mask, 0.0, 0)
-    res = invert_source(clean, rho, order, eig, tg, mask, TikhonovConfig(1e-12, 8))
+    res = invert_source(clean, rho, order, eig, TikhonovConfig(1e-12, 8))
     truth = np.zeros(8, dtype=complex)
     truth[1] = 1.0
     err = float(np.linalg.norm(res.modal - truth))
     assert err <= 1e-5, f"source recovery error {err:.3e} > 1e-5"
     try:
-        invert_source(clean, np.zeros(tg.n_t), order, eig, tg, mask,
-                      TikhonovConfig(1e-12, 8))
+        invert_source(clean, np.zeros(tg.n_t), order, eig, TikhonovConfig(1e-12, 8))
     except SourceHypothesisError:
         pass
     else:
@@ -269,10 +265,10 @@ def _c10_order_recovery():
     fieldv = solve_forward(y0, SourceSpec.none(), truth_order, eig, tg)
     data = observe(fieldv, mask, 0.0, 0)
     cfg = OrderSearchConfig(0.25, 0.85, 25, 1e-4)
-    res = invert_order(data, y0, eig, tg, mask, cfg)
+    res = invert_order(data, y0, eig, cfg)
     err = abs(res.order - 0.5)
     assert err <= 1e-3, f"|alpha_hat - 0.5| = {err:.3e} > 1e-3"
-    m_other = order_misfit(data, y0, 0.7, "standard_i", eig, tg, mask)
+    m_other = order_misfit(data, y0, 0.7, "standard_i", eig)
     d_norm2 = float(grid.h * tg.dt * np.sum(np.abs(data.values) ** 2))
     assert m_other > 1e-3 * d_norm2, (
         f"misfit at |alpha-beta|=0.2 is {m_other:.3e}, not discriminating "

@@ -208,8 +208,9 @@ def assemble_operator(spec: OperatorSpec, grid: Grid1D) -> Tridiag:
             f"nodes, grid has m={grid.m}"
         )
     h2 = grid.h * grid.h
-    diag = (spec.a[:-1] + spec.a[1:]) / h2 + spec.p
-    off = -spec.a[1:-1] / h2
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        diag = (spec.a[:-1] + spec.a[1:]) / h2 + spec.p
+        off = -spec.a[1:-1] / h2
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise OperatorOverflowError(
             f"operator stencil overflows double precision at spacing h={grid.h:.4g}"
@@ -217,7 +218,7 @@ def assemble_operator(spec: OperatorSpec, grid: Grid1D) -> Tridiag:
     return Tridiag(diag, off)
 
 
-def eigen_solve(A: Tridiag, N: int, grid: Grid1D, dedup_tol=None) -> EigenSystem:
+def eigen_solve(A: Tridiag, N: int, grid: Grid1D) -> EigenSystem:
     """First N eigenpairs of a symmetric tridiagonal matrix, h-orthonormal,
     with distinct-eigenvalue grouping."""
     if N > A.n:
@@ -243,6 +244,5 @@ def eigen_solve(A: Tridiag, N: int, grid: Grid1D, dedup_tol=None) -> EigenSystem
     worst = np.max(np.linalg.norm(resid, axis=0) / (scale * np.linalg.norm(phi.T, axis=0)))
     if worst > RAYLEIGH_TOL:
         raise EigenSolveError(f"Rayleigh residual {worst:.3e} exceeds {RAYLEIGH_TOL}")
-    if dedup_tol is None:
-        dedup_tol = 1e-8 * max(abs(lam[-1]), 1.0)
-    return EigenSystem(grid, lam, phi, _group_distinct(lam, dedup_tol))
+    tol = 1e-8 * max(abs(lam[-1]), 1.0)
+    return EigenSystem(grid, lam, phi, _group_distinct(lam, tol))

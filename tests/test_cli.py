@@ -493,12 +493,29 @@ class TestMlEval:
         out = json.loads(capsys.readouterr().out)
         assert out["value"]["re"] == pytest.approx(math.e, rel=1e-12)
 
-    def test_domain_error_exits_3(self, capsys):
-        # a negative order, and a weight 1/Gamma(-200.5) beyond double range
-        for alpha, beta, re in (("-1.0", "1.0", "1.0"), ("0.5", "-200.5", "-60")):
-            rc = cli.main(["ml-eval", "--alpha", alpha, "--beta", beta, "--re", re])
-            assert rc == 3
-            assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--alpha", "-1.0", "alpha"),
+        ("--alpha", "inf", "alpha"),
+        ("--beta", "nan", "beta"),
+        ("--re", "inf", "re"),
+        ("--im", "nan", "im"),
+        ("--re", "2e4", "z"),  # beyond ml_eval's modulus cap
+    ])
+    def test_invalid_argument_exits_2(self, capsys, flag, value, field):
+        args = {"--alpha": "0.5", "--beta": "1.0", "--re": "1.0", flag: value}
+        rc = cli.main(["ml-eval", *(x for kv in args.items() for x in kv)])
+        assert rc == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert (error["kind"], error["field"]) == ("config", field)
+
+    @pytest.mark.parametrize("alpha,beta,re,im", [
+        ("0.5", "-200.5", "-60", "0"),  # a weight 1/Gamma(-200.5) beyond double range
+        ("0.5", "6", "1.0842888513528421", "1.401845338008663"),  # recurrence check
+    ], ids=["overflow", "recurrence"])
+    def test_numerical_failure_exits_3(self, capsys, alpha, beta, re, im):
+        rc = cli.main(["ml-eval", "--alpha", alpha, "--beta", beta, "--re", re, "--im", im])
+        assert rc == 3
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
 
 
 class TestSelftestCommand:

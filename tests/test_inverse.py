@@ -18,7 +18,6 @@ from tfslab.forward import SourceSpec, TimeGrid, project, solve_forward
 from tfslab.inverse import (
     OrderSearchConfig,
     TikhonovConfig,
-    build_initial_design,
     contour_for_mode,
     convolution_sigma_min,
     extract_modal_projection,
@@ -67,13 +66,13 @@ class TestDesignMatrix:
                            EigenGroup(2.0, 2, 3)))
         tg = TimeGrid(1.0, 5)
         mask = make_mask([(0.0, 1.0)], grid)
-        G = build_initial_design(eig, FractionalOrder(0.5), tg, mask, 3)
+        G = inverse._separable_design(eig, FractionalOrder(0.5), tg, mask, 3)
         col = G[:, 0].reshape(5, 3)
         assert np.max(np.abs(col - col[0])) <= 1e-6 * np.max(np.abs(col))
 
     def test_weighting(self, setup):
         grid, eig, tg, mask = setup
-        G = build_initial_design(eig, FractionalOrder(0.5), tg, mask, 4)
+        G = inverse._separable_design(eig, FractionalOrder(0.5), tg, mask, 4)
         # first column at the first time: E * phi * sqrt(h dt)
         from tfslab.mlf import ml_kernel
 
@@ -87,7 +86,7 @@ class TestDesignMatrix:
         sigmas = []
         for iv in ((0.2, 0.8), (0.2, 0.5), (0.2, 0.4)):
             mask = make_mask([iv], grid)
-            G = build_initial_design(eig, FractionalOrder(0.9), tg, mask, 8)
+            G = inverse._separable_design(eig, FractionalOrder(0.9), tg, mask, 8)
             sigmas.append(scipy.linalg.svdvals(G)[-1])
         assert sigmas[0] > 0.0
         assert sigmas[0] >= sigmas[1] >= sigmas[2] > 0.0
@@ -97,21 +96,19 @@ class TestInvertInitial:
     def test_zero_data_gives_zero(self, setup):
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
-        G = build_initial_design(eig, order, tg, mask, 8)
         zero = observe(
             solve_forward(np.zeros(grid.m), SourceSpec.none(), order, eig, tg),
             mask, 0.0, 0)
-        res = invert_initial(zero, G, TikhonovConfig(1e-8, 8), eig)
+        res = invert_initial(zero, order, eig, TikhonovConfig(1e-8, 8))
         assert np.max(np.abs(res.modal)) == 0.0
 
     def test_noiseless_single_mode(self, setup):
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
-        G = build_initial_design(eig, order, tg, mask, 8)
         y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(), order,
                           eig, tg)
-        res = invert_initial(observe(y, mask, 0.0, 0), G,
-                             TikhonovConfig(1e-10, 8), eig)
+        res = invert_initial(observe(y, mask, 0.0, 0), order, eig,
+                             TikhonovConfig(1e-10, 8))
         e1 = np.zeros(8, dtype=complex)
         e1[0] = 1.0
         assert np.linalg.norm(res.modal - e1) <= 1e-6
@@ -119,39 +116,47 @@ class TestInvertInitial:
     def test_noisy_mixed_recovery(self, setup):
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
-        G = build_initial_design(eig, order, tg, mask, 8)
         y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
         y = solve_forward(y0.astype(complex), SourceSpec.none(), order, eig, tg)
         # discrepancy-flavored choice: gamma at the noise-power scale
-        res = invert_initial(observe(y, mask, 1e-3, 5), G,
-                             TikhonovConfig(1e-6, 8), eig)
+        res = invert_initial(observe(y, mask, 1e-3, 5), order, eig,
+                             TikhonovConfig(1e-6, 8))
         truth = project(y0.astype(complex), eig)
         rel = np.linalg.norm(res.modal - truth) / np.linalg.norm(truth)
         assert rel <= 1e-1
 
     def test_rank_deficient_rejected_at_zero_gamma(self, setup):
-        grid, eig, tg, mask = setup
+        # one node at two times gives 2 data rows for 8 unknowns: the thin
+        # SVD returns 2 singular values, none of them zero, yet the design
+        # has a null space
+        grid = Grid1D(1.0, 15)
+        eig = analytic_eigensystem(1.0, 8, grid)
         order = FractionalOrder(0.5)
-        G = build_initial_design(eig, order, tg, mask, 8)
-        G = np.column_stack([G, G[:, -1]])  # duplicated column
+        tg = TimeGrid(1.0, 2)
+        mask = make_mask([(0.5, 0.53)], grid)
+        assert mask.n_nodes == 1
         y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(), order,
                           eig, tg)
-        data = observe(y, mask, 0.0, 0)
         with pytest.raises(RankDeficientError):
-            invert_initial(data, G, TikhonovConfig(0.0, 9), eig)
+            invert_initial(observe(y, mask, 0.0, 0), order, eig, TikhonovConfig(0.0, 8))
+        # a tall design with a duplicated column
+        grid, eig, tg, mask = setup
+        G = inverse._separable_design(eig, order, tg, mask, 8)
+        G = np.column_stack([G, G[:, -1]])
+        with pytest.raises(RankDeficientError):
+            inverse._tikhonov_solve(G, G[:, 0], 0.0)
 
     def test_tikhonov_noise_ladder(self, setup):
         # gamma = noise^2: reconstruction error decreases with the noise
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
-        G = build_initial_design(eig, order, tg, mask, 8)
         y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
         truth = project(y0.astype(complex), eig)
         y = solve_forward(y0.astype(complex), SourceSpec.none(), order, eig, tg)
         errs = []
         for level in (1e-2, 1e-3, 1e-4):
             data = observe(y, mask, level, 11)
-            res = invert_initial(data, G, TikhonovConfig(level**2, 8), eig)
+            res = invert_initial(data, order, eig, TikhonovConfig(level**2, 8))
             errs.append(np.linalg.norm(res.modal - truth))
         assert errs[0] > errs[1] > errs[2]
 
@@ -160,12 +165,12 @@ class TestInvertInitial:
         # problem on [G; sqrt(gamma) I] c = [d; 0]
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
-        G = build_initial_design(eig, order, tg, mask, 8)
+        G = inverse._separable_design(eig, order, tg, mask, 8)
         y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
         y = solve_forward(y0.astype(complex), SourceSpec.none(), order, eig, tg)
         data = observe(y, mask, 1e-3, 5)
         gamma = 1e-6
-        res = invert_initial(data, G, TikhonovConfig(gamma, 8), eig)
+        res = invert_initial(data, order, eig, TikhonovConfig(gamma, 8))
         d = math.sqrt(grid.h * tg.dt) * data.values.ravel()
         A = np.vstack([G, math.sqrt(gamma) * np.eye(8)])
         ref = np.linalg.lstsq(A, np.concatenate([d, np.zeros(8)]), rcond=None)[0]
@@ -182,7 +187,7 @@ class TestInvertSource:
         rho = np.ones(tg.n_t, dtype=complex)
         y = solve_forward(np.zeros(grid.m),
                           SourceSpec.separable(rho, eig.phis[1]), order, eig, tg)
-        res = invert_source(observe(y, mask, 0.0, 0), rho, order, eig, tg, mask,
+        res = invert_source(observe(y, mask, 0.0, 0), rho, order, eig,
                             TikhonovConfig(1e-12, 8))
         e2 = np.zeros(8, dtype=complex)
         e2[1] = 1.0
@@ -195,8 +200,7 @@ class TestInvertSource:
         zero = observe(
             solve_forward(np.zeros(grid.m), SourceSpec.none(), order, eig, tg),
             mask, 0.0, 0)
-        res = invert_source(zero, rho, order, eig, tg, mask,
-                            TikhonovConfig(1e-10, 8))
+        res = invert_source(zero, rho, order, eig, TikhonovConfig(1e-10, 8))
         assert np.max(np.abs(res.modal)) <= 1e-14
 
     def test_parabolic_rho_mixture_recovery(self, setup):
@@ -209,7 +213,7 @@ class TestInvertSource:
                           order, eig, tg)
         # the weighted source columns are O(1e-4), so gamma sits at the
         # squared-noise scale of the weighted data, not of the raw field
-        res = invert_source(observe(y, mask, 1e-3, 3), rho, order, eig, tg, mask,
+        res = invert_source(observe(y, mask, 1e-3, 3), rho, order, eig,
                             TikhonovConfig(1e-12, 8))
         truth = project(g, eig)
         rel = np.linalg.norm(res.modal - truth) / np.linalg.norm(truth)
@@ -222,8 +226,7 @@ class TestInvertSource:
             solve_forward(np.zeros(grid.m), SourceSpec.none(), order, eig, tg),
             mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
-            invert_source(zero, np.zeros(tg.n_t), order, eig, tg, mask,
-                          TikhonovConfig(1e-10, 8))
+            invert_source(zero, np.zeros(tg.n_t), order, eig, TikhonovConfig(1e-10, 8))
 
 
 class TestSourceGuards:
@@ -233,33 +236,55 @@ class TestSourceGuards:
         data = observe(solve_forward(np.zeros(grid.m), SourceSpec.none(),
                                      FractionalOrder(0.5), eig, tg), mask, 0.0, 0)
         with pytest.raises(GridMismatchError):
-            invert_source(data, rho, FractionalOrder(0.5), eig, tg, mask,
+            invert_source(data, rho, FractionalOrder(0.5), eig,
                           TikhonovConfig(1e-10, eig.n + 1))
 
     def test_mask_on_another_grid(self, setup):
+        # data observed on m = 49 nodes, inverted with an eigensystem on 99
         grid, eig, tg, mask = setup
+        coarse = Grid1D(1.0, 49)
+        eig49 = analytic_eigensystem(1.0, 8, coarse)
+        order = FractionalOrder(0.5)
+        y0 = eig49.phis[0].astype(complex)
+        data = observe(solve_forward(y0, SourceSpec.none(), order, eig49, tg),
+                       make_mask([(0.2, 0.4)], coarse), 0.0, 0)
         rho = np.ones(tg.n_t, dtype=complex)
-        data = observe(solve_forward(np.zeros(grid.m), SourceSpec.none(),
-                                     FractionalOrder(0.5), eig, tg), mask, 0.0, 0)
-        other = make_mask([(0.2, 0.4)], Grid1D(1.0, 49))
         with pytest.raises(GridMismatchError):
-            invert_source(data, rho, FractionalOrder(0.5), eig, tg, other,
-                          TikhonovConfig(1e-10, 4))
+            invert_initial(data, order, eig, TikhonovConfig(1e-10, 4))
+        with pytest.raises(GridMismatchError):
+            invert_source(data, rho, order, eig, TikhonovConfig(1e-10, 4))
+        with pytest.raises(GridMismatchError):
+            invert_order(data, eig.phis[0].astype(complex), eig,
+                         OrderSearchConfig(0.25, 0.85, 25, 1e-4))
 
     @pytest.mark.parametrize("where", ["mask", "time"])
     def test_data_observed_elsewhere(self, setup, where):
+        # each inversion reads E and the time grid from the data, so data
+        # observed off the fixture's set, or up to another horizon, invert
+        # to the truth at the noiseless tests' tolerances
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.5)
-        data_tg, data_mask = tg, mask
         if where == "mask":
-            data_mask = make_mask([(0.5, 0.9)], grid)
-        else:
-            data_tg = TimeGrid(tg.T, tg.n_t // 2)
-        data = observe(solve_forward(eig.phis[0].astype(complex), SourceSpec.none(),
-                                     order, eig, data_tg), data_mask, 0.0, 0)
+            mask = make_mask([(0.5, 0.7)], grid)
+        else:  # twice the horizon at the same step
+            tg = TimeGrid(2.0 * tg.T, 2 * tg.n_t)
+
+        def observed(y0, src, order):
+            return observe(solve_forward(y0, src, order, eig, tg), mask, 0.0, 0)
+
+        unit = np.eye(8, dtype=complex)
+        order = FractionalOrder(0.9)
+        y0 = eig.phis[0].astype(complex)
+        res = invert_initial(observed(y0, SourceSpec.none(), order), order, eig,
+                             TikhonovConfig(1e-10, 8))
+        assert np.linalg.norm(res.modal - unit[0]) <= 1e-6
+        order = FractionalOrder(0.95)
         rho = np.ones(tg.n_t, dtype=complex)
-        with pytest.raises(GridMismatchError):
-            invert_source(data, rho, order, eig, tg, mask, TikhonovConfig(1e-10, 4))
+        data = observed(np.zeros(grid.m), SourceSpec.separable(rho, eig.phis[1]), order)
+        res = invert_source(data, rho, order, eig, TikhonovConfig(1e-12, 8))
+        assert np.linalg.norm(res.modal - unit[1]) <= 1e-5
+        data = observed(y0, SourceSpec.none(), FractionalOrder(0.5))
+        res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-4))
+        assert abs(res.order - 0.5) <= 1e-3
 
 
 class TestModalDesignsMatchForwardSolves:
@@ -305,7 +330,7 @@ class TestModalDesignsMatchForwardSolves:
             traj = solve_forward(y0, SourceSpec.none(), trial, eig, tg)
             diff = mask.restrict(traj.values) - data.values
             ref = float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
-            assert order_misfit(data, y0, alpha, order.phase, eig, tg, mask) == ref
+            assert order_misfit(data, y0, alpha, order.phase, eig) == ref
 
 
 class TestInvertOrder:
@@ -314,8 +339,7 @@ class TestInvertOrder:
         y0 = eig.phis[0].astype(complex)
         y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.5), eig, tg)
         data = observe(y, mask, 0.0, 0)
-        res = invert_order(data, y0, eig, tg, mask,
-                           OrderSearchConfig(0.25, 0.85, 25, 1e-4))
+        res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-4))
         assert abs(res.order - 0.5) <= 1e-3
         assert res.residual <= 1e-10
 
@@ -324,14 +348,14 @@ class TestInvertOrder:
         y0 = eig.phis[0].astype(complex)
         y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.4), eig, tg)
         data = observe(y, mask, 0.0, 0)
-        assert order_misfit(data, y0, 0.4, "standard_i", eig, tg, mask) <= 1e-22
+        assert order_misfit(data, y0, 0.4, "standard_i", eig) <= 1e-22
 
     def test_discriminability(self, setup):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
         y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.4), eig, tg)
         data = observe(y, mask, 0.0, 0)
-        m = order_misfit(data, y0, 0.6, "standard_i", eig, tg, mask)
+        m = order_misfit(data, y0, 0.6, "standard_i", eig)
         d2 = float(grid.h * tg.dt * np.sum(np.abs(data.values) ** 2))
         assert m > 1e-3 * d2
 
@@ -341,8 +365,7 @@ class TestInvertOrder:
         y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.5), eig, tg)
         data = observe(y, mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
-            invert_order(data, np.zeros(grid.m), eig, tg, mask,
-                         OrderSearchConfig(0.3, 0.7))
+            invert_order(data, np.zeros(grid.m), eig, OrderSearchConfig(0.3, 0.7))
 
     def test_refine_tol_below_float_resolution_ends(self, setup, monkeypatch):
         # the bracket cannot shrink below one ulp; a tolerance under that
@@ -359,8 +382,7 @@ class TestInvertOrder:
             return order_misfit(*args)
 
         monkeypatch.setattr(inverse, "order_misfit", counted)
-        res = invert_order(data, y0, eig, tg, mask,
-                           OrderSearchConfig(0.25, 0.85, 25, 1e-300))
+        res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-300))
         assert abs(res.order - 0.5) <= 1e-3
 
     def test_flat_landscape_flagged(self, setup, monkeypatch):
@@ -373,8 +395,7 @@ class TestInvertOrder:
         monkeypatch.setattr(inv, "order_misfit",
                             lambda *args, **kw: 1.0)
         with pytest.raises(FlatMisfitError):
-            inv.invert_order(data, y0, eig, tg, mask,
-                             OrderSearchConfig(0.3, 0.7, 5, 1e-3))
+            inv.invert_order(data, y0, eig, OrderSearchConfig(0.3, 0.7, 5, 1e-3))
 
 
 class TestLaplaceIdentity:

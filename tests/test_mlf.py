@@ -68,12 +68,14 @@ class TestRgamma:
             rgamma_real(x)
 
     def test_rgamma_against_mpmath(self):
-        # the positive axis, both sides of the poles down to -169, and the
-        # sixth weight 1/Gamma(beta - 6 alpha) of the integral kernel's
-        # expansion at alpha = 0.6, next to the pole at -2
+        # the positive axis up to where Gamma overflows (171.6243...), both
+        # sides of the poles down to -169, and the sixth weight
+        # 1/Gamma(beta - 6 alpha) of the integral kernel's expansion at
+        # alpha = 0.6, next to the pole at -2
         mpmath = pytest.importorskip("mpmath")
         near = [-k + d for k in range(1, 170) for d in (1e-3, -1e-3, 1e-6, -1e-6, 1e-9)]
-        xs = np.linspace(0.5, 12.0, 2001).tolist() + near + [1.6 - 0.6 * 6]
+        axis = np.concatenate((np.linspace(0.5, 12.0, 2001), np.linspace(12.0, 171.624, 2501)))
+        xs = axis.tolist() + [171.2, 171.6] + near + [1.6 - 0.6 * 6]
         with mpmath.workdps(40):
             for x in xs:
                 ref = mpmath.rgamma(mpmath.mpf(x))

@@ -6,7 +6,7 @@ import pytest
 from tfslab.errors import EmptyMaskError, GridMismatchError
 from tfslab.forward import SourceSpec, SpaceTimeField, TimeGrid, solve_forward
 from tfslab.mlf import FractionalOrder
-from tfslab.observe import make_mask, masked_norm, observe
+from tfslab.observe import ObservedData, make_mask, masked_norm, observe
 from tfslab.spectral import Grid1D, analytic_eigensystem
 
 
@@ -102,6 +102,14 @@ class TestObserve:
         mask = make_mask([(0.2, 0.4)], other)
         with pytest.raises(GridMismatchError):
             observe(field, mask, 0.0, 0)
+
+    def test_data_shape_matches_times_and_nodes(self, field):
+        # the inversions take E and the time grid from the data, so a row
+        # count that disagrees with the time grid must not get through
+        data = observe(field, make_mask([(0.2, 0.4)], field.grid), 0.0, 0)
+        for values in (data.values[:-1], data.values[:, :-1], data.values.ravel()):
+            with pytest.raises(GridMismatchError):
+                ObservedData(values, data.mask, data.tg, 0.0, 0)
 
     def test_masked_norm_weight(self):
         grid = Grid1D(1.0, 9)

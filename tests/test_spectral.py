@@ -114,7 +114,7 @@ class TestEigenSolve:
     def test_degenerate_grouping(self):
         grid = Grid1D(1.0, 4)
         A = Tridiag(np.array([2.0, 2.0, 5.0, 7.0]), np.zeros(3))
-        eig = eigen_solve(A, 4, grid, dedup_tol=1e-10)
+        eig = eigen_solve(A, 4, grid)
         mults = [(g.mu, g.multiplicity) for g in eig.distinct]
         assert mults == [(2.0, 2), (5.0, 1), (7.0, 1)]
 
