@@ -6,11 +6,23 @@ convolution) reduces to a causal convolution along the time axis,
 
     out[i] = sum_{j<=i} signal[j] * kernel[i-j],    i = 0..n-1,
 
-evaluated here by FFT convolution (``scipy.fft``).
+evaluated here by FFT convolution (``numpy.fft``).
 """
 
 import numpy as np
-import scipy.fft
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 11-smooth integer >= n (only prime factors 2, 3, 5, 7, 11):
+    the transform length ``scipy.fft.next_fast_len(n, False)`` picks."""
+    while True:
+        k = n
+        for p in (2, 3, 5, 7, 11):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
 
 
 def causal_conv(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -24,8 +36,8 @@ def causal_conv(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
         raise ValueError("kernel shorter than signal")
     # the transform length scipy.signal.fftconvolve picks for a full
     # convolution, so results match it bit for bit
-    length = scipy.fft.next_fast_len(2 * n - 1, False)
-    k = scipy.fft.fft(kernel[:n], length)
+    length = _fast_length(2 * n - 1)
+    k = np.fft.fft(kernel[:n], length)
     if signal.ndim == 2:
         k = k[:, None]
-    return scipy.fft.ifft(scipy.fft.fft(signal, length, axis=0) * k, axis=0)[:n]
+    return np.fft.ifft(np.fft.fft(signal, length, axis=0) * k, axis=0)[:n]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     FlatMisfitError,
@@ -138,7 +137,10 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     fewer rows than columns has a null space, so its sigma_min is 0."""
     if not (np.isfinite(G).all() and np.isfinite(d).all()):
         raise OperatorOverflowError("weighted design or data overflow double precision")
-    U, s, Vh = scipy.linalg.svd(G, full_matrices=False)
+    U, s, Vh = np.linalg.svd(G, full_matrices=False)
+    # LAPACK's column-major layout, so that the products below take the
+    # same BLAS paths and round the same way whichever wrapper returned it
+    U, Vh = np.asfortranarray(U), np.asfortranarray(Vh)
     smin = 0.0 if G.shape[0] < G.shape[1] else float(s[-1])
     smax = float(s[0])
     if gamma == 0.0 and smin <= 1e-8 * smax:
@@ -164,9 +166,11 @@ def _tikhonov_result(data: ObservedData, order: FractionalOrder, eig: EigenSyste
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _tikhonov_solve
         d = math.sqrt(data.mask.grid.h * data.tg.dt) * data.values.ravel()
     coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails the CLI's checks
+        reg_norm = float(np.linalg.norm(coeffs))
     return InversionResult(
         residual=resid,
-        reg_norm=float(np.linalg.norm(coeffs)),
+        reg_norm=reg_norm,
         diagnostics=diag,
         modal=coeffs,
         spatial=coeffs @ eig.phis[: cfg.n_modes],
@@ -390,4 +394,4 @@ def convolution_sigma_min(rho: np.ndarray, tg: TimeGrid) -> float:
     C = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
         C[i, : i + 1] = rho[: i + 1][::-1] * tg.dt
-    return float(scipy.linalg.svdvals(C)[-1])
+    return float(np.linalg.svd(C, compute_uv=False)[-1])

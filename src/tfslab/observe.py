@@ -117,7 +117,8 @@ def observe(field, mask: ObservationMask, noise_level: float = 0.0,
         scale = noise_level * float(np.max(np.abs(field.values)))
         rng = np.random.Generator(np.random.Philox(seed))
         noise = rng.standard_normal(vals.shape) + 1j * rng.standard_normal(vals.shape)
-        vals += scale * noise / math.sqrt(2.0)
+        with np.errstate(over="ignore", invalid="ignore"):  # inversions reject non-finite data
+            vals += scale * noise / math.sqrt(2.0)
     return ObservedData(vals, mask, field.tg, float(noise_level), int(seed))
 
 

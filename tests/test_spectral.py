@@ -1,9 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from tfslab.errors import EigenSolveError, EllipticityError, GridMismatchError
+from tfslab.errors import (EigenSolveError, EllipticityError, GridMismatchError,
+                           OperatorOverflowError)
 from tfslab.spectral import (
     EigenGroup,
     EigenSystem,
@@ -156,6 +159,91 @@ class TestEigenSolve:
         A = assemble_operator(OperatorSpec.constant(1.0, 0.0, grid), grid)
         with pytest.raises(EigenSolveError):
             eigen_solve(A, 4, grid)
+
+
+def tolerance(diag, off):
+    """2 eps ||T||_1, the eigenvalue tolerance against LAPACK."""
+    rows = np.abs(diag) + np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    return 2.0 * np.finfo(float).eps * np.max(rows)
+
+
+def forward_output_operator(grid):
+    """a = 1 + 0.3 sin(2 pi x) on the midpoints, p = x on the nodes."""
+    mids = grid.h * (np.arange(grid.m + 1) + 0.5)
+    return OperatorSpec(1.0 + 0.3 * np.sin(2.0 * math.pi * mids), grid.nodes, 0.5)
+
+
+class TestAgainstLapack:
+    """The numpy solver against scipy's eigh_tridiagonal (LAPACK stebz and
+    stein), a test oracle only."""
+
+    @pytest.mark.parametrize("m", [3, 15, 63, 99, 511, 2047])
+    @pytest.mark.parametrize("coefficients", ["constant", "variable"])
+    def test_matches_eigh_tridiagonal(self, m, coefficients):
+        grid = Grid1D(1.0, m)
+        spec = (OperatorSpec.constant(1.0, 0.0, grid) if coefficients == "constant"
+                else forward_output_operator(grid))
+        A = assemble_operator(spec, grid)
+        n = min(m, 16 if m > 511 else 8)
+        eig = eigen_solve(A, n, grid)
+        lam, vec = scipy.linalg.eigh_tridiagonal(A.diag, A.off, select="i",
+                                                 select_range=(0, n - 1))
+        assert np.max(np.abs(eig.lambdas - lam)) <= tolerance(A.diag, A.off)
+        ref = vec.T / math.sqrt(grid.h)
+        # the largest entries of a symmetric mode tie in magnitude, so the
+        # signs are matched by inner product
+        ref *= np.sign(np.sum(ref * eig.phis, axis=1))[:, None]
+        assert np.max(np.abs(eig.phis - ref)) <= 1e-10
+
+    def test_split_matrix_doubles_eigenvalues(self):
+        # two m = 7 Laplacians joined by a zero off-diagonal: every
+        # eigenvalue is double and its two vectors are orthonormal
+        block = assemble_operator(OperatorSpec.constant(1.0, 0.0, Grid1D(1.0, 7)),
+                                  Grid1D(1.0, 7))
+        grid = Grid1D(1.0, 14)
+        A = Tridiag(np.r_[block.diag, block.diag], np.r_[block.off, 0.0, block.off])
+        eig = eigen_solve(A, 14, grid)
+        assert [g.multiplicity for g in eig.distinct] == [2] * 7
+        lam = scipy.linalg.eigh_tridiagonal(block.diag, block.off, eigvals_only=True)
+        np.testing.assert_allclose(eig.lambdas, np.repeat(lam, 2), rtol=1e-13)
+        gram = grid.h * (eig.phis @ eig.phis.T)
+        assert np.max(np.abs(gram - np.eye(14))) <= 1e-14
+
+    @pytest.mark.parametrize("coupling", [1e-6, 1e-10])
+    def test_weakly_coupled_blocks_cluster(self, coupling):
+        # a small coupling splits each double eigenvalue into a cluster of
+        # width ~coupling: the vectors are re-orthogonalized within it and
+        # span the same pairs as LAPACK's
+        block = assemble_operator(OperatorSpec.constant(1.0, 0.0, Grid1D(1.0, 7)),
+                                  Grid1D(1.0, 7))
+        grid = Grid1D(1.0, 14)
+        off = np.r_[block.off, coupling * block.off[0], block.off]
+        diag = np.r_[block.diag, block.diag]
+        eig = eigen_solve(Tridiag(diag, off), 14, grid)
+        lam, vec = scipy.linalg.eigh_tridiagonal(diag, off)
+        assert np.max(np.abs(eig.lambdas - lam)) <= tolerance(diag, off)
+        ref = vec.T / math.sqrt(grid.h)
+        for k in range(0, 14, 2):
+            overlap = grid.h * eig.phis[k:k + 2] @ ref[k:k + 2].T
+            np.testing.assert_allclose(np.linalg.svd(overlap, compute_uv=False), 1.0,
+                                       atol=1e-10)
+
+    @pytest.mark.parametrize("m", [15, 63, 511])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_huge_coefficient_never_warns(self, m, where):
+        # an a entry of 1e300 would overflow squared off-diagonals without
+        # the solver's power-of-two scaling
+        grid = Grid1D(1.0, m)
+        a = np.ones(m + 1)
+        a[{"first": 0, "middle": m // 2, "last": m}[where]] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                eig = eigen_solve(assemble_operator(OperatorSpec(a, np.zeros(m), 1.0), grid),
+                                  4, grid)
+            except (EigenSolveError, OperatorOverflowError):
+                return
+        assert np.all(np.isfinite(eig.lambdas))
 
 
 class TestEigenSystemInvariants:
