@@ -557,6 +557,19 @@ class TestSelftestCommand:
         assert first == second == "PASS"
 
 
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate costs about a quarter of a second of start-up, and the
+    # proof machinery integrates with its own Gauss-Legendre rules
+    script = ("import sys\nimport tfslab.cli\nimport tfslab.selftest\n"
+              "from tfslab.inverse import laplace_identity_gap\n"
+              "from tfslab.mlf import FractionalOrder\n"
+              "laplace_identity_gap(FractionalOrder(0.5), 4.0, 1.0, 40.0)\n"
+              "print('scipy.integrate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_runs_without_scipy(tmp_path):
     # scipy is a test oracle only: with every scipy import failing, each
     # problem (forward on a variable operator), ml-eval and the selftest
