@@ -2,8 +2,11 @@
 artifact persistence, and the acceptance battery.
 
 Subcommands: forward, invert-initial, invert-source, invert-order, ml-eval,
-selftest.  Exit codes: 0 success, 1 failed selftest criterion, 2 config
-error, 3 numerical failure, 4 I/O failure.  TFSLAB_LOG sets verbosity.
+selftest.  An experiment's config is parsed once, before any solve: one
+parser per section checks it and builds its value, so every config error
+exits 2, names its field and writes no artifact.  Exit codes: 0 success,
+1 failed selftest criterion, 2 config error, 3 numerical failure, 4 I/O
+failure.  TFSLAB_LOG sets verbosity.
 """
 
 import argparse
@@ -13,11 +16,12 @@ import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, MLDomainError,
-                     NumericalError, TfslabError)
+from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, GridMismatchError,
+                     MLDomainError, NumericalError, TfslabError)
 from .forward import (SourceSpec, TimeGrid, project, projection_tail_energy, solve_forward,
                       source_rows, state_rows)
 from .inverse import (
@@ -48,7 +52,10 @@ PROBLEMS = ("forward", "invert-initial", "invert-source", "invert-order")
 
 
 # ---------------------------------------------------------------------------
-# config validation (strict: unknown keys are rejected everywhere)
+# config parsing: one parser per section checks it (strictly: unknown keys
+# are rejected everywhere) and returns the value it builds from the config's
+# own numbers, not their float() copies (grid.L and time.T are written to
+# the artifacts as given)
 
 
 def _require_dict(obj, path):
@@ -58,7 +65,7 @@ def _require_dict(obj, path):
 
 
 def _check_keys(obj, path, required, optional=()):
-    unknown = set(obj) - set(required) - set(optional)
+    unknown = set(_require_dict(obj, path)) - set(required) - set(optional)
     if unknown:
         raise ConfigError(
             f"{path}: unknown key(s) {sorted(unknown)}", field=path
@@ -66,6 +73,7 @@ def _check_keys(obj, path, required, optional=()):
     missing = set(required) - set(obj)
     if missing:
         raise ConfigError(f"{path}: missing key(s) {sorted(missing)}", field=path)
+    return obj
 
 
 def _number(obj, path, lo=None, hi=None, strict_lo=False, strict_hi=False):
@@ -100,237 +108,245 @@ def _float_list(obj, path):
     return values
 
 
-def _datum_spec(obj, path):
-    obj = _require_dict(obj, path)
-    kind = obj.get("kind")
+def _grid(obj):
+    _check_keys(obj, "grid", ("L", "m"))
+    _number(obj["L"], "grid.L", lo=0.0, strict_lo=True)
+    _integer(obj["m"], "grid.m", lo=3)
+    return Grid1D(obj["L"], obj["m"])
+
+
+def _time(obj):
+    _check_keys(obj, "time", ("T", "n_t"))
+    _number(obj["T"], "time.T", lo=0.0, strict_lo=True)
+    _integer(obj["n_t"], "time.n_t", lo=2)
+    return TimeGrid(obj["T"], obj["n_t"])
+
+
+def _order(obj):
+    _check_keys(obj, "order", ("alpha",), ("phase",))
+    _number(obj["alpha"], "order.alpha", lo=0.0, hi=1.0, strict_lo=True,
+            strict_hi=True)
+    phase = obj.get("phase", "standard_i")
+    if phase not in ("standard_i", "power_i_alpha"):
+        raise ConfigError("order.phase must be standard_i|power_i_alpha",
+                          field="order.phase")
+    return FractionalOrder(obj["alpha"], phase)
+
+
+def _operator(obj, grid):
+    """The operator's coefficients; None for the closed-form Laplacian."""
+    if _require_dict(obj, "operator").get("analytic"):
+        _check_keys(obj, "operator", ("analytic",))
+        return None
+    if "a_const" in obj:
+        _check_keys(obj, "operator", ("a_const", "p_const"))
+        _number(obj["a_const"], "operator.a_const", lo=0.0, strict_lo=True)
+        _number(obj["p_const"], "operator.p_const", lo=0.0)
+        return OperatorSpec.constant(obj["a_const"], obj["p_const"], grid)
+    _check_keys(obj, "operator", ("a", "p", "kappa"))
+    m = grid.m
+    a = _float_list(obj["a"], "operator.a")
+    if len(a) != m + 1 or not all(v > 0.0 for v in a):
+        raise ConfigError(f"operator.a must hold m+1={m + 1} positive numbers "
+                          "(the midpoint samples)", field="operator.a")
+    p = _float_list(obj["p"], "operator.p")
+    if len(p) != m or not all(v >= 0.0 for v in p):
+        raise ConfigError(f"operator.p must hold m={m} nonnegative numbers "
+                          "(the node samples)", field="operator.p")
+    kappa = _number(obj["kappa"], "operator.kappa", lo=0.0, strict_lo=True)
+    if kappa > min(a):
+        raise ConfigError(f"operator.kappa={kappa} exceeds min(operator.a)={min(a)}",
+                          field="operator.kappa")
+    return OperatorSpec(np.array(obj["a"]), np.array(obj["p"]), obj["kappa"])
+
+
+def _mask(obj, grid):
+    _check_keys(obj, "mask", ("intervals",))
+    intervals = obj["intervals"]
+    if not isinstance(intervals, list):
+        raise ConfigError("mask.intervals must be a list", field="mask.intervals")
+    for k, iv in enumerate(intervals):
+        if (not isinstance(iv, list)) or len(iv) != 2:
+            raise ConfigError(f"mask.intervals[{k}] must be [lo, hi]",
+                              field="mask.intervals")
+        _number(iv[0], f"mask.intervals[{k}][0]")
+        _number(iv[1], f"mask.intervals[{k}][1]")
+    # make_mask rejects an empty list, intervals outside [0, L] or
+    # overlapping, and a set that captures no node
+    try:
+        return make_mask([tuple(iv) for iv in intervals], grid)
+    except (GridMismatchError, EmptyMaskError) as exc:
+        raise ConfigError(str(exc), field="mask.intervals") from exc
+
+
+def _complex_list(obj, path, re_key, im_key):
+    """``re + 1j im`` from the lists at ``re_key`` and, optionally, ``im_key``."""
+    re = _float_list(obj[re_key], f"{path}.{re_key}")
+    im = _float_list(obj.get(im_key, [0.0] * len(re)), f"{path}.{im_key}")
+    if len(im) != len(re):
+        raise ConfigError(f"{path}.{im_key} must hold as many numbers as "
+                          f"{path}.{re_key}", field=f"{path}.{im_key}")
+    return np.array(re) + 1j * np.array(im)
+
+
+def _samples(obj, path, n, size):
+    """The values of a samples spec, which must hold ``size`` = n of them."""
+    _check_keys(obj, path, ("kind", "re"), ("im",))
+    values = _complex_list(obj, path, "re", "im")
+    if values.size != n:
+        raise ConfigError(f"{path} holds {values.size} samples, not {size}={n}",
+                          field=path)
+    return values
+
+
+def _datum(obj, path, m, n_modes):
+    """A datum spec as a function of the eigensystem that returns the
+    datum's node samples."""
+    kind = _require_dict(obj, path).get("kind")
     if kind == "mode":
         _check_keys(obj, path, ("kind", "index"))
-        _integer(obj["index"], f"{path}.index", lo=1)
-    elif kind == "mix":
+        idx = _integer(obj["index"], f"{path}.index", lo=1)
+        if idx > n_modes:
+            raise ConfigError(f"mode index {idx} beyond n_modes={n_modes}",
+                              field=f"{path}.index")
+        return lambda eig: eig.phis[idx - 1].astype(complex)
+    if kind == "mix":
         _check_keys(obj, path, ("kind", "coeffs_re"), ("coeffs_im",))
-        _float_list(obj["coeffs_re"], f"{path}.coeffs_re")
-        if "coeffs_im" in obj:
-            im = _float_list(obj["coeffs_im"], f"{path}.coeffs_im")
-            if len(im) != len(obj["coeffs_re"]):
-                raise ConfigError(f"{path}: coeffs_re/coeffs_im length mismatch",
-                                  field=path)
-    elif kind == "samples":
-        _check_keys(obj, path, ("kind", "re"), ("im",))
-        re = _float_list(obj["re"], f"{path}.re")
-        if "im" in obj and len(_float_list(obj["im"], f"{path}.im")) != len(re):
-            raise ConfigError(f"{path}.im must hold as many samples as {path}.re",
-                              field=f"{path}.im")
-    else:
-        raise ConfigError(f"{path}.kind must be mode|mix|samples", field=f"{path}.kind")
-    return obj
+        given = _complex_list(obj, path, "coeffs_re", "coeffs_im")
+        if given.size > n_modes:
+            raise ConfigError(f"{given.size} mix coefficients for n_modes={n_modes}",
+                              field=path)
+        coeffs = np.zeros(n_modes, dtype=complex)
+        coeffs[: given.size] = given
+        return lambda eig: coeffs @ eig.phis
+    if kind == "samples":
+        values = _samples(obj, path, m, "m")
+        return lambda eig: values
+    raise ConfigError(f"{path}.kind must be mode|mix|samples", field=f"{path}.kind")
 
 
-def _rho_spec(obj, path, n_t):
-    obj = _require_dict(obj, path)
-    kind = obj.get("kind")
+def _rho(obj, path, n_t):
+    kind = _require_dict(obj, path).get("kind")
     if kind == "const":
         _check_keys(obj, path, ("kind", "value"))
-        _number(obj["value"], f"{path}.value")
-    elif kind == "samples":
-        _check_keys(obj, path, ("kind", "re"), ("im",))
-        re = _float_list(obj["re"], f"{path}.re")
-        if len(re) != n_t:
-            raise ConfigError(f"{path}.re must hold n_t={n_t} samples", field=path)
-        if "im" in obj and len(_float_list(obj["im"], f"{path}.im")) != n_t:
-            raise ConfigError(f"{path}.im must hold n_t={n_t} samples", field=path)
-    else:
-        raise ConfigError(f"{path}.kind must be const|samples", field=f"{path}.kind")
-    return obj
+        return np.full(n_t, complex(_number(obj["value"], f"{path}.value")))
+    if kind == "samples":
+        return _samples(obj, path, n_t, "n_t")
+    raise ConfigError(f"{path}.kind must be const|samples", field=f"{path}.kind")
 
 
-def validate_config(raw: dict, problem: str) -> dict:
-    cfg = _require_dict(raw, "config")
-    top_required = ["problem", "grid", "time", "order", "operator", "n_modes",
-                    "mask"]
-    top_optional = ["initial", "source", "truth", "noise", "inversion",
-                    "output_dir"]
+def _tikhonov(obj, n_modes):
+    _check_keys(obj, "inversion", ("gamma", "n_modes"))
+    _number(obj["gamma"], "inversion.gamma", lo=0.0)
+    if _integer(obj["n_modes"], "inversion.n_modes", lo=1) > n_modes:
+        raise ConfigError("inversion.n_modes exceeds the top-level n_modes",
+                          field="inversion.n_modes")
+    return TikhonovConfig(**obj)
+
+
+def _order_search(obj):
+    _check_keys(obj, "inversion",
+                ("alpha_lo", "alpha_hi"), ("coarse_points", "refine_tol"))
+    lo = _number(obj["alpha_lo"], "inversion.alpha_lo", lo=0.0, strict_lo=True)
+    hi = _number(obj["alpha_hi"], "inversion.alpha_hi", hi=1.0, strict_hi=True)
+    if lo >= hi:
+        raise ConfigError("inversion.alpha_lo must be below inversion.alpha_hi",
+                          field="inversion.alpha_lo")
+    if "coarse_points" in obj:
+        _integer(obj["coarse_points"], "inversion.coarse_points", lo=3)
+    if "refine_tol" in obj:
+        _number(obj["refine_tol"], "inversion.refine_tol", lo=0.0, strict_lo=True)
+    return OrderSearchConfig(**obj)
+
+
+def _parse(cfg, problem, seed_override=None):
+    """Check ``cfg`` as a ``problem`` config and build every input of the
+    run; raises ``ConfigError`` naming the offending field.  The initial
+    datum and the source are functions of the eigensystem; ``truth_order``
+    is the order that generates the data."""
+    if problem not in PROBLEMS:
+        raise ConfigError(f"unknown problem {problem!r}", field="problem")
+    # each problem accepts exactly the top-level sections it reads
     if problem == "forward":
-        top_required += ["initial"]
+        reads, may_read = ("initial",), ("source",)
     else:
-        top_required += ["truth", "inversion"]
-    _check_keys(cfg, "config", top_required, top_optional)
+        reads, may_read = ("truth", "inversion"), ("noise",)
+    _check_keys(cfg, "config",
+                ("problem", "grid", "time", "order", "operator", "n_modes", "mask")
+                + reads, may_read + ("output_dir",))
     if cfg["problem"] != problem:
         raise ConfigError(
             f"config problem={cfg['problem']!r} does not match the "
             f"{problem!r} subcommand", field="problem",
         )
-
-    grid = _require_dict(cfg["grid"], "grid")
-    _check_keys(grid, "grid", ("L", "m"))
-    _number(grid["L"], "grid.L", lo=0.0, strict_lo=True)
-    _integer(grid["m"], "grid.m", lo=3)
-
-    tgc = _require_dict(cfg["time"], "time")
-    _check_keys(tgc, "time", ("T", "n_t"))
-    _number(tgc["T"], "time.T", lo=0.0, strict_lo=True)
-    _integer(tgc["n_t"], "time.n_t", lo=2)
-
-    oc = _require_dict(cfg["order"], "order")
-    _check_keys(oc, "order", ("alpha",), ("phase",))
-    _number(oc["alpha"], "order.alpha", lo=0.0, hi=1.0, strict_lo=True,
-            strict_hi=True)
-    if oc.get("phase", "standard_i") not in ("standard_i", "power_i_alpha"):
-        raise ConfigError("order.phase must be standard_i|power_i_alpha",
-                          field="order.phase")
-
-    op = _require_dict(cfg["operator"], "operator")
-    if op.get("analytic"):
-        _check_keys(op, "operator", ("analytic",))
-    elif "a_const" in op:
-        _check_keys(op, "operator", ("a_const", "p_const"))
-        _number(op["a_const"], "operator.a_const", lo=0.0, strict_lo=True)
-        _number(op["p_const"], "operator.p_const", lo=0.0)
-    else:
-        _check_keys(op, "operator", ("a", "p", "kappa"))
-        m = grid["m"]
-        a = _float_list(op["a"], "operator.a")
-        if len(a) != m + 1 or not all(v > 0.0 for v in a):
-            raise ConfigError(f"operator.a must hold m+1={m + 1} positive numbers "
-                              "(the midpoint samples)", field="operator.a")
-        p = _float_list(op["p"], "operator.p")
-        if len(p) != m or not all(v >= 0.0 for v in p):
-            raise ConfigError(f"operator.p must hold m={m} nonnegative numbers "
-                              "(the node samples)", field="operator.p")
-        kappa = _number(op["kappa"], "operator.kappa", lo=0.0, strict_lo=True)
-        if kappa > min(a):
-            raise ConfigError(f"operator.kappa={kappa} exceeds min(operator.a)={min(a)}",
-                              field="operator.kappa")
-
+    if not isinstance(cfg.get("output_dir", ""), str):
+        raise ConfigError("output_dir must be a string", field="output_dir")
+    grid = _grid(cfg["grid"])
+    tg = _time(cfg["time"])
     n_modes = _integer(cfg["n_modes"], "n_modes", lo=1)
-    if n_modes > grid["m"]:
+    if n_modes > grid.m:
         raise ConfigError("n_modes exceeds interior node count", field="n_modes")
+    order = _order(cfg["order"])
+    exp = SimpleNamespace(
+        grid=grid, tg=tg, order=order, operator=_operator(cfg["operator"], grid),
+        n_modes=n_modes, mask=_mask(cfg["mask"], grid), noise_level=0.0, seed=0,
+        initial=lambda eig: np.zeros(grid.m), source=lambda eig: SourceSpec.none(),
+        mode=None, truth_order=order, inversion=None,
+    )
+    if "noise" in cfg:
+        _check_keys(cfg["noise"], "noise", ("level", "seed"))
+        exp.noise_level = _number(cfg["noise"]["level"], "noise.level", lo=0.0)
+        exp.seed = _integer(cfg["noise"]["seed"], "noise.seed", lo=0)
+    if seed_override is not None:
+        exp.seed = _integer(seed_override, "seed", lo=0)
 
-    mask = _require_dict(cfg["mask"], "mask")
-    _check_keys(mask, "mask", ("intervals",))
-    if not isinstance(mask["intervals"], list) or not mask["intervals"]:
-        raise ConfigError("mask.intervals must be a non-empty list",
-                          field="mask.intervals")
-    for k, iv in enumerate(mask["intervals"]):
-        if (not isinstance(iv, list)) or len(iv) != 2:
-            raise ConfigError(f"mask.intervals[{k}] must be [lo, hi]",
-                              field="mask.intervals")
-        lo = _number(iv[0], f"mask.intervals[{k}][0]")
-        hi = _number(iv[1], f"mask.intervals[{k}][1]")
-        if not 0.0 <= lo < hi <= grid["L"]:
-            raise ConfigError(f"mask.intervals[{k}] must satisfy "
-                              f"0 <= lo < hi <= L={grid['L']}", field="mask.intervals")
-    ivs = sorted(mask["intervals"])
-    for (_, hi1), (lo2, _) in zip(ivs, ivs[1:]):
-        if lo2 < hi1:
-            raise ConfigError("mask.intervals overlap", field="mask.intervals")
+    def source(obj, path):  # a separable source, as a function of the eigensystem
+        rho = _rho(obj["rho"], f"{path}.rho", tg.n_t)
+        g = _datum(obj["g"], f"{path}.g", grid.m, n_modes)
+        return lambda eig: SourceSpec.separable(rho, g(eig))
 
-    if "initial" in cfg:
-        _datum_spec(cfg["initial"], "initial")
-    if "source" in cfg:
-        src = _require_dict(cfg["source"], "source")
-        if src.get("kind") == "none":
+    if problem == "forward":
+        exp.initial = _datum(cfg["initial"], "initial", grid.m, n_modes)
+        exp.mode = cfg["initial"].get("index")  # a single mode's index, else None
+        src = cfg.get("source", {"kind": "none"})
+        if _require_dict(src, "source").get("kind") == "none":
             _check_keys(src, "source", ("kind",))
         elif src.get("kind") == "separable":
             _check_keys(src, "source", ("kind", "rho", "g"))
-            _rho_spec(src["rho"], "source.rho", tgc["n_t"])
-            _datum_spec(src["g"], "source.g")
+            exp.source = source(src, "source")
         else:
             raise ConfigError("source.kind must be none|separable",
                               field="source.kind")
+        return exp
 
-    if "noise" in cfg:
-        nz = _require_dict(cfg["noise"], "noise")
-        _check_keys(nz, "noise", ("level", "seed"))
-        _number(nz["level"], "noise.level", lo=0.0)
-        _integer(nz["seed"], "noise.seed", lo=0)
+    truth = cfg["truth"]
+    if problem == "invert-order":
+        _check_keys(truth, "truth", ("alpha", "initial"))
+        _number(truth["alpha"], "truth.alpha", lo=0.0, hi=1.0, strict_lo=True,
+                strict_hi=True)
+        exp.truth_order = FractionalOrder(truth["alpha"], order.phase)
+        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes)
+        exp.inversion = _order_search(cfg["inversion"])
+        return exp
+    if problem == "invert-initial":
+        _check_keys(truth, "truth", ("initial",))
+        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes)
+    else:
+        _check_keys(truth, "truth", ("rho", "g"))
+        exp.source = source(truth, "truth")
+    exp.inversion = _tikhonov(cfg["inversion"], n_modes)
+    return exp
 
-    if "truth" in cfg:
-        tr = _require_dict(cfg["truth"], "truth")
-        if problem == "invert-initial":
-            _check_keys(tr, "truth", ("initial",))
-            _datum_spec(tr["initial"], "truth.initial")
-        elif problem == "invert-source":
-            _check_keys(tr, "truth", ("rho", "g"))
-            _rho_spec(tr["rho"], "truth.rho", tgc["n_t"])
-            _datum_spec(tr["g"], "truth.g")
-        elif problem == "invert-order":
-            _check_keys(tr, "truth", ("alpha", "initial"))
-            _number(tr["alpha"], "truth.alpha", lo=0.0, hi=1.0, strict_lo=True,
-                    strict_hi=True)
-            _datum_spec(tr["initial"], "truth.initial")
 
-    if "inversion" in cfg:
-        inv = _require_dict(cfg["inversion"], "inversion")
-        if problem == "invert-order":
-            _check_keys(inv, "inversion",
-                        ("alpha_lo", "alpha_hi"), ("coarse_points", "refine_tol"))
-            lo = _number(inv["alpha_lo"], "inversion.alpha_lo", lo=0.0, strict_lo=True)
-            hi = _number(inv["alpha_hi"], "inversion.alpha_hi", hi=1.0, strict_hi=True)
-            if lo >= hi:
-                raise ConfigError("inversion.alpha_lo must be below inversion.alpha_hi",
-                                  field="inversion.alpha_lo")
-            if "coarse_points" in inv:
-                _integer(inv["coarse_points"], "inversion.coarse_points", lo=3)
-            if "refine_tol" in inv:
-                _number(inv["refine_tol"], "inversion.refine_tol", lo=0.0,
-                        strict_lo=True)
-        else:
-            _check_keys(inv, "inversion", ("gamma", "n_modes"))
-            _number(inv["gamma"], "inversion.gamma", lo=0.0)
-            if _integer(inv["n_modes"], "inversion.n_modes", lo=1) > n_modes:
-                raise ConfigError("inversion.n_modes exceeds the top-level n_modes",
-                                  field="inversion.n_modes")
-
-    if "output_dir" in cfg and not isinstance(cfg["output_dir"], str):
-        raise ConfigError("output_dir must be a string", field="output_dir")
-    return cfg
+def validate_config(raw: dict, problem: str) -> dict:
+    """Check ``raw`` as a ``problem`` config; returns ``raw``.  Raises
+    ``ConfigError`` naming the offending field."""
+    _parse(raw, problem)
+    return raw
 
 
 # ---------------------------------------------------------------------------
-# pipeline helpers
-
-
-def _build_eigensystem(cfg, grid):
-    op = cfg["operator"]
-    n_modes = cfg["n_modes"]
-    if op.get("analytic"):
-        return analytic_eigensystem(grid.L, n_modes, grid)
-    if "a_const" in op:
-        spec = OperatorSpec.constant(op["a_const"], op["p_const"], grid)
-    else:
-        spec = OperatorSpec(np.array(op["a"]), np.array(op["p"]), op["kappa"])
-    return eigen_solve(assemble_operator(spec, grid), n_modes, grid)
-
-
-def _build_datum(spec, eig, path):
-    if spec["kind"] == "mode":
-        idx = spec["index"]
-        if idx > eig.n:
-            raise ConfigError(f"mode index {idx} beyond n_modes={eig.n}",
-                              field=f"{path}.index")
-        return eig.phis[idx - 1].astype(complex)
-    if spec["kind"] == "mix":
-        re = np.array(spec["coeffs_re"], dtype=float)
-        im = np.array(spec.get("coeffs_im", np.zeros_like(re)), dtype=float)
-        if re.size > eig.n:
-            raise ConfigError("more mix coefficients than modes", field=path)
-        coeffs = np.zeros(eig.n, dtype=complex)
-        coeffs[: re.size] = re + 1j * im
-        return coeffs @ eig.phis
-    re = np.array(spec["re"], dtype=float)
-    im = np.array(spec.get("im", np.zeros_like(re)), dtype=float)
-    if re.size != eig.grid.m:
-        raise ConfigError(f"sample length {re.size} vs grid m={eig.grid.m}",
-                          field=path)
-    return re + 1j * im
-
-
-def _build_rho(spec, tg):
-    if spec["kind"] == "const":
-        return np.full(tg.n_t, complex(spec["value"]))
-    re = np.array(spec["re"], dtype=float)
-    im = np.array(spec.get("im", np.zeros_like(re)), dtype=float)
-    return re + 1j * im
+# pipeline
 
 
 class _Phases:
@@ -349,24 +365,14 @@ class _Phases:
 
 def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
     """Execute the configured pipeline and write artifacts; returns the run
-    report (also written as report.json)."""
-    problem = cfg["problem"]
+    report (also written as report.json).  ``cfg`` is parsed first, so a
+    config error raises ``ConfigError`` before any solve or write."""
+    problem = cfg.get("problem")
+    exp = _parse(cfg, problem, seed_override)
+    grid, tg, order, inv = exp.grid, exp.tg, exp.order, exp.inversion
     phases = _Phases()
     artifacts = []
     checks = {}
-
-    grid = Grid1D(cfg["grid"]["L"], cfg["grid"]["m"])
-    tg = TimeGrid(cfg["time"]["T"], cfg["time"]["n_t"])
-    order = FractionalOrder(cfg["order"]["alpha"],
-                            cfg["order"].get("phase", "standard_i"))
-    noise_cfg = cfg.get("noise", {"level": 0.0, "seed": 0})
-    seed = seed_override if seed_override is not None else noise_cfg["seed"]
-    # a mask that captures no node is an invalid config: caught before any
-    # solve and before any artifact is written
-    try:
-        mask = make_mask([tuple(iv) for iv in cfg["mask"]["intervals"]], grid)
-    except EmptyMaskError as exc:
-        raise ConfigError(str(exc), field="mask.intervals") from exc
     os.makedirs(output_dir, exist_ok=True)
 
     def emit(name, text):  # text: a string or an iterable of chunks
@@ -374,60 +380,29 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
         artifacts.append(name)
 
     phases.start("spectral")
-    eig = _build_eigensystem(cfg, grid)
+    if exp.operator is None:
+        eig = analytic_eigensystem(grid.L, exp.n_modes, grid)
+    else:
+        eig = eigen_solve(assemble_operator(exp.operator, grid), exp.n_modes, grid)
     phases.stop()
     emit("eigensystem.json", dumps_canonical(eigensystem_to_json(eig)))
 
-    def observed(y0, src, gen_order):
-        """Forward solve, observation and the data artifacts."""
-        phases.start("forward")
-        fieldv = solve_forward(y0, src, gen_order, eig, tg)
-        phases.stop()
-        phases.start("observe")
-        data = observe(fieldv, mask, noise_cfg["level"], seed)
-        phases.stop()
-        data_csv, data_json = observed_texts(data)
-        emit("data.csv", data_csv)
-        emit("data.json", data_json)
-        return data
-
-    def tikhonov_tail(truth_datum, invert):
-        """A Tikhonov inversion ``invert(tikhonov_config)``, its checks
-        against the truth's modes and its artifacts."""
-        inv_cfg = TikhonovConfig(cfg["inversion"]["gamma"],
-                                 cfg["inversion"]["n_modes"])
-        phases.start("inverse")
-        result = invert(inv_cfg)
-        phases.stop()
-        truth = project(truth_datum, eig)[: inv_cfg.n_modes]
-        checks["sigma_min"] = result.diagnostics["sigma_min"]
-        with np.errstate(over="ignore", invalid="ignore"):
-            checks["modal_rel_error"] = float(np.linalg.norm(result.modal - truth)
-                                              / max(np.linalg.norm(truth), 1e-300))
-        emit("mask.json", dumps_canonical(mask_to_json(mask)))
-        emit("estimate.json", dumps_canonical(result_to_json(result)))
-        emit("estimate.csv", spatial_to_csv(grid.nodes, result.spatial))
+    y0, src = exp.initial(eig), exp.source(eig)
+    phases.start("forward")
+    fieldv = solve_forward(y0, src, exp.truth_order, eig, tg)
+    phases.stop()
+    if problem in ("forward", "invert-initial"):
+        checks["tail_energy"] = projection_tail_energy(y0, eig)
 
     if problem == "forward":
-        y0 = _build_datum(cfg["initial"], eig, "initial")
-        src = SourceSpec.none()
-        if cfg.get("source", {"kind": "none"})["kind"] == "separable":
-            src = SourceSpec.separable(
-                _build_rho(cfg["source"]["rho"], tg),
-                _build_datum(cfg["source"]["g"], eig, "source.g"),
-            )
-        phases.start("forward")
-        fieldv = solve_forward(y0, src, order, eig, tg)
-        phases.stop()
-        checks["tail_energy"] = projection_tail_energy(y0, eig)
         with np.errstate(over="ignore", invalid="ignore"):  # checked with the others
             checks["max_field_norm"] = max(
                 grid.norm(fieldv.values[i]) for i in range(tg.n_t)
             )
-        if cfg["initial"]["kind"] == "mode":
+        if exp.mode is not None:
             # the mode's full response: its unit initial datum plus the part
             # of the source that drives it
-            idx = cfg["initial"]["index"] - 1
+            idx = exp.mode - 1
             lam = eig.lambdas[idx:idx + 1]
             expect = state_rows(order, lam, tg.times)[0]
             if src.kind == "separable":
@@ -441,36 +416,35 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
         emit("field.csv", field_csv)
         emit("field.json", field_json)
 
-    elif problem == "invert-initial":
-        y0 = _build_datum(cfg["truth"]["initial"], eig, "truth.initial")
-        data = observed(y0, SourceSpec.none(), order)
-        tikhonov_tail(y0, lambda tik: invert_initial(data, order, eig, tik))
-        checks["tail_energy"] = projection_tail_energy(y0, eig)
-
-    elif problem == "invert-source":
-        rho = _build_rho(cfg["truth"]["rho"], tg)
-        g = _build_datum(cfg["truth"]["g"], eig, "truth.g")
-        data = observed(np.zeros(grid.m), SourceSpec.separable(rho, g), order)
-        tikhonov_tail(g, lambda tik: invert_source(data, rho, order, eig, tik))
-
-    elif problem == "invert-order":
-        truth_alpha = cfg["truth"]["alpha"]
-        y0 = _build_datum(cfg["truth"]["initial"], eig, "truth.initial")
-        data = observed(y0, SourceSpec.none(), FractionalOrder(truth_alpha, order.phase))
-        inv = cfg["inversion"]
-        search = OrderSearchConfig(
-            inv["alpha_lo"], inv["alpha_hi"],
-            inv.get("coarse_points", 25), inv.get("refine_tol", 1e-4),
-        )
-        phases.start("inverse")
-        result = invert_order(data, y0, eig, search, phase=order.phase)
+    else:
+        phases.start("observe")
+        data = observe(fieldv, exp.mask, exp.noise_level, exp.seed)
         phases.stop()
-        checks["alpha_hat"] = result.order
-        checks["alpha_abs_error"] = abs(result.order - truth_alpha)
+        data_csv, data_json = observed_texts(data)
+        emit("data.csv", data_csv)
+        emit("data.json", data_json)
+        phases.start("inverse")
+        if problem == "invert-order":
+            result = invert_order(data, y0, eig, inv, phase=order.phase)
+        elif problem == "invert-source":
+            result = invert_source(data, src.rho, order, eig, inv)
+        else:
+            result = invert_initial(data, order, eig, inv)
+        phases.stop()
         emit("estimate.json", dumps_canonical(result_to_json(result)))
-
-    else:  # pragma: no cover - validate_config guards this
-        raise ConfigError(f"unknown problem {problem!r}", field="problem")
+        if problem == "invert-order":
+            checks["alpha_hat"] = result.order
+            checks["alpha_abs_error"] = abs(result.order - exp.truth_order.alpha)
+        else:
+            # the Tikhonov estimate against the recovered datum's first modes
+            truth = project(src.g if problem == "invert-source" else y0, eig)
+            truth = truth[: inv.n_modes]
+            checks["sigma_min"] = result.diagnostics["sigma_min"]
+            with np.errstate(over="ignore", invalid="ignore"):
+                checks["modal_rel_error"] = float(np.linalg.norm(result.modal - truth)
+                                                  / max(np.linalg.norm(truth), 1e-300))
+            emit("mask.json", dumps_canonical(mask_to_json(exp.mask)))
+            emit("estimate.csv", spatial_to_csv(grid.nodes, result.spatial))
 
     for name, value in checks.items():
         if not math.isfinite(value):
@@ -510,15 +484,10 @@ def _cmd_experiment(problem, args):
         return 2
     try:
         cfg = validate_config(raw, problem)
-    except ConfigError as exc:
-        _error_json("config", str(exc), exc.field)
-        return 2
-    output_dir = args.output or cfg.get("output_dir")
-    if not output_dir:
-        _error_json("config", "no output directory (config output_dir or --output)",
-                    "output_dir")
-        return 2
-    try:
+        output_dir = args.output or cfg.get("output_dir")
+        if not output_dir:
+            raise ConfigError("no output directory (config output_dir or --output)",
+                              field="output_dir")
         report = run(cfg, output_dir, seed_override=args.seed)
     except ConfigError as exc:
         _error_json("config", str(exc), exc.field)

@@ -21,7 +21,6 @@ returned.
 import cmath
 import functools
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -35,11 +34,6 @@ Z_MAX_DEFAULT = 1.0e4
 _EXP_ARG_MAX = 700.0
 _TARGET = 1.0e-15
 _LOG_TARGET = math.log(1.0 / _TARGET) + 4.0  # margin on top of the tolerance
-
-# Test hook: multiplies every ml_kernel and kernel_grid value by (1 + eps) so
-# the selftest battery can prove its own sensitivity; ml_eval stays unscaled
-# as the battery's oracle.  Never set outside tests.
-_PERTURB = float(os.environ.get("TFSLAB_PERTURB_KERNEL", "0") or 0.0)
 
 
 def rgamma_real(x: float) -> float:
@@ -399,8 +393,6 @@ def kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray,
         out[at] = _ml_row(a, 1.0, z)
     else:
         out[at] = ta * _ml_row(a, a + 1.0, z)
-    if _PERTURB:
-        out *= 1.0 + _PERTURB
     if not np.isfinite(out).all():
         raise MLOverflowError("kernel evaluation produced a non-finite value")
     return out

@@ -174,14 +174,16 @@ class TestValidation:
         assert rc == 2
 
 
-    def assert_config_error(self, tmp_path, capsys, cfg, field):
+    def assert_config_error(self, tmp_path, capsys, cfg, field, *flags):
         path = write_config(tmp_path, cfg)
-        rc = cli.main([cfg["problem"], "--config", path,
-                       "--output", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = cli.main([cfg["problem"], "--config", path, "--output", str(out), *flags])
         assert rc == 2
         err = json.loads(capsys.readouterr().out)
         assert err["error"]["kind"] == "config"
         assert err["error"]["field"] == field
+        # found before any solve: no artifact is written
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("problem,truth", [
         ("invert-initial", {"initial": {"kind": "mode", "index": 1}}),
@@ -267,6 +269,39 @@ class TestValidation:
         cfg = inversion_config("invert-source", truth,
                                {"gamma": 1e-8, "n_modes": 4})
         self.assert_config_error(tmp_path, capsys, cfg, "truth.g")
+
+    TIKHONOV = {"gamma": 1e-8, "n_modes": 4}
+
+    @pytest.mark.parametrize("cfg,field", [
+        # checks that need n_modes or m (forward n_modes = 6, m = 63;
+        # inversions n_modes = 4)
+        (forward_config(initial={"kind": "mode", "index": 7}), "initial.index"),
+        (forward_config(source=dict(SOURCE_TRUTH, kind="separable",
+                                    g={"kind": "mode", "index": 7})), "source.g.index"),
+        (inversion_config("invert-initial", {"initial": {"kind": "mode", "index": 5}},
+                          TIKHONOV), "truth.initial.index"),
+        (inversion_config("invert-source", dict(SOURCE_TRUTH, g={"kind": "mode", "index": 5}),
+                          TIKHONOV), "truth.g.index"),
+        (forward_config(initial={"kind": "mix", "coeffs_re": [1.0] * 7}), "initial"),
+        (forward_config(initial={"kind": "samples", "re": [1.0] * 62}), "initial"),
+        # sections the problem does not read
+        (forward_config(truth={"anything": [1, 2, 3]}), "config"),
+        (forward_config(inversion=TIKHONOV), "config"),
+        (forward_config(noise={"level": 0.0, "seed": 0}), "config"),
+        (dict(inversion_config("invert-initial", {"initial": {"kind": "mode", "index": 1}},
+                               TIKHONOV), initial={"kind": "mode", "index": 1}), "config"),
+        (dict(inversion_config("invert-source", SOURCE_TRUTH, TIKHONOV),
+              source={"kind": "none"}), "config"),
+    ], ids=["initial-index", "source-index", "truth-initial-index", "truth-g-index",
+            "long-mix", "short-samples", "forward-truth", "forward-inversion",
+            "forward-noise", "inversion-initial", "inversion-source"])
+    def test_error_found_before_any_solve(self, tmp_path, capsys, cfg, field):
+        self.assert_config_error(tmp_path, capsys, cfg, field)
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = dict(inversion_config("invert-initial", {"initial": {"kind": "mode", "index": 1}},
+                                    self.TIKHONOV), noise={"level": 1e-3, "seed": 0})
+        self.assert_config_error(tmp_path, capsys, cfg, "seed", "--seed", "-1")
 
 
 class TestInversionCommands:
@@ -537,16 +572,16 @@ class TestSelftestCommand:
         rc = cli.main(["selftest", "--criteria", "no-such-criterion"])
         assert rc == 2
 
-    def test_perturbation_hook_fails_loudly(self):
-        env = dict(os.environ)
-        env["TFSLAB_PERTURB_KERNEL"] = "1e-3"
-        proc = subprocess.run(
-            [sys.executable, "-m", "tfslab", "selftest",
-             "--criteria", "forward-single-mode"],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 1
-        assert "FAIL" in proc.stdout
+    def test_perturbation_hook_fails_loudly(self, monkeypatch, capsys):
+        # solver kernels scaled by 1 + 1e-3 fail the criterion: its
+        # quadrature oracle evaluates ml_eval, which stays exact
+        from tfslab import forward, selftest
+        for module in (forward, selftest):
+            monkeypatch.setattr(module, "kernel_grid", lambda *args, exact=module.kernel_grid:
+                                exact(*args) * (1.0 + 1e-3))
+        rc = cli.main(["selftest", "--criteria", "forward-single-mode"])
+        assert rc == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_repeated_runs_identical_verdicts(self, capsys):
         rc1 = cli.main(["selftest", "--criteria", "spectral-convergence"])

@@ -2,8 +2,6 @@ import cmath
 import json
 import math
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -354,28 +352,6 @@ class TestKernelGrid:
                 z = mpmath.mpc(0.0, -lam * math.sqrt(t))
                 ref = complex(mpmath.exp(z * z) * mpmath.erfc(-z))
                 assert abs(v - ref) <= 1e-12 * abs(ref), t
-
-    def test_perturbation_hook_scales_grid(self):
-        script = (
-            "import json, numpy as np\n"
-            "from tfslab.mlf import FractionalOrder, kernel_grid\n"
-            "times = np.concatenate(([0.0], np.geomspace(1e-5, 1.0, 40)))\n"
-            "order = FractionalOrder(0.6)\n"
-            "g = np.concatenate([kernel_grid(order, 300.0, times[1:], 'state'),\n"
-            "                    kernel_grid(order, 300.0, times, 'integral')])\n"
-            "print(json.dumps([[v.real, v.imag] for v in g.tolist()]))\n"
-        )
-
-        def grid(perturb):
-            env = dict(os.environ, TFSLAB_PERTURB_KERNEL=perturb)
-            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                                  text=True, env=env, check=True)
-            return np.array([complex(re, im) for re, im in json.loads(proc.stdout)])
-
-        base, scaled = grid("0"), grid("1e-3")
-        assert scaled[40] == 0.0  # integral at t = 0 stays exactly 0
-        assert not np.array_equal(scaled, base)
-        assert np.array_equal(scaled, base * (1.0 + 1e-3))
 
     def test_state_rejects_zero_time(self):
         with pytest.raises(MLDomainError):
