@@ -49,6 +49,7 @@ from .spectral import Grid1D, OperatorSpec, analytic_eigensystem, assemble_opera
 log = logging.getLogger("tfslab.cli")
 
 PROBLEMS = ("forward", "invert-initial", "invert-source", "invert-order")
+_INT_MAX = int(np.iinfo(np.intp).max)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +57,18 @@ PROBLEMS = ("forward", "invert-initial", "invert-source", "invert-order")
 # are rejected everywhere) and returns the value it builds from the config's
 # own numbers, not their float() copies (grid.L and time.T are written to
 # the artifacts as given)
+
+
+def _finite(number, path):
+    """``float(number)``; an int beyond the float range or a NaN or infinite
+    float is a config error."""
+    try:
+        x = float(number)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{path} must be finite", field=path)
+    return x
 
 
 def _require_dict(obj, path):
@@ -79,9 +92,7 @@ def _check_keys(obj, path, required, optional=()):
 def _number(obj, path, lo=None, hi=None, strict_lo=False, strict_hi=False):
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path} must be a number", field=path)
-    x = float(obj)
-    if not math.isfinite(x):
-        raise ConfigError(f"{path} must be finite", field=path)
+    x = _finite(obj, path)
     if lo is not None and (x < lo or (strict_lo and x == lo)):
         raise ConfigError(f"{path}={x} below the admissible range", field=path)
     if hi is not None and (x > hi or (strict_hi and x == hi)):
@@ -94,6 +105,8 @@ def _integer(obj, path, lo=None):
         raise ConfigError(f"{path} must be an integer", field=path)
     if lo is not None and obj < lo:
         raise ConfigError(f"{path}={obj} below the admissible minimum {lo}", field=path)
+    if obj > _INT_MAX:  # numpy sizes and seeds must fit its index type
+        raise ConfigError(f"{path} above the admissible maximum {_INT_MAX}", field=path)
     return obj
 
 
@@ -102,10 +115,7 @@ def _float_list(obj, path):
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
     ):
         raise ConfigError(f"{path} must be a list of numbers", field=path)
-    values = [float(v) for v in obj]
-    if not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"{path} must hold finite numbers", field=path)
-    return values
+    return [_finite(v, path) for v in obj]
 
 
 def _grid(obj):
@@ -367,8 +377,12 @@ def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
     """Execute the configured pipeline and write artifacts; returns the run
     report (also written as report.json).  ``cfg`` is parsed first, so a
     config error raises ``ConfigError`` before any solve or write."""
-    problem = cfg.get("problem")
-    exp = _parse(cfg, problem, seed_override)
+    return _run(cfg, _parse(cfg, cfg.get("problem"), seed_override), output_dir)
+
+
+def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
+    """``run`` on ``exp``, the inputs ``_parse`` built from ``cfg``."""
+    problem = cfg["problem"]
     grid, tg, order, inv = exp.grid, exp.tg, exp.order, exp.inversion
     phases = _Phases()
     artifacts = []
@@ -483,12 +497,12 @@ def _cmd_experiment(problem, args):
         _error_json("config", f"config is not valid JSON: {exc}")
         return 2
     try:
-        cfg = validate_config(raw, problem)
-        output_dir = args.output or cfg.get("output_dir")
+        exp = _parse(raw, problem, args.seed)
+        output_dir = args.output or raw.get("output_dir")
         if not output_dir:
             raise ConfigError("no output directory (config output_dir or --output)",
                               field="output_dir")
-        report = run(cfg, output_dir, seed_override=args.seed)
+        report = _run(raw, exp, output_dir)
     except ConfigError as exc:
         _error_json("config", str(exc), exc.field)
         return 2

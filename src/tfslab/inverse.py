@@ -30,7 +30,8 @@ from .mlf import FractionalOrder, MLParams, ml_eval
 from .observe import ObservationMask, ObservedData
 from .spectral import EigenSystem
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section share of the larger side
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _GL_NODES = 8  # the coarse rule of laplace_identity_gap's panel pairs
 _GL_MAX_PANELS = 1 << 14  # live panels per level; bounds the ml_eval rows
 
@@ -239,18 +240,26 @@ def order_misfit(data: ObservedData, y0: np.ndarray, alpha: float,
 
 def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
                  cfg: OrderSearchConfig, phase: str = "standard_i") -> InversionResult:
-    """Order recovery by misfit minimization: coarse scan over the bracket
-    followed by golden-section refinement (the landscape may be
-    non-convex).  A flat landscape is flagged rather than minimized."""
+    """Order recovery by misfit minimization: a coarse scan over the bracket
+    (the landscape may be non-convex), then Brent's method (parabolic steps
+    with golden-section fallback) between the neighbours of the coarse
+    minimum.  A flat landscape is flagged rather than minimized.  The
+    estimate is the best order evaluated, and ``diagnostics["trace"]`` lists
+    every evaluated (order, misfit) pair in evaluation order."""
     y0 = np.asarray(y0, dtype=np.complex128)
     if float(np.max(np.abs(y0))) == 0.0:
         raise SourceHypothesisError("generating datum u must not vanish")
-    alphas = np.linspace(cfg.alpha_lo, cfg.alpha_hi, cfg.coarse_points)
-    misfits = np.array(
-        [order_misfit(data, y0, float(a), phase, eig) for a in alphas]
-    )
-    spread = float(misfits.max() - misfits.min())
-    if spread <= 1e-13 * (1.0 + float(misfits.max())):
+    trace = []
+
+    def misfit(alpha):
+        value = order_misfit(data, y0, alpha, phase, eig)
+        trace.append([alpha, value])
+        return value
+
+    alphas = np.linspace(cfg.alpha_lo, cfg.alpha_hi, cfg.coarse_points).tolist()
+    misfits = [misfit(a) for a in alphas]
+    spread = max(misfits) - min(misfits)
+    if spread <= 1e-13 * (1.0 + max(misfits)):
         raise FlatMisfitError(
             "misfit landscape is flat across the bracket; the observations "
             "carry no order information"
@@ -258,36 +267,69 @@ def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
     k = int(np.argmin(misfits))
     lo = alphas[max(0, k - 1)]
     hi = alphas[min(len(alphas) - 1, k + 1)]
-    iters = 0
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1 = order_misfit(data, y0, x1, phase, eig)
-    f2 = order_misfit(data, y0, x2, phase, eig)
-    # below the bracket's float resolution the golden points land on its
-    # ends and the bracket stops shrinking, so the search ends there too
-    while b - a > cfg.refine_tol and a < x1 < b and a < x2 < b:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = order_misfit(data, y0, x1, phase, eig)
+    # Brent's minimizer as in Numerical Recipes' brent: x is the best order so
+    # far, w the second best, v the previous w; a parabola through them
+    # proposes the step unless it leaves the bracket or fails to halve the
+    # step before last.  No step is shorter than tol1, which the sqrt(eps)
+    # term keeps above the float resolution at x, so the search ends once
+    # the bracket lies within tol2 = refine_tol/2 + 2 sqrt(eps)|x| of x.
+    a, b = lo, hi
+    x = w = v = alphas[k]
+    fx = fw = fv = misfits[k]
+    d = e = 0.0
+    while True:
+        tol1 = _SQRT_EPS * abs(x) + 0.25 * cfg.refine_tol
+        tol2 = 2.0 * tol1
+        if max(x - a, b - x) <= tol2:
+            break
+        xm = 0.5 * (a + b)
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_last, e = e, d
+            if abs(p) < abs(0.5 * q * e_last) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = math.copysign(tol1, xm - x)
+        if golden:
+            e = (a - x) if x >= xm else (b - x)
+            d = _CGOLD * e
+        u = x + d if abs(d) >= tol1 else x + math.copysign(tol1, d)
+        fu = misfit(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = order_misfit(data, y0, x2, phase, eig)
-        iters += 1
-    alpha_hat = 0.5 * (a + b)
-    final = order_misfit(data, y0, alpha_hat, phase, eig)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
     return InversionResult(
-        residual=final,
+        residual=fx,
         reg_norm=0.0,
         diagnostics={
-            "iterations": float(iters),
+            "iterations": len(trace) - len(alphas),
+            "evaluations": len(trace),
             "coarse_spread": spread,
-            "bracket_lo": float(lo),
-            "bracket_hi": float(hi),
+            "bracket_lo": lo,
+            "bracket_hi": hi,
+            "trace": trace,
         },
-        order=float(alpha_hat),
+        order=x,
     )
 
 

@@ -161,6 +161,16 @@ class TestValidation:
                        "--output", str(tmp_path / "o")])
         assert rc == 2
 
+    def test_config_error_precedes_missing_output_dir(self, tmp_path, capsys):
+        cfg = forward_config()
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["forward", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["field"] == "output_dir"
+        cfg["grid"]["m"] = 1
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["forward", "--config", path]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["field"] == "grid.m"
+
     def test_missing_config_file_exits_4(self, tmp_path, capsys):
         rc = cli.main(["forward", "--config", str(tmp_path / "nope.json"),
                        "--output", str(tmp_path / "o")])
@@ -486,6 +496,11 @@ def with_leaves(problem, leaves):
 @given(mutated_configs())
 @example(with_leaves("invert-order", {"inversion.refine_tol": 1e-300}))
 @example(with_leaves("invert-source", {"time.T": 1e300, "truth.rho.value": 1e300}))
+@example(with_leaves("forward", {"grid.L": 10**400}))  # ints beyond float range
+@example(with_leaves("invert-source", {"time.T": 10**400}))
+@example(with_leaves("invert-initial", {"truth.initial.coeffs_re": [10**400, 0.5]}))
+@example(with_leaves("forward", {"time.n_t": 10**400}))  # sizes beyond numpy's index
+@example(with_leaves("invert-order", {"grid.m": 10**30}))
 def test_mutated_config_runs_or_names_its_fault(case):
     # an invalid config exits 2 naming its field; exit 3 is kept for real
     # numerical failures (an overflowing L or rho, a flat misfit)

@@ -385,6 +385,50 @@ class TestInvertOrder:
         res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-300))
         assert abs(res.order - 0.5) <= 1e-3
 
+    @staticmethod
+    def counted_search(setup, monkeypatch, alpha, cfg):
+        """invert_order on noiseless data at ``alpha``, with the orders it
+        passes to order_misfit, in call order."""
+        grid, eig, tg, mask = setup
+        y0 = eig.phis[0].astype(complex)
+        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(alpha), eig, tg)
+        data = observe(y, mask, 0.0, 0)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return order_misfit(*args)
+
+        monkeypatch.setattr(inverse, "order_misfit", counted)
+        return invert_order(data, y0, eig, cfg), calls
+
+    @pytest.mark.parametrize("alpha", [0.37, 0.5, 0.71])
+    def test_default_search_evaluates_at_most_33_orders(self, setup, monkeypatch, alpha):
+        cfg = OrderSearchConfig(0.25, 0.85)
+        res, calls = self.counted_search(setup, monkeypatch, alpha, cfg)
+        assert len(calls) <= cfg.coarse_points + 8
+        assert abs(res.order - alpha) <= cfg.refine_tol
+
+    @pytest.mark.parametrize("alpha", [0.37, 0.5, 0.71])
+    def test_refinement_stays_in_bracket_and_never_repeats(self, setup, monkeypatch,
+                                                           alpha):
+        cfg = OrderSearchConfig(0.25, 0.85)
+        res, calls = self.counted_search(setup, monkeypatch, alpha, cfg)
+        diag = res.diagnostics
+        refined = calls[cfg.coarse_points:]
+        assert refined and diag["iterations"] == len(refined)
+        assert all(diag["bracket_lo"] < a < diag["bracket_hi"] for a in refined)
+        assert len(set(calls)) == len(calls)
+        # the trace is every evaluation in order, and the estimate its best
+        assert diag["evaluations"] == len(calls)
+        assert [a for a, _ in diag["trace"]] == calls
+        assert [res.order, res.residual] == min(diag["trace"], key=lambda p: p[1])
+
+    def test_truth_below_bracket_ends_at_its_edge(self, setup, monkeypatch):
+        cfg = OrderSearchConfig(0.3, 0.9)
+        res, calls = self.counted_search(setup, monkeypatch, 0.2, cfg)
+        assert cfg.alpha_lo <= res.order <= cfg.alpha_lo + cfg.refine_tol
+
     def test_flat_landscape_flagged(self, setup, monkeypatch):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
