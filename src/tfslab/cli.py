@@ -110,6 +110,18 @@ def _integer(obj, path, lo=None):
     return obj
 
 
+def _size(obj, path, lo):
+    """An array length: an integer of at least ``lo`` for which a float
+    array can be allocated."""
+    n = _integer(obj, path, lo=lo)
+    try:
+        np.empty(n)  # never touched, so no memory is committed
+    except MemoryError:
+        raise ConfigError(f"{path}={n}: an array of that length cannot be allocated",
+                          field=path) from None
+    return n
+
+
 def _float_list(obj, path):
     if not isinstance(obj, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj
@@ -121,14 +133,14 @@ def _float_list(obj, path):
 def _grid(obj):
     _check_keys(obj, "grid", ("L", "m"))
     _number(obj["L"], "grid.L", lo=0.0, strict_lo=True)
-    _integer(obj["m"], "grid.m", lo=3)
+    _size(obj["m"], "grid.m", lo=3)
     return Grid1D(obj["L"], obj["m"])
 
 
 def _time(obj):
     _check_keys(obj, "time", ("T", "n_t"))
     _number(obj["T"], "time.T", lo=0.0, strict_lo=True)
-    _integer(obj["n_t"], "time.n_t", lo=2)
+    _size(obj["n_t"], "time.n_t", lo=2)
     return TimeGrid(obj["T"], obj["n_t"])
 
 
@@ -263,7 +275,7 @@ def _order_search(obj):
         raise ConfigError("inversion.alpha_lo must be below inversion.alpha_hi",
                           field="inversion.alpha_lo")
     if "coarse_points" in obj:
-        _integer(obj["coarse_points"], "inversion.coarse_points", lo=3)
+        _size(obj["coarse_points"], "inversion.coarse_points", lo=3)
     if "refine_tol" in obj:
         _number(obj["refine_tol"], "inversion.refine_tol", lo=0.0, strict_lo=True)
     return OrderSearchConfig(**obj)

@@ -149,9 +149,11 @@ def _exp_branch(alpha: float, beta: float, z: np.ndarray, logz: np.ndarray,
         raise MLOverflowError(
             f"E_{{{alpha},{beta}}} at |z|={abs(z[big][0]):.3g} exceeds double range"
         )
-    out = np.zeros(z.shape, dtype=np.complex128)
     live = s0.real > -745.0
-    out[live] = np.exp(((1.0 - beta) / alpha) * logz[live] + s0[live]) / alpha
+    if live.all():
+        return np.exp(((1.0 - beta) / alpha) * logz + s0) / alpha
+    out = np.zeros(z.shape, dtype=np.complex128)
+    out[live] = _exp_branch(alpha, beta, z[live], logz[live], s0[live])
     return out
 
 
@@ -184,26 +186,28 @@ def _asymptotic_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     after the first term whose envelope falls below 1e-17 of the value.  A
     weight near a zero of 1/Gamma makes its term tiny but leaves the
     envelope smooth, so it ends no sum early."""
-    val = np.zeros(z.shape, dtype=np.complex128)
+    val = np.zeros(z.shape, dtype=np.complex128)  # the exponential branch
     branch = np.abs(np.angle(z)) <= alpha * math.pi + 1e-14
-    if branch.any():
+    branched = branch.any()
+    if branched:
         logz = np.log(z[branch])
         val[branch] = _exp_branch(alpha, beta, z[branch], logz, np.exp(logz / alpha))
-    out = val.copy()
-    live = np.arange(z.size)
-    inv, vl = 1.0 / z, val
-    power = np.ones_like(z)  # z^{-k} of the previous chunk's last term
-    acc = np.zeros_like(z)
-    prev = np.full(z.shape, math.inf)  # envelope of the last term
+    # out shares val's memory: a point is written once, as it leaves vl
+    out, live, inv, vl = val, np.arange(z.size), 1.0 / z, val
+    acc = np.zeros_like(z)  # the sum so far
+    prev = math.inf  # envelope of the last term
     chunk = 0
-    while live.size:
+    while True:
         rg, env = _asymptotic_weights(alpha, beta, chunk)
         if rg.size == 0:
             break
-        p = np.empty((live.size, rg.size), dtype=np.complex128)
-        p[:] = inv[:, None]
-        p[:, 0] *= power
-        np.cumprod(p, axis=1, out=p)  # z^{-k}
+        if chunk:
+            p = np.empty((live.size, rg.size), dtype=np.complex128)
+            p[:] = inv[:, None]
+            p[:, 0] *= power
+            np.cumprod(p, axis=1, out=p)  # z^{-k}
+        else:
+            p = np.cumprod(np.broadcast_to(inv[:, None], (z.size, rg.size)), axis=1)
         bound = np.abs(p) * env
         truncate = np.empty(bound.shape, dtype=bool)  # the term is not added
         np.greater(bound[:, 0], prev, out=truncate[:, 0])
@@ -211,8 +215,11 @@ def _asymptotic_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         sums = p * rg
         sums[:, 0] += acc
         np.cumsum(sums, axis=1, out=sums)
-        stop = truncate | (bound < 1e-17 * np.abs(vl[:, None] - sums))
+        stop = truncate | (bound < 1e-17 * np.abs(vl[:, None] - sums if branched else sums))
         hit = np.logical_or.reduce(stop, axis=1)
+        if chunk == 0 and hit.all():  # the usual row: no sum needs a second pass
+            last = stop.argmax(axis=1)  # no first term is left out
+            return vl - sums[live, last - truncate[live, last]]
         rows = np.flatnonzero(hit)
         if rows.size:
             last = stop[rows].argmax(axis=1)
@@ -243,12 +250,18 @@ def _contour_nodes(alpha: float, beta: float, mu: float, strip: float):
         extra = grow * math.log(mu * (1.0 + u_max * u_max) + 2.0)
         u_max = math.sqrt(1.0 + (_LOG_TARGET + extra) / mu)
     h = 2.0 * math.pi * (0.9 * strip) / _LOG_TARGET
-    n = math.ceil(u_max / h)
-    iu1 = 1.0 + 1j * (h * np.arange(-n, n + 1))
-    s = mu * iu1 * iu1
-    log_s = np.log(s)  # one log serves both powers of s
+    iu1, s, log_s = _parabola(mu, h, math.ceil(u_max / h))
     w = (h * mu / math.pi) * np.exp(s + (alpha - beta) * log_s) * iu1
     return _frozen(np.exp(alpha * log_s), w)
+
+
+@functools.lru_cache(maxsize=16)
+def _parabola(mu: float, h: float, n: int):
+    """The order-free part of a node set: 1 + iu_k, s_k = mu (1 + iu_k)^2
+    and log s_k at u_k = h k, |k| <= n."""
+    iu1 = 1.0 + 1j * (h * np.arange(-n, n + 1))
+    s = mu * iu1 * iu1
+    return _frozen(iu1, s, np.log(s))  # one log serves both powers of s
 
 
 def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
@@ -274,11 +287,13 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     Cauchy product sum_k w_k / (s_k^alpha - z), in blocks of at most
     ``_CONTOUR_BLOCK`` points x nodes."""
     sets = _NODE_SETS + ((max(_FAR_MU[-1], beta - alpha), _DISK_STRIP),)
-    theta = np.angle(z)
     disk = np.abs(z) <= 1.0
-    pole = ~disk & (np.abs(theta) <= alpha * math.pi)
     which = np.where(disk, len(_NODE_SETS), len(_NODE_SETS) - 1)  # into sets
     out = np.zeros(z.shape, dtype=np.complex128)  # residues, then integrals
+    pole = ~disk  # the principal sheet has a pole iff |arg z| <= alpha pi
+    if pole.any():
+        theta = np.angle(z)
+        pole &= np.abs(theta) <= alpha * math.pi
     if pole.any():
         at = np.flatnonzero(pole)
         logz = np.log(z[at])
@@ -289,18 +304,25 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         if far.any():
             out[at[far]] = _exp_branch(alpha, beta, z[at[far]], logz[far], s0[far])
             which[at[far]] = np.searchsorted(_FAR_MU, 0.25 * a[far], side="right") - 1
-        clear = np.abs(np.sqrt(s0[~far] / 2.0).real - 1.0)  # > 0.4 for a < 0.72
-        rung = np.searchsorted(_NEAR_STRIP, clear, side="right") - 1
-        which[at[~far]] = len(_FAR_MU) + np.maximum(rung, 0)
-    for j in np.unique(which).tolist():
+        if not far.all():
+            clear = np.abs(np.sqrt(s0[~far] / 2.0).real - 1.0)  # > 0.4 for a < 0.72
+            rung = np.searchsorted(_NEAR_STRIP, clear, side="right") - 1
+            which[at[~far]] = len(_FAR_MU) + np.maximum(rung, 0)
+    by_set = np.argsort(which, kind="stable")  # the points of each set, in order
+    zs, vals = z[by_set], np.empty(z.shape, dtype=np.complex128)
+    end = 0
+    for j, count in enumerate(np.bincount(which, minlength=len(sets)).tolist()):
+        if not count:
+            continue
         sa, w = _contour_nodes(alpha, beta, *sets[j])
-        idx = np.flatnonzero(which == j)
         step = max(1, _CONTOUR_BLOCK // sa.size)
-        for lo in range(0, idx.size, step):
-            part = idx[lo:lo + step]
-            d = sa - z[part, None]
+        for lo in range(end, end + count, step):
+            hi = min(lo + step, end + count)
+            d = sa - zs[lo:hi, None]
             np.divide(w, d, out=d)
-            out[part] += d.sum(axis=1)
+            d.sum(axis=1, out=vals[lo:hi])
+        end += count
+    out[by_set] += vals
     return out
 
 
@@ -316,12 +338,14 @@ def _ml_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         turns = np.exp(2j * math.pi * np.arange(n) / n)
         parts = _ml_row(alpha / n, beta, (root[:, None] * turns).ravel())
         return parts.reshape(z.size, n).sum(axis=1) / n
-    out = np.empty(z.shape, dtype=np.complex128)
     far = np.abs(z) >= ASYMPTOTIC_RADIUS
-    if far.any():
-        out[far] = _asymptotic_row(alpha, beta, z[far])
-    if not far.all():
-        out[~far] = _contour_row(alpha, beta, z[~far])
+    if far.all():
+        return _asymptotic_row(alpha, beta, z)
+    if not far.any():
+        return _contour_row(alpha, beta, z)
+    out = np.empty(z.shape, dtype=np.complex128)
+    out[far] = _asymptotic_row(alpha, beta, z[far])
+    out[~far] = _contour_row(alpha, beta, z[~far])
     return out
 
 
@@ -385,14 +409,14 @@ def kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray,
     if bad.any():
         raise MLDomainError(f"kernel time must be positive, got {times[bad][0]}")
     a = order.alpha
-    out = np.zeros(times.shape, dtype=np.complex128)
-    at = times != 0.0
-    ta = times[at] ** a
-    z = order.phase_factor * (lam * ta)
-    if kind == "state":
-        out[at] = _ml_row(a, 1.0, z)
+    if kind == "state":  # every time is positive
+        out = _ml_row(a, 1.0, order.phase_factor * (lam * times.ravel() ** a))
+        out = out.reshape(times.shape)
     else:
-        out[at] = ta * _ml_row(a, a + 1.0, z)
+        out = np.zeros(times.shape, dtype=np.complex128)
+        at = times != 0.0
+        ta = times[at] ** a
+        out[at] = ta * _ml_row(a, a + 1.0, order.phase_factor * (lam * ta))
     if not np.isfinite(out).all():
         raise MLOverflowError("kernel evaluation produced a non-finite value")
     return out
@@ -427,11 +451,7 @@ def certify_c0(order: FractionalOrder, mu: float,
     closed form; this certified grid maximum is configuration, not ground
     truth.
     """
-    a = order.alpha
-    if not (0.5 * math.pi * a < mu < math.pi * a):
-        raise MLDomainError(
-            f"mu={mu:.6g} outside (pi*alpha/2, pi*alpha) for alpha={a}"
-        )
+    sector_bounds(order, mu)  # checks the range of mu
     if lambda_grid is None:
         lambda_grid = np.geomspace(1.0, 100.0, 25)
     if t_grid is None:
@@ -442,6 +462,7 @@ def certify_c0(order: FractionalOrder, mu: float,
         raise MLDomainError("certification grids must be non-empty")
     if np.any(lambda_grid < 0.0) or np.any(t_grid <= 0.0):
         raise MLDomainError("certification grids must be nonnegative/positive")
+    a = order.alpha
     x = (lambda_grid[:, None] * t_grid**a).ravel()
     val = np.abs(_ml_row(a, 1.0, -1j * x))
     return max(1.0, float(np.max(val * (1.0 + x))))

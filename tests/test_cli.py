@@ -501,6 +501,9 @@ def with_leaves(problem, leaves):
 @example(with_leaves("invert-initial", {"truth.initial.coeffs_re": [10**400, 0.5]}))
 @example(with_leaves("forward", {"time.n_t": 10**400}))  # sizes beyond numpy's index
 @example(with_leaves("invert-order", {"grid.m": 10**30}))
+@example(with_leaves("invert-order", {"grid.m": 10**18}))  # sizes that cannot be allocated
+@example(with_leaves("invert-order", {"time.n_t": 10**18}))
+@example(with_leaves("invert-order", {"inversion.coarse_points": 10**18}))
 def test_mutated_config_runs_or_names_its_fault(case):
     # an invalid config exits 2 naming its field; exit 3 is kept for real
     # numerical failures (an overflowing L or rho, a flat misfit)

@@ -472,6 +472,37 @@ class TestRowEvaluator:
                                  mlf._contour_row(0.7, 1.7, z[50_000:])])
         assert np.array_equal(row, halves)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.7, 0.7), (0.9, 1.0), (1.8, 1.0)])
+    def test_row_is_pointwise(self, alpha, beta, monkeypatch):
+        # one row over the closed unit disk, every contour node set and the
+        # asymptotic sum with and without its exponential branch, where some
+        # sums need a second 16-term pass: the row equals its two halves and
+        # its one-point evaluations, bit for bit, so the one-region and
+        # one-pass paths agree with the general ones
+        sets, passes = set(), set()
+        nodes, weights = mlf._contour_nodes, mlf._asymptotic_weights
+        monkeypatch.setattr(mlf, "_contour_nodes",
+                            lambda a, b, mu, strip: sets.add((mu, strip)) or nodes(a, b, mu, strip))
+        monkeypatch.setattr(mlf, "_asymptotic_weights",
+                            lambda a, b, chunk: passes.add(chunk) or weights(a, b, chunk))
+        rng = np.random.default_rng(np.random.Philox(43))
+        r = np.concatenate([rng.uniform(0.0, 1.0, 100), [0.0, 1.0, 50.0],
+                            10.0 ** rng.uniform(0.0, math.log10(50.0), 600),
+                            10.0 ** rng.uniform(math.log10(50.0), 4.0, 300)])
+        theta = rng.uniform(-math.pi, math.pi, r.size)
+        far = r >= mlf.ASYMPTOTIC_RADIUS  # at |arg z| >= pi/2 no branch overflows
+        theta[far] = np.copysign(rng.uniform(0.5 * math.pi, math.pi, far.sum()), theta[far])
+        z = rng.permutation(r * np.exp(1j * theta))
+        row = mlf._ml_row(alpha, beta, z)
+        assert len(sets) == 9 and 1 in passes
+        if alpha <= 1.0:
+            branch = np.abs(theta[far]) <= alpha * math.pi
+            assert branch.any() and not branch.all()
+        halves = np.concatenate([mlf._ml_row(alpha, beta, z[:500]),
+                                 mlf._ml_row(alpha, beta, z[500:])])
+        points = np.concatenate([mlf._ml_row(alpha, beta, z[i:i + 1]) for i in range(z.size)])
+        assert row.tobytes() == halves.tobytes() == points.tobytes()
+
 
 class TestSector:
     def test_hand_evaluated_bounds(self):
@@ -509,6 +540,12 @@ class TestSector:
 
 
 class TestCertifyC0:
+    @pytest.mark.parametrize("mu", [math.pi / 5.0, math.pi * 0.6])
+    def test_mu_out_of_range(self, mu):
+        # the sector's range of mu, as TestSector.test_mu_out_of_range
+        with pytest.raises(MLDomainError):
+            certify_c0(FractionalOrder(0.5), mu)
+
     def test_zero_eigenvalue_gives_one(self):
         c0 = certify_c0(FractionalOrder(0.5), math.pi / 3.0,
                         lambda_grid=[0.0], t_grid=[0.3, 1.0, 7.0])
