@@ -37,7 +37,6 @@ from .forward import (
     projection_tail_energy,
     rl_integral,
     solve_forward,
-    synthesize,
 )
 from .inverse import (
     ContourSpec,
@@ -45,7 +44,6 @@ from .inverse import (
     OrderSearchConfig,
     TikhonovConfig,
     contour_for_mode,
-    convolution_sigma_min,
     extract_modal_projection,
     invert_initial,
     invert_order,
@@ -59,11 +57,9 @@ from .mlf import (
     MLParams,
     certify_c0,
     ml_eval,
-    ml_kernel,
-    rotated_power_angle,
     sector_bounds,
 )
-from .observe import ObservationMask, ObservedData, make_mask, masked_norm, observe
+from .observe import ObservationMask, ObservedData, make_mask, observe
 from .spectral import (
     EigenGroup,
     EigenSystem,

@@ -556,8 +556,8 @@ def _cmd_selftest(args):
     names = args.criteria.split(",") if args.criteria else None
     try:
         results = selftest.run_battery(names)
-    except KeyError as exc:
-        _error_json("config", str(exc))
+    except ConfigError as exc:
+        _error_json("config", str(exc), exc.field)
         return 2
     print(selftest.format_table(results))
     if args.output:

@@ -108,15 +108,6 @@ def project(samples: np.ndarray, eig: EigenSystem) -> ModalVector:
     return eig.grid.h * (eig.phis @ samples)
 
 
-def synthesize(coeffs: ModalVector, eig: EigenSystem) -> np.ndarray:
-    """Spatial samples sum_n c_n phi_n; left inverse of ``project`` on the
-    truncated span."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if coeffs.shape[0] != eig.n:
-        raise GridMismatchError(f"{coeffs.shape[0]} coefficients vs {eig.n} modes")
-    return coeffs @ eig.phis
-
-
 def projection_tail_energy(samples: np.ndarray, eig: EigenSystem) -> float:
     """Energy of the component outside span{phi_1..phi_N}: the declared
     truncation approximation of a solve; raises where an energy overflows."""
@@ -261,15 +252,14 @@ def duhamel_check(g: np.ndarray, rho: np.ndarray, order: FractionalOrder,
 
 
 def decay_slope(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
-                indices: np.ndarray, t_lo: float = 1e2, t_hi: float = 1e4,
-                n_pts: int = 25) -> float:
+                indices: np.ndarray) -> float:
     """Log-log slope of t -> ||y(t,.)||_{L2(E),h} for the homogeneous
-    solution over [t_lo, t_hi]; asymptotically -alpha, so decay is algebraic
-    rather than faster than every polynomial."""
-    times = np.geomspace(t_lo, t_hi, n_pts)
+    solution at 25 times over [1e2, 1e4]; asymptotically -alpha, so decay is
+    algebraic rather than faster than every polynomial."""
+    times = np.geomspace(1e2, 1e4, 25)
     vals = eval_homogeneous(y0, order, eig, times)
     norms = np.array(
-        [math.sqrt(eig.grid.h) * np.linalg.norm(vals[i, indices]) for i in range(n_pts)]
+        [math.sqrt(eig.grid.h) * np.linalg.norm(row) for row in vals[:, indices]]
     )
     slope = np.polyfit(np.log(times), np.log(norms), 1)[0]
     return float(slope)

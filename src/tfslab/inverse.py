@@ -1,8 +1,7 @@
 """Regularized recovery of initial data, separable-source spatial factor,
 and the fractional order from masked observations, together with the
 numerical counterparts of the proof machinery: the Laplace-transform
-identity of the state kernel, contour extraction of eigenprojections, and
-a discrete convolution-injectivity check.
+identity of the state kernel and contour extraction of eigenprojections.
 
 The uniqueness statements themselves are qualitative; here they surface as
 (a) positivity of the smallest singular value of the truncated observation
@@ -149,11 +148,13 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
             f"design matrix is rank deficient (sigma_min/sigma_max = "
             f"{smin / max(smax, 1e-300):.3e}); use gamma > 0"
         )
-    # data near the float range can overflow the coefficients; the CLI's
-    # finiteness checks turn that into exit 3
+    # data near the float range can overflow the coefficients
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ d))
         resid = float(np.linalg.norm(G @ coeffs - d))
+    if not (np.isfinite(coeffs).all() and math.isfinite(resid)):
+        raise OperatorOverflowError(
+            "Tikhonov coefficients or residual overflow double precision")
     diag = {"sigma_min": smin, "sigma_max": smax}
     return coeffs, resid, diag
 
@@ -423,17 +424,3 @@ def extract_modal_projection(resolvent, spec: ContourSpec) -> np.ndarray:
         contrib = val * rot
         total = contrib if total is None else total + contrib
     return (spec.radius / n) * total
-
-
-def convolution_sigma_min(rho: np.ndarray, tg: TimeGrid) -> float:
-    """Smallest singular value of the lower-triangular discrete convolution
-    w -> dt * sum_{k<=i} rho(t_{i-k+1}) w(t_k): positive certifies discrete
-    injectivity of the temporal factor, zero is the degenerate rho = 0."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape[0] != tg.n_t:
-        raise GridMismatchError(f"rho sampled at {rho.shape[0]} times vs {tg.n_t}")
-    n = tg.n_t
-    C = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        C[i, : i + 1] = rho[: i + 1][::-1] * tg.dt
-    return float(np.linalg.svd(C, compute_uv=False)[-1])

@@ -387,19 +387,11 @@ def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
     return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
 
-def ml_kernel(order: FractionalOrder, lam: float, t: float, kind: str) -> complex:
-    """Solver kernels built from E: ``state`` = E_{a,1}(pz) and
-    ``integral`` = t^a E_{a,a+1}(pz), with pz = phase_factor * lam * t^alpha;
-    one point of ``kernel_grid`` at a positive time t."""
-    if t <= 0.0:
-        raise MLDomainError(f"kernel time must be positive, got {t}")
-    return complex(kernel_grid(order, lam, np.array([t], dtype=float), kind)[0])
-
-
 def kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray,
                 kind: str) -> np.ndarray:
-    """One mode's ``state`` or ``integral`` kernel (see ``ml_kernel``) over a
-    time array; integral entries at t = 0 are exactly 0."""
+    """One mode's solver kernel over a time array: ``state`` = E_{a,1}(pz)
+    and ``integral`` = t^a E_{a,a+1}(pz), with pz = phase_factor * lam *
+    t^alpha; integral entries at t = 0 are exactly 0."""
     if kind not in ("state", "integral"):
         raise MLDomainError(f"kernel grids are state or integral, got {kind!r}")
     if lam < 0.0:
@@ -420,13 +412,6 @@ def kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray,
     if not np.isfinite(out).all():
         raise MLOverflowError("kernel evaluation produced a non-finite value")
     return out
-
-
-def rotated_power_angle(alpha: float, theta: float) -> float:
-    """arg(-i z^alpha) for arg z = theta, via the two-branch formula."""
-    if theta > -0.5 * math.pi / alpha:
-        return alpha * theta - 0.5 * math.pi
-    return alpha * theta + 1.5 * math.pi
 
 
 def sector_bounds(order: FractionalOrder, mu: float):

@@ -120,8 +120,3 @@ def observe(field, mask: ObservationMask, noise_level: float = 0.0,
         with np.errstate(over="ignore", invalid="ignore"):  # inversions reject non-finite data
             vals += scale * noise / math.sqrt(2.0)
     return ObservedData(vals, mask, field.tg, float(noise_level), int(seed))
-
-
-def masked_norm(mask: ObservationMask, row: np.ndarray) -> float:
-    """Discrete L2(E) norm with the same weight h as the interior product."""
-    return math.sqrt(mask.grid.h) * float(np.linalg.norm(np.asarray(row)))

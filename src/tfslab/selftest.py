@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SourceHypothesisError
+from .errors import ConfigError, SourceHypothesisError
 from .forward import (
     SourceSpec,
     TimeGrid,
@@ -47,7 +47,6 @@ from .mlf import (
     certify_c0,
     kernel_grid,
     ml_eval,
-    ml_kernel,
     rgamma_real,
 )
 from .observe import make_mask, observe
@@ -403,20 +402,21 @@ def warmup():
     # convolution (inside caputo_l1) happen before any criterion's clock
     # starts.
     order = FractionalOrder(0.5)
-    ml_kernel(order, 1.0, 0.5, "state")
-    ml_kernel(order, 100.0, 10.0, "integral")
+    kernel_grid(order, 1.0, np.array([0.5]), "state")
+    kernel_grid(order, 100.0, np.array([10.0]), "integral")
     tg = TimeGrid(0.1, 4)
     caputo_l1(np.ones(5, dtype=complex), 0.5, tg)
 
 
 def run_battery(names=None):
-    warmup()
     selected = CRITERIA if names is None else [
         c for c in CRITERIA if c[0] in set(names)
     ]
     if names is not None and len(selected) != len(set(names)):
         known = {c[0] for c in CRITERIA}
-        raise KeyError(f"unknown criteria: {sorted(set(names) - known)}")
+        raise ConfigError(f"unknown criteria: {sorted(set(names) - known)}",
+                          field="criteria")
+    warmup()
     results = []
     for name, limit, func in selected:
         start = time.perf_counter()

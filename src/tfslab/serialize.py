@@ -136,19 +136,11 @@ def _field_meta(field) -> dict:
 
 
 def field_texts(field):
-    """``(csv, json)``: ``field_to_csv(field)`` and
-    ``dumps_canonical(field_to_json(field))`` as chunk iterators that share
-    one rendering of the field's floats."""
+    """``(csv, json)``: the field's CSV rows and its canonical JSON (grid,
+    time grid and ``values_re_im``) as chunk iterators that share one
+    rendering of the field's floats."""
     return _texts("t,x,re_y,im_y", field.grid.nodes, field.tg.times, field.values,
                   _field_meta(field))
-
-
-def field_to_csv(field) -> str:
-    return "".join(field_texts(field)[0])
-
-
-def field_to_json(field) -> dict:
-    return {**_field_meta(field), "values_re_im": _re_im(field.values)}
 
 
 def _observed_meta(data) -> dict:
@@ -161,15 +153,11 @@ def _observed_meta(data) -> dict:
 
 
 def observed_texts(data):
-    """``(csv, json)``: ``observed_to_csv(data)`` and
-    ``dumps_canonical(observed_to_json(data))`` as chunk iterators that
-    share one rendering of the data's floats."""
+    """``(csv, json)``: the observations' CSV rows and their canonical JSON
+    (time grid, mask, noise level, seed and ``values_re_im``) as chunk
+    iterators that share one rendering of the data's floats."""
     return _texts("t,x,re,im", data.mask.grid.nodes[data.mask.indices], data.tg.times,
                   data.values, _observed_meta(data))
-
-
-def observed_to_csv(data) -> str:
-    return "".join(observed_texts(data)[0])
 
 
 def mask_to_json(mask) -> dict:
@@ -192,10 +180,6 @@ def eigensystem_to_json(eig) -> dict:
             for g in eig.distinct
         ],
     }
-
-
-def observed_to_json(data) -> dict:
-    return {**_observed_meta(data), "values_re_im": _re_im(data.values)}
 
 
 def result_to_json(result) -> dict:

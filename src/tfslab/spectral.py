@@ -50,10 +50,6 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(1, self.m + 1)
 
-    def inner(self, u, v) -> complex:
-        # discrete L2 inner product, conjugate-linear in the second slot
-        return self.h * complex(np.sum(np.asarray(u) * np.conj(np.asarray(v))))
-
     def norm(self, v) -> float:
         return math.sqrt(self.h) * float(np.linalg.norm(np.asarray(v)))
 

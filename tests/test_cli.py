@@ -524,7 +524,7 @@ def test_mutated_config_runs_or_names_its_fault(case):
 
 @pytest.mark.parametrize("problem,leaves,check", [
     ("invert-initial", {"truth.initial.coeffs_re": [1e200, 1e200]}, "tail_energy"),
-    ("invert-initial", {"noise.level": 1e308}, "modal_rel_error"),
+    ("invert-initial", {"noise.level": 1e308}, "Tikhonov coefficients"),
     ("forward", {"initial": {"kind": "mix", "coeffs_re": [1e200, 1e200]}}, "tail_energy"),
     ("forward", {"source.rho.value": 1e300}, "max_field_norm"),
     ("invert-initial", {"noise.level": 1e308, "truth.initial.coeffs_re": [10.0, 10.0]},
@@ -589,6 +589,9 @@ class TestSelftestCommand:
     def test_unknown_criterion_exits_2(self, capsys):
         rc = cli.main(["selftest", "--criteria", "no-such-criterion"])
         assert rc == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err == {"kind": "config", "field": "criteria",
+                       "message": "unknown criteria: ['no-such-criterion']"}
 
     def test_perturbation_hook_fails_loudly(self, monkeypatch, capsys):
         # solver kernels scaled by 1 + 1e-3 fail the criterion: its

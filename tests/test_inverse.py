@@ -10,6 +10,7 @@ from tfslab.errors import (
     GridMismatchError,
     MLAccuracyError,
     MLDomainError,
+    OperatorOverflowError,
     RankDeficientError,
     SourceHypothesisError,
 )
@@ -19,7 +20,6 @@ from tfslab.inverse import (
     OrderSearchConfig,
     TikhonovConfig,
     contour_for_mode,
-    convolution_sigma_min,
     extract_modal_projection,
     invert_initial,
     invert_order,
@@ -28,7 +28,7 @@ from tfslab.inverse import (
     modal_resolvent,
     order_misfit,
 )
-from tfslab.mlf import FractionalOrder
+from tfslab.mlf import FractionalOrder, kernel_grid
 from tfslab.observe import make_mask, observe
 from tfslab.spectral import (
     EigenGroup,
@@ -74,10 +74,8 @@ class TestDesignMatrix:
         grid, eig, tg, mask = setup
         G = inverse._separable_design(eig, FractionalOrder(0.5), tg, mask, 4)
         # first column at the first time: E * phi * sqrt(h dt)
-        from tfslab.mlf import ml_kernel
-
-        k = ml_kernel(FractionalOrder(0.5), float(eig.lambdas[0]),
-                      float(tg.times[0]), "state")
+        k = kernel_grid(FractionalOrder(0.5), float(eig.lambdas[0]),
+                        tg.times[:1], "state")[0]
         expect = k * eig.phis[0, mask.indices] * math.sqrt(grid.h * tg.dt)
         np.testing.assert_allclose(G[: mask.n_nodes, 0], expect, rtol=1e-12)
 
@@ -145,6 +143,22 @@ class TestInvertInitial:
         G = np.column_stack([G, G[:, -1]])
         with pytest.raises(RankDeficientError):
             inverse._tikhonov_solve(G, G[:, 0], 0.0)
+
+    @pytest.mark.parametrize("scale,gamma", [
+        (1e-3, 1e-6),  # finite coefficients, overflowing residual
+        (1e-1, 1e-12),  # NaN coefficients
+    ])
+    def test_overflowing_solution_rejected(self, setup, scale, gamma):
+        # noise level 1e308 leaves the data and the weighted design finite,
+        # but not the filtered solution
+        grid, eig, tg, mask = setup
+        order = FractionalOrder(0.9)
+        y = solve_forward(scale * eig.phis[0].astype(complex), SourceSpec.none(),
+                          order, eig, tg)
+        data = observe(y, mask, 1e308, 3)
+        assert np.isfinite(data.values).all()
+        with pytest.raises(OperatorOverflowError, match="Tikhonov coefficients"):
+            invert_initial(data, order, eig, TikhonovConfig(gamma, 8))
 
     def test_tikhonov_noise_ladder(self, setup):
         # gamma = noise^2: reconstruction error decreases with the noise
@@ -538,23 +552,3 @@ class TestResidueExtraction:
         expect = 1.5 * small_eig.phis[0][mask.indices]
         assert np.max(np.abs(got - expect)) <= 1e-10
 
-
-class TestConvolutionSigmaMin:
-    def test_zero_rho(self):
-        tg = TimeGrid(1.0, 20)
-        assert convolution_sigma_min(np.zeros(20), tg) == 0.0
-
-    def test_constant_rho_matches_direct_svd(self):
-        tg = TimeGrid(1.0, 15)
-        got = convolution_sigma_min(np.ones(15), tg)
-        C = np.tril(np.ones((15, 15))) * tg.dt
-        expect = scipy.linalg.svdvals(C)[-1]
-        assert got == pytest.approx(expect, rel=1e-12)
-        assert got > 0.0
-
-    def test_delayed_rho_is_numerically_noninjective(self):
-        tg = TimeGrid(1.0, 24)
-        rho = np.where(tg.times < 0.5, 0.0, 1.0).astype(complex)
-        smin = convolution_sigma_min(rho, tg)
-        norm = tg.dt * 12  # crude scale of ||C||
-        assert smin <= 1e-12 * norm

@@ -16,9 +16,7 @@ from tfslab.mlf import (
     certify_c0,
     kernel_grid,
     ml_eval,
-    ml_kernel,
     rgamma_real,
-    rotated_power_angle,
     sector_bounds,
 )
 
@@ -211,25 +209,26 @@ class TestMLEval:
 class TestKernels:
     def test_state_at_lambda_zero(self):
         order = FractionalOrder(0.6)
-        assert ml_kernel(order, 0.0, 2.0, "state") == pytest.approx(1.0, abs=1e-13)
+        got = kernel_grid(order, 0.0, np.array([2.0]), "state")[0]
+        assert got == pytest.approx(1.0, abs=1e-13)
 
     def test_integral_at_lambda_zero(self):
         order = FractionalOrder(0.6)
         expect = 2.0**0.6 / math.gamma(1.6)
-        got = ml_kernel(order, 0.0, 2.0, "integral")
+        got = kernel_grid(order, 0.0, np.array([2.0]), "integral")[0]
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_classical_full_period(self):
         # alpha = 1 admitted for kernels only: e^{-2 pi i} = 1
         order = FractionalOrder(1.0)
-        got = ml_kernel(order, 2.0, math.pi, "state")
+        got = kernel_grid(order, 2.0, np.array([math.pi]), "state")[0]
         assert got == pytest.approx(1.0 + 0.0j, abs=1e-12)
 
     def test_boundedness_on_certification_point(self):
         order = FractionalOrder(0.5)
         c0 = certify_c0(order, 0.75 * math.pi * 0.5,
                         lambda_grid=[4.0], t_grid=[1.0])
-        v = ml_kernel(order, 4.0, 1.0, "state")
+        v = kernel_grid(order, 4.0, np.array([1.0]), "state")[0]
         assert abs(v) * (1.0 + 4.0) <= c0 * (1.0 + 1e-12)
 
     def test_envelope_ratio_under_time_dilation(self):
@@ -238,31 +237,32 @@ class TestKernels:
         c0 = certify_c0(order, 0.75 * math.pi * 0.5)
         for lam in (1.0, 10.0):
             for t in (0.05, 0.5, 5.0):
-                k1 = abs(ml_kernel(order, lam, t, "state"))
-                k2 = abs(ml_kernel(order, lam, 10.0 * t, "state"))
+                k1 = abs(kernel_grid(order, lam, np.array([t]), "state")[0])
+                k2 = abs(kernel_grid(order, lam, np.array([10.0 * t]), "state")[0])
                 env = (1.0 + lam * t**0.5) / (1.0 + lam * (10.0 * t) ** 0.5)
                 assert k2 / k1 <= c0**2 * env
                 assert k2 / k1 >= env / c0**2
 
     def test_phase_variant_argument(self):
         order = FractionalOrder(0.5, "power_i_alpha")
-        got = ml_kernel(order, 2.0, 1.0, "state")
+        got = kernel_grid(order, 2.0, np.array([1.0]), "state")[0]
         expect = ml_eval(MLParams(0.5, 1.0), 2.0 * cmath.exp(-1j * math.pi * 0.25),
                          verify=False)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_phase_conventions_merge_at_alpha_one(self):
-        s = ml_kernel(FractionalOrder(1.0, "standard_i"), 3.0, 0.7, "state")
-        p = ml_kernel(FractionalOrder(1.0, "power_i_alpha"), 3.0, 0.7, "state")
+        t = np.array([0.7])
+        s = kernel_grid(FractionalOrder(1.0, "standard_i"), 3.0, t, "state")[0]
+        p = kernel_grid(FractionalOrder(1.0, "power_i_alpha"), 3.0, t, "state")[0]
         assert s == pytest.approx(p, rel=1e-12)
 
     def test_time_must_be_positive(self):
         with pytest.raises(MLDomainError):
-            ml_kernel(FractionalOrder(0.5), 1.0, 0.0, "state")
+            kernel_grid(FractionalOrder(0.5), 1.0, np.array([0.0]), "state")
 
     def test_unknown_kind(self):
         with pytest.raises(MLDomainError):
-            ml_kernel(FractionalOrder(0.5), 1.0, 1.0, "resolvent")
+            kernel_grid(FractionalOrder(0.5), 1.0, np.array([1.0]), "resolvent")
 
     @pytest.mark.parametrize("x", [1.011e4, 1e5, 1e6])
     def test_half_order_kernels_beyond_old_cap(self, x):
@@ -275,7 +275,7 @@ class TestKernels:
             expect = {"state": complex(e1), "integral": complex((e1 - 1) / z)}
         order = FractionalOrder(0.5)
         for kind, ref in expect.items():
-            got = ml_kernel(order, x, 1.0, kind)
+            got = kernel_grid(order, x, np.array([1.0]), kind)[0]
             assert abs(got - ref) <= 1e-12 * abs(ref), kind
 
     def test_order_validation(self):
@@ -360,8 +360,6 @@ class TestKernelGrid:
     def test_only_state_and_integral(self):
         with pytest.raises(MLDomainError):
             kernel_grid(FractionalOrder(0.5), 1.0, np.array([1.0]), "impulse")
-        with pytest.raises(MLDomainError):
-            ml_kernel(FractionalOrder(0.5), 1.0, 1.0, "impulse")
 
 
 def _mp_series(alpha, beta, z):
@@ -403,7 +401,7 @@ class TestRowEvaluator:
     def test_asymptotic_sum_passes_tiny_weights(self, alpha):
         # 1/Gamma(1 - 7 * 0.143) is -1e-3: term 7 is tiny and term 8 outgrows
         # it, but the expansion's envelope still falls; the sum goes on
-        got = ml_kernel(FractionalOrder(alpha), 50.0, 1.0, "state")
+        got = kernel_grid(FractionalOrder(alpha), 50.0, np.array([1.0]), "state")[0]
         ref = _mp_asymptotic(alpha, 1.0, complex(-50j))
         assert abs(got - ref) <= 1e-15 * abs(ref)
 
@@ -518,7 +516,7 @@ class TestSector:
     def test_negative_imaginary_axis_inside(self):
         lo, hi = sector_bounds(FractionalOrder(0.5), math.pi / 3.0)
         assert lo <= -math.pi / 2.0 <= hi
-        ang = rotated_power_angle(0.5, -math.pi / 2.0)
+        ang = cmath.phase(-1j * cmath.exp(-0.5j * math.pi / 2.0))  # arg(-i z^alpha)
         assert math.pi / 3.0 <= abs(ang) <= math.pi
 
     def test_membership_property(self):
@@ -529,7 +527,7 @@ class TestSector:
             assert lo < hi
             for _ in range(340):
                 theta = rng.uniform(lo + 1e-12, hi - 1e-12)
-                ang = rotated_power_angle(alpha, theta)
+                ang = cmath.phase(-1j * cmath.exp(1j * alpha * theta))  # arg(-i z^alpha)
                 assert mu - 1e-9 <= abs(ang) <= math.pi + 1e-9
 
     def test_mu_out_of_range(self):

@@ -25,12 +25,6 @@ class TestGrid:
         assert grid.h == pytest.approx(0.25)
         np.testing.assert_allclose(grid.nodes, [0.25, 0.5, 0.75])
 
-    def test_inner_product_conjugates_second_slot(self):
-        grid = Grid1D(1.0, 3)
-        u = np.array([1j, 0, 0])
-        v = np.array([1j, 0, 0])
-        assert grid.inner(u, v) == pytest.approx(0.25)
-
     def test_too_few_nodes(self):
         with pytest.raises(GridMismatchError):
             Grid1D(1.0, 2)
