@@ -120,6 +120,13 @@ def projection_tail_energy(samples: np.ndarray, eig: EigenSystem) -> float:
     return max(0.0, total - captured)
 
 
+# state_rows and source_rows make one kernel_grid call per mode and kind,
+# although kernel_grid takes every eigenvalue at once: the benchmark's
+# self-check (perfbench/selfcheck.py) pins a forward solve with a source at
+# exactly 2N kernel calls for N modes.  Once that check counts one call per
+# kind, both can take one call across modes, as eval_homogeneous does.
+
+
 def state_rows(order: FractionalOrder, lambdas: np.ndarray,
                times: np.ndarray) -> np.ndarray:
     """Each mode's response E_{a,1}(p lam_n t^a) to its initial datum, one
@@ -164,10 +171,13 @@ def solve_forward(y0: np.ndarray, src: SourceSpec, order: FractionalOrder,
 def eval_homogeneous(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
                      times: np.ndarray) -> np.ndarray:
     """Homogeneous solution at arbitrary positive times (long-horizon
-    experiments run outside any uniform grid)."""
+    experiments run outside any uniform grid).  Every mode's state kernel
+    comes from one ``kernel_grid`` call, bit for bit the rows of
+    ``state_rows``."""
     order.require_strict("the forward evolution")
     c0 = project(np.asarray(y0, dtype=np.complex128), eig)
-    return (c0[:, None] * state_rows(order, eig.lambdas, times)).T @ eig.phis
+    kernels = kernel_grid(order, eig.lambdas, times, "state")
+    return (c0[:, None] * kernels).T @ eig.phis
 
 
 def caputo_l1(series: np.ndarray, alpha: float, tg: TimeGrid) -> np.ndarray:

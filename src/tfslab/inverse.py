@@ -130,6 +130,18 @@ def contour_for_mode(eig: EigenSystem, ell: int, n_quad: int = 64,
 # Tikhonov machinery
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v``.  Where finite entries square past double
+    range and the plain norm reads inf, the norm is taken of ``v`` scaled by
+    its largest entry, so every other vector keeps the plain norm's bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = float(np.linalg.norm(v))
+        if plain != math.inf or not np.isfinite(v).all():
+            return plain
+        top = float(np.max(np.abs(v)))
+        return top * float(np.linalg.norm(v / top))
+
+
 def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     """Minimize |G c - d|^2 + gamma |c|^2 from one thin SVD G = U S V*,
     with Tikhonov filter factors: c = V diag(s / (s^2 + gamma)) U* d.
@@ -151,7 +163,7 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     # data near the float range can overflow the coefficients
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ d))
-        resid = float(np.linalg.norm(G @ coeffs - d))
+        resid = _norm(G @ coeffs - d)
     if not (np.isfinite(coeffs).all() and math.isfinite(resid)):
         raise OperatorOverflowError(
             "Tikhonov coefficients or residual overflow double precision")
@@ -168,11 +180,9 @@ def _tikhonov_result(data: ObservedData, order: FractionalOrder, eig: EigenSyste
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _tikhonov_solve
         d = math.sqrt(data.mask.grid.h * data.tg.dt) * data.values.ravel()
     coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf fails the CLI's checks
-        reg_norm = float(np.linalg.norm(coeffs))
     return InversionResult(
         residual=resid,
-        reg_norm=reg_norm,
+        reg_norm=_norm(coeffs),  # inf fails the CLI's checks
         diagnostics=diag,
         modal=coeffs,
         spatial=coeffs @ eig.phis[: cfg.n_modes],

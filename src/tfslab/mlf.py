@@ -130,6 +130,8 @@ _NODE_SETS = tuple((mu, 1.0) for mu in _FAR_MU) + tuple((2.0, s) for s in _NEAR_
 # 4e-7 relative at beta = 5
 _DISK_STRIP = 0.4
 _ASYMPTOTIC_CHUNK = 16  # expansion terms per numpy pass
+# points per asymptotic block: 16,384 points x terms per pass, as the contour
+_ASYMPTOTIC_BLOCK = _CONTOUR_BLOCK // _ASYMPTOTIC_CHUNK
 _ASYMPTOTIC_TERMS = 199  # the expansion ends here at the latest
 
 
@@ -176,6 +178,18 @@ def _asymptotic_weights(alpha: float, beta: float, chunk: int):
 
 
 def _asymptotic_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """The asymptotic expansion over a row, in blocks of at most
+    ``_ASYMPTOTIC_BLOCK`` points, which bounds the passes' temporaries."""
+    if z.size <= _ASYMPTOTIC_BLOCK:
+        return _asymptotic_block(alpha, beta, z)
+    out = np.empty(z.shape, dtype=np.complex128)
+    for lo in range(0, z.size, _ASYMPTOTIC_BLOCK):
+        out[lo:lo + _ASYMPTOTIC_BLOCK] = _asymptotic_block(
+            alpha, beta, z[lo:lo + _ASYMPTOTIC_BLOCK])
+    return out
+
+
+def _asymptotic_block(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Algebraic expansion E(z) ~ -sum_k z^{-k}/Gamma(beta - alpha k), plus
     the exponential branch where present, summed 16 terms per pass.
 
@@ -387,31 +401,39 @@ def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
     return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
 
-def kernel_grid(order: FractionalOrder, lam: float, times: np.ndarray,
+def kernel_grid(order: FractionalOrder, lam, times: np.ndarray,
                 kind: str) -> np.ndarray:
-    """One mode's solver kernel over a time array: ``state`` = E_{a,1}(pz)
-    and ``integral`` = t^a E_{a,a+1}(pz), with pz = phase_factor * lam *
-    t^alpha; integral entries at t = 0 are exactly 0."""
+    """Solver kernels over a time array, one row per eigenvalue: ``state`` =
+    E_{a,1}(pz) and ``integral`` = t^a E_{a,a+1}(pz), with pz =
+    phase_factor * lam * t^alpha; integral entries at t = 0 are exactly 0.
+    ``lam`` is one eigenvalue (the result has the shape of ``times``) or an
+    array of them (the result has the shape of ``lam`` followed by that of
+    ``times``).  All rows are evaluated as one row.  Each argument is the
+    same product lam * t^alpha as in a one-eigenvalue call, so the rows
+    equal the stacked one-eigenvalue calls bit for bit, up to the one-ulp
+    exception in the README's note on rows and points."""
     if kind not in ("state", "integral"):
         raise MLDomainError(f"kernel grids are state or integral, got {kind!r}")
-    if lam < 0.0:
-        raise MLDomainError(f"eigenvalue must be nonnegative, got {lam}")
+    lam = np.asarray(lam, dtype=float)
+    neg = lam < 0.0
+    if neg.any():
+        raise MLDomainError(f"eigenvalue must be nonnegative, got {lam[neg][0]}")
     times = np.asarray(times, dtype=float)
     bad = times <= 0.0 if kind == "state" else times < 0.0
     if bad.any():
         raise MLDomainError(f"kernel time must be positive, got {times[bad][0]}")
-    a = order.alpha
+    a, lams, flat = order.alpha, lam.reshape(-1, 1), times.ravel()
     if kind == "state":  # every time is positive
-        out = _ml_row(a, 1.0, order.phase_factor * (lam * times.ravel() ** a))
-        out = out.reshape(times.shape)
+        out = _ml_row(a, 1.0, order.phase_factor * (lams * flat**a).ravel())
     else:
-        out = np.zeros(times.shape, dtype=np.complex128)
-        at = times != 0.0
-        ta = times[at] ** a
-        out[at] = ta * _ml_row(a, a + 1.0, order.phase_factor * (lam * ta))
+        out = np.zeros((lam.size, flat.size), dtype=np.complex128)
+        at = flat != 0.0
+        ta = flat[at] ** a
+        row = _ml_row(a, a + 1.0, order.phase_factor * (lams * ta).ravel())
+        out[:, at] = ta * row.reshape(lam.size, ta.size)
     if not np.isfinite(out).all():
         raise MLOverflowError("kernel evaluation produced a non-finite value")
-    return out
+    return out.reshape(lam.shape + times.shape)
 
 
 def sector_bounds(order: FractionalOrder, mu: float):

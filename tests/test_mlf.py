@@ -353,6 +353,32 @@ class TestKernelGrid:
                 ref = complex(mpmath.exp(z * z) * mpmath.erfc(-z))
                 assert abs(v - ref) <= 1e-12 * abs(ref), t
 
+    @pytest.mark.parametrize("phase", ["standard_i", "power_i_alpha"])
+    @pytest.mark.parametrize("lambdas,times,alphas", [
+        # invert-order: 16 modes on the unit interval, 200 times on (0, 1];
+        # at alpha = 0.9 some asymptotic sums need a second pass, and the
+        # row spans several asymptotic blocks
+        ((math.pi * np.arange(1, 17)) ** 2, np.arange(1, 201) / 200,
+         (0.3, 0.45, 0.6, 0.75, 0.9)),
+        # the decay-slope criterion: 2 modes at 25 times over [1e2, 1e4]
+        ((math.pi * np.arange(1, 3)) ** 2, np.geomspace(1e2, 1e4, 25), (0.5, 0.8)),
+    ], ids=["invert-order", "decay-slope"])
+    def test_eigenvalue_array_is_stacked_rows(self, lambdas, times, alphas, phase):
+        # one call over every eigenvalue equals the one-eigenvalue calls
+        # stacked, bit for bit, for both kinds
+        for alpha in alphas:
+            order = FractionalOrder(alpha, phase)
+            for kind, ts in (("state", times), ("integral", np.concatenate(([0.0], times)))):
+                rows = kernel_grid(order, lambdas, ts, kind)
+                stacked = np.array([kernel_grid(order, lam, ts, kind) for lam in lambdas])
+                assert rows.shape == stacked.shape
+                assert rows.tobytes() == stacked.tobytes(), (alpha, kind)
+
+    def test_negative_eigenvalue_is_named(self):
+        with pytest.raises(MLDomainError, match=r"nonnegative, got -2\.5$"):
+            kernel_grid(FractionalOrder(0.5), np.array([1.0, -2.5, -4.0]),
+                        np.array([1.0]), "state")
+
     def test_state_rejects_zero_time(self):
         with pytest.raises(MLDomainError):
             kernel_grid(FractionalOrder(0.5), 1.0, np.array([0.0, 1.0]), "state")
@@ -470,13 +496,16 @@ class TestRowEvaluator:
                                  mlf._contour_row(0.7, 1.7, z[50_000:])])
         assert np.array_equal(row, halves)
 
-    @pytest.mark.parametrize("alpha,beta", [(0.7, 0.7), (0.9, 1.0), (1.8, 1.0)])
-    def test_row_is_pointwise(self, alpha, beta, monkeypatch):
+    @pytest.mark.parametrize("alpha,beta,n_far", [
+        (0.7, 0.7, 300), (0.9, 1.0, 300), (1.8, 1.0, 300), (0.9, 1.0, 2_500),
+    ], ids=["0.7-0.7", "0.9-1.0", "1.8-1.0", "0.9-1.0-blocks"])
+    def test_row_is_pointwise(self, alpha, beta, n_far, monkeypatch):
         # one row over the closed unit disk, every contour node set and the
         # asymptotic sum with and without its exponential branch, where some
         # sums need a second 16-term pass: the row equals its two halves and
         # its one-point evaluations, bit for bit, so the one-region and
-        # one-pass paths agree with the general ones
+        # one-pass paths agree with the general ones; with 2,500 asymptotic
+        # points the row and its second half span several asymptotic blocks
         sets, passes = set(), set()
         nodes, weights = mlf._contour_nodes, mlf._asymptotic_weights
         monkeypatch.setattr(mlf, "_contour_nodes",
@@ -486,13 +515,14 @@ class TestRowEvaluator:
         rng = np.random.default_rng(np.random.Philox(43))
         r = np.concatenate([rng.uniform(0.0, 1.0, 100), [0.0, 1.0, 50.0],
                             10.0 ** rng.uniform(0.0, math.log10(50.0), 600),
-                            10.0 ** rng.uniform(math.log10(50.0), 4.0, 300)])
+                            10.0 ** rng.uniform(math.log10(50.0), 4.0, n_far)])
         theta = rng.uniform(-math.pi, math.pi, r.size)
         far = r >= mlf.ASYMPTOTIC_RADIUS  # at |arg z| >= pi/2 no branch overflows
         theta[far] = np.copysign(rng.uniform(0.5 * math.pi, math.pi, far.sum()), theta[far])
         z = rng.permutation(r * np.exp(1j * theta))
         row = mlf._ml_row(alpha, beta, z)
         assert len(sets) == 9 and 1 in passes
+        assert n_far < mlf._ASYMPTOTIC_BLOCK or far.sum() > 2 * mlf._ASYMPTOTIC_BLOCK
         if alpha <= 1.0:
             branch = np.abs(theta[far]) <= alpha * math.pi
             assert branch.any() and not branch.all()
