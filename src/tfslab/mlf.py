@@ -8,9 +8,10 @@ few node sets per (alpha, beta) (Weideman & Trefethen, Math. Comp. 76
 (2007); Garrappa, SIAM J. Numer. Anal. 53 (2015)): one for the closed unit
 disk, whose contour encloses every pole of that disk, and one per rung of
 a fixed ladder of contour scales and quadrature strips outside it.  Each
-value is one row of a Cauchy product sum_k w_k / (s_k^alpha - z).  The
-expansion is summed 16 terms per pass.  Orders above 1 are reduced through
-the exact root-splitting identity
+value is one row of a Cauchy product sum_k w_k / (s_k^alpha - z).  Each
+point takes the expansion terms its own envelope allows, summed in one
+Horner pass.  Orders above 1 are reduced through the exact root-splitting
+identity
 
     E_{a,b}(z) = (1/n) sum_h E_{a/n,b}(z^{1/n} exp(2 pi i h / n)).
 
@@ -109,10 +110,9 @@ class FractionalOrder:
 # ---------------------------------------------------------------------------
 # region evaluators, each over a 1-D array of arguments (alpha <= 1).
 # Expansion weights and contour node sets depend on (alpha, beta) only and
-# are shared by every point; a point leaves a sum as soon as its own
-# stopping rule fires, so each value depends on its own argument only.
+# are shared by every point, and each value depends on its own argument only.
 
-_CONTOUR_BLOCK = 16384  # points x nodes per numpy pass; bounds the temporaries
+_BLOCK = 4096  # points x nodes or terms per pass: 64 KB, below glibc's 128 KB mmap threshold
 # contour scale mu of a point with a far pole: the largest rung <= a/4.
 # The rungs 0.18 * 2^k stop below 5: the contour sum cancels terms of size
 # e^mu, and a rung at 5 raised the worst standard-ray error of a 1,400-point
@@ -129,9 +129,7 @@ _NODE_SETS = tuple((mu, 1.0) for mu in _FAR_MU) + tuple((2.0, s) for s in _NEAR_
 # parabola near the saddle of e^s s^{alpha - beta}, where mu = 2 lost
 # 4e-7 relative at beta = 5
 _DISK_STRIP = 0.4
-_ASYMPTOTIC_CHUNK = 16  # expansion terms per numpy pass
-# points per asymptotic block: 16,384 points x terms per pass, as the contour
-_ASYMPTOTIC_BLOCK = _CONTOUR_BLOCK // _ASYMPTOTIC_CHUNK
+_ASYMPTOTIC_CHUNK = 16  # expansion terms first tested per point
 _ASYMPTOTIC_TERMS = 199  # the expansion ends here at the latest
 
 
@@ -160,94 +158,93 @@ def _exp_branch(alpha: float, beta: float, z: np.ndarray, logz: np.ndarray,
 
 
 @functools.lru_cache(maxsize=16)
-def _asymptotic_weights(alpha: float, beta: float, chunk: int):
-    """Weights 1/Gamma(beta - alpha k) of the expansion terms z^{-k} in
-    ``chunk`` (k = 16 chunk + 1, ..., 16 chunk + 16), and their envelope:
-    the weight without the factor sin(pi x) of 1/Gamma(x) = sin(pi x)
-    Gamma(1 - x)/pi wherever x = beta - alpha k < 1/2.  The chunk ends
-    early where Gamma(1 - x) would leave double range."""
-    rg, env = [], []
-    for k in range(chunk * _ASYMPTOTIC_CHUNK + 1,
-                   min((chunk + 1) * _ASYMPTOTIC_CHUNK, _ASYMPTOTIC_TERMS) + 1):
+def _asymptotic_weights(alpha: float, beta: float, terms: int, direction=1.0):
+    """Up to ``terms`` expansion terms k <= _ASYMPTOTIC_TERMS, x = beta - alpha k,
+    ending where Gamma(1 - x) would overflow: weights -direction^{-k}/Gamma(x)
+    of |z|^{-k} on the ray through ``direction``; the log of their envelope,
+    |1/Gamma(x)| without the factor |sin(pi x)| of sin(pi x) Gamma(1 - x)/pi
+    where x < 1/2; and the running maximum of its steps up to term k."""
+    weights, env, rise = [], [], [-math.inf]
+    for k in range(1, min(terms, _ASYMPTOTIC_TERMS) + 1):
         x = beta - alpha * k
         if 1.0 - x > 171.0:
             break
-        rg.append(rgamma_real(x))
-        env.append(math.gamma(1.0 - x) / math.pi if x < 0.5 else abs(rg[-1]))
-    return _frozen(np.array(rg), np.array(env))
+        rg = rgamma_real(x)
+        weights.append(-rg / direction**k)
+        e = math.gamma(1.0 - x) / math.pi if x < 0.5 else abs(rg)
+        env.append(math.log(e) if e else -math.inf)
+        if k > 1:  # a step from -inf to -inf is nan, which max passes over
+            rise.append(max(rise[-1], env[-1] - env[-2]))
+    return (tuple(weights),) + _frozen(np.array(env), np.array(rise[:len(env)]))
 
 
-def _asymptotic_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """The asymptotic expansion over a row, in blocks of at most
-    ``_ASYMPTOTIC_BLOCK`` points, which bounds the passes' temporaries."""
-    if z.size <= _ASYMPTOTIC_BLOCK:
-        return _asymptotic_block(alpha, beta, z)
-    out = np.empty(z.shape, dtype=np.complex128)
-    for lo in range(0, z.size, _ASYMPTOTIC_BLOCK):
-        out[lo:lo + _ASYMPTOTIC_BLOCK] = _asymptotic_block(
-            alpha, beta, z[lo:lo + _ASYMPTOTIC_BLOCK])
-    return out
+def _term_counts(alpha: float, beta: float, ell: np.ndarray, floor: np.ndarray,
+                 direction, terms: int = _ASYMPTOTIC_CHUNK):
+    """Number of expansion terms of each point at log|z| = ell, and a number
+    of weights that covers them: up to the first term whose envelope
+    |z|^{-k} env_k exceeds the one before it (optimal truncation), or to
+    the first whose envelope is below exp(floor); a weight near a zero of
+    1/Gamma ends no sum early.  Tested in log space, in blocks of at most
+    ``_BLOCK`` points x terms, and with twice the terms where needed; the
+    envelopes are those cached with the weights on the ray of ``direction``."""
+    _, env, rise = _asymptotic_weights(alpha, beta, terms, direction)
+    m = env.size
+    fall = np.searchsorted(rise, ell, side="right")  # terms before the first rise
+    small = np.empty(ell.size, dtype=np.intp)  # the first term below the floor
+    step = _BLOCK // max(m, 1)
+    for lo in range(0, ell.size, step):
+        bound = np.multiply.outer(ell[lo:lo + step], np.arange(1.0, m + 1.0))
+        bound += floor[lo:lo + step, None]  # a log envelope below this is below the floor
+        below = np.zeros((bound.shape[0], m + 2), dtype=bool)
+        below[:, m + 1] = True  # none below: m + 1
+        np.less(env, bound, out=below[:, 1:m + 1])
+        below.argmax(axis=1, out=small[lo:lo + step])
+    count = np.minimum(fall, small)
+    more = np.flatnonzero((small > m) & (fall == m)) if m == terms else ()
+    if len(more):  # the weights may go on
+        count[more], terms = _term_counts(alpha, beta, ell[more], floor[more], direction,
+                                          2 * terms)
+    return count, terms
 
 
-def _asymptotic_block(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+def _asymptotic_row(alpha: float, beta: float, z: np.ndarray, rho: np.ndarray,
+                    direction=None) -> np.ndarray:
     """Algebraic expansion E(z) ~ -sum_k z^{-k}/Gamma(beta - alpha k), plus
-    the exponential branch where present, summed 16 terms per pass.
-
-    The sum stops before the first term whose envelope
-    |z|^{-k}/|Gamma(beta - alpha k)|, with the sine factor of 1/Gamma left
-    out (see ``_asymptotic_weights``), exceeds the envelope of the term
-    before it, which is then the running minimum (optimal truncation); or
-    after the first term whose envelope falls below 1e-17 of the value.  A
-    weight near a zero of 1/Gamma makes its term tiny but leaves the
-    envelope smooth, so it ends no sum early."""
-    val = np.zeros(z.shape, dtype=np.complex128)  # the exponential branch
-    branch = np.abs(np.angle(z)) <= alpha * math.pi + 1e-14
-    branched = branch.any()
-    if branched:
-        logz = np.log(z[branch])
-        val[branch] = _exp_branch(alpha, beta, z[branch], logz, np.exp(logz / alpha))
-    # out shares val's memory: a point is written once, as it leaves vl
-    out, live, inv, vl = val, np.arange(z.size), 1.0 / z, val
-    acc = np.zeros_like(z)  # the sum so far
-    prev = math.inf  # envelope of the last term
-    chunk = 0
-    while True:
-        rg, env = _asymptotic_weights(alpha, beta, chunk)
-        if rg.size == 0:
-            break
-        if chunk:
-            p = np.empty((live.size, rg.size), dtype=np.complex128)
-            p[:] = inv[:, None]
-            p[:, 0] *= power
-            np.cumprod(p, axis=1, out=p)  # z^{-k}
-        else:
-            p = np.cumprod(np.broadcast_to(inv[:, None], (z.size, rg.size)), axis=1)
-        bound = np.abs(p) * env
-        truncate = np.empty(bound.shape, dtype=bool)  # the term is not added
-        np.greater(bound[:, 0], prev, out=truncate[:, 0])
-        np.greater(bound[:, 1:], bound[:, :-1], out=truncate[:, 1:])
-        sums = p * rg
-        sums[:, 0] += acc
-        np.cumsum(sums, axis=1, out=sums)
-        stop = truncate | (bound < 1e-17 * np.abs(vl[:, None] - sums if branched else sums))
-        hit = np.logical_or.reduce(stop, axis=1)
-        if chunk == 0 and hit.all():  # the usual row: no sum needs a second pass
-            last = stop.argmax(axis=1)  # no first term is left out
-            return vl - sums[live, last - truncate[live, last]]
-        rows = np.flatnonzero(hit)
-        if rows.size:
-            last = stop[rows].argmax(axis=1)
-            last -= truncate[rows, last]  # last term added, -1 for none
-            total = np.where(last >= 0, sums[rows, np.maximum(last, 0)], acc[rows])
-            out[live[rows]] = vl[rows] - total
-            if rows.size == live.size:
-                return out
-            keep = ~hit
-            live, inv, vl = live[keep], inv[keep], vl[keep]
-            p, bound, sums = p[keep], bound[keep], sums[keep]
-        power, acc, prev = p[:, -1], sums[:, -1], bound[:, -1]
-        chunk += 1
-    out[live] = vl - acc
+    the exponential branch where present, at points of modulus rho, in
+    powers of 1/rho: the weights carry direction^{-k} on the ray
+    z = direction * rho, else exp(ik turn) per point, turn = -arg z.  A
+    point takes the terms of ``_term_counts`` at the floor 1e-17 |branch -
+    first term| (the first with a nonzero weight), summed in one Horner pass
+    from the last term down over the points sorted by count.  Every complex
+    product has a real-valued factor: a value rounds alike at any row size."""
+    u, ell, theta = 1.0 / rho, np.log(rho), np.angle(z)
+    turn, direction = (-theta, 1.0) if direction is None else (None, direction)
+    weights = _asymptotic_weights(alpha, beta, _ASYMPTOTIC_CHUNK, direction)[0]
+    k = next((k for k, w in enumerate(weights, start=1) if w), 0)  # the first term
+    gap = u**k * (weights[k - 1] if k else 0j)  # the first term, then branch - it
+    gap = gap if turn is None else gap * np.exp(1j * k * turn)
+    branch = np.abs(theta) <= alpha * math.pi + 1e-14
+    at = slice(None) if branch.all() else branch
+    if branch.any():
+        logz = np.log(z[at])
+        value = _exp_branch(alpha, beta, z[at], logz, np.exp(logz / alpha))
+        gap[at] += value
+    gap = np.abs(gap)
+    floor = np.log(1e-17 * gap, out=np.full(z.size, -math.inf), where=gap > 0.0)
+    count, terms = _term_counts(alpha, beta, ell, floor, direction)
+    weights = _asymptotic_weights(alpha, beta, terms, direction)[0]
+    by_count = np.argsort(count)[::-1]  # most terms first
+    us, acc = u[by_count].astype(np.complex128), np.zeros(z.size, dtype=np.complex128)
+    turn = None if turn is None else turn[by_count]
+    takes = (z.size - np.cumsum(np.bincount(count))).tolist()
+    for k in range(len(takes) - 1, 0, -1):  # takes[k - 1] points take term k
+        n, w = takes[k - 1], weights[k - 1]
+        acc[:n] += w if turn is None else w * np.exp(1j * k * turn[:n])
+        acc[:n] *= us[:n]
+    out = np.empty(z.size, dtype=np.complex128)
+    out[by_count] = acc
+    if branch.any():
+        out[at] += value
     return out
 
 
@@ -299,7 +296,7 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     So a row uses at most nine node sets per (alpha, beta); each is built
     once (``_contour_nodes``), and each point's value is one row of the
     Cauchy product sum_k w_k / (s_k^alpha - z), in blocks of at most
-    ``_CONTOUR_BLOCK`` points x nodes."""
+    ``_BLOCK`` points x nodes."""
     sets = _NODE_SETS + ((max(_FAR_MU[-1], beta - alpha), _DISK_STRIP),)
     disk = np.abs(z) <= 1.0
     which = np.where(disk, len(_NODE_SETS), len(_NODE_SETS) - 1)  # into sets
@@ -329,7 +326,7 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         if not count:
             continue
         sa, w = _contour_nodes(alpha, beta, *sets[j])
-        step = max(1, _CONTOUR_BLOCK // sa.size)
+        step = max(1, _BLOCK // sa.size)
         for lo in range(end, end + count, step):
             hi = min(lo + step, end + count)
             d = sa - zs[lo:hi, None]
@@ -340,9 +337,11 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ml_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+def _ml_row(alpha: float, beta: float, z: np.ndarray, direction=None) -> np.ndarray:
     """E_{alpha,beta} over a 1-D array of arguments: the asymptotic
-    expansion from ASYMPTOTIC_RADIUS on, the contour inside it."""
+    expansion from ASYMPTOTIC_RADIUS on, the contour inside it.  With
+    ``direction`` (alpha <= 1) the arguments are direction * z on one ray,
+    for an array z >= 0."""
     if alpha > 1.0:
         # exact order reduction through the n-th roots of the argument
         n = math.ceil(alpha)
@@ -352,13 +351,14 @@ def _ml_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         turns = np.exp(2j * math.pi * np.arange(n) / n)
         parts = _ml_row(alpha / n, beta, (root[:, None] * turns).ravel())
         return parts.reshape(z.size, n).sum(axis=1) / n
-    far = np.abs(z) >= ASYMPTOTIC_RADIUS
+    rho, z = (np.abs(z), z) if direction is None else (z, direction * z)
+    far = rho >= ASYMPTOTIC_RADIUS
     if far.all():
-        return _asymptotic_row(alpha, beta, z)
+        return _asymptotic_row(alpha, beta, z, rho, direction)
     if not far.any():
         return _contour_row(alpha, beta, z)
     out = np.empty(z.shape, dtype=np.complex128)
-    out[far] = _asymptotic_row(alpha, beta, z[far])
+    out[far] = _asymptotic_row(alpha, beta, z[far], rho[far], direction)
     out[~far] = _contour_row(alpha, beta, z[~far])
     return out
 
@@ -408,10 +408,10 @@ def kernel_grid(order: FractionalOrder, lam, times: np.ndarray,
     phase_factor * lam * t^alpha; integral entries at t = 0 are exactly 0.
     ``lam`` is one eigenvalue (the result has the shape of ``times``) or an
     array of them (the result has the shape of ``lam`` followed by that of
-    ``times``).  All rows are evaluated as one row.  Each argument is the
-    same product lam * t^alpha as in a one-eigenvalue call, so the rows
-    equal the stacked one-eigenvalue calls bit for bit, up to the one-ulp
-    exception in the README's note on rows and points."""
+    ``times``).  All rows are evaluated as one row, on the ray through
+    phase_factor.  Each argument is the same product lam * t^alpha as in a
+    one-eigenvalue call, so the rows equal the stacked one-eigenvalue calls
+    bit for bit."""
     if kind not in ("state", "integral"):
         raise MLDomainError(f"kernel grids are state or integral, got {kind!r}")
     lam = np.asarray(lam, dtype=float)
@@ -424,12 +424,12 @@ def kernel_grid(order: FractionalOrder, lam, times: np.ndarray,
         raise MLDomainError(f"kernel time must be positive, got {times[bad][0]}")
     a, lams, flat = order.alpha, lam.reshape(-1, 1), times.ravel()
     if kind == "state":  # every time is positive
-        out = _ml_row(a, 1.0, order.phase_factor * (lams * flat**a).ravel())
+        out = _ml_row(a, 1.0, (lams * flat**a).ravel(), order.phase_factor)
     else:
         out = np.zeros((lam.size, flat.size), dtype=np.complex128)
         at = flat != 0.0
         ta = flat[at] ** a
-        row = _ml_row(a, a + 1.0, order.phase_factor * (lams * ta).ravel())
+        row = _ml_row(a, a + 1.0, (lams * ta).ravel(), order.phase_factor)
         out[:, at] = ta * row.reshape(lam.size, ta.size)
     if not np.isfinite(out).all():
         raise MLOverflowError("kernel evaluation produced a non-finite value")
@@ -471,5 +471,5 @@ def certify_c0(order: FractionalOrder, mu: float,
         raise MLDomainError("certification grids must be nonnegative/positive")
     a = order.alpha
     x = (lambda_grid[:, None] * t_grid**a).ravel()
-    val = np.abs(_ml_row(a, 1.0, -1j * x))
+    val = np.abs(_ml_row(a, 1.0, x, -1j))
     return max(1.0, float(np.max(val * (1.0 + x))))
