@@ -70,12 +70,6 @@ class SourceSpec:
     def separable(cls, rho, g):
         return cls("separable", rho=rho, g=g)
 
-    def sample(self, i: int, tg: TimeGrid, grid: Grid1D) -> np.ndarray:
-        """Spatial samples of f at time index i (0-based into tg.times)."""
-        if self.kind == "none":
-            return np.zeros(grid.m, dtype=np.complex128)
-        return self.rho[i] * self.g
-
 
 @dataclass(frozen=True)
 class SpaceTimeField:
@@ -120,11 +114,10 @@ def projection_tail_energy(samples: np.ndarray, eig: EigenSystem) -> float:
     return max(0.0, total - captured)
 
 
-# state_rows and source_rows make one kernel_grid call per mode and kind,
-# although kernel_grid takes every eigenvalue at once: the benchmark's
-# self-check (perfbench/selfcheck.py) pins a forward solve with a source at
-# exactly 2N kernel calls for N modes.  Once that check counts one call per
-# kind, both can take one call across modes, as eval_homogeneous does.
+# state_rows and source_rows make one kernel_grid call per mode and kind:
+# the benchmark's self-check (perfbench/selfcheck.py) pins a forward solve
+# with a source at exactly 2N kernel calls for N modes.  Once it counts one
+# call per kind, both can take every mode at once, as eval_homogeneous does.
 
 
 def state_rows(order: FractionalOrder, lambdas: np.ndarray,
@@ -222,21 +215,21 @@ def pde_residual(field: SpaceTimeField, y0: np.ndarray, src: SourceSpec,
                  order: FractionalOrder, A: Tridiag) -> float:
     """Max over grid times of || e^{-i phase} d^alpha y - A y - f ||_{L2,h};
     A is the matrix of -L, so the standard-phase residual is
-    i d^alpha y - A y - f."""
+    i d^alpha y - A y - f.  Every time row is formed and normed at once."""
     order.require_strict("the residual")
     tg, grid = field.tg, field.grid
-    if A.n != grid.m:
-        raise GridMismatchError(f"operator size {A.n} vs grid m={grid.m}")
     y0 = np.asarray(y0, dtype=np.complex128)
-    stacked = np.vstack([y0[None, :], field.values])
-    dcap = caputo_l1(stacked, order.alpha, tg)
+    if A.n != grid.m or y0.shape != (grid.m,):
+        raise GridMismatchError(f"operator size {A.n}, y0 shape {y0.shape} vs grid m={grid.m}")
+    if src.kind == "separable" and (src.rho.shape, src.g.shape) != ((tg.n_t,), (grid.m,)):
+        raise GridMismatchError(f"source rho shape {src.rho.shape}, g shape {src.g.shape} "
+                                f"vs n_t={tg.n_t}, m={grid.m}")
+    dcap = caputo_l1(np.vstack([y0[None, :], field.values]), order.alpha, tg)
     rot = np.conj(order.phase_factor)  # unit modulus, so conj is e^{-i phi}
-    worst = 0.0
-    ay = A.matvec(field.values.T).T
-    for i in range(tg.n_t):
-        r = rot * dcap[i] - ay[i] - src.sample(i, tg, grid)
-        worst = max(worst, grid.norm(r))
-    return worst
+    r = rot * dcap - A.matvec(field.values.T).T
+    if src.kind == "separable":
+        r -= np.outer(src.rho, src.g)
+    return math.sqrt(grid.h) * float(np.linalg.norm(r, axis=1).max())
 
 
 def duhamel_check(g: np.ndarray, rho: np.ndarray, order: FractionalOrder,
@@ -250,15 +243,24 @@ def duhamel_check(g: np.ndarray, rho: np.ndarray, order: FractionalOrder,
     The phase factor belongs to the identity: per mode both sides reduce
     to multiples of t E_{a,2}(p lam t^a), the driven side carrying the
     extra p from the source coupling.
+
+    Both sides are compared as n_t x N modal coefficients, with one
+    ``kernel_grid`` call per kind for every mode (the rows of ``state_rows``
+    and ``source_rows``, bit for bit); the eigenvectors are h-orthonormal,
+    so coefficient norms equal grid norms up to rounding.
     """
     order.require_strict("the Duhamel identity")
     rho = np.asarray(rho, dtype=np.complex128)
-    v = solve_forward(np.asarray(g, np.complex128), SourceSpec.none(), order, eig, tg)
-    y = solve_forward(np.zeros(eig.grid.m), SourceSpec.separable(rho, g), order, eig, tg)
-    lhs = rl_integral(y.values, 1.0 - order.alpha, tg)
-    rhs = order.phase_factor * tg.dt * causal_conv(v.values, rho)
-    diffs = lhs - rhs
-    return max(eig.grid.norm(diffs[i]) for i in range(tg.n_t))
+    if rho.shape != (tg.n_t,):
+        raise GridMismatchError(f"rho shape {rho.shape} vs n_t={tg.n_t}")
+    c = project(g, eig)
+    dw = np.diff(kernel_grid(order, eig.lambdas, tg.dt * np.arange(tg.n_t + 1), "integral"))
+    y = order.phase_factor * np.array([causal_conv(cn * rho, w) for cn, w in zip(c, dw)]).T
+    del dw  # freed before the state kernels are built
+    v = c * kernel_grid(order, eig.lambdas, tg.times, "state").T
+    lhs = rl_integral(y, 1.0 - order.alpha, tg)
+    rhs = order.phase_factor * tg.dt * causal_conv(v, rho)
+    return float(np.linalg.norm(lhs - rhs, axis=1).max())
 
 
 def decay_slope(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
@@ -268,8 +270,6 @@ def decay_slope(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
     algebraic rather than faster than every polynomial."""
     times = np.geomspace(1e2, 1e4, 25)
     vals = eval_homogeneous(y0, order, eig, times)
-    norms = np.array(
-        [math.sqrt(eig.grid.h) * np.linalg.norm(row) for row in vals[:, indices]]
-    )
+    norms = math.sqrt(eig.grid.h) * np.linalg.norm(vals[:, indices], axis=1)
     slope = np.polyfit(np.log(times), np.log(norms), 1)[0]
     return float(slope)

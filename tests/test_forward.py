@@ -1,10 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
 
+from tfslab import forward
+from tfslab._kernels import causal_conv
 from tfslab.errors import GridMismatchError, MLDomainError
 from tfslab.forward import (
     SourceSpec,
@@ -334,6 +337,109 @@ class TestResidualAndDuhamel:
         src = SourceSpec.separable(1j * dcap - lam * tg.times, eig.phis[0])
         r = pde_residual(field, np.zeros(eig.grid.m), src, order, A)
         assert r <= 1e-10
+
+
+def grid_duhamel(g, rho, order, eig, tg):
+    """The Duhamel discrepancy on the m nodes: both solutions synthesized as
+    fields, J^{1-alpha} and the rho-convolution applied node by node, and
+    each time row normed on its own."""
+    v = solve_forward(g, SourceSpec.none(), order, eig, tg).values
+    y = solve_forward(np.zeros(eig.grid.m), SourceSpec.separable(rho, g), order, eig, tg).values
+    lhs = rl_integral(y, 1.0 - order.alpha, tg)
+    rhs = order.phase_factor * tg.dt * causal_conv(v, rho)
+    return max(eig.grid.norm(row) for row in lhs - rhs)
+
+
+def row_residual(field, y0, src, order, A):
+    """The PDE residual one time row at a time."""
+    tg, grid = field.tg, field.grid
+    dcap = caputo_l1(np.vstack([y0[None, :], field.values]), order.alpha, tg)
+    ay = A.matvec(field.values.T).T
+    worst = 0.0
+    for i in range(tg.n_t):
+        f = src.rho[i] * src.g if src.kind == "separable" else 0.0
+        worst = max(worst, grid.norm(np.conj(order.phase_factor) * dcap[i] - ay[i] - f))
+    return worst
+
+
+class TestVectorizedChecks:
+    @pytest.mark.parametrize("system", ["eig", "fd_system"])
+    @pytest.mark.parametrize("phase", ["standard_i", "power_i_alpha"])
+    @pytest.mark.parametrize("datum", ["mode", "mix"])
+    def test_modal_duhamel_matches_grid_fields(self, request, system, phase, datum):
+        fixture = request.getfixturevalue(system)
+        eig = fixture[1] if system == "fd_system" else fixture
+        order = FractionalOrder(0.5 if phase == "standard_i" else 0.6, phase)
+        tg = TimeGrid(1.0, 1000)
+        if datum == "mode":  # the selftest's datum and source
+            g, rho = eig.phis[0].astype(complex), np.ones(tg.n_t, dtype=complex)
+        else:
+            rng = np.random.default_rng(np.random.Philox(29))
+            g = (rng.standard_normal(eig.n) + 1j * rng.standard_normal(eig.n)) @ eig.phis
+            rho = np.exp(3j * tg.times) * (1.0 + tg.times)
+        ref = grid_duhamel(g, rho, order, eig, tg)
+        assert abs(duhamel_check(g, rho, order, eig, tg) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("separable", [False, True])
+    def test_residual_matches_row_by_row(self, fd_system, separable):
+        A, eig = fd_system
+        order = FractionalOrder(0.6, "power_i_alpha")
+        tg = TimeGrid(1.0, 200)
+        rng = np.random.default_rng(np.random.Philox(31))
+        shape = (tg.n_t + 1, eig.grid.m)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        src = (SourceSpec.separable(np.exp(2j * tg.times), values[0] + eig.phis[1])
+               if separable else SourceSpec.none())
+        field = SpaceTimeField(values[1:], tg, eig.grid)
+        ref = row_residual(field, values[0], src, order, A)
+        assert abs(pde_residual(field, values[0], src, order, A) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("n_rho, m_g, m_y0", [
+        (25, 63, 63),  # a longer rho was truncated to the grid
+        (15, 63, 63),  # a shorter rho ran off its end
+        (20, 62, 63),
+        (20, 63, 64),
+        (None, None, 62),
+    ])
+    def test_residual_rejects_mismatched_inputs(self, fd_system, n_rho, m_g, m_y0):
+        A, eig = fd_system
+        tg = TimeGrid(1.0, 20)
+        field = SpaceTimeField(np.zeros((tg.n_t, eig.grid.m), dtype=complex), tg, eig.grid)
+        src = (SourceSpec.none() if n_rho is None
+               else SourceSpec.separable(np.ones(n_rho), np.ones(m_g)))
+        with pytest.raises(GridMismatchError):
+            pde_residual(field, np.zeros(m_y0), src, FractionalOrder(0.5), A)
+
+    @pytest.mark.parametrize("n_rho, m_g", [(25, 63), (15, 63), (20, 62)])
+    def test_duhamel_rejects_mismatched_inputs(self, fd_system, n_rho, m_g):
+        _, eig = fd_system
+        with pytest.raises(GridMismatchError):
+            duhamel_check(np.ones(m_g), np.ones(n_rho), FractionalOrder(0.5), eig,
+                          TimeGrid(1.0, 20))
+
+    @pytest.mark.parametrize("n_modes", [4, 8])
+    def test_duhamel_makes_one_kernel_call_per_kind(self, monkeypatch, n_modes):
+        eig = analytic_eigensystem(1.0, n_modes, Grid1D(1.0, 99))
+        calls = []
+        exact = forward.kernel_grid
+        monkeypatch.setattr(forward, "kernel_grid",
+                            lambda *args: calls.append((np.shape(args[1]), args[3]))
+                            or exact(*args))
+        tg = TimeGrid(1.0, 100)
+        duhamel_check(eig.phis[0], np.ones(tg.n_t), FractionalOrder(0.5), eig, tg)
+        assert sorted(calls) == [((n_modes,), "integral"), ((n_modes,), "state")]
+
+    def test_duhamel_allocates_no_space_time_field(self, eig):
+        tg = TimeGrid(1.0, 2000)
+        args = (eig.phis[0], np.ones(tg.n_t, dtype=complex), FractionalOrder(0.5), eig, tg)
+        duhamel_check(*args)  # one-time set-up outside the measurement
+        tracemalloc.start()
+        try:
+            duhamel_check(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tg.n_t * eig.grid.m * np.dtype(np.complex128).itemsize
 
 
 class TestDecay:
