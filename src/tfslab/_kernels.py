@@ -27,17 +27,20 @@ def _fast_length(n: int) -> int:
 
 def causal_conv(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Causal convolution of ``signal`` (1D or 2D, time on axis 0) with a
-    scalar ``kernel`` of length >= signal length, truncated to the signal
-    length."""
+    ``kernel`` of length >= signal length, truncated to the signal length.
+    A 1D kernel serves every column of a 2D signal; a 2D kernel holds one
+    column per signal column, so one call convolves many pairs."""
     signal = np.asarray(signal, dtype=np.complex128)
     kernel = np.asarray(kernel, dtype=np.complex128)
     n = signal.shape[0]
     if kernel.shape[0] < n:
         raise ValueError("kernel shorter than signal")
+    if kernel.ndim == 2 and kernel.shape[1:] != signal.shape[1:]:
+        raise ValueError(f"kernel columns {kernel.shape[1:]} vs signal {signal.shape[1:]}")
     # the transform length scipy.signal.fftconvolve picks for a full
     # convolution, so results match it bit for bit
     length = _fast_length(2 * n - 1)
-    k = np.fft.fft(kernel[:n], length)
-    if signal.ndim == 2:
+    k = np.fft.fft(kernel[:n], length, axis=0)
+    if signal.ndim > k.ndim:
         k = k[:, None]
     return np.fft.ifft(np.fft.fft(signal, length, axis=0) * k, axis=0)[:n]

@@ -385,11 +385,11 @@ class _Phases:
         log.debug("phase %s: %.6f s", self._name, self.seconds[self._name])
 
 
-def run(cfg: dict, output_dir: str, seed_override=None) -> dict:
+def run(cfg: dict, output_dir: str) -> dict:
     """Execute the configured pipeline and write artifacts; returns the run
     report (also written as report.json).  ``cfg`` is parsed first, so a
     config error raises ``ConfigError`` before any solve or write."""
-    return _run(cfg, _parse(cfg, cfg.get("problem"), seed_override), output_dir)
+    return _run(cfg, _parse(cfg, cfg.get("problem")), output_dir)
 
 
 def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:

@@ -133,13 +133,15 @@ def source_rows(order: FractionalOrder, lambdas: np.ndarray, tg: TimeGrid,
     the grid times, where p is the phase factor and
     W_n(tau) = tau^a E_{a,a+1}(p lam_n tau^a) on the grid including t = 0
     integrates the impulse kernel exactly over grid subintervals.  A mode
-    whose forcing vanishes responds with exact zeros."""
+    whose forcing vanishes responds with exact zeros; the others share one
+    convolution call."""
     taus = tg.dt * np.arange(tg.n_t + 1)
     rows = np.zeros((len(lambdas), tg.n_t), dtype=np.complex128)
-    for n, lam in enumerate(lambdas):
-        if np.any(forcing[n]):
-            dw = np.diff(kernel_grid(order, lam, taus, "integral"))
-            rows[n] = order.phase_factor * causal_conv(forcing[n], dw)
+    live = np.flatnonzero(np.any(forcing, axis=1))
+    if live.size:
+        dw = np.array([np.diff(kernel_grid(order, lambdas[n], taus, "integral"))
+                       for n in live])
+        rows[live] = order.phase_factor * causal_conv(forcing[live].T, dw.T).T
     return rows
 
 
@@ -148,7 +150,6 @@ def solve_forward(y0: np.ndarray, src: SourceSpec, order: FractionalOrder,
     """Modal solution: per mode,
     c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + p * conv(f_n, dW_n)(t)
     (see ``state_rows`` and ``source_rows``)."""
-    order.require_strict("the forward evolution")
     c0 = project(np.asarray(y0, dtype=np.complex128), eig)
     coeffs = c0[:, None] * state_rows(order, eig.lambdas, tg.times)
     if src.kind == "separable":
@@ -167,7 +168,6 @@ def eval_homogeneous(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
     experiments run outside any uniform grid).  Every mode's state kernel
     comes from one ``kernel_grid`` call, bit for bit the rows of
     ``state_rows``."""
-    order.require_strict("the forward evolution")
     c0 = project(np.asarray(y0, dtype=np.complex128), eig)
     kernels = kernel_grid(order, eig.lambdas, times, "state")
     return (c0[:, None] * kernels).T @ eig.phis
@@ -216,7 +216,6 @@ def pde_residual(field: SpaceTimeField, y0: np.ndarray, src: SourceSpec,
     """Max over grid times of || e^{-i phase} d^alpha y - A y - f ||_{L2,h};
     A is the matrix of -L, so the standard-phase residual is
     i d^alpha y - A y - f.  Every time row is formed and normed at once."""
-    order.require_strict("the residual")
     tg, grid = field.tg, field.grid
     y0 = np.asarray(y0, dtype=np.complex128)
     if A.n != grid.m or y0.shape != (grid.m,):
@@ -249,13 +248,12 @@ def duhamel_check(g: np.ndarray, rho: np.ndarray, order: FractionalOrder,
     and ``source_rows``, bit for bit); the eigenvectors are h-orthonormal,
     so coefficient norms equal grid norms up to rounding.
     """
-    order.require_strict("the Duhamel identity")
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape != (tg.n_t,):
         raise GridMismatchError(f"rho shape {rho.shape} vs n_t={tg.n_t}")
     c = project(g, eig)
     dw = np.diff(kernel_grid(order, eig.lambdas, tg.dt * np.arange(tg.n_t + 1), "integral"))
-    y = order.phase_factor * np.array([causal_conv(cn * rho, w) for cn, w in zip(c, dw)]).T
+    y = order.phase_factor * causal_conv(np.outer(rho, c), dw.T)
     del dw  # freed before the state kernels are built
     v = c * kernel_grid(order, eig.lambdas, tg.times, "state").T
     lhs = rl_integral(y, 1.0 - order.alpha, tg)

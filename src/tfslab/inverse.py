@@ -25,14 +25,18 @@ from .errors import (
     SourceHypothesisError,
 )
 from .forward import TimeGrid, eval_homogeneous, source_rows, state_rows
-from .mlf import FractionalOrder, MLParams, ml_eval
+from .mlf import FractionalOrder, kernel_grid
 from .observe import ObservationMask, ObservedData
 from .spectral import EigenSystem
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section share of the larger side
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _GL_NODES = 8  # the coarse rule of laplace_identity_gap's panel pairs
-_GL_MAX_PANELS = 1 << 14  # live panels per level; bounds the ml_eval rows
+_GL_MAX_PANELS = 1 << 14  # live panels per level; bounds the kernel rows
+# the boundedness estimate |E_{a,1}(-i mu t^a)| <= _C0_BOUND of the state
+# kernel, and the largest truncated tail it admits
+_C0_BOUND = 10.0
+_TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -105,24 +109,16 @@ class ContourSpec:
             raise GridMismatchError("radius must be positive")
 
 
-def contour_for_mode(eig: EigenSystem, ell: int, n_quad: int = 64,
-                     radius: float = None) -> ContourSpec:
-    """Contour around the ell-th distinct eigenvalue (0-based), validated
-    against the spacing of the eigensystem; default radius is a third of
-    the gap to the nearest neighbor."""
+def contour_for_mode(eig: EigenSystem, ell: int, n_quad: int = 64) -> ContourSpec:
+    """Contour around the ell-th distinct eigenvalue (0-based) whose radius
+    is a third of the gap to the nearest neighbor (1 for a lone
+    eigenvalue), so every other eigenvalue lies outside it."""
     groups = eig.distinct
     if not (0 <= ell < len(groups)):
         raise GridMismatchError(f"distinct index {ell} out of range")
     mu = groups[ell].mu
     gaps = [abs(g.mu - mu) for i, g in enumerate(groups) if i != ell]
-    gap = min(gaps) if gaps else math.inf
-    if radius is None:
-        radius = gap / 3.0 if math.isfinite(gap) else 1.0
-    if radius >= gap / 2.0:
-        raise GridMismatchError(
-            f"radius {radius:.4g} reaches into the neighboring eigenvalue "
-            f"(half-gap {gap / 2.0:.4g})"
-        )
+    radius = min(gaps) / 3.0 if gaps else 1.0
     return ContourSpec(ell, complex(0.0, -mu), float(radius), int(n_quad))
 
 
@@ -199,7 +195,6 @@ def _separable_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
     Without ``rho``, r_n is mode n's response to the initial datum phi_n
     (``state_rows``); with it, r_n is the response to the source
     rho(t) phi_n(x) (``source_rows``), as in the forward solver."""
-    order.require_strict("the observation operator")
     if n_modes > eig.n:
         raise GridMismatchError(f"{n_modes} modes requested, eigensystem has {eig.n}")
     if mask.grid != eig.grid:
@@ -349,26 +344,28 @@ def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
 
 
 def laplace_identity_gap(order: FractionalOrder, mu_k: float, z: complex,
-                         T_trunc: float, *, c0_bound: float = 10.0,
-                         tail_tol: float = 1e-6) -> float:
+                         T_trunc: float) -> float:
     """| int_0^T e^{-zt} E_{a,1}(-i mu t^a) dt  -  z^{a-1}/(z^a + i mu) |
-    with principal powers; T must be large enough that the boundedness
-    estimate puts the truncated tail below ``tail_tol``.  The integral is
-    adaptive Gauss-Legendre with one ``ml_eval`` row per bisection level."""
+    with principal powers, on the standard ray whatever the order's phase;
+    T must be large enough that the boundedness estimate puts the
+    truncated tail below 1e-6.  The integral is adaptive Gauss-Legendre
+    with one ``kernel_grid`` row per bisection level."""
     z = complex(z)
+    if not (cmath.isfinite(z) and math.isfinite(mu_k) and 0.0 < T_trunc < math.inf):
+        raise MLDomainError(f"z={z} and mu={mu_k} must be finite, and T_trunc={T_trunc} "
+                            "finite and positive")
     if z.real <= 0.0:
         raise MLDomainError("the transform identity requires Re z > 0")
     if mu_k < 0.0:
         raise MLDomainError("mu must be nonnegative")
-    tail = c0_bound * math.exp(-z.real * T_trunc) / z.real
-    if tail > tail_tol:
+    tail = _C0_BOUND * math.exp(-z.real * T_trunc) / z.real
+    if tail > _TAIL_TOL:
         raise MLDomainError(
             f"T_trunc={T_trunc:g} leaves truncation bound {tail:.3e} above "
-            f"{tail_tol:g}"
+            f"{_TAIL_TOL:g}"
         )
     a = order.alpha
-    params = MLParams(a, 1.0)
-    cap = max(1e6, 2.0 * mu_k * T_trunc**a)
+    standard = FractionalOrder(a)
     # a panel is accepted when its n- and 2n-point sums agree to its share
     # of 1e-13 or to 1e-12 of its integral of |f| (the evaluator's relative
     # noise reaches 1e-10 where the kernel is tiny), else bisected; panels
@@ -385,8 +382,7 @@ def laplace_identity_gap(order: FractionalOrder, mu_k: float, z: complex,
             )
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         t = mid[:, None] + half[:, None] * nodes
-        kern = ml_eval(params, -1j * (mu_k * t**a), z_max=cap, verify=False)
-        f = np.exp(-z * t) * kern
+        f = np.exp(-z * t) * kernel_grid(standard, mu_k, t, "state")
         coarse = half * (f[:, :_GL_NODES] @ w1)
         fine = half * (f[:, _GL_NODES:] @ w2)
         mass = half * (np.abs(f[:, _GL_NODES:]) @ w2)
@@ -399,21 +395,18 @@ def laplace_identity_gap(order: FractionalOrder, mu_k: float, z: complex,
     return float(abs(numeric - closed))
 
 
-def modal_resolvent(coeffs: np.ndarray, eig: EigenSystem, indices=None):
+def modal_resolvent(coeffs: np.ndarray, eig: EigenSystem):
     """Synthetic resolvent S(eta) = sum_k (sum_j c_kj phi_kj)/(eta + i mu_k)
-    assembled from known modal data, restricted to the given node indices."""
+    assembled from known modal data, on every grid node; restrict the
+    extracted projection to observe it on a subset."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape[0] != eig.n:
         raise GridMismatchError(f"{coeffs.shape[0]} coefficients vs {eig.n} modes")
-    if indices is None:
-        indices = np.arange(eig.grid.m)
-    parts = []
-    for g in eig.distinct:
-        vec = coeffs[g.start:g.stop] @ eig.phis[g.start:g.stop][:, indices]
-        parts.append((complex(0.0, g.mu), vec))
+    parts = [(complex(0.0, g.mu), coeffs[g.start:g.stop] @ eig.phis[g.start:g.stop])
+             for g in eig.distinct]
 
     def S(eta: complex) -> np.ndarray:
-        total = np.zeros(len(indices), dtype=np.complex128)
+        total = np.zeros(eig.grid.m, dtype=np.complex128)
         for imu, vec in parts:
             total += vec / (eta + imu)
         return total

@@ -74,17 +74,17 @@ class FractionalOrder:
 
     ``standard_i`` multiplies the time derivative by i, giving the kernel
     argument phase -pi/2; ``power_i_alpha`` uses the i^alpha convention,
-    phase -pi*alpha/2.  Evolution operators require alpha strictly inside
-    (0, 1); alpha = 1 is admitted so the kernels can be probed at the
-    classical limit.
+    phase -pi*alpha/2.  The order lies strictly inside (0, 1); the
+    classical limit is approached, not reached (the classical-limit
+    criterion runs at alpha = 0.999).
     """
 
     alpha: float
     phase: str = "standard_i"
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise MLDomainError(f"order alpha must lie in (0, 1], got {self.alpha}")
+        if not (0.0 < self.alpha < 1.0):
+            raise MLDomainError(f"order alpha must lie in (0, 1), got {self.alpha}")
         if self.phase not in ("standard_i", "power_i_alpha"):
             raise MLDomainError(f"unknown phase convention {self.phase!r}")
 
@@ -101,10 +101,6 @@ class FractionalOrder:
         if self.phase == "standard_i":
             return -1j
         return cmath.exp(1j * self.phase_angle)
-
-    def require_strict(self, what: str) -> None:
-        if self.alpha >= 1.0:
-            raise MLDomainError(f"{what} requires alpha strictly inside (0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +463,6 @@ def certify_c0(order: FractionalOrder, mu: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if lambda_grid.size == 0 or t_grid.size == 0:
         raise MLDomainError("certification grids must be non-empty")
-    if np.any(lambda_grid < 0.0) or np.any(t_grid <= 0.0):
-        raise MLDomainError("certification grids must be nonnegative/positive")
-    a = order.alpha
-    x = (lambda_grid[:, None] * t_grid**a).ravel()
-    val = np.abs(_ml_row(a, 1.0, x, -1j))
-    return max(1.0, float(np.max(val * (1.0 + x))))
+    # kernel_grid rejects a negative eigenvalue and a nonpositive time
+    val = np.abs(kernel_grid(FractionalOrder(order.alpha), lambda_grid, t_grid, "state"))
+    return max(1.0, float(np.max(val * (1.0 + lambda_grid[:, None] * t_grid**order.alpha))))

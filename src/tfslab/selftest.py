@@ -62,8 +62,9 @@ class CriterionResult:
     detail: str
 
 
-def _safe_radius(alpha, theta, rng_r, cap=50.0):
-    """Largest |z| <= cap keeping exp(Re z^{1/a}) within double range."""
+def _safe_radius(alpha, theta, rng_r):
+    """Largest |z| <= 50 keeping exp(Re z^{1/a}) within double range, scaled
+    by ``rng_r``."""
     best = 0.0
     m_range = range(-2, 3)
     for m in m_range:
@@ -71,8 +72,8 @@ def _safe_radius(alpha, theta, rng_r, cap=50.0):
         if abs(psi) <= math.pi:
             best = max(best, math.cos(psi))
     if best <= 0.0:
-        return cap * rng_r
-    return min(cap, (120.0 / best) ** alpha) * rng_r
+        return 50.0 * rng_r
+    return min(50.0, (120.0 / best) ** alpha) * rng_r
 
 
 def _c1_ml_correctness():
@@ -207,10 +208,10 @@ def _c7_duhamel():
     return f"disc {discs[0]:.2e} -> {discs[1]:.2e} (ratio {ratio:.2f})"
 
 
-def _recovery_setup(n_t=50):
+def _recovery_setup():
     grid = Grid1D(1.0, 99)
     eig = analytic_eigensystem(1.0, 8, grid)
-    tg = TimeGrid(1.0, n_t)
+    tg = TimeGrid(1.0, 50)
     mask = make_mask([(0.2, 0.4)], grid)
     return grid, eig, tg, mask
 

@@ -76,17 +76,10 @@ class OperatorSpec:
             raise EllipticityError(f"p must be nonnegative, min(p)={self.p.min():.6g}")
 
     @classmethod
-    def from_callables(cls, a_fun, p_fun, grid: Grid1D, kappa=None):
-        mids = grid.h * (np.arange(grid.m + 1) + 0.5)
-        a = np.array([a_fun(x) for x in mids], dtype=float)
-        p = np.array([p_fun(x) for x in grid.nodes], dtype=float)
-        if kappa is None:
-            kappa = float(a.min())
-        return cls(a, p, kappa)
-
-    @classmethod
     def constant(cls, a0: float, p0: float, grid: Grid1D):
-        return cls.from_callables(lambda x: a0, lambda x: p0, grid)
+        """Constant coefficients, with the floor kappa = a0."""
+        return cls(np.full(grid.m + 1, a0, dtype=float), np.full(grid.m, p0, dtype=float),
+                   float(a0))
 
 
 @dataclass(frozen=True)

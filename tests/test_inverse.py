@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -331,8 +332,8 @@ class TestModalDesignsMatchForwardSolves:
             order = FractionalOrder(0.6)
         else:
             grid = Grid1D(1.0, 63)
-            spec = OperatorSpec.from_callables(lambda x: 1.0 + 0.5 * x,
-                                               lambda x: 2.0 * x, grid)
+            mids = grid.h * (np.arange(grid.m + 1) + 0.5)
+            spec = OperatorSpec(1.0 + 0.5 * mids, 2.0 * grid.nodes, 1.0)
             eig = eigen_solve(assemble_operator(spec, grid), 10, grid)
             order = FractionalOrder(0.95, "power_i_alpha")
         return eig, order, TimeGrid(1.0, 60), make_mask([(0.1, 0.35)], eig.grid)
@@ -512,7 +513,7 @@ class TestLaplaceIdentity:
         (0.6, 1e4, 1.0 + 1.0j, 30.0),
     ])
     def test_stress_cases_match_closed_form(self, alpha, mu, z, T):
-        gap = laplace_identity_gap(FractionalOrder(alpha), mu, z, T, tail_tol=1e-2)
+        gap = laplace_identity_gap(FractionalOrder(alpha), mu, z, T)
         assert gap <= 1e-12
 
     def test_unresolved_integrand_raises(self, monkeypatch):
@@ -523,11 +524,11 @@ class TestLaplaceIdentity:
             laplace_identity_gap(FractionalOrder(0.9), 400.0, 1.0, 40.0)
 
     def test_gap_shrinks_with_horizon(self):
-        g_short = laplace_identity_gap(FractionalOrder(0.5), 4.0, 0.5 + 0j, 30.0,
-                                       tail_tol=1e-2)
-        g_long = laplace_identity_gap(FractionalOrder(0.5), 4.0, 0.5 + 0j, 60.0,
-                                      tail_tol=1e-2)
-        bound = 10.0 * math.exp(-0.5 * 30.0) / 0.5
+        # the 1e-6 tail bound admits horizons from about 34 at Re z = 0.5;
+        # at 40 the bound is 4.1e-8
+        g_short = laplace_identity_gap(FractionalOrder(0.5), 4.0, 0.5 + 0j, 40.0)
+        g_long = laplace_identity_gap(FractionalOrder(0.5), 4.0, 0.5 + 0j, 80.0)
+        bound = 10.0 * math.exp(-0.5 * 40.0) / 0.5
         assert g_short <= bound
         assert g_long <= g_short + 1e-12
 
@@ -538,6 +539,23 @@ class TestLaplaceIdentity:
     def test_insufficient_horizon_rejected(self):
         with pytest.raises(MLDomainError):
             laplace_identity_gap(FractionalOrder(0.5), 1.0, 0.1 + 0j, 5.0)
+
+    @pytest.mark.parametrize("mu,z,T", [
+        (1.0, complex(math.nan, 0.0), 40.0),  # NaN slips past the Re z <= 0 rejection
+        (1.0, complex(1.0, math.nan), 40.0),
+        (1.0, complex(1.0, math.inf), 40.0),
+        (math.nan, 1.0, 40.0),
+        (math.inf, 1.0, 40.0),
+        (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf),
+        (1.0, 1e8, 0.0),  # within the tail bound
+        (1.0, 1e8, -1.0),  # overflows the tail bound's exp
+    ])
+    def test_invalid_input_rejected_up_front(self, mu, z, T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MLDomainError, match="finite"):
+                laplace_identity_gap(FractionalOrder(0.5), mu, z, T)
 
 
 class TestResidueExtraction:
@@ -574,9 +592,9 @@ class TestResidueExtraction:
             assert e1 <= 0.5 * e0
 
     def test_radius_validation(self, small_eig):
+        # a third of the gap keeps the neighbor outside the circle
         gap = small_eig.distinct[1].mu - small_eig.distinct[0].mu
-        with pytest.raises(GridMismatchError):
-            contour_for_mode(small_eig, 0, 64, radius=0.6 * gap)
+        assert contour_for_mode(small_eig, 0, 64).radius == gap / 3.0
         with pytest.raises(GridMismatchError):
             contour_for_mode(small_eig, 0, 4)
 
@@ -585,8 +603,8 @@ class TestResidueExtraction:
 
         mask = make_mask([(0.3, 0.7)], small_eig.grid)
         coeffs = np.array([1.5, 0.0, 0.0])
-        S = modal_resolvent(coeffs, small_eig, mask.indices)
-        got = extract_modal_projection(S, contour_for_mode(small_eig, 0, 64))
+        S = modal_resolvent(coeffs, small_eig)
+        got = extract_modal_projection(S, contour_for_mode(small_eig, 0, 64))[mask.indices]
         expect = 1.5 * small_eig.phis[0][mask.indices]
         assert np.max(np.abs(got - expect)) <= 1e-10
 

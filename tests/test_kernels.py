@@ -36,6 +36,26 @@ def test_2d_matches_bruteforce(rng):
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
 
 
+def test_2d_kernel_convolves_column_by_column(rng):
+    # one kernel column per signal column, as source_rows and duhamel_check
+    # pass them (a transposed view): bit for bit the one-column calls
+    sig = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
+    ker = (rng.standard_normal((5, 31)) + 1j * rng.standard_normal((5, 31))).T
+    got = _kernels.causal_conv(sig, ker)
+    cols = np.stack([_kernels.causal_conv(sig[:, c], ker[:, c]) for c in range(5)], axis=1)
+    assert got.tobytes() == cols.tobytes()
+    expect = np.stack([brute_conv(sig[:, c], ker[:30, c]) for c in range(5)], axis=1)
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_2d_kernel_columns_must_match_the_signal(columns):
+    # a single kernel column is not broadcast over the signal's three
+    with pytest.raises(ValueError):
+        _kernels.causal_conv(np.ones((5, 3), dtype=complex),
+                             np.ones((5, columns), dtype=complex))
+
+
 def test_short_kernel_rejected(rng):
     with pytest.raises(ValueError):
         _kernels.causal_conv(np.ones(5, dtype=complex), np.ones(3, dtype=complex))

@@ -221,12 +221,6 @@ class TestKernels:
         got = kernel_grid(order, 0.0, np.array([2.0]), "integral")[0]
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_classical_full_period(self):
-        # alpha = 1 admitted for kernels only: e^{-2 pi i} = 1
-        order = FractionalOrder(1.0)
-        got = kernel_grid(order, 2.0, np.array([math.pi]), "state")[0]
-        assert got == pytest.approx(1.0 + 0.0j, abs=1e-12)
-
     def test_boundedness_on_certification_point(self):
         order = FractionalOrder(0.5)
         c0 = certify_c0(order, 0.75 * math.pi * 0.5,
@@ -253,12 +247,6 @@ class TestKernels:
                          verify=False)
         assert got == pytest.approx(expect, rel=1e-12)
 
-    def test_phase_conventions_merge_at_alpha_one(self):
-        t = np.array([0.7])
-        s = kernel_grid(FractionalOrder(1.0, "standard_i"), 3.0, t, "state")[0]
-        p = kernel_grid(FractionalOrder(1.0, "power_i_alpha"), 3.0, t, "state")[0]
-        assert s == pytest.approx(p, rel=1e-12)
-
     def test_time_must_be_positive(self):
         with pytest.raises(MLDomainError):
             kernel_grid(FractionalOrder(0.5), 1.0, np.array([0.0]), "state")
@@ -284,6 +272,8 @@ class TestKernels:
     def test_order_validation(self):
         with pytest.raises(MLDomainError):
             FractionalOrder(0.0)
+        with pytest.raises(MLDomainError):
+            FractionalOrder(1.0)
         with pytest.raises(MLDomainError):
             FractionalOrder(1.2)
         with pytest.raises(MLDomainError):

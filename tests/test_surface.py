@@ -1,6 +1,7 @@
 """The package's public surface: every public top-level function, class and
-method is named somewhere else in ``src/tfslab``, so nothing public is kept
-alive by the tests alone."""
+method is named somewhere else in ``src/tfslab``, and every defaulted
+parameter is set by some call there, so neither a name nor an option is
+kept alive by the tests alone."""
 
 import ast
 import os
@@ -55,3 +56,64 @@ def test_every_public_definition_has_a_caller_in_the_package():
         if reads[name] == _names(node)[name] and qualname not in EXTERNAL_CALLERS
     ]
     assert not unused, f"public definitions with no caller in src/tfslab: {unused}"
+
+
+# defaulted parameters that only a caller outside the package sets: the
+# benchmark's ML oracle passes ml_eval a larger modulus cap
+EXTERNAL_SETTERS = {"mlf.ml_eval.z_max"}
+
+
+def _defaulted_parameters(module, tree):
+    """(qualified name, callee name, position, keyword) of each defaulted
+    parameter of every function and method; the position counts the
+    arguments a call passes, after ``self`` or ``cls``, and is None for a
+    keyword-only parameter.  A class's ``__init__`` is called by the class
+    name."""
+    scopes = [(module, node, None) for node in tree.body]
+    while scopes:
+        prefix, node, cls = scopes.pop()
+        if isinstance(node, ast.ClassDef):
+            scopes += [(f"{prefix}.{node.name}", item, node.name) for item in node.body]
+            continue
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        scopes += [(f"{prefix}.{node.name}", item, None) for item in node.body]
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if cls is not None and not static else 0
+        callee = cls if node.name == "__init__" else node.name
+        args = node.args.posonlyargs + node.args.args
+        first = len(args) - len(node.args.defaults)
+        for i, arg in enumerate(args[first:], start=first):
+            yield f"{prefix}.{node.name}.{arg.arg}", callee, i - skip, arg.arg
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield f"{prefix}.{node.name}.{arg.arg}", callee, None, arg.arg
+
+
+def _calls(tree):
+    """(callee name, positional count, keywords, unpacks) of each call; a
+    call that unpacks ``*args`` or ``**kw`` sets every parameter."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        unpacks = (any(isinstance(a, ast.Starred) for a in node.args)
+                   or any(k.arg is None for k in node.keywords))
+        yield name, len(node.args), {k.arg for k in node.keywords}, unpacks
+
+
+def test_every_default_is_set_by_a_caller_in_the_package():
+    modules = dict(_modules())
+    calls = [call for tree in modules.values() for call in _calls(tree)]
+    unset = [
+        qualname
+        for module, tree in modules.items()
+        for qualname, callee, position, keyword in _defaulted_parameters(module, tree)
+        if qualname not in EXTERNAL_SETTERS and not any(
+            name == callee and (unpacks or keyword in keywords
+                                or (position is not None and position < count))
+            for name, count, keywords, unpacks in calls)
+    ]
+    assert not unset, f"defaulted parameters no call in src/tfslab sets: {sorted(unset)}"
