@@ -42,7 +42,7 @@ from .serialize import (
     result_to_json,
     spatial_to_csv,
     write_json,
-    atomic_write_text,
+    atomic_write_texts,
 )
 from .spectral import Grid1D, OperatorSpec, analytic_eigensystem, assemble_operator, eigen_solve
 
@@ -401,9 +401,9 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     checks = {}
     os.makedirs(output_dir, exist_ok=True)
 
-    def emit(name, text):  # text: a string or an iterable of chunks
-        atomic_write_text(os.path.join(output_dir, name), text)
-        artifacts.append(name)
+    def emit(*named):  # (name, text) pairs, text a string or chunks, drawn in lockstep
+        atomic_write_texts([(os.path.join(output_dir, name), text) for name, text in named])
+        artifacts.extend(name for name, _ in named)
 
     phases.start("spectral")
     if exp.operator is None:
@@ -411,7 +411,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     else:
         eig = eigen_solve(assemble_operator(exp.operator, grid), exp.n_modes, grid)
     phases.stop()
-    emit("eigensystem.json", dumps_canonical(eigensystem_to_json(eig)))
+    emit(("eigensystem.json", dumps_canonical(eigensystem_to_json(eig))))
 
     y0, src = exp.initial(eig), exp.source(eig)
     phases.start("forward")
@@ -438,17 +438,13 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             # BLAS buffer of about 1 MB of peak memory
             traj = np.array([project(row, eig)[idx] for row in fieldv.values])
             checks["kernel_trajectory_max_dev"] = float(np.max(np.abs(traj - expect)))
-        field_csv, field_json = field_texts(fieldv)
-        emit("field.csv", field_csv)
-        emit("field.json", field_json)
+        emit(*zip(("field.csv", "field.json"), field_texts(fieldv)))
 
     else:
         phases.start("observe")
         data = observe(fieldv, exp.mask, exp.noise_level, exp.seed)
         phases.stop()
-        data_csv, data_json = observed_texts(data)
-        emit("data.csv", data_csv)
-        emit("data.json", data_json)
+        emit(*zip(("data.csv", "data.json"), observed_texts(data)))
         phases.start("inverse")
         if problem == "invert-order":
             result = invert_order(data, y0, eig, inv, phase=order.phase)
@@ -457,7 +453,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
         else:
             result = invert_initial(data, order, eig, inv)
         phases.stop()
-        emit("estimate.json", dumps_canonical(result_to_json(result)))
+        emit(("estimate.json", dumps_canonical(result_to_json(result))))
         if problem == "invert-order":
             checks["alpha_hat"] = result.order
             checks["alpha_abs_error"] = abs(result.order - exp.truth_order.alpha)
@@ -469,8 +465,8 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             with np.errstate(over="ignore", invalid="ignore"):
                 checks["modal_rel_error"] = float(np.linalg.norm(result.modal - truth)
                                                   / max(np.linalg.norm(truth), 1e-300))
-            emit("mask.json", dumps_canonical(mask_to_json(exp.mask)))
-            emit("estimate.csv", spatial_to_csv(grid.nodes, result.spatial))
+            emit(("mask.json", dumps_canonical(mask_to_json(exp.mask))))
+            emit(("estimate.csv", spatial_to_csv(grid.nodes, result.spatial)))
 
     for name, value in checks.items():
         if not math.isfinite(value):

@@ -459,7 +459,8 @@ def certify_c0(order: FractionalOrder, mu: float,
         lambda_grid = np.geomspace(1.0, 100.0, 25)
     if t_grid is None:
         t_grid = np.geomspace(1e-3, 1e3, 25)
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
+    # a scalar is a one-point grid, for the eigenvalues as for the times
+    lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     t_grid = np.asarray(t_grid, dtype=float)
     if lambda_grid.size == 0 or t_grid.size == 0:
         raise MLDomainError("certification grids must be non-empty")

@@ -9,10 +9,15 @@ time row at a time, each float's repr once (``repr`` of the row's list, in
 C), and the CSV and the JSON artifact are both built from those row
 strings: the JSON is the small document through ``json.dumps`` with the
 array spliced in.  Both texts come as chunk iterators, one chunk per row,
-that ``atomic_write_text`` streams to disk, so no full artifact text is
-ever held.
+over one lazy stream of row strings.  ``atomic_write_texts`` draws the two
+in lockstep, so each row is rendered, written to both files and dropped
+before the next is rendered: one rendered row per artifact pair is held,
+never a full artifact text.
 """
 
+import collections
+import contextlib
+import itertools
 import json
 import os
 import tempfile
@@ -37,24 +42,47 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, default=_json_default, sort_keys=True, indent=2) + "\n"
 
 
-def atomic_write_text(path: str, text) -> None:
-    """Write ``text``, a string or an iterable of string chunks, via a temp
-    file in the same directory plus rename, so readers never see a partial
-    artifact."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tfslab-", suffix=".tmp")
+def atomic_write_texts(targets) -> None:
+    """Write each ``(path, text)`` of ``targets``, ``text`` a string or an
+    iterable of string chunks, via a temp file in the path's directory plus
+    rename, so readers never see a partial artifact.
+
+    The texts are drawn in lockstep, one chunk of each in turn until every
+    one is exhausted, so chunk iterators over one lazy source hold only the
+    part of it that the others have not yet drawn.  On any failure every
+    temp file is removed; the targets are renamed into place only once all
+    of them are written."""
+    tmps = []
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+        with contextlib.ExitStack() as files:
+            handles = []
+            for path, _ in targets:
+                directory = os.path.dirname(os.path.abspath(path)) or "."
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tfslab-", suffix=".tmp")
+                tmps.append(tmp)
+                handles.append(files.enter_context(os.fdopen(fd, "w")))
+            streams = [[text] if isinstance(text, str) else text for _, text in targets]
+            for chunks in itertools.zip_longest(*streams):
+                for handle, chunk in zip(handles, chunks):
+                    if chunk is not None:
+                        handle.write(chunk)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        for tmp in tmps:
+            os.chmod(tmp, 0o666 & ~umask)
+        for tmp, (path, _) in zip(tmps, targets):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text) -> None:
+    """``atomic_write_texts`` for one target."""
+    atomic_write_texts([(path, text)])
 
 
 def write_json(path: str, obj) -> None:
@@ -68,12 +96,12 @@ def _re_im(values) -> np.ndarray:
     return np.column_stack([flat.real, flat.imag]).ravel()
 
 
-def _rows(values) -> list:
-    """Each row of ``values`` (a 1-D array is one row) as one string of its
-    interleaved parts, ``"re_0, im_0, re_1, im_1, ..."``; ``repr`` of the
-    row's list renders every float once, with the digits ``f"{x!r}"`` and
-    ``json`` give."""
-    return [repr(_re_im(row).tolist())[1:-1] for row in np.atleast_2d(values)]
+def _rows(values):
+    """Each row of ``values`` (a 1-D array is one row), rendered as it is
+    drawn, as one string of its interleaved parts, ``"re_0, im_0, re_1,
+    im_1, ..."``; ``repr`` of the row's list renders every float once, with
+    the digits ``f"{x!r}"`` and ``json`` give."""
+    return (repr(_re_im(row).tolist())[1:-1] for row in np.atleast_2d(values))
 
 
 def _csv_chunks(header, nodes, rows, times=None):
@@ -117,11 +145,33 @@ def _json_chunks(meta: dict, rows):
     yield "\n  ]" + tail
 
 
+def _tee(rows):
+    """Two iterators over the iterator ``rows``, which draw each row from it
+    once and hold it only until both have passed it (``itertools.tee`` keeps
+    a row until both are some 57 rows past it)."""
+    queues = (collections.deque(), collections.deque())
+
+    def branch(mine):
+        while True:
+            if not mine:
+                row = next(rows, None)
+                if row is None:
+                    return
+                for queue in queues:
+                    queue.append(row)
+                del row  # only the queues hold it, so the other's draw frees it
+            yield mine.popleft()
+
+    return branch(queues[0]), branch(queues[1])
+
+
 def _texts(header, nodes, times, values, meta):
     """The CSV and the JSON (``meta`` plus ``values_re_im``) of a time-major
-    complex array, as chunk iterators over one rendering of its floats."""
-    rows = _rows(values)
-    return _csv_chunks(header, nodes, rows, times), _json_chunks(meta, rows)
+    complex array, as chunk iterators over one lazy rendering of its
+    floats: a row is rendered once, when the first of the two draws it, and
+    kept until the other has drawn it too."""
+    csv_rows, json_rows = _tee(_rows(values))
+    return _csv_chunks(header, nodes, csv_rows, times), _json_chunks(meta, json_rows)
 
 
 # ---------------------------------------------------------------------------

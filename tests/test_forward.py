@@ -184,11 +184,12 @@ class TestSolveForward:
             gap = np.max(np.abs(c - c0))
             assert gap <= 3.0 * float(eig.lambdas[0]) * t**0.5
 
-    def test_alpha_one_rejected_for_evolution(self, eig):
+    def test_source_length_mismatch_rejected(self, eig):
+        # rho sampled at one time fewer than the grid has
         tg = TimeGrid(1.0, 10)
-        with pytest.raises(MLDomainError):
-            solve_forward(eig.phis[0].astype(complex), SourceSpec.none(),
-                          FractionalOrder(1.0), eig, tg)
+        src = SourceSpec.separable(np.ones(tg.n_t - 1), eig.phis[1])
+        with pytest.raises(GridMismatchError, match="rho sampled at 9 times, grid has 10"):
+            solve_forward(eig.phis[0].astype(complex), src, FractionalOrder(0.5), eig, tg)
 
 
 class TestFractionalCalculus:

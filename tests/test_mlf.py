@@ -672,6 +672,14 @@ class TestCertifyC0:
         with pytest.raises(MLDomainError):
             certify_c0(FractionalOrder(0.5), mu)
 
+    def test_scalar_grids_are_one_point_grids(self):
+        order, mu, times = FractionalOrder(0.5), math.pi / 3.0, [0.3, 1.0, 7.0]
+        c0 = certify_c0(order, mu, lambda_grid=[1.0], t_grid=times)
+        assert c0 > 1.0
+        assert certify_c0(order, mu, lambda_grid=1.0, t_grid=times) == c0
+        assert certify_c0(order, mu, lambda_grid=1.0, t_grid=1.0) == certify_c0(
+            order, mu, lambda_grid=[1.0], t_grid=[1.0])
+
     def test_zero_eigenvalue_gives_one(self):
         c0 = certify_c0(FractionalOrder(0.5), math.pi / 3.0,
                         lambda_grid=[0.0], t_grid=[0.3, 1.0, 7.0])

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from tfslab.observe import ObservedData, make_mask, observe
 from tfslab.serialize import (
     _json_default,
     atomic_write_text,
+    atomic_write_texts,
     dumps_canonical,
     eigensystem_to_json,
     field_texts,
@@ -75,6 +77,32 @@ class TestAtomicWrite:
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_stream_replaces_no_target(self, tmp_path, failing):
+        # one target exists and keeps its content, the other is not created
+        old, new = tmp_path / "field.csv", tmp_path / "field.json"
+        atomic_write_text(str(old), "old\n")
+        texts = [["a\n", "b\n", "c\n"], "x\n"]
+        texts[failing] = self.chunks()
+        with pytest.raises(RuntimeError, match="renderer failed"):
+            atomic_write_texts(list(zip([str(old), str(new)], texts)))
+        assert old.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [old]
+
+    def test_streams_are_drawn_in_lockstep(self, tmp_path):
+        drawn = []
+
+        def chunks(name, n):
+            for i in range(n):
+                drawn.append(f"{name}{i}")
+                yield f"{name}{i}\n"
+
+        short, long = tmp_path / "a.csv", tmp_path / "b.json"
+        atomic_write_texts([(str(short), chunks("a", 2)), (str(long), chunks("b", 3))])
+        assert drawn == ["a0", "b0", "a1", "b1", "b2"]
+        # the longer stream's last chunk is written too
+        assert (short.read_text(), long.read_text()) == ("a0\na1\n", "b0\nb1\nb2\n")
+
     def test_chunks_are_written_in_order(self, tmp_path):
         target = tmp_path / "artifact.csv"
         atomic_write_text(str(target), (f"{i}\n" for i in range(3)))
@@ -112,6 +140,28 @@ def test_field_json_flat_layout(eig):
     assert len(doc["values_re_im"]) == 2 * 3 * eig.grid.m
     v0 = complex(doc["values_re_im"][0], doc["values_re_im"][1])
     assert v0 == complex(y.values[0, 0])
+
+
+def test_writing_a_field_holds_about_one_row(tmp_path):
+    """Both artifacts of a field come from one pass over its rows, each row
+    rendered, written to both files and dropped before the next: peak
+    memory while writing them is a small multiple of one row's text, not a
+    multiple of the field's 200 rows."""
+    rng = np.random.default_rng(0)
+    n_t, m = 200, 255
+    field = SpaceTimeField(rng.standard_normal((n_t, m)) + 1j * rng.standard_normal((n_t, m)),
+                           TimeGrid(1.0, n_t), Grid1D(1.0, m))
+    row = len(repr(field.values[0].view(np.float64).tolist()))
+    paths = [str(tmp_path / "field.csv"), str(tmp_path / "field.json")]
+    tracemalloc.start()
+    try:
+        atomic_write_texts(list(zip(paths, field_texts(field))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * row
+    assert json.loads((tmp_path / "field.json").read_text())["values_re_im"][:2] == [
+        field.values[0, 0].real, field.values[0, 0].imag]
 
 
 class TestExactText:
