@@ -31,18 +31,19 @@ from .inverse import (
     invert_order,
     invert_source,
 )
-from .mlf import FractionalOrder, MLParams, ml_eval
+from .mlf import ALPHA_MAX, FractionalOrder, MLParams, ml_eval
 from .observe import make_mask, observe
 from .serialize import (
+    atomic_write_text,
+    atomic_write_texts,
     dumps_canonical,
     eigensystem_to_json,
-    field_texts,
+    field_chunks,
     mask_to_json,
-    observed_texts,
+    observed_chunks,
     result_to_json,
     spatial_to_csv,
     write_json,
-    atomic_write_texts,
 )
 from .spectral import Grid1D, OperatorSpec, analytic_eigensystem, assemble_operator, eigen_solve
 
@@ -157,8 +158,10 @@ def _order(obj):
 
 def _operator(obj, grid):
     """The operator's coefficients; None for the closed-form Laplacian."""
-    if _require_dict(obj, "operator").get("analytic"):
+    if "analytic" in _require_dict(obj, "operator"):
         _check_keys(obj, "operator", ("analytic",))
+        if obj["analytic"] is not True:
+            raise ConfigError("operator.analytic must be true", field="operator.analytic")
         return None
     if "a_const" in obj:
         _check_keys(obj, "operator", ("a_const", "p_const"))
@@ -401,9 +404,13 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     checks = {}
     os.makedirs(output_dir, exist_ok=True)
 
-    def emit(*named):  # (name, text) pairs, text a string or chunks, drawn in lockstep
-        atomic_write_texts([(os.path.join(output_dir, name), text) for name, text in named])
-        artifacts.extend(name for name, _ in named)
+    def emit(name, text):
+        atomic_write_text(os.path.join(output_dir, name), text)
+        artifacts.append(name)
+
+    def emit_pair(names, chunks):  # each tuple of chunks holds one string per name
+        atomic_write_texts([os.path.join(output_dir, name) for name in names], chunks)
+        artifacts.extend(names)
 
     phases.start("spectral")
     if exp.operator is None:
@@ -411,7 +418,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     else:
         eig = eigen_solve(assemble_operator(exp.operator, grid), exp.n_modes, grid)
     phases.stop()
-    emit(("eigensystem.json", dumps_canonical(eigensystem_to_json(eig))))
+    emit("eigensystem.json", dumps_canonical(eigensystem_to_json(eig)))
 
     y0, src = exp.initial(eig), exp.source(eig)
     phases.start("forward")
@@ -438,13 +445,13 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             # BLAS buffer of about 1 MB of peak memory
             traj = np.array([project(row, eig)[idx] for row in fieldv.values])
             checks["kernel_trajectory_max_dev"] = float(np.max(np.abs(traj - expect)))
-        emit(*zip(("field.csv", "field.json"), field_texts(fieldv)))
+        emit_pair(("field.csv", "field.json"), field_chunks(fieldv))
 
     else:
         phases.start("observe")
         data = observe(fieldv, exp.mask, exp.noise_level, exp.seed)
         phases.stop()
-        emit(*zip(("data.csv", "data.json"), observed_texts(data)))
+        emit_pair(("data.csv", "data.json"), observed_chunks(data))
         phases.start("inverse")
         if problem == "invert-order":
             result = invert_order(data, y0, eig, inv, phase=order.phase)
@@ -453,7 +460,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
         else:
             result = invert_initial(data, order, eig, inv)
         phases.stop()
-        emit(("estimate.json", dumps_canonical(result_to_json(result))))
+        emit("estimate.json", dumps_canonical(result_to_json(result)))
         if problem == "invert-order":
             checks["alpha_hat"] = result.order
             checks["alpha_abs_error"] = abs(result.order - exp.truth_order.alpha)
@@ -465,8 +472,8 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             with np.errstate(over="ignore", invalid="ignore"):
                 checks["modal_rel_error"] = float(np.linalg.norm(result.modal - truth)
                                                   / max(np.linalg.norm(truth), 1e-300))
-            emit(("mask.json", dumps_canonical(mask_to_json(exp.mask))))
-            emit(("estimate.csv", spatial_to_csv(grid.nodes, result.spatial)))
+            emit("mask.json", dumps_canonical(mask_to_json(exp.mask)))
+            emit("estimate.csv", spatial_to_csv(grid.nodes, result.spatial))
 
     for name, value in checks.items():
         if not math.isfinite(value):
@@ -526,7 +533,7 @@ def _cmd_experiment(problem, args):
 
 def _cmd_ml_eval(args):
     try:
-        params = MLParams(_number(args.alpha, "alpha", lo=0.0, strict_lo=True),
+        params = MLParams(_number(args.alpha, "alpha", lo=0.0, hi=ALPHA_MAX, strict_lo=True),
                           _number(args.beta, "beta"))
         value = ml_eval(params, complex(_number(args.re, "re"), _number(args.im, "im")),
                         verify=not args.no_verify)

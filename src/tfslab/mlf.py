@@ -10,8 +10,8 @@ disk, whose contour encloses every pole of that disk, and one per rung of
 a fixed ladder of contour scales and quadrature strips outside it.  Each
 value is one row of a Cauchy product sum_k w_k / (s_k^alpha - z).  Each
 point takes the expansion terms its own envelope allows, summed in one
-Horner pass.  Orders above 1 are reduced through the exact root-splitting
-identity
+Horner pass.  Orders above 1, up to ``ALPHA_MAX`` = 2, are reduced through
+the exact root-splitting identity
 
     E_{a,b}(z) = (1/n) sum_h E_{a/n,b}(z^{1/n} exp(2 pi i h / n)).
 
@@ -31,6 +31,8 @@ from .errors import MLAccuracyError, MLDomainError, MLOverflowError
 
 ASYMPTOTIC_RADIUS = 50.0
 Z_MAX_DEFAULT = 1.0e4
+# the largest order: the reduction takes ceil(alpha) roots of each argument
+ALPHA_MAX = 2.0
 
 _EXP_ARG_MAX = 700.0
 _TARGET = 1.0e-15
@@ -62,8 +64,8 @@ class MLParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise MLDomainError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0.0 < self.alpha <= ALPHA_MAX:
+            raise MLDomainError(f"alpha must lie in (0, {ALPHA_MAX}], got {self.alpha}")
         if not math.isfinite(self.beta):
             raise MLDomainError(f"beta must be finite, got {self.beta}")
 

@@ -6,18 +6,15 @@ produce byte-identical artifacts.
 
 The complex arrays of the field and the observed data are rendered one
 time row at a time, each float's repr once (``repr`` of the row's list, in
-C), and the CSV and the JSON artifact are both built from those row
-strings: the JSON is the small document through ``json.dumps`` with the
-array spliced in.  Both texts come as chunk iterators, one chunk per row,
-over one lazy stream of row strings.  ``atomic_write_texts`` draws the two
-in lockstep, so each row is rendered, written to both files and dropped
-before the next is rendered: one rendered row per artifact pair is held,
-never a full artifact text.
+C), and the CSV and the JSON artifact are both built from that row
+string: the JSON is the small document through ``json.dumps`` with the
+array spliced in.  An artifact pair comes as one stream of ``(csv, json)``
+chunk tuples, one per row, and ``atomic_write_texts`` writes each tuple to
+both files before it draws the next: one rendered row per artifact pair is
+held, never a full artifact text.
 """
 
-import collections
 import contextlib
-import itertools
 import json
 import os
 import tempfile
@@ -42,36 +39,32 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, default=_json_default, sort_keys=True, indent=2) + "\n"
 
 
-def atomic_write_texts(targets) -> None:
-    """Write each ``(path, text)`` of ``targets``, ``text`` a string or an
-    iterable of string chunks, via a temp file in the path's directory plus
+def atomic_write_texts(paths, chunks) -> None:
+    """Write ``paths`` together from ``chunks``, an iterable of tuples of
+    strings, one per path, via a temp file in each path's directory plus
     rename, so readers never see a partial artifact.
 
-    The texts are drawn in lockstep, one chunk of each in turn until every
-    one is exhausted, so chunk iterators over one lazy source hold only the
-    part of it that the others have not yet drawn.  On any failure every
-    temp file is removed; the targets are renamed into place only once all
-    of them are written."""
+    Each tuple is written before the next is drawn.  On any failure every
+    temp file is removed; the paths are replaced only once all of them are
+    written."""
     tmps = []
     try:
         with contextlib.ExitStack() as files:
             handles = []
-            for path, _ in targets:
+            for path in paths:
                 directory = os.path.dirname(os.path.abspath(path)) or "."
                 fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tfslab-", suffix=".tmp")
                 tmps.append(tmp)
                 handles.append(files.enter_context(os.fdopen(fd, "w")))
-            streams = [[text] if isinstance(text, str) else text for _, text in targets]
-            for chunks in itertools.zip_longest(*streams):
-                for handle, chunk in zip(handles, chunks):
-                    if chunk is not None:
-                        handle.write(chunk)
+            for parts in chunks:
+                for handle, part in zip(handles, parts, strict=True):
+                    handle.write(part)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
         for tmp in tmps:
             os.chmod(tmp, 0o666 & ~umask)
-        for tmp, (path, _) in zip(tmps, targets):
+        for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     except BaseException:
         for tmp in tmps:
@@ -80,9 +73,8 @@ def atomic_write_texts(targets) -> None:
         raise
 
 
-def atomic_write_text(path: str, text) -> None:
-    """``atomic_write_texts`` for one target."""
-    atomic_write_texts([(path, text)])
+def atomic_write_text(path: str, text: str) -> None:
+    atomic_write_texts([path], [(text,)])
 
 
 def write_json(path: str, obj) -> None:
@@ -96,27 +88,19 @@ def _re_im(values) -> np.ndarray:
     return np.column_stack([flat.real, flat.imag]).ravel()
 
 
-def _rows(values):
-    """Each row of ``values`` (a 1-D array is one row), rendered as it is
-    drawn, as one string of its interleaved parts, ``"re_0, im_0, re_1,
-    im_1, ..."``; ``repr`` of the row's list renders every float once, with
+def _render(row) -> str:
+    """A 1-D array as one string of its interleaved parts, ``"re_0, im_0,
+    re_1, im_1, ..."``; ``repr`` of the list renders every float once, with
     the digits ``f"{x!r}"`` and ``json`` give."""
-    return (repr(_re_im(row).tolist())[1:-1] for row in np.atleast_2d(values))
+    return repr(_re_im(row).tolist())[1:-1]
 
 
-def _csv_chunks(header, nodes, rows, times=None):
-    """CSV lines ``[t,]x,re,im``, time-major, one chunk per row of ``rows``
-    (without ``times``, ``rows`` is that one row)."""
-    xs = [repr(x) for x in np.asarray(nodes, dtype=float).tolist()]
-    if times is None:
-        prefixes = [""]
-    else:
-        prefixes = [f"{t!r}," for t in np.asarray(times, dtype=float).tolist()]
-    yield header + "\n"
-    for prefix, row in zip(prefixes, rows, strict=True):
-        parts = iter(row.split(", "))
-        yield "".join([f"{prefix}{x},{re},{im}\n"
-                       for x, re, im in zip(xs, parts, parts, strict=True)])
+def _csv_lines(prefix: str, xs, row: str) -> str:
+    """The CSV lines ``{prefix}x,re,im`` of one rendered row at the node
+    reprs ``xs``."""
+    parts = iter(row.split(", "))
+    return "".join([f"{prefix}{x},{re},{im}\n"
+                    for x, re, im in zip(xs, parts, parts, strict=True)])
 
 
 # stands in for the array while json.dumps renders the rest of the document
@@ -131,47 +115,25 @@ def _json_row(row: str) -> str:
     return ", ".join([_JSON_SPELLING.get(part, part) for part in row.split(", ")])
 
 
-def _json_chunks(meta: dict, rows):
-    """``dumps_canonical({**meta, "values_re_im": <the floats of rows>})`` in
-    chunks: the small document goes through ``json.dumps`` with a
-    placeholder, and the array is spliced in from the row strings, one
-    chunk per row.  The key is top-level, so its items sit at indent 4."""
+def _chunks(header, nodes, times, values, meta):
+    """The CSV (``header``, then lines ``t,x,re,im``, time-major) and the JSON
+    (``dumps_canonical({**meta, "values_re_im": <the floats of values>})``)
+    of a time-major complex array, as ``(csv, json)`` chunk tuples: the
+    header and the JSON head, one tuple per row rendered once, and the JSON
+    tail.  The JSON's small document goes through ``json.dumps`` with a
+    placeholder for the array; the key is top-level, so its items sit at
+    indent 4."""
+    xs = [repr(x) for x in np.asarray(nodes, dtype=float).tolist()]
     head, _, tail = dumps_canonical({**meta, "values_re_im": _SPLICE}).partition(
         json.dumps(_SPLICE))
     sep = ",\n    "
-    yield head + "[\n    "
-    for i, row in enumerate(rows):
-        yield (sep if i else "") + _json_row(row).replace(", ", sep)
-    yield "\n  ]" + tail
-
-
-def _tee(rows):
-    """Two iterators over the iterator ``rows``, which draw each row from it
-    once and hold it only until both have passed it (``itertools.tee`` keeps
-    a row until both are some 57 rows past it)."""
-    queues = (collections.deque(), collections.deque())
-
-    def branch(mine):
-        while True:
-            if not mine:
-                row = next(rows, None)
-                if row is None:
-                    return
-                for queue in queues:
-                    queue.append(row)
-                del row  # only the queues hold it, so the other's draw frees it
-            yield mine.popleft()
-
-    return branch(queues[0]), branch(queues[1])
-
-
-def _texts(header, nodes, times, values, meta):
-    """The CSV and the JSON (``meta`` plus ``values_re_im``) of a time-major
-    complex array, as chunk iterators over one lazy rendering of its
-    floats: a row is rendered once, when the first of the two draws it, and
-    kept until the other has drawn it too."""
-    csv_rows, json_rows = _tee(_rows(values))
-    return _csv_chunks(header, nodes, csv_rows, times), _json_chunks(meta, json_rows)
+    yield header + "\n", head + "[\n    "
+    times = np.asarray(times, dtype=float).tolist()
+    for i, (t, values_t) in enumerate(zip(times, values, strict=True)):
+        row = _render(values_t)
+        yield (_csv_lines(f"{t!r},", xs, row),
+               (sep if i else "") + _json_row(row).replace(", ", sep))
+    yield "", "\n  ]" + tail
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +147,11 @@ def _field_meta(field) -> dict:
     }
 
 
-def field_texts(field):
-    """``(csv, json)``: the field's CSV rows and its canonical JSON (grid,
-    time grid and ``values_re_im``) as chunk iterators that share one
-    rendering of the field's floats."""
-    return _texts("t,x,re_y,im_y", field.grid.nodes, field.tg.times, field.values,
-                  _field_meta(field))
+def field_chunks(field):
+    """The field's CSV rows and its canonical JSON (grid, time grid and
+    ``values_re_im``), as one stream of ``(csv, json)`` chunk tuples."""
+    return _chunks("t,x,re_y,im_y", field.grid.nodes, field.tg.times, field.values,
+                   _field_meta(field))
 
 
 def _observed_meta(data) -> dict:
@@ -202,12 +163,12 @@ def _observed_meta(data) -> dict:
     }
 
 
-def observed_texts(data):
-    """``(csv, json)``: the observations' CSV rows and their canonical JSON
-    (time grid, mask, noise level, seed and ``values_re_im``) as chunk
-    iterators that share one rendering of the data's floats."""
-    return _texts("t,x,re,im", data.mask.grid.nodes[data.mask.indices], data.tg.times,
-                  data.values, _observed_meta(data))
+def observed_chunks(data):
+    """The observations' CSV rows and their canonical JSON (time grid, mask,
+    noise level, seed and ``values_re_im``), as one stream of ``(csv,
+    json)`` chunk tuples."""
+    return _chunks("t,x,re,im", data.mask.grid.nodes[data.mask.indices], data.tg.times,
+                   data.values, _observed_meta(data))
 
 
 def mask_to_json(mask) -> dict:
@@ -248,4 +209,5 @@ def result_to_json(result) -> dict:
 
 
 def spatial_to_csv(nodes, values) -> str:
-    return "".join(_csv_chunks("x,re,im", nodes, _rows(values)))
+    xs = [repr(x) for x in np.asarray(nodes, dtype=float).tolist()]
+    return "x,re,im\n" + _csv_lines("", xs, _render(values))

@@ -248,6 +248,10 @@ class TestValidation:
         ({"a": [1.0] * 16, "p": [-1.0] + [0.0] * 14, "kappa": 0.5}, "operator.p"),
         ({"a": [1.0] * 15, "p": [0.0] * 15, "kappa": 0.5}, "operator.a"),
         ({"a_const": 1.0, "p_const": 0.0, "kappa": 5.0}, "operator"),
+        # the closed-form Laplacian is {"analytic": true}, nothing else
+        ({"analytic": "no"}, "operator.analytic"),
+        ({"analytic": 1}, "operator.analytic"),
+        ({"analytic": False}, "operator.analytic"),
     ])
     def test_operator_samples_checked(self, tmp_path, capsys, op, field):
         # m = 15: a on the 16 midpoints, p on the 15 nodes, kappa <= min(a)
@@ -556,6 +560,7 @@ class TestMlEval:
     @pytest.mark.parametrize("flag,value,field", [
         ("--alpha", "-1.0", "alpha"),
         ("--alpha", "inf", "alpha"),
+        ("--alpha", "1e300", "alpha"),  # beyond the largest order; rejected before evaluation
         ("--beta", "nan", "beta"),
         ("--re", "inf", "re"),
         ("--im", "nan", "im"),

@@ -207,6 +207,8 @@ class TestMLEval:
             MLParams(-0.5, 1.0)
         with pytest.raises(MLDomainError):
             MLParams(0.5, math.inf)
+        with pytest.raises(MLDomainError):
+            MLParams(1e300, 1.0)
 
 
 class TestKernels:

@@ -19,9 +19,9 @@ from tfslab.serialize import (
     atomic_write_texts,
     dumps_canonical,
     eigensystem_to_json,
-    field_texts,
+    field_chunks,
     mask_to_json,
-    observed_texts,
+    observed_chunks,
     spatial_to_csv,
 )
 from tfslab.spectral import Grid1D, analytic_eigensystem
@@ -32,13 +32,18 @@ def eig():
     return analytic_eigensystem(1.0, 4, Grid1D(1.0, 19))
 
 
+def texts(chunks):
+    """The whole texts of a stream of chunk tuples, one per file."""
+    return tuple("".join(parts) for parts in zip(*chunks, strict=True))
+
+
 def test_observed_json_shape(eig):
     tg = TimeGrid(1.0, 6)
     y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(),
                       FractionalOrder(0.5), eig, tg)
     mask = make_mask([(0.2, 0.4)], eig.grid)
     data = observe(y, mask, 1e-3, 3)
-    doc = json.loads("".join(observed_texts(data)[1]))
+    doc = json.loads(texts(observed_chunks(data))[1])
     assert doc["seed"] == 3
     assert len(doc["values_re_im"]) == 2 * 6 * mask.n_nodes
     assert doc["mask"]["intervals"] == [[0.2, 0.4]]
@@ -59,53 +64,92 @@ def test_atomic_write_replaces_content(tmp_path):
 
 
 class TestAtomicWrite:
-    def chunks(self):
-        yield "first chunk\n"
+    @staticmethod
+    def chunks(written, width=1):
+        """``written`` tuples of ``width`` chunks, then a renderer failure."""
+        for i in range(written):
+            yield (f"{i}\n",) * width
         raise RuntimeError("renderer failed")
 
     def test_failed_stream_leaves_nothing(self, tmp_path):
         target = tmp_path / "artifact.csv"
         with pytest.raises(RuntimeError, match="renderer failed"):
-            atomic_write_text(str(target), self.chunks())
+            atomic_write_texts([str(target)], self.chunks(1))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_stream_keeps_the_old_target(self, tmp_path):
         target = tmp_path / "artifact.csv"
         atomic_write_text(str(target), "old\n")
         with pytest.raises(RuntimeError):
-            atomic_write_text(str(target), self.chunks())
+            atomic_write_texts([str(target)], self.chunks(1))
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
-    @pytest.mark.parametrize("failing", [0, 1])
-    def test_failed_stream_replaces_no_target(self, tmp_path, failing):
-        # one target exists and keeps its content, the other is not created
+    @pytest.mark.parametrize("written", [0, 1])
+    def test_failed_stream_replaces_no_target(self, tmp_path, written):
+        # one target exists and keeps its content, the other is not created,
+        # whether the stream fails at its first draw or after a tuple
         old, new = tmp_path / "field.csv", tmp_path / "field.json"
         atomic_write_text(str(old), "old\n")
-        texts = [["a\n", "b\n", "c\n"], "x\n"]
-        texts[failing] = self.chunks()
         with pytest.raises(RuntimeError, match="renderer failed"):
-            atomic_write_texts(list(zip([str(old), str(new)], texts)))
+            atomic_write_texts([str(old), str(new)], self.chunks(written, width=2))
         assert old.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [old]
 
-    def test_streams_are_drawn_in_lockstep(self, tmp_path):
-        drawn = []
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_tuple_of_another_length_replaces_no_target(self, tmp_path, width):
+        old, new = tmp_path / "field.csv", tmp_path / "field.json"
+        atomic_write_text(str(old), "old\n")
+        with pytest.raises(ValueError):
+            atomic_write_texts([str(old), str(new)], [("a\n", "b\n"), ("c\n",) * width])
+        assert old.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [old]
 
-        def chunks(name, n):
-            for i in range(n):
-                drawn.append(f"{name}{i}")
-                yield f"{name}{i}\n"
+    @pytest.mark.parametrize("missing", [0, 1])
+    def test_missing_directory_replaces_no_target(self, tmp_path, missing):
+        # the other path's temp file, created first when the missing path
+        # comes second, is removed
+        old = tmp_path / "field.csv"
+        atomic_write_text(str(old), "old\n")
+        paths = [str(old)]
+        paths.insert(missing, str(tmp_path / "absent" / "field.json"))
+        with pytest.raises(OSError):
+            atomic_write_texts(paths, [("a\n", "b\n")])
+        assert old.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [old]
 
-        short, long = tmp_path / "a.csv", tmp_path / "b.json"
-        atomic_write_texts([(str(short), chunks("a", 2)), (str(long), chunks("b", 3))])
-        assert drawn == ["a0", "b0", "a1", "b1", "b2"]
-        # the longer stream's last chunk is written too
-        assert (short.read_text(), long.read_text()) == ("a0\na1\n", "b0\nb1\nb2\n")
+    def test_streams_are_drawn_in_lockstep(self, tmp_path, monkeypatch):
+        # each tuple is written to both files before the next is drawn
+        events = []
+        fdopen = os.fdopen
+
+        def spied(fd, mode):
+            handle = fdopen(fd, mode)
+            write = handle.write
+
+            def logged(text):
+                events.append(f"write {text}")
+                return write(text)
+
+            handle.write = logged
+            return handle
+
+        def chunks():
+            for i in range(2):
+                events.append(f"draw {i}")
+                yield f"a{i}\n", f"b{i}\n"
+            events.append("end")
+
+        monkeypatch.setattr(os, "fdopen", spied)
+        paths = [tmp_path / "a.csv", tmp_path / "b.json"]
+        atomic_write_texts([str(p) for p in paths], chunks())
+        assert events == ["draw 0", "write a0\n", "write b0\n",
+                          "draw 1", "write a1\n", "write b1\n", "end"]
+        assert [p.read_text() for p in paths] == ["a0\na1\n", "b0\nb1\n"]
 
     def test_chunks_are_written_in_order(self, tmp_path):
         target = tmp_path / "artifact.csv"
-        atomic_write_text(str(target), (f"{i}\n" for i in range(3)))
+        atomic_write_texts([str(target)], ((f"{i}\n",) for i in range(3)))
         assert target.read_text() == "0\n1\n2\n"
 
     def test_string_is_written_whole(self, tmp_path):
@@ -136,7 +180,7 @@ def test_field_json_flat_layout(eig):
     tg = TimeGrid(1.0, 3)
     y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(),
                       FractionalOrder(0.5), eig, tg)
-    doc = json.loads("".join(field_texts(y)[1]))
+    doc = json.loads(texts(field_chunks(y))[1])
     assert len(doc["values_re_im"]) == 2 * 3 * eig.grid.m
     v0 = complex(doc["values_re_im"][0], doc["values_re_im"][1])
     assert v0 == complex(y.values[0, 0])
@@ -155,7 +199,7 @@ def test_writing_a_field_holds_about_one_row(tmp_path):
     paths = [str(tmp_path / "field.csv"), str(tmp_path / "field.json")]
     tracemalloc.start()
     try:
-        atomic_write_texts(list(zip(paths, field_texts(field))))
+        atomic_write_texts(paths, field_chunks(field))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -175,7 +219,7 @@ class TestExactText:
                        [complex(0.0, -1 / 3), complex(2.5, 1e-300), -1.0]])
 
     def test_field_csv(self):
-        text = "".join(field_texts(SpaceTimeField(self.values, self.tg, self.grid))[0])
+        text = texts(field_chunks(SpaceTimeField(self.values, self.tg, self.grid)))[0]
         assert text == (
             "t,x,re_y,im_y\n"
             "0.15,0.1,-0.0,0.1\n"
@@ -189,7 +233,7 @@ class TestExactText:
     def test_observed_csv(self):
         mask = make_mask([(0.15, 0.35)], self.grid)
         data = ObservedData(self.values[:, mask.indices], mask, self.tg, 0.0, 0)
-        assert "".join(observed_texts(data)[0]) == (
+        assert texts(observed_chunks(data))[0] == (
             "t,x,re,im\n"
             "0.15,0.2,0.3333333333333333,0.0\n"
             "0.15,0.30000000000000004,1e-300,-0.0\n"
@@ -254,7 +298,7 @@ class TestExactText:
 
     def test_field_json(self):
         field = SpaceTimeField(self.values, self.tg, self.grid)
-        text = "".join(field_texts(field)[1])
+        text = texts(field_chunks(field))[1]
         assert text == """{
   "grid": {
     "L": 0.4,
@@ -284,7 +328,7 @@ class TestExactText:
     def test_observed_json(self):
         mask = make_mask([(0.15, 0.35)], self.grid)
         data = ObservedData(self.values[:, mask.indices], mask, self.tg, 0.0, 0)
-        text = "".join(observed_texts(data)[1])
+        text = texts(observed_chunks(data))[1]
         assert text == """{
   "mask": {
     "grid": {
@@ -326,7 +370,7 @@ class TestExactText:
         # the serializer reads only these attributes; a real grid has at
         # least 3 nodes and 2 times
         field = stand_in_field(np.array([[complex(5e-324, 1e16)]]), [1e-5], [1e-5])
-        csv_text, json_text = ("".join(chunks) for chunks in field_texts(field))
+        csv_text, json_text = texts(field_chunks(field))
         assert csv_text == "t,x,re_y,im_y\n1e-05,1e-05,5e-324,1e+16\n"
         assert json_text == """{
   "grid": {
@@ -352,7 +396,7 @@ class TestExactText:
         data = ObservedData(np.array([[complex(nan, inf), complex(-inf, 0.5)],
                                       [complex(1.0, nan), complex(inf, -inf)]]),
                             mask, self.tg, 0.0, 0)
-        csv_text, json_text = ("".join(chunks) for chunks in observed_texts(data))
+        csv_text, json_text = texts(observed_chunks(data))
         assert csv_text == (
             "t,x,re,im\n"
             "0.15,0.2,nan,inf\n"
@@ -425,7 +469,7 @@ def fields(draw):
 @settings(max_examples=200, deadline=None)
 @given(fields())
 def test_streamed_field_matches_reference_texts(field):
-    csv_text, json_text = ("".join(chunks) for chunks in field_texts(field))
+    csv_text, json_text = texts(field_chunks(field))
     assert csv_text == reference_csv(
         "t,x,re_y,im_y", field.grid.nodes, field.values, field.tg.times)
     assert json_text == reference_json(
@@ -444,7 +488,7 @@ def test_streamed_observed_matches_reference_texts(data):
         allow_nan=False, allow_infinity=False)))
     observed = ObservedData(values, mask, tg, data.draw(st.floats(0.0, 1.0)),
                             data.draw(st.integers(0, 2**31)))
-    csv_text, json_text = ("".join(chunks) for chunks in observed_texts(observed))
+    csv_text, json_text = texts(observed_chunks(observed))
     assert csv_text == reference_csv(
         "t,x,re,im", grid.nodes[mask.indices], values, tg.times)
     assert json_text == reference_json(
