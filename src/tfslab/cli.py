@@ -408,7 +408,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
         atomic_write_text(os.path.join(output_dir, name), text)
         artifacts.append(name)
 
-    def emit_pair(names, chunks):  # each tuple of chunks holds one string per name
+    def emit_pair(names, chunks):  # a RowChunks with one string per name in each tuple
         atomic_write_texts([os.path.join(output_dir, name) for name in names], chunks)
         artifacts.extend(names)
 

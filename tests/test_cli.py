@@ -431,6 +431,31 @@ class TestDeterminism:
         assert self.without_phase_seconds(stdouts[0]) == self.without_phase_seconds(stdouts[1])
 
 
+class TestSmallArtifactsNeverFork:
+    """The observed data of an inversion at the benchmark's sizes (m = 99,
+    n_t = 200, 21 nodes on E: 8,400 floats) and every selftest artifact are
+    written in-process on any number of CPUs."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+
+    @pytest.mark.parametrize("problem", ["invert-source", "invert-order"])
+    def test_data_artifacts(self, tmp_path, problem):
+        cfg = dict(TestDeterminism.CONFIGS[problem], grid={"L": 1.0, "m": 99},
+                   time={"T": 1.0, "n_t": 200}, noise={"level": 1e-3, "seed": 3})
+        cli.run(cfg, str(tmp_path))
+        values = json.loads((tmp_path / "data.json").read_text())["values_re_im"]
+        assert len(values) == 2 * 200 * 21
+
+    def test_selftest_determinism(self):
+        from tfslab import selftest
+        [result] = selftest.run_battery(["determinism"])
+        assert result.passed, result.detail
+
+
 TINY = dict(grid={"L": 1.0, "m": 15}, time={"T": 1.0, "n_t": 8}, n_modes=3)
 NOISE = {"level": 1e-3, "seed": 1}
 FUZZ_CONFIGS = {

@@ -6,10 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tfslab import serialize
 from tfslab.forward import SourceSpec, SpaceTimeField, TimeGrid, solve_forward
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import ObservedData, make_mask, observe
@@ -494,3 +495,109 @@ def test_streamed_observed_matches_reference_texts(data):
     assert json_text == reference_json(
         {"time": {"T": tg.T, "n_t": tg.n_t}, "mask": mask_to_json(mask),
          "noise_level": observed.noise_level, "seed": observed.seed}, values)
+
+
+float_arrays = arrays(np.float64, st.integers(0, 6), elements=st.floats())
+json_values = st.one_of(float_arrays, st.floats(), st.integers(), st.text(max_size=3),
+                        st.builds(lambda a: {"nested": a}, float_arrays))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=4), json_values, max_size=4))
+@example({"lambdas": np.array([]), "m": 3})
+@example({"lambdas": np.array([1e16])})
+@example({"phis_row_major": np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1])})
+@example({"modal_re_im": np.array([float("nan"), float("inf"), -float("inf"), 1.0]),
+          "spatial_re_im": np.array([-float("inf")])})
+def test_spliced_arrays_match_json(doc):
+    """Top-level float arrays are rendered by one repr and spliced in; the
+    text is json's, non-finite spellings and the empty array included."""
+    plain = {key: value.tolist() if isinstance(value, np.ndarray) else value
+             for key, value in doc.items()}
+    assert dumps_canonical(doc) == json.dumps(
+        plain, default=_json_default, indent=2, sort_keys=True) + "\n"
+
+
+def force_parts(monkeypatch, cpus, part_floats=1):
+    """Split rows as if there were ``cpus`` CPUs and a slice needed only
+    ``part_floats`` floats."""
+    monkeypatch.setattr(serialize, "PART_FLOATS", part_floats)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are split only where os.fork exists")
+class TestSplitWriter:
+    """A large artifact pair's row range is split into one slice per CPU,
+    the later slices rendered by forked children; the bytes do not depend
+    on the number of slices."""
+
+    @staticmethod
+    def field(n_t, m=5):
+        rng = np.random.default_rng(n_t)
+        values = rng.standard_normal((n_t, m)) + 1j * rng.standard_normal((n_t, m))
+        values[0, 0] = complex(-0.0, 1e16)
+        return stand_in_field(values, np.arange(float(n_t)), np.linspace(0.1, 0.5, m))
+
+    # 1, 2 and 3 slices of 7 rows, 3 slices for 8 CPUs and 3 rows, and the
+    # 70 floats of 7 rows at 64 CPUs, one slice below 2 * 35 floats
+    @pytest.mark.parametrize("cpus, n_t, part_floats, forks", [
+        (1, 7, 1, 0), (2, 7, 1, 1), (3, 7, 1, 2), (8, 3, 1, 2), (64, 7, 36, 0),
+        (64, 7, 35, 1)])
+    def test_bytes_do_not_depend_on_the_part_count(self, tmp_path, monkeypatch,
+                                                   cpus, n_t, part_floats, forks):
+        field = self.field(n_t)
+        expected = texts(field_chunks(field))
+        force_parts(monkeypatch, cpus, part_floats)
+        fork, calls = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        paths = [tmp_path / "field.csv", tmp_path / "field.json"]
+        atomic_write_texts([str(p) for p in paths], field_chunks(field))
+        assert tuple(p.read_text() for p in paths) == expected
+        assert len(calls) == forks
+        assert sorted(tmp_path.iterdir()) == sorted(paths)
+        assert_no_child_left()
+
+    def test_observed_data_splits_to_the_same_bytes(self, tmp_path, monkeypatch):
+        # non-finite samples keep their spellings in every slice
+        grid = Grid1D(1.0, 9)
+        mask = make_mask([(0.2, 0.6)], grid)
+        values = np.full((5, mask.n_nodes), complex(1.5, -0.25))
+        values[1, 0], values[3, -1] = complex(np.nan, np.inf), complex(-np.inf, 0.0)
+        data = ObservedData(values, mask, TimeGrid(1.0, 5), 0.0, 0)
+        expected = texts(observed_chunks(data))
+        force_parts(monkeypatch, 2)
+        paths = [tmp_path / "data.csv", tmp_path / "data.json"]
+        atomic_write_texts([str(p) for p in paths], observed_chunks(data))
+        assert tuple(p.read_text() for p in paths) == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("row, error, raised", [
+        (5, RuntimeError, OSError), (1, RuntimeError, RuntimeError),
+        (1, KeyboardInterrupt, KeyboardInterrupt)])
+    def test_failed_slice_replaces_no_target(self, tmp_path, monkeypatch, row, error,
+                                             raised):
+        # 6 rows in 3 slices, [0, 2) here and [2, 4), [4, 6) in children:
+        # row 5 fails in the last child after it wrote row 4, and the
+        # write raises OSError; row 1 fails here, and the children are
+        # killed and the failure raised as it is
+        old, new = tmp_path / "field.csv", tmp_path / "field.json"
+        atomic_write_text(str(old), "old\n")
+        force_parts(monkeypatch, 3)
+        lines = serialize._csv_lines
+
+        def failing(prefix, xs, rendered):
+            if prefix == f"{float(row)!r},":
+                raise error("renderer failed")
+            return lines(prefix, xs, rendered)
+
+        monkeypatch.setattr(serialize, "_csv_lines", failing)
+        with pytest.raises(raised):
+            atomic_write_texts([str(old), str(new)], field_chunks(self.field(6)))
+        assert old.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [old]
+        assert_no_child_left()
