@@ -57,7 +57,6 @@ from .mlf import (
     MLParams,
     certify_c0,
     ml_eval,
-    sector_bounds,
 )
 from .observe import ObservationMask, ObservedData, make_mask, observe
 from .spectral import (

@@ -315,7 +315,7 @@ def _parse(cfg, problem, seed_override=None):
     exp = SimpleNamespace(
         grid=grid, tg=tg, order=order, operator=_operator(cfg["operator"], grid),
         n_modes=n_modes, mask=_mask(cfg["mask"], grid), noise_level=0.0, seed=0,
-        initial=lambda eig: np.zeros(grid.m), source=lambda eig: SourceSpec.none(),
+        initial=lambda eig: np.zeros(grid.m), source=lambda eig: None,
         mode=None, truth_order=order, inversion=None,
     )
     if "noise" in cfg:
@@ -328,7 +328,7 @@ def _parse(cfg, problem, seed_override=None):
     def source(obj, path):  # a separable source, as a function of the eigensystem
         rho = _rho(obj["rho"], f"{path}.rho", tg.n_t)
         g = _datum(obj["g"], f"{path}.g", grid.m, n_modes)
-        return lambda eig: SourceSpec.separable(rho, g(eig))
+        return lambda eig: SourceSpec(rho, g(eig))
 
     if problem == "forward":
         exp.initial = _datum(cfg["initial"], "initial", grid.m, n_modes)
@@ -392,7 +392,7 @@ def run(cfg: dict, output_dir: str) -> dict:
     """Execute the configured pipeline and write artifacts; returns the run
     report (also written as report.json).  ``cfg`` is parsed first, so a
     config error raises ``ConfigError`` before any solve or write."""
-    return _run(cfg, _parse(cfg, cfg.get("problem")), output_dir)
+    return _run(cfg, _parse(cfg, _require_dict(cfg, "config").get("problem")), output_dir)
 
 
 def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
@@ -438,7 +438,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             idx = exp.mode - 1
             lam = eig.lambdas[idx:idx + 1]
             expect = state_rows(order, lam, tg.times)[0]
-            if src.kind == "separable":
+            if src is not None:
                 forcing = project(src.g, eig)[idx] * src.rho
                 expect += source_rows(order, lam, tg, forcing[None, :])[0]
             # a row at a time: one projection of the whole field costs a

@@ -47,28 +47,15 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Source term: none or separable rho(t) g(x)."""
+    """Separable source term rho(t) g(x); a run without a source passes
+    None where a ``SourceSpec`` is taken."""
 
-    kind: str
-    rho: np.ndarray = None
-    g: np.ndarray = None
+    rho: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("none", "separable"):
-            raise GridMismatchError(f"unknown source kind {self.kind!r}")
-        if self.kind == "separable":
-            if self.rho is None or self.g is None:
-                raise GridMismatchError("separable source requires rho and g")
-            object.__setattr__(self, "rho", _freeze(np.asarray(self.rho, np.complex128)))
-            object.__setattr__(self, "g", _freeze(np.asarray(self.g, np.complex128)))
-
-    @classmethod
-    def none(cls):
-        return cls("none")
-
-    @classmethod
-    def separable(cls, rho, g):
-        return cls("separable", rho=rho, g=g)
+        object.__setattr__(self, "rho", _freeze(np.asarray(self.rho, np.complex128)))
+        object.__setattr__(self, "g", _freeze(np.asarray(self.g, np.complex128)))
 
 
 @dataclass(frozen=True)
@@ -145,14 +132,14 @@ def source_rows(order: FractionalOrder, lambdas: np.ndarray, tg: TimeGrid,
     return rows
 
 
-def solve_forward(y0: np.ndarray, src: SourceSpec, order: FractionalOrder,
+def solve_forward(y0: np.ndarray, src: SourceSpec | None, order: FractionalOrder,
                   eig: EigenSystem, tg: TimeGrid) -> SpaceTimeField:
     """Modal solution: per mode,
     c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + p * conv(f_n, dW_n)(t)
     (see ``state_rows`` and ``source_rows``)."""
     c0 = project(np.asarray(y0, dtype=np.complex128), eig)
     coeffs = c0[:, None] * state_rows(order, eig.lambdas, tg.times)
-    if src.kind == "separable":
+    if src is not None:
         if src.rho.shape[0] != tg.n_t:
             raise GridMismatchError(
                 f"rho sampled at {src.rho.shape[0]} times, grid has {tg.n_t}"
@@ -211,7 +198,7 @@ def rl_integral(series: np.ndarray, beta: float, tg: TimeGrid) -> np.ndarray:
     return scale * causal_conv(series, weights)
 
 
-def pde_residual(field: SpaceTimeField, y0: np.ndarray, src: SourceSpec,
+def pde_residual(field: SpaceTimeField, y0: np.ndarray, src: SourceSpec | None,
                  order: FractionalOrder, A: Tridiag) -> float:
     """Max over grid times of || e^{-i phase} d^alpha y - A y - f ||_{L2,h};
     A is the matrix of -L, so the standard-phase residual is
@@ -220,24 +207,25 @@ def pde_residual(field: SpaceTimeField, y0: np.ndarray, src: SourceSpec,
     y0 = np.asarray(y0, dtype=np.complex128)
     if A.n != grid.m or y0.shape != (grid.m,):
         raise GridMismatchError(f"operator size {A.n}, y0 shape {y0.shape} vs grid m={grid.m}")
-    if src.kind == "separable" and (src.rho.shape, src.g.shape) != ((tg.n_t,), (grid.m,)):
+    if src is not None and (src.rho.shape, src.g.shape) != ((tg.n_t,), (grid.m,)):
         raise GridMismatchError(f"source rho shape {src.rho.shape}, g shape {src.g.shape} "
                                 f"vs n_t={tg.n_t}, m={grid.m}")
     dcap = caputo_l1(np.vstack([y0[None, :], field.values]), order.alpha, tg)
     rot = np.conj(order.phase_factor)  # unit modulus, so conj is e^{-i phi}
     r = rot * dcap - A.matvec(field.values.T).T
-    if src.kind == "separable":
+    if src is not None:
         r -= np.outer(src.rho, src.g)
     return math.sqrt(grid.h) * float(np.linalg.norm(r, axis=1).max())
 
 
-def duhamel_check(g: np.ndarray, rho: np.ndarray, order: FractionalOrder,
-                  eig: EigenSystem, tg: TimeGrid) -> float:
+def duhamel_check(src: SourceSpec, order: FractionalOrder, eig: EigenSystem,
+                  tg: TimeGrid) -> float:
     """Discrepancy of the time-fractional Duhamel identity
     J^{1-alpha} y(g) = p * (rho * v(g)) (time convolution, p the source
-    phase factor), with y(g) the source-driven solution and v(g) the
-    homogeneous one.  Both sides are discretized independently; the value
-    should vanish under time refinement.
+    phase factor) for the source ``src`` = rho g, with y(g) the
+    source-driven solution and v(g) the homogeneous one.  Both sides are
+    discretized independently; the value should vanish under time
+    refinement.
 
     The phase factor belongs to the identity: per mode both sides reduce
     to multiples of t E_{a,2}(p lam t^a), the driven side carrying the
@@ -248,10 +236,10 @@ def duhamel_check(g: np.ndarray, rho: np.ndarray, order: FractionalOrder,
     and ``source_rows``, bit for bit); the eigenvectors are h-orthonormal,
     so coefficient norms equal grid norms up to rounding.
     """
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = src.rho
     if rho.shape != (tg.n_t,):
         raise GridMismatchError(f"rho shape {rho.shape} vs n_t={tg.n_t}")
-    c = project(g, eig)
+    c = project(src.g, eig)
     dw = np.diff(kernel_grid(order, eig.lambdas, tg.dt * np.arange(tg.n_t + 1), "integral"))
     y = order.phase_factor * causal_conv(np.outer(rho, c), dw.T)
     del dw  # freed before the state kernels are built

@@ -97,7 +97,6 @@ class ContourSpec:
     """Circle around -i mu_ell for eigenprojection extraction; the radius
     must keep every other -i mu_k strictly outside."""
 
-    ell: int
     center: complex
     radius: float
     n_quad: int
@@ -119,7 +118,7 @@ def contour_for_mode(eig: EigenSystem, ell: int, n_quad: int = 64) -> ContourSpe
     mu = groups[ell].mu
     gaps = [abs(g.mu - mu) for i, g in enumerate(groups) if i != ell]
     radius = min(gaps) / 3.0 if gaps else 1.0
-    return ContourSpec(ell, complex(0.0, -mu), float(radius), int(n_quad))
+    return ContourSpec(complex(0.0, -mu), float(radius), int(n_quad))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +342,13 @@ def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
 # proof machinery
 
 
-def laplace_identity_gap(order: FractionalOrder, mu_k: float, z: complex,
-                         T_trunc: float) -> float:
+def laplace_identity_gap(alpha: float, mu_k: float, z: complex, T_trunc: float) -> float:
     """| int_0^T e^{-zt} E_{a,1}(-i mu t^a) dt  -  z^{a-1}/(z^a + i mu) |
-    with principal powers, on the standard ray whatever the order's phase;
+    with principal powers and a = ``alpha``, on the standard ray;
     T must be large enough that the boundedness estimate puts the
     truncated tail below 1e-6.  The integral is adaptive Gauss-Legendre
     with one ``kernel_grid`` row per bisection level."""
+    order = FractionalOrder(alpha)  # checks the range of alpha
     z = complex(z)
     if not (cmath.isfinite(z) and math.isfinite(mu_k) and 0.0 < T_trunc < math.inf):
         raise MLDomainError(f"z={z} and mu={mu_k} must be finite, and T_trunc={T_trunc} "
@@ -364,8 +363,6 @@ def laplace_identity_gap(order: FractionalOrder, mu_k: float, z: complex,
             f"T_trunc={T_trunc:g} leaves truncation bound {tail:.3e} above "
             f"{_TAIL_TOL:g}"
         )
-    a = order.alpha
-    standard = FractionalOrder(a)
     # a panel is accepted when its n- and 2n-point sums agree to its share
     # of 1e-13 or to 1e-12 of its integral of |f| (the evaluator's relative
     # noise reaches 1e-10 where the kernel is tiny), else bisected; panels
@@ -382,7 +379,7 @@ def laplace_identity_gap(order: FractionalOrder, mu_k: float, z: complex,
             )
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         t = mid[:, None] + half[:, None] * nodes
-        f = np.exp(-z * t) * kernel_grid(standard, mu_k, t, "state")
+        f = np.exp(-z * t) * kernel_grid(order, mu_k, t, "state")
         coarse = half * (f[:, :_GL_NODES] @ w1)
         fine = half * (f[:, _GL_NODES:] @ w2)
         mass = half * (np.abs(f[:, _GL_NODES:]) @ w2)
@@ -391,7 +388,7 @@ def laplace_identity_gap(order: FractionalOrder, mu_k: float, z: complex,
         numeric += fine[done].sum()
         lo = np.concatenate((lo[~done], mid[~done]))
         hi = np.concatenate((mid[~done], hi[~done]))
-    closed = z ** (a - 1.0) / (z**a + 1j * mu_k)
+    closed = z ** (alpha - 1.0) / (z**alpha + 1j * mu_k)
     return float(abs(numeric - closed))
 
 

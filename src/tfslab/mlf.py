@@ -434,21 +434,7 @@ def kernel_grid(order: FractionalOrder, lam, times: np.ndarray,
     return out.reshape(lam.shape + times.shape)
 
 
-def sector_bounds(order: FractionalOrder, mu: float):
-    """Argument range of the complex-time sector into which the homogeneous
-    solution extends analytically."""
-    a = order.alpha
-    if not (0.5 * math.pi * a < mu < math.pi * a):
-        raise MLDomainError(
-            f"mu={mu:.6g} outside (pi*alpha/2, pi*alpha) for alpha={a}"
-        )
-    lo = max(-math.pi, (mu - 1.5 * math.pi) / a)
-    hi = min(math.pi, (0.5 * math.pi - mu) / a)
-    return lo, hi
-
-
-def certify_c0(order: FractionalOrder, mu: float,
-               lambda_grid=None, t_grid=None) -> float:
+def certify_c0(alpha: float, lambda_grid=None, t_grid=None) -> float:
     """Empirical bound constant: max over the grid of
     |E_{a,1}(-i lam t^a)| (1 + lam t^a), evaluated with the standard phase.
 
@@ -456,7 +442,7 @@ def certify_c0(order: FractionalOrder, mu: float,
     closed form; this certified grid maximum is configuration, not ground
     truth.
     """
-    sector_bounds(order, mu)  # checks the range of mu
+    order = FractionalOrder(alpha)  # checks the range of alpha
     if lambda_grid is None:
         lambda_grid = np.geomspace(1.0, 100.0, 25)
     if t_grid is None:
@@ -467,5 +453,5 @@ def certify_c0(order: FractionalOrder, mu: float,
     if lambda_grid.size == 0 or t_grid.size == 0:
         raise MLDomainError("certification grids must be non-empty")
     # kernel_grid rejects a negative eigenvalue and a nonpositive time
-    val = np.abs(kernel_grid(FractionalOrder(order.alpha), lambda_grid, t_grid, "state"))
-    return max(1.0, float(np.max(val * (1.0 + lambda_grid[:, None] * t_grid**order.alpha))))
+    val = np.abs(kernel_grid(order, lambda_grid, t_grid, "state"))
+    return max(1.0, float(np.max(val * (1.0 + lambda_grid[:, None] * t_grid**alpha))))

@@ -103,11 +103,9 @@ def _c1_ml_correctness():
 def _c2_kernel_bound():
     details = []
     for alpha in (0.3, 0.5, 0.7, 0.9):
-        order = FractionalOrder(alpha)
-        mu = 0.75 * math.pi * alpha
-        c0 = certify_c0(order, mu)
+        c0 = certify_c0(alpha)
         assert 1.0 <= c0 <= 100.0, f"alpha={alpha}: c0={c0:.3g} outside [1, 100]"
-        dense = certify_c0(order, mu, np.geomspace(1.0, 100.0, 37),
+        dense = certify_c0(alpha, np.geomspace(1.0, 100.0, 37),
                            np.geomspace(1e-3, 1e3, 37))
         assert abs(dense - c0) <= 0.05 * c0, (
             f"alpha={alpha}: grid refinement moves c0 by "
@@ -141,14 +139,14 @@ def _c4_forward_single_mode():
     tg = TimeGrid(1.0, 40)
     lam1 = float(eig.lambdas[0])
     # homogeneous: modal trajectory equals the state kernel
-    y = solve_forward(eig.phis[0], SourceSpec.none(), order, eig, tg)
+    y = solve_forward(eig.phis[0], None, order, eig, tg)
     c1 = project(y.values.T, eig)[0]
     worst = float(np.max(np.abs(c1 - kernel_grid(order, lam1, tg.times, "state"))))
     assert worst <= 1e-12, f"trajectory deviates from state kernel by {worst:.3e}"
     # separable source, rho = 1: closed form vs quadrature of the entire
     # function E_{a,a}(-i lam u) over [0, t^a], 64 Gauss-Legendre nodes
     rho = np.ones(tg.n_t, dtype=complex)
-    ys = solve_forward(np.zeros(grid.m), SourceSpec.separable(rho, eig.phis[0]),
+    ys = solve_forward(np.zeros(grid.m), SourceSpec(rho, eig.phis[0]),
                        order, eig, tg)
     ts = np.array([0.25, 0.5, 1.0])
     got = project(ys.values[np.rint(ts / tg.dt).astype(int) - 1].T, eig)[0]
@@ -185,8 +183,8 @@ def _c6_pde_residual():
     resids = []
     for n_t in (200, 400, 800):
         tg = TimeGrid(1.0, n_t)
-        fieldv = solve_forward(y0, SourceSpec.none(), order, eig, tg)
-        resids.append(pde_residual(fieldv, y0, SourceSpec.none(), order, A))
+        fieldv = solve_forward(y0, None, order, eig, tg)
+        resids.append(pde_residual(fieldv, y0, None, order, A))
     assert resids[0] > resids[1] > resids[2], (
         f"residuals not monotone under refinement: {resids}"
     )
@@ -201,7 +199,7 @@ def _c7_duhamel():
     discs = []
     for n_t in (1000, 2000):
         tg = TimeGrid(1.0, n_t)
-        discs.append(duhamel_check(g, np.ones(n_t, dtype=complex), order, eig, tg))
+        discs.append(duhamel_check(SourceSpec(np.ones(n_t), g), order, eig, tg))
     assert discs[0] <= 1e-3, f"Duhamel discrepancy {discs[0]:.3e} > 1e-3 at dt=1e-3"
     ratio = discs[1] / discs[0]
     assert ratio <= 0.7, f"refinement ratio {ratio:.3f} not halving"
@@ -223,7 +221,7 @@ def _c8_initial_recovery():
     order = FractionalOrder(0.95)
     y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
     truth = project(y0, eig)[:8]
-    fieldv = solve_forward(y0, SourceSpec.none(), order, eig, tg)
+    fieldv = solve_forward(y0, None, order, eig, tg)
     clean = observe(fieldv, mask, 0.0, 0)
     res = invert_initial(clean, order, eig, TikhonovConfig(1e-10, 8))
     smin = res.diagnostics["sigma_min"]
@@ -242,7 +240,7 @@ def _c9_source_recovery():
     order = FractionalOrder(0.95)
     rho = np.ones(tg.n_t, dtype=complex)
     g = eig.phis[1].astype(complex)
-    fieldv = solve_forward(np.zeros(grid.m), SourceSpec.separable(rho, g), order, eig, tg)
+    fieldv = solve_forward(np.zeros(grid.m), SourceSpec(rho, g), order, eig, tg)
     clean = observe(fieldv, mask, 0.0, 0)
     res = invert_source(clean, rho, order, eig, TikhonovConfig(1e-12, 8))
     truth = np.zeros(8, dtype=complex)
@@ -262,7 +260,7 @@ def _c10_order_recovery():
     grid, eig, tg, mask = _recovery_setup()
     y0 = eig.phis[0].astype(complex)
     truth_order = FractionalOrder(0.5)
-    fieldv = solve_forward(y0, SourceSpec.none(), truth_order, eig, tg)
+    fieldv = solve_forward(y0, None, truth_order, eig, tg)
     data = observe(fieldv, mask, 0.0, 0)
     cfg = OrderSearchConfig(0.25, 0.85, 25, 1e-4)
     res = invert_order(data, y0, eig, cfg)
@@ -278,9 +276,9 @@ def _c10_order_recovery():
 
 
 def _c11_laplace_identity():
-    g1 = laplace_identity_gap(FractionalOrder(0.5), math.pi**2, 1.0 + 0j, 200.0)
+    g1 = laplace_identity_gap(0.5, math.pi**2, 1.0 + 0j, 200.0)
     assert g1 <= 1e-4, f"gap {g1:.3e} > 1e-4 for (0.5, pi^2, 1)"
-    g2 = laplace_identity_gap(FractionalOrder(0.7), 5.0, 2.0 + 3.0j, 14.0)
+    g2 = laplace_identity_gap(0.7, 5.0, 2.0 + 3.0j, 14.0)
     assert g2 <= 1e-4, f"gap {g2:.3e} > 1e-4 for (0.7, 5, 2+3i)"
     return f"gaps {g1:.2e}, {g2:.2e}"
 

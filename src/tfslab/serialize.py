@@ -10,10 +10,10 @@ C), and the CSV and the JSON artifact are both built from that row
 string: the JSON is the small document through ``json.dumps`` with the
 array spliced in.  ``dumps_canonical`` splices a document's top-level
 float arrays in the same way.  An artifact pair comes as a ``RowChunks``:
-a head, one ``(csv, json)`` chunk tuple per row and a tail, and
-``atomic_write_texts`` writes each tuple to both files before it draws the
-next: one rendered row per artifact pair and process is held, never a full
-artifact text.
+a ``(csv, json)`` head, the chunk tuples of any row range, one per row, and
+a tail.  ``atomic_write_texts`` writes each tuple to both files before it
+draws the next: one rendered row per artifact pair and process is held,
+never a full artifact text.
 
 Rendering costs about 1 µs a float, and rows render independently.  A
 pair of at least ``2 * PART_FLOATS`` floats has its row range split into
@@ -42,15 +42,10 @@ PART_FLOATS = 65_536
 
 
 def _json_default(obj):
-    """``json.dumps`` hook for the values the stdlib encoder does not know:
-    arrays become lists, numpy scalars Python scalars, and complex numbers
-    ``{"re", "im"}`` objects."""
+    """``json.dumps`` hook for the one value type the stdlib encoder does
+    not know and the artifacts hold: an array, which becomes a list."""
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, np.generic):
-        return obj.item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -108,8 +103,8 @@ def _temp(path, suffix):
 class RowChunks:
     """The chunk tuples of an artifact pair: ``head``, one tuple per row,
     ``rows(start, stop)`` giving those of rows ``start`` to ``stop - 1``,
-    and ``tail``.  Iterating gives them all in order; ``atomic_write_texts``
-    may render disjoint row slices in separate processes."""
+    and ``tail``.  ``atomic_write_texts`` writes them in that order and may
+    render disjoint row slices in separate processes."""
 
     def __init__(self, head, rows, n_rows, floats, tail):
         self.head = head
@@ -117,11 +112,6 @@ class RowChunks:
         self.n_rows = n_rows
         self.floats = floats
         self.tail = tail
-
-    def __iter__(self):
-        yield self.head
-        yield from self.rows(0, self.n_rows)
-        yield self.tail
 
 
 def _slice_bounds(chunks):

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfslab import cli
+from tfslab.errors import ConfigError
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -306,11 +307,41 @@ class TestValidation:
                                TIKHONOV), initial={"kind": "mode", "index": 1}), "config"),
         (dict(inversion_config("invert-source", SOURCE_TRUTH, TIKHONOV),
               source={"kind": "none"}), "config"),
+        # top-level fields and the sections without a datum
+        (forward_config(output_dir=3), "output_dir"),
+        (forward_config(n_modes=64), "n_modes"),
+        (forward_config(source={"kind": "bogus"}), "source.kind"),
+        (forward_config(mask={"intervals": "[0.2, 0.4]"}), "mask.intervals"),
+        (forward_config(mask={"intervals": [[0.2]]}), "mask.intervals"),
     ], ids=["initial-index", "source-index", "truth-initial-index", "truth-g-index",
             "long-mix", "short-samples", "forward-truth", "forward-inversion",
-            "forward-noise", "inversion-initial", "inversion-source"])
+            "forward-noise", "inversion-initial", "inversion-source", "output-dir-type",
+            "n-modes-above-m", "source-kind", "intervals-type", "interval-length"])
     def test_error_found_before_any_solve(self, tmp_path, capsys, cfg, field):
         self.assert_config_error(tmp_path, capsys, cfg, field)
+
+    @pytest.mark.parametrize("cfg,field", [
+        ([], "config"), ("x", "config"), (None, "config"),
+        (forward_config(problem="bogus"), "problem"),
+    ], ids=["list", "string", "null", "unknown-problem"])
+    def test_run_raises_config_error_before_any_write(self, tmp_path, cfg, field):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError) as raised:
+            cli.run(cfg, str(out))
+        assert raised.value.field == field
+        assert not out.exists()
+        if field == "config":  # the error validate_config raises
+            with pytest.raises(ConfigError) as validated:
+                cli.validate_config(cfg, "forward")
+            assert str(validated.value) == str(raised.value)
+
+    def test_output_that_is_a_file_exits_4(self, tmp_path, capsys):
+        path = write_config(tmp_path, forward_config())
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main(["forward", "--config", path, "--output", str(out)]) == 4
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "io"
+        assert out.read_text() == ""
 
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = dict(inversion_config("invert-initial", {"initial": {"kind": "mode", "index": 1}},
@@ -634,6 +665,14 @@ class TestSelftestCommand:
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_output_writes_selftest_json(self, tmp_path, capsys):
+        out = tmp_path / "st"
+        assert cli.main(["selftest", "--criteria", "residue-extraction",
+                         "--output", str(out)]) == 0
+        [row] = json.loads((out / "selftest.json").read_text())
+        assert sorted(row) == ["detail", "limit", "name", "passed", "runtime"]
+        assert row["name"] == "residue-extraction" and row["passed"] is True
+
     def test_repeated_runs_identical_verdicts(self, capsys):
         rc1 = cli.main(["selftest", "--criteria", "spectral-convergence"])
         first = capsys.readouterr().out.splitlines()[0].split()[0]
@@ -648,8 +687,7 @@ def test_cli_import_leaves_out_scipy_integrate():
     # proof machinery integrates with its own Gauss-Legendre rules
     script = ("import sys\nimport tfslab.cli\nimport tfslab.selftest\n"
               "from tfslab.inverse import laplace_identity_gap\n"
-              "from tfslab.mlf import FractionalOrder\n"
-              "laplace_identity_gap(FractionalOrder(0.5), 4.0, 1.0, 40.0)\n"
+              "laplace_identity_gap(0.5, 4.0, 1.0, 40.0)\n"
               "print('scipy.integrate' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, check=True)

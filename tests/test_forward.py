@@ -78,7 +78,7 @@ class TestSolveForward:
     def test_single_mode_separation(self, eig):
         order = FractionalOrder(0.6)
         tg = TimeGrid(1.0, 25)
-        y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(), order,
+        y = solve_forward(eig.phis[0].astype(complex), None, order,
                           eig, tg)
         k = kernel_grid(order, float(eig.lambdas[0]), tg.times, "state")
         for i in range(tg.n_t):
@@ -93,10 +93,9 @@ class TestSolveForward:
         u = rng.standard_normal(99) + 1j * rng.standard_normal(99)
         v = rng.standard_normal(99) + 1j * rng.standard_normal(99)
         a, b = 1.3 - 0.2j, -0.7 + 0.9j
-        none = SourceSpec.none()
-        left = solve_forward(a * u + b * v, none, order, eig, tg).values
-        right = (a * solve_forward(u, none, order, eig, tg).values
-                 + b * solve_forward(v, none, order, eig, tg).values)
+        left = solve_forward(a * u + b * v, None, order, eig, tg).values
+        right = (a * solve_forward(u, None, order, eig, tg).values
+                 + b * solve_forward(v, None, order, eig, tg).values)
         assert np.max(np.abs(left - right)) <= 1e-12 * max(1.0, np.max(np.abs(left)))
 
     def test_constant_rho_source_closed_form(self, eig):
@@ -104,7 +103,7 @@ class TestSolveForward:
         order = FractionalOrder(0.5)
         tg = TimeGrid(1.0, 25)
         rho = np.ones(tg.n_t, dtype=complex)
-        y = solve_forward(np.zeros(99), SourceSpec.separable(rho, eig.phis[0]),
+        y = solve_forward(np.zeros(99), SourceSpec(rho, eig.phis[0]),
                           order, eig, tg)
         k = kernel_grid(order, float(eig.lambdas[0]), tg.times, "integral")
         for i in range(tg.n_t):
@@ -115,7 +114,7 @@ class TestSolveForward:
         order = FractionalOrder(0.7)
         tg = TimeGrid(1.0, 40)
         rho = np.ones(tg.n_t, dtype=complex)
-        y = solve_forward(np.zeros(99), SourceSpec.separable(rho, eig.phis[1]),
+        y = solve_forward(np.zeros(99), SourceSpec(rho, eig.phis[1]),
                           order, eig, tg)
         lam = float(eig.lambdas[1])
         params = MLParams(order.alpha, order.alpha)
@@ -136,12 +135,11 @@ class TestSolveForward:
 
         order = FractionalOrder(0.5)
         tg = TimeGrid(2.0, 40)
-        c0 = certify_c0(order, 0.75 * math.pi * 0.5,
-                        lambda_grid=eig.lambdas, t_grid=tg.times)
+        c0 = certify_c0(order.alpha, lambda_grid=eig.lambdas, t_grid=tg.times)
         rng = np.random.default_rng(np.random.Philox(11))
         y0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) @ eig.phis
         c_init = np.abs(project(y0, eig))
-        y = solve_forward(y0, SourceSpec.none(), order, eig, tg)
+        y = solve_forward(y0, None, order, eig, tg)
         for i, t in enumerate(tg.times):
             c = np.abs(project(y.values[i], eig))
             bound = c0 * c_init / (1.0 + eig.lambdas * t**0.5)
@@ -152,19 +150,18 @@ class TestSolveForward:
 
         order = FractionalOrder(0.5)
         tg = TimeGrid(1.0, 30)
-        c0 = certify_c0(order, 0.75 * math.pi * 0.5,
-                        lambda_grid=eig.lambdas, t_grid=tg.times)
+        c0 = certify_c0(order.alpha, lambda_grid=eig.lambdas, t_grid=tg.times)
         rng = np.random.default_rng(np.random.Philox(13))
         y0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) @ eig.phis
         y0 = y0 / eig.grid.norm(y0)
-        y = solve_forward(y0, SourceSpec.none(), order, eig, tg)
+        y = solve_forward(y0, None, order, eig, tg)
         for i in range(tg.n_t):
             assert eig.grid.norm(y.values[i]) <= c0 * (1.0 + 1e-9)
 
     def test_phase_variant_trajectory(self, eig):
         order = FractionalOrder(0.5, "power_i_alpha")
         tg = TimeGrid(1.0, 10)
-        y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(), order,
+        y = solve_forward(eig.phis[0].astype(complex), None, order,
                           eig, tg)
         lam = float(eig.lambdas[0])
         phase = cmath.exp(-1j * math.pi * 0.25)
@@ -187,7 +184,7 @@ class TestSolveForward:
     def test_source_length_mismatch_rejected(self, eig):
         # rho sampled at one time fewer than the grid has
         tg = TimeGrid(1.0, 10)
-        src = SourceSpec.separable(np.ones(tg.n_t - 1), eig.phis[1])
+        src = SourceSpec(np.ones(tg.n_t - 1), eig.phis[1])
         with pytest.raises(GridMismatchError, match="rho sampled at 9 times, grid has 10"):
             solve_forward(eig.phis[0].astype(complex), src, FractionalOrder(0.5), eig, tg)
 
@@ -266,7 +263,7 @@ class TestResidualAndDuhamel:
         A, eig = fd_system
         tg = TimeGrid(1.0, 10)
         field = SpaceTimeField(np.zeros((10, 63), dtype=complex), tg, eig.grid)
-        r = pde_residual(field, np.zeros(63), SourceSpec.none(),
+        r = pde_residual(field, np.zeros(63), None,
                          FractionalOrder(0.5), A)
         assert r == 0.0
 
@@ -277,8 +274,8 @@ class TestResidualAndDuhamel:
         resids = []
         for n_t in (100, 200, 400):
             tg = TimeGrid(1.0, n_t)
-            y = solve_forward(y0, SourceSpec.none(), order, eig, tg)
-            resids.append(pde_residual(y, y0, SourceSpec.none(), order, A))
+            y = solve_forward(y0, None, order, eig, tg)
+            resids.append(pde_residual(y, y0, None, order, A))
         assert resids[0] > resids[1] > resids[2]
 
     def test_multimode_residual_ceiling(self, fd_system):
@@ -292,16 +289,16 @@ class TestResidualAndDuhamel:
         y0 = c @ eig.phis
         y0 = y0 / eig.grid.norm(y0)
         tg = TimeGrid(1.0, 1000)
-        y = solve_forward(y0, SourceSpec.none(), order, eig, tg)
-        r = pde_residual(y, y0, SourceSpec.none(), order, A)
+        y = solve_forward(y0, None, order, eig, tg)
+        r = pde_residual(y, y0, None, order, A)
         assert r <= 10.0
 
     def test_duhamel_trivial_cases(self, fd_system):
         _, eig = fd_system
         order = FractionalOrder(0.5)
         tg = TimeGrid(1.0, 50)
-        assert duhamel_check(np.zeros(63), np.ones(tg.n_t), order, eig, tg) <= 1e-14
-        assert duhamel_check(eig.phis[0], np.zeros(tg.n_t), order, eig, tg) <= 1e-14
+        assert duhamel_check(SourceSpec(np.ones(tg.n_t), np.zeros(63)), order, eig, tg) <= 1e-14
+        assert duhamel_check(SourceSpec(np.zeros(tg.n_t), eig.phis[0]), order, eig, tg) <= 1e-14
 
     def test_duhamel_refinement_order(self, fd_system):
         _, eig = fd_system
@@ -309,7 +306,7 @@ class TestResidualAndDuhamel:
         discs = []
         for n_t in (250, 500, 1000):
             tg = TimeGrid(1.0, n_t)
-            discs.append(duhamel_check(eig.phis[0], np.ones(tg.n_t, dtype=complex),
+            discs.append(duhamel_check(SourceSpec(np.ones(tg.n_t), eig.phis[0]),
                                        order, eig, tg))
         orders = [math.log2(discs[i] / discs[i + 1]) for i in range(2)]
         assert all(o >= 0.9 for o in orders)
@@ -320,7 +317,7 @@ class TestResidualAndDuhamel:
         discs = []
         for n_t in (200, 400):
             tg = TimeGrid(1.0, n_t)
-            discs.append(duhamel_check(eig.phis[0], np.ones(tg.n_t, dtype=complex),
+            discs.append(duhamel_check(SourceSpec(np.ones(tg.n_t), eig.phis[0]),
                                        order, eig, tg))
         assert discs[1] <= 0.7 * discs[0]
 
@@ -335,7 +332,7 @@ class TestResidualAndDuhamel:
         values = np.outer(tg.times, eig.phis[0]).astype(complex)
         field = SpaceTimeField(values, tg, eig.grid)
         dcap = tg.times ** 0.5 / math.gamma(1.5)
-        src = SourceSpec.separable(1j * dcap - lam * tg.times, eig.phis[0])
+        src = SourceSpec(1j * dcap - lam * tg.times, eig.phis[0])
         r = pde_residual(field, np.zeros(eig.grid.m), src, order, A)
         assert r <= 1e-10
 
@@ -344,8 +341,8 @@ def grid_duhamel(g, rho, order, eig, tg):
     """The Duhamel discrepancy on the m nodes: both solutions synthesized as
     fields, J^{1-alpha} and the rho-convolution applied node by node, and
     each time row normed on its own."""
-    v = solve_forward(g, SourceSpec.none(), order, eig, tg).values
-    y = solve_forward(np.zeros(eig.grid.m), SourceSpec.separable(rho, g), order, eig, tg).values
+    v = solve_forward(g, None, order, eig, tg).values
+    y = solve_forward(np.zeros(eig.grid.m), SourceSpec(rho, g), order, eig, tg).values
     lhs = rl_integral(y, 1.0 - order.alpha, tg)
     rhs = order.phase_factor * tg.dt * causal_conv(v, rho)
     return max(eig.grid.norm(row) for row in lhs - rhs)
@@ -358,7 +355,7 @@ def row_residual(field, y0, src, order, A):
     ay = A.matvec(field.values.T).T
     worst = 0.0
     for i in range(tg.n_t):
-        f = src.rho[i] * src.g if src.kind == "separable" else 0.0
+        f = src.rho[i] * src.g if src is not None else 0.0
         worst = max(worst, grid.norm(np.conj(order.phase_factor) * dcap[i] - ay[i] - f))
     return worst
 
@@ -379,7 +376,7 @@ class TestVectorizedChecks:
             g = (rng.standard_normal(eig.n) + 1j * rng.standard_normal(eig.n)) @ eig.phis
             rho = np.exp(3j * tg.times) * (1.0 + tg.times)
         ref = grid_duhamel(g, rho, order, eig, tg)
-        assert abs(duhamel_check(g, rho, order, eig, tg) - ref) <= 1e-12 * ref
+        assert abs(duhamel_check(SourceSpec(rho, g), order, eig, tg) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("separable", [False, True])
     def test_residual_matches_row_by_row(self, fd_system, separable):
@@ -389,8 +386,8 @@ class TestVectorizedChecks:
         rng = np.random.default_rng(np.random.Philox(31))
         shape = (tg.n_t + 1, eig.grid.m)
         values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        src = (SourceSpec.separable(np.exp(2j * tg.times), values[0] + eig.phis[1])
-               if separable else SourceSpec.none())
+        src = (SourceSpec(np.exp(2j * tg.times), values[0] + eig.phis[1])
+               if separable else None)
         field = SpaceTimeField(values[1:], tg, eig.grid)
         ref = row_residual(field, values[0], src, order, A)
         assert abs(pde_residual(field, values[0], src, order, A) - ref) <= 1e-13 * ref
@@ -406,8 +403,8 @@ class TestVectorizedChecks:
         A, eig = fd_system
         tg = TimeGrid(1.0, 20)
         field = SpaceTimeField(np.zeros((tg.n_t, eig.grid.m), dtype=complex), tg, eig.grid)
-        src = (SourceSpec.none() if n_rho is None
-               else SourceSpec.separable(np.ones(n_rho), np.ones(m_g)))
+        src = (None if n_rho is None
+               else SourceSpec(np.ones(n_rho), np.ones(m_g)))
         with pytest.raises(GridMismatchError):
             pde_residual(field, np.zeros(m_y0), src, FractionalOrder(0.5), A)
 
@@ -415,8 +412,8 @@ class TestVectorizedChecks:
     def test_duhamel_rejects_mismatched_inputs(self, fd_system, n_rho, m_g):
         _, eig = fd_system
         with pytest.raises(GridMismatchError):
-            duhamel_check(np.ones(m_g), np.ones(n_rho), FractionalOrder(0.5), eig,
-                          TimeGrid(1.0, 20))
+            duhamel_check(SourceSpec(np.ones(n_rho), np.ones(m_g)), FractionalOrder(0.5),
+                          eig, TimeGrid(1.0, 20))
 
     @pytest.mark.parametrize("n_modes", [4, 8])
     def test_duhamel_makes_one_kernel_call_per_kind(self, monkeypatch, n_modes):
@@ -427,12 +424,12 @@ class TestVectorizedChecks:
                             lambda *args: calls.append((np.shape(args[1]), args[3]))
                             or exact(*args))
         tg = TimeGrid(1.0, 100)
-        duhamel_check(eig.phis[0], np.ones(tg.n_t), FractionalOrder(0.5), eig, tg)
+        duhamel_check(SourceSpec(np.ones(tg.n_t), eig.phis[0]), FractionalOrder(0.5), eig, tg)
         assert sorted(calls) == [((n_modes,), "integral"), ((n_modes,), "state")]
 
     def test_duhamel_allocates_no_space_time_field(self, eig):
         tg = TimeGrid(1.0, 2000)
-        args = (eig.phis[0], np.ones(tg.n_t, dtype=complex), FractionalOrder(0.5), eig, tg)
+        args = (SourceSpec(np.ones(tg.n_t), eig.phis[0]), FractionalOrder(0.5), eig, tg)
         duhamel_check(*args)  # one-time set-up outside the measurement
         tracemalloc.start()
         try:

@@ -96,7 +96,7 @@ class TestInvertInitial:
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
         zero = observe(
-            solve_forward(np.zeros(grid.m), SourceSpec.none(), order, eig, tg),
+            solve_forward(np.zeros(grid.m), None, order, eig, tg),
             mask, 0.0, 0)
         res = invert_initial(zero, order, eig, TikhonovConfig(1e-8, 8))
         assert np.max(np.abs(res.modal)) == 0.0
@@ -104,7 +104,7 @@ class TestInvertInitial:
     def test_noiseless_single_mode(self, setup):
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
-        y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(), order,
+        y = solve_forward(eig.phis[0].astype(complex), None, order,
                           eig, tg)
         res = invert_initial(observe(y, mask, 0.0, 0), order, eig,
                              TikhonovConfig(1e-10, 8))
@@ -116,7 +116,7 @@ class TestInvertInitial:
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
         y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
-        y = solve_forward(y0.astype(complex), SourceSpec.none(), order, eig, tg)
+        y = solve_forward(y0.astype(complex), None, order, eig, tg)
         # discrepancy-flavored choice: gamma at the noise-power scale
         res = invert_initial(observe(y, mask, 1e-3, 5), order, eig,
                              TikhonovConfig(1e-6, 8))
@@ -134,7 +134,7 @@ class TestInvertInitial:
         tg = TimeGrid(1.0, 2)
         mask = make_mask([(0.5, 0.53)], grid)
         assert mask.n_nodes == 1
-        y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(), order,
+        y = solve_forward(eig.phis[0].astype(complex), None, order,
                           eig, tg)
         with pytest.raises(RankDeficientError):
             invert_initial(observe(y, mask, 0.0, 0), order, eig, TikhonovConfig(0.0, 8))
@@ -153,7 +153,7 @@ class TestInvertInitial:
         # but not the filtered solution
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
-        y = solve_forward(scale * eig.phis[0].astype(complex), SourceSpec.none(),
+        y = solve_forward(scale * eig.phis[0].astype(complex), None,
                           order, eig, tg)
         data = observe(y, mask, 1e308, 3)
         assert np.isfinite(data.values).all()
@@ -167,7 +167,7 @@ class TestInvertInitial:
         # overflow-safe math.hypot
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.9)
-        y = solve_forward(1e-3 * eig.phis[0].astype(complex), SourceSpec.none(),
+        y = solve_forward(1e-3 * eig.phis[0].astype(complex), None,
                           order, eig, tg)
         data = observe(y, mask, 1e308, 3)
         res = invert_initial(data, order, eig, TikhonovConfig(1e-6, 8))
@@ -186,7 +186,7 @@ class TestInvertInitial:
         order = FractionalOrder(0.9)
         y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
         truth = project(y0.astype(complex), eig)
-        y = solve_forward(y0.astype(complex), SourceSpec.none(), order, eig, tg)
+        y = solve_forward(y0.astype(complex), None, order, eig, tg)
         errs = []
         for level in (1e-2, 1e-3, 1e-4):
             data = observe(y, mask, level, 11)
@@ -201,7 +201,7 @@ class TestInvertInitial:
         order = FractionalOrder(0.9)
         G = inverse._separable_design(eig, order, tg, mask, 8)
         y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
-        y = solve_forward(y0.astype(complex), SourceSpec.none(), order, eig, tg)
+        y = solve_forward(y0.astype(complex), None, order, eig, tg)
         data = observe(y, mask, 1e-3, 5)
         gamma = 1e-6
         res = invert_initial(data, order, eig, TikhonovConfig(gamma, 8))
@@ -220,7 +220,7 @@ class TestInvertSource:
         order = FractionalOrder(0.95)
         rho = np.ones(tg.n_t, dtype=complex)
         y = solve_forward(np.zeros(grid.m),
-                          SourceSpec.separable(rho, eig.phis[1]), order, eig, tg)
+                          SourceSpec(rho, eig.phis[1]), order, eig, tg)
         res = invert_source(observe(y, mask, 0.0, 0), rho, order, eig,
                             TikhonovConfig(1e-12, 8))
         e2 = np.zeros(8, dtype=complex)
@@ -232,7 +232,7 @@ class TestInvertSource:
         order = FractionalOrder(0.5)
         rho = np.ones(tg.n_t, dtype=complex)
         zero = observe(
-            solve_forward(np.zeros(grid.m), SourceSpec.none(), order, eig, tg),
+            solve_forward(np.zeros(grid.m), None, order, eig, tg),
             mask, 0.0, 0)
         res = invert_source(zero, rho, order, eig, TikhonovConfig(1e-10, 8))
         assert np.max(np.abs(res.modal)) <= 1e-14
@@ -243,7 +243,7 @@ class TestInvertSource:
         t = tg.times
         rho = (t * (1.0 - t)).astype(complex)
         g = (0.8 * eig.phis[0] - 0.6 * eig.phis[2]).astype(complex)
-        y = solve_forward(np.zeros(grid.m), SourceSpec.separable(rho, g),
+        y = solve_forward(np.zeros(grid.m), SourceSpec(rho, g),
                           order, eig, tg)
         # the weighted source columns are O(1e-4), so gamma sits at the
         # squared-noise scale of the weighted data, not of the raw field
@@ -257,7 +257,7 @@ class TestInvertSource:
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.5)
         zero = observe(
-            solve_forward(np.zeros(grid.m), SourceSpec.none(), order, eig, tg),
+            solve_forward(np.zeros(grid.m), None, order, eig, tg),
             mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
             invert_source(zero, np.zeros(tg.n_t), order, eig, TikhonovConfig(1e-10, 8))
@@ -267,7 +267,7 @@ class TestSourceGuards:
     def test_too_many_unknowns(self, setup):
         grid, eig, tg, mask = setup
         rho = np.ones(tg.n_t, dtype=complex)
-        data = observe(solve_forward(np.zeros(grid.m), SourceSpec.none(),
+        data = observe(solve_forward(np.zeros(grid.m), None,
                                      FractionalOrder(0.5), eig, tg), mask, 0.0, 0)
         with pytest.raises(GridMismatchError):
             invert_source(data, rho, FractionalOrder(0.5), eig,
@@ -280,7 +280,7 @@ class TestSourceGuards:
         eig49 = analytic_eigensystem(1.0, 8, coarse)
         order = FractionalOrder(0.5)
         y0 = eig49.phis[0].astype(complex)
-        data = observe(solve_forward(y0, SourceSpec.none(), order, eig49, tg),
+        data = observe(solve_forward(y0, None, order, eig49, tg),
                        make_mask([(0.2, 0.4)], coarse), 0.0, 0)
         rho = np.ones(tg.n_t, dtype=complex)
         with pytest.raises(GridMismatchError):
@@ -308,15 +308,15 @@ class TestSourceGuards:
         unit = np.eye(8, dtype=complex)
         order = FractionalOrder(0.9)
         y0 = eig.phis[0].astype(complex)
-        res = invert_initial(observed(y0, SourceSpec.none(), order), order, eig,
+        res = invert_initial(observed(y0, None, order), order, eig,
                              TikhonovConfig(1e-10, 8))
         assert np.linalg.norm(res.modal - unit[0]) <= 1e-6
         order = FractionalOrder(0.95)
         rho = np.ones(tg.n_t, dtype=complex)
-        data = observed(np.zeros(grid.m), SourceSpec.separable(rho, eig.phis[1]), order)
+        data = observed(np.zeros(grid.m), SourceSpec(rho, eig.phis[1]), order)
         res = invert_source(data, rho, order, eig, TikhonovConfig(1e-12, 8))
         assert np.linalg.norm(res.modal - unit[1]) <= 1e-5
-        data = observed(y0, SourceSpec.none(), FractionalOrder(0.5))
+        data = observed(y0, None, FractionalOrder(0.5))
         res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-4))
         assert abs(res.order - 0.5) <= 1e-3
 
@@ -347,7 +347,7 @@ class TestModalDesignsMatchForwardSolves:
         w = math.sqrt(eig.grid.h * tg.dt)
         ref = np.column_stack([
             w * mask.restrict(solve_forward(
-                np.zeros(eig.grid.m), SourceSpec.separable(rho, eig.phis[n]),
+                np.zeros(eig.grid.m), SourceSpec(rho, eig.phis[n]),
                 order, eig, tg).values).ravel()
             for n in range(6)
         ])
@@ -357,11 +357,11 @@ class TestModalDesignsMatchForwardSolves:
     def test_order_misfit_is_exact(self, system):
         eig, order, tg, mask = system
         y0 = (eig.phis[0] - 0.5j * eig.phis[2]).astype(complex)
-        data = observe(solve_forward(y0, SourceSpec.none(), order, eig, tg),
+        data = observe(solve_forward(y0, None, order, eig, tg),
                        mask, 1e-3, 11)
         for alpha in (0.45, 0.8):
             trial = FractionalOrder(alpha, order.phase)
-            traj = solve_forward(y0, SourceSpec.none(), trial, eig, tg)
+            traj = solve_forward(y0, None, trial, eig, tg)
             diff = mask.restrict(traj.values) - data.values
             ref = float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
             assert order_misfit(data, y0, alpha, order.phase, eig) == ref
@@ -377,10 +377,10 @@ class TestModalDesignsMatchForwardSolves:
         monkeypatch.setattr(forward, "kernel_grid",
                             lambda *args: calls.append(np.shape(args[1])) or exact(*args))
         y0 = (eig.phis[0] - 0.5j * eig.phis[2]).astype(complex)
-        src = SourceSpec.separable(np.ones(tg.n_t), eig.phis.sum(axis=0).astype(complex))
+        src = SourceSpec(np.ones(tg.n_t), eig.phis.sum(axis=0).astype(complex))
         solve_forward(y0, src, order, eig, tg)
         assert calls == [()] * (2 * eig.n)
-        data = observe(solve_forward(y0, SourceSpec.none(), order, eig, tg), mask, 1e-3, 11)
+        data = observe(solve_forward(y0, None, order, eig, tg), mask, 1e-3, 11)
         calls.clear()
         res = invert_order(data, y0, eig, OrderSearchConfig(0.3, 0.9, 5, 1e-2), order.phase)
         assert calls == [(eig.n,)] * res.diagnostics["evaluations"]
@@ -390,7 +390,7 @@ class TestInvertOrder:
     def test_noiseless_truth_recovery(self, setup):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.5), eig, tg)
+        y = solve_forward(y0, None, FractionalOrder(0.5), eig, tg)
         data = observe(y, mask, 0.0, 0)
         res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-4))
         assert abs(res.order - 0.5) <= 1e-3
@@ -399,14 +399,14 @@ class TestInvertOrder:
     def test_misfit_vanishes_at_truth(self, setup):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.4), eig, tg)
+        y = solve_forward(y0, None, FractionalOrder(0.4), eig, tg)
         data = observe(y, mask, 0.0, 0)
         assert order_misfit(data, y0, 0.4, "standard_i", eig) <= 1e-22
 
     def test_discriminability(self, setup):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.4), eig, tg)
+        y = solve_forward(y0, None, FractionalOrder(0.4), eig, tg)
         data = observe(y, mask, 0.0, 0)
         m = order_misfit(data, y0, 0.6, "standard_i", eig)
         d2 = float(grid.h * tg.dt * np.sum(np.abs(data.values) ** 2))
@@ -415,7 +415,7 @@ class TestInvertOrder:
     def test_zero_datum_rejected(self, setup):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.5), eig, tg)
+        y = solve_forward(y0, None, FractionalOrder(0.5), eig, tg)
         data = observe(y, mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
             invert_order(data, np.zeros(grid.m), eig, OrderSearchConfig(0.3, 0.7))
@@ -425,7 +425,7 @@ class TestInvertOrder:
         # must end the search at the float resolution, not loop forever
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.5), eig, tg)
+        y = solve_forward(y0, None, FractionalOrder(0.5), eig, tg)
         data = observe(y, mask, 0.0, 0)
         calls = []
 
@@ -444,7 +444,7 @@ class TestInvertOrder:
         passes to order_misfit, in call order."""
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(alpha), eig, tg)
+        y = solve_forward(y0, None, FractionalOrder(alpha), eig, tg)
         data = observe(y, mask, 0.0, 0)
         calls = []
 
@@ -485,7 +485,7 @@ class TestInvertOrder:
     def test_flat_landscape_flagged(self, setup, monkeypatch):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, SourceSpec.none(), FractionalOrder(0.5), eig, tg)
+        y = solve_forward(y0, None, FractionalOrder(0.5), eig, tg)
         data = observe(y, mask, 0.0, 0)
         import tfslab.inverse as inv
 
@@ -497,13 +497,13 @@ class TestInvertOrder:
 
 class TestLaplaceIdentity:
     def test_zero_mu_reduces_to_exponential_transform(self):
-        gap = laplace_identity_gap(FractionalOrder(0.5), 0.0, 2.0 + 0j, 20.0)
+        gap = laplace_identity_gap(0.5, 0.0, 2.0 + 0j, 20.0)
         assert gap <= 1e-8
 
     def test_spec_cases(self):
-        g1 = laplace_identity_gap(FractionalOrder(0.5), math.pi**2, 1.0 + 0j, 200.0)
+        g1 = laplace_identity_gap(0.5, math.pi**2, 1.0 + 0j, 200.0)
         assert g1 <= 1e-4
-        g2 = laplace_identity_gap(FractionalOrder(0.7), 5.0, 2.0 + 3.0j, 14.0)
+        g2 = laplace_identity_gap(0.7, 5.0, 2.0 + 3.0j, 14.0)
         assert g2 <= 1e-4
 
     @pytest.mark.parametrize("alpha,mu,z,T", [
@@ -513,7 +513,7 @@ class TestLaplaceIdentity:
         (0.6, 1e4, 1.0 + 1.0j, 30.0),
     ])
     def test_stress_cases_match_closed_form(self, alpha, mu, z, T):
-        gap = laplace_identity_gap(FractionalOrder(alpha), mu, z, T)
+        gap = laplace_identity_gap(alpha, mu, z, T)
         assert gap <= 1e-12
 
     def test_unresolved_integrand_raises(self, monkeypatch):
@@ -521,24 +521,29 @@ class TestLaplaceIdentity:
         # growing the rows without limit
         monkeypatch.setattr(inverse, "_GL_MAX_PANELS", 4)
         with pytest.raises(MLAccuracyError, match="panels"):
-            laplace_identity_gap(FractionalOrder(0.9), 400.0, 1.0, 40.0)
+            laplace_identity_gap(0.9, 400.0, 1.0, 40.0)
 
     def test_gap_shrinks_with_horizon(self):
         # the 1e-6 tail bound admits horizons from about 34 at Re z = 0.5;
         # at 40 the bound is 4.1e-8
-        g_short = laplace_identity_gap(FractionalOrder(0.5), 4.0, 0.5 + 0j, 40.0)
-        g_long = laplace_identity_gap(FractionalOrder(0.5), 4.0, 0.5 + 0j, 80.0)
+        g_short = laplace_identity_gap(0.5, 4.0, 0.5 + 0j, 40.0)
+        g_long = laplace_identity_gap(0.5, 4.0, 0.5 + 0j, 80.0)
         bound = 10.0 * math.exp(-0.5 * 40.0) / 0.5
         assert g_short <= bound
         assert g_long <= g_short + 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_order_out_of_range_rejected(self, alpha):
+        with pytest.raises(MLDomainError, match="alpha"):
+            laplace_identity_gap(alpha, 1.0, 1.0, 40.0)
+
     def test_left_half_plane_rejected(self):
         with pytest.raises(MLDomainError):
-            laplace_identity_gap(FractionalOrder(0.5), 1.0, -1.0 + 0j, 10.0)
+            laplace_identity_gap(0.5, 1.0, -1.0 + 0j, 10.0)
 
     def test_insufficient_horizon_rejected(self):
         with pytest.raises(MLDomainError):
-            laplace_identity_gap(FractionalOrder(0.5), 1.0, 0.1 + 0j, 5.0)
+            laplace_identity_gap(0.5, 1.0, 0.1 + 0j, 5.0)
 
     @pytest.mark.parametrize("mu,z,T", [
         (1.0, complex(math.nan, 0.0), 40.0),  # NaN slips past the Re z <= 0 rejection
@@ -555,7 +560,7 @@ class TestLaplaceIdentity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(MLDomainError, match="finite"):
-                laplace_identity_gap(FractionalOrder(0.5), mu, z, T)
+                laplace_identity_gap(0.5, mu, z, T)
 
 
 class TestResidueExtraction:

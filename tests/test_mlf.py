@@ -20,7 +20,6 @@ from tfslab.mlf import (
     kernel_grid,
     ml_eval,
     rgamma_real,
-    sector_bounds,
 )
 
 _KERNEL_REFERENCE = os.path.join(os.path.dirname(__file__), "data",
@@ -225,15 +224,14 @@ class TestKernels:
 
     def test_boundedness_on_certification_point(self):
         order = FractionalOrder(0.5)
-        c0 = certify_c0(order, 0.75 * math.pi * 0.5,
-                        lambda_grid=[4.0], t_grid=[1.0])
+        c0 = certify_c0(0.5, lambda_grid=[4.0], t_grid=[1.0])
         v = kernel_grid(order, 4.0, np.array([1.0]), "state")[0]
         assert abs(v) * (1.0 + 4.0) <= c0 * (1.0 + 1e-12)
 
     def test_envelope_ratio_under_time_dilation(self):
         # |K(10t)| / |K(t)| stays within c0^2 of the envelope ratio
         order = FractionalOrder(0.5)
-        c0 = certify_c0(order, 0.75 * math.pi * 0.5)
+        c0 = certify_c0(0.5)
         for lam in (1.0, 10.0):
             for t in (0.05, 0.5, 5.0):
                 k1 = abs(kernel_grid(order, lam, np.array([t]), "state")[0])
@@ -632,74 +630,34 @@ class TestRowEvaluator:
                 assert row.tobytes() == np.concatenate(points).tobytes(), ray
 
 
-class TestSector:
-    def test_hand_evaluated_bounds(self):
-        lo, hi = sector_bounds(FractionalOrder(0.5), math.pi / 3.0)
-        assert lo == pytest.approx(-math.pi)
-        assert hi == pytest.approx(math.pi / 3.0)
-
-    def test_positive_real_axis_inside_for_small_mu(self):
-        # mu < pi/2 keeps arg 0 inside the sector
-        lo, hi = sector_bounds(FractionalOrder(0.5), math.pi / 4.0 + 0.05)
-        assert lo < 0.0 < hi
-
-    def test_negative_imaginary_axis_inside(self):
-        lo, hi = sector_bounds(FractionalOrder(0.5), math.pi / 3.0)
-        assert lo <= -math.pi / 2.0 <= hi
-        ang = cmath.phase(-1j * cmath.exp(-0.5j * math.pi / 2.0))  # arg(-i z^alpha)
-        assert math.pi / 3.0 <= abs(ang) <= math.pi
-
-    def test_membership_property(self):
-        rng = np.random.default_rng(np.random.Philox(31))
-        for alpha, mu in ((0.5, math.pi / 3.0), (0.8, 0.6 * math.pi * 0.8),
-                          (0.3, 0.75 * math.pi * 0.3)):
-            lo, hi = sector_bounds(FractionalOrder(alpha), mu)
-            assert lo < hi
-            for _ in range(340):
-                theta = rng.uniform(lo + 1e-12, hi - 1e-12)
-                ang = cmath.phase(-1j * cmath.exp(1j * alpha * theta))  # arg(-i z^alpha)
-                assert mu - 1e-9 <= abs(ang) <= math.pi + 1e-9
-
-    def test_mu_out_of_range(self):
-        with pytest.raises(MLDomainError):
-            sector_bounds(FractionalOrder(0.5), math.pi / 5.0)
-        with pytest.raises(MLDomainError):
-            sector_bounds(FractionalOrder(0.5), math.pi * 0.6)
-
-
 class TestCertifyC0:
-    @pytest.mark.parametrize("mu", [math.pi / 5.0, math.pi * 0.6])
-    def test_mu_out_of_range(self, mu):
-        # the sector's range of mu, as TestSector.test_mu_out_of_range
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan])
+    def test_alpha_out_of_range(self, alpha):
         with pytest.raises(MLDomainError):
-            certify_c0(FractionalOrder(0.5), mu)
+            certify_c0(alpha)
 
     def test_scalar_grids_are_one_point_grids(self):
-        order, mu, times = FractionalOrder(0.5), math.pi / 3.0, [0.3, 1.0, 7.0]
-        c0 = certify_c0(order, mu, lambda_grid=[1.0], t_grid=times)
+        times = [0.3, 1.0, 7.0]
+        c0 = certify_c0(0.5, lambda_grid=[1.0], t_grid=times)
         assert c0 > 1.0
-        assert certify_c0(order, mu, lambda_grid=1.0, t_grid=times) == c0
-        assert certify_c0(order, mu, lambda_grid=1.0, t_grid=1.0) == certify_c0(
-            order, mu, lambda_grid=[1.0], t_grid=[1.0])
+        assert certify_c0(0.5, lambda_grid=1.0, t_grid=times) == c0
+        assert certify_c0(0.5, lambda_grid=1.0, t_grid=1.0) == certify_c0(
+            0.5, lambda_grid=[1.0], t_grid=[1.0])
 
     def test_zero_eigenvalue_gives_one(self):
-        c0 = certify_c0(FractionalOrder(0.5), math.pi / 3.0,
-                        lambda_grid=[0.0], t_grid=[0.3, 1.0, 7.0])
+        c0 = certify_c0(0.5, lambda_grid=[0.0], t_grid=[0.3, 1.0, 7.0])
         assert c0 == pytest.approx(1.0, abs=1e-12)
 
     def test_stable_under_refinement(self):
-        order = FractionalOrder(0.5)
-        mu = math.pi / 3.0
-        base = certify_c0(order, mu)
-        dense = certify_c0(order, mu, np.geomspace(1.0, 100.0, 37),
+        base = certify_c0(0.5)
+        dense = certify_c0(0.5, np.geomspace(1.0, 100.0, 37),
                            np.geomspace(1e-3, 1e3, 37))
         assert abs(dense - base) <= 0.05 * base
 
     def test_finite_and_at_least_one(self):
-        c0 = certify_c0(FractionalOrder(0.9), 0.75 * math.pi * 0.9)
+        c0 = certify_c0(0.9)
         assert 1.0 <= c0 <= 100.0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(MLDomainError):
-            certify_c0(FractionalOrder(0.5), math.pi / 3.0, lambda_grid=[],
-                       t_grid=[1.0])
+            certify_c0(0.5, lambda_grid=[], t_grid=[1.0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tfslab.errors import EmptyMaskError, GridMismatchError
-from tfslab.forward import SourceSpec, SpaceTimeField, TimeGrid, solve_forward
+from tfslab.forward import SpaceTimeField, TimeGrid, solve_forward
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import ObservedData, make_mask, observe
 from tfslab.spectral import Grid1D, analytic_eigensystem
@@ -15,7 +15,7 @@ def field():
     grid = Grid1D(1.0, 9)
     eig = analytic_eigensystem(1.0, 3, grid)
     tg = TimeGrid(1.0, 12)
-    return solve_forward(eig.phis[0] + 0.5 * eig.phis[2], SourceSpec.none(),
+    return solve_forward(eig.phis[0] + 0.5 * eig.phis[2], None,
                          FractionalOrder(0.5), eig, tg)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tfslab import serialize
-from tfslab.forward import SourceSpec, SpaceTimeField, TimeGrid, solve_forward
+from tfslab.forward import SpaceTimeField, TimeGrid, solve_forward
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import ObservedData, make_mask, observe
 from tfslab.serialize import (
@@ -34,13 +34,14 @@ def eig():
 
 
 def texts(chunks):
-    """The whole texts of a stream of chunk tuples, one per file."""
-    return tuple("".join(parts) for parts in zip(*chunks, strict=True))
+    """The whole texts of a ``RowChunks``, one per file."""
+    tuples = [chunks.head, *chunks.rows(0, chunks.n_rows), chunks.tail]
+    return tuple("".join(parts) for parts in zip(*tuples, strict=True))
 
 
 def test_observed_json_shape(eig):
     tg = TimeGrid(1.0, 6)
-    y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(),
+    y = solve_forward(eig.phis[0].astype(complex), None,
                       FractionalOrder(0.5), eig, tg)
     mask = make_mask([(0.2, 0.4)], eig.grid)
     data = observe(y, mask, 1e-3, 3)
@@ -179,7 +180,7 @@ class TestAtomicWrite:
 
 def test_field_json_flat_layout(eig):
     tg = TimeGrid(1.0, 3)
-    y = solve_forward(eig.phis[0].astype(complex), SourceSpec.none(),
+    y = solve_forward(eig.phis[0].astype(complex), None,
                       FractionalOrder(0.5), eig, tg)
     doc = json.loads(texts(field_chunks(y))[1])
     assert len(doc["values_re_im"]) == 2 * 3 * eig.grid.m
@@ -257,9 +258,10 @@ class TestExactText:
         )
 
     def test_dumps_canonical(self):
-        doc = {"b": [np.int64(3), np.float32(0.1), np.bool_(True), np.float64(1 / 3)],
-               "a": (-0.0, 0.1, 1e-300), "z": complex(1.0, -0.0),
-               "arr": np.array([complex(-0.0, 0.1), 1 / 3]), "k": {"y": None, "x": "s"}}
+        # arrays of any shape and dtype become lists; np.float64 is a float
+        doc = {"b": [3, np.float64(1 / 3)], "a": (-0.0, 0.1, 1e-300),
+               "indices": np.array([4, 5], dtype=np.intp), "arr": np.array([[-0.0], [1 / 3]]),
+               "k": {"y": None, "x": "s", "v": np.array([0.1])}}
         assert dumps_canonical(doc) == """{
   "a": [
     -0.0,
@@ -267,31 +269,38 @@ class TestExactText:
     1e-300
   ],
   "arr": [
-    {
-      "im": 0.1,
-      "re": -0.0
-    },
-    {
-      "im": 0.0,
-      "re": 0.3333333333333333
-    }
+    [
+      -0.0
+    ],
+    [
+      0.3333333333333333
+    ]
   ],
   "b": [
     3,
-    0.10000000149011612,
-    true,
     0.3333333333333333
   ],
+  "indices": [
+    4,
+    5
+  ],
   "k": {
+    "v": [
+      0.1
+    ],
     "x": "s",
     "y": null
-  },
-  "z": {
-    "im": -0.0,
-    "re": 1.0
   }
 }
 """
+
+    # no artifact holds a complex number or a numpy scalar other than
+    # np.float64, so the JSON hook turns none of them into JSON
+    @pytest.mark.parametrize("value", [complex(1.0, -0.0), np.int64(3), np.float32(0.1),
+                                       np.bool_(True), np.complex128(1j)])
+    def test_dumps_rejects_complex_and_numpy_scalars(self, value):
+        with pytest.raises(TypeError):
+            dumps_canonical({"x": [value]})
 
     def test_dumps_rejects_unknown_objects(self):
         with pytest.raises(TypeError):

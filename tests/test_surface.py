@@ -1,7 +1,9 @@
 """The package's public surface: every public top-level function, class and
-method is named somewhere else in ``src/tfslab``, and every defaulted
-parameter is set by some call there, so neither a name nor an option is
-kept alive by the tests alone."""
+method is named somewhere else in ``src/tfslab``, every defaulted
+parameter is set by some call there, every dataclass field is read there,
+and every public function that returns a value and is called there has a
+call that uses the value, so neither a name, an option, a field nor a
+result is kept alive by the tests alone."""
 
 import ast
 import os
@@ -117,3 +119,69 @@ def test_every_default_is_set_by_a_caller_in_the_package():
             for name, count, keywords, unpacks in calls)
     ]
     assert not unset, f"defaulted parameters no call in src/tfslab sets: {sorted(unset)}"
+
+
+def _is_dataclass(decorator):
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass"
+
+
+def _dataclass_fields(module, tree):
+    """(qualified name, field name) of each field of a top-level dataclass."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{module}.{node.name}.{item.target.id}", item.target.id
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    modules = dict(_modules())
+    reads = Counter(
+        n.attr for tree in modules.values() for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+    unread = [qualname for module, tree in modules.items()
+              for qualname, name in _dataclass_fields(module, tree) if not reads[name]]
+    assert not unread, f"dataclass fields nothing in src/tfslab reads: {unread}"
+
+
+def _returns_value(function):
+    """Whether ``function`` itself (not a function nested in it) returns
+    something other than None or yields."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if isinstance(node, ast.Return) and node.value is not None and not (
+                isinstance(node.value, ast.Constant) and node.value.value is None):
+            return True
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _call_uses(tree):
+    """(callee name, whether the value is used) of each call; a call that
+    is a whole expression statement discards its value."""
+    discarded = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield getattr(func, "id", getattr(func, "attr", None)), id(node) not in discarded
+
+
+def test_every_called_result_is_used_somewhere():
+    modules = dict(_modules())
+    uses = [use for tree in modules.values() for use in _call_uses(tree)]
+    discarded = []
+    for module, tree in modules.items():
+        for qualname, name, node in _public_definitions(module, tree):
+            if not isinstance(node, ast.FunctionDef) or not _returns_value(node):
+                continue
+            used = [value_used for callee, value_used in uses if callee == name]
+            if used and not any(used):
+                discarded.append(qualname)
+    assert not discarded, f"functions whose every call in src/tfslab discards the value: {discarded}"
