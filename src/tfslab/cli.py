@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, GridMismatchError,
                      MLDomainError, NumericalError, TfslabError)
-from .forward import (SourceSpec, TimeGrid, project, projection_tail_energy, solve_forward,
-                      source_rows, state_rows)
+from .forward import (KernelTable, SourceSpec, TimeGrid, project, projection_tail_energy,
+                      solve_forward, source_rows)
 from .inverse import (
     OrderSearchConfig,
     TikhonovConfig,
@@ -421,8 +421,12 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     emit("eigensystem.json", dumps_canonical(eigensystem_to_json(eig)))
 
     y0, src = exp.initial(eig), exp.source(eig)
+    # the truth order's kernel rows, each evaluated once for the run: the
+    # data solve, the forward run's trajectory check and the Tikhonov
+    # designs (whose order is the truth order) read them from this table
+    table = KernelTable(exp.truth_order, eig.lambdas, tg)
     phases.start("forward")
-    fieldv = solve_forward(y0, src, exp.truth_order, eig, tg)
+    fieldv = solve_forward(y0, src, table, eig, tg)
     phases.stop()
     if problem in ("forward", "invert-initial"):
         checks["tail_energy"] = projection_tail_energy(y0, eig)
@@ -436,11 +440,10 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             # the mode's full response: its unit initial datum plus the part
             # of the source that drives it
             idx = exp.mode - 1
-            lam = eig.lambdas[idx:idx + 1]
-            expect = state_rows(order, lam, tg.times)[0]
+            expect = table.state([idx])[0]
             if src is not None:
                 forcing = project(src.g, eig)[idx] * src.rho
-                expect += source_rows(order, lam, tg, forcing[None, :])[0]
+                expect += source_rows(table, [idx], forcing[None, :])[0]
             # a row at a time: one projection of the whole field costs a
             # BLAS buffer of about 1 MB of peak memory
             traj = np.array([project(row, eig)[idx] for row in fieldv.values])
@@ -456,9 +459,9 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
         if problem == "invert-order":
             result = invert_order(data, y0, eig, inv, phase=order.phase)
         elif problem == "invert-source":
-            result = invert_source(data, src.rho, order, eig, inv)
+            result = invert_source(data, src.rho, table, eig, inv)
         else:
-            result = invert_initial(data, order, eig, inv)
+            result = invert_initial(data, table, eig, inv)
         phases.stop()
         emit("estimate.json", dumps_canonical(result_to_json(result)))
         if problem == "invert-order":

@@ -101,51 +101,95 @@ def projection_tail_energy(samples: np.ndarray, eig: EigenSystem) -> float:
     return max(0.0, total - captured)
 
 
-# state_rows and source_rows make one kernel_grid call per mode and kind:
-# the benchmark's self-check (perfbench/selfcheck.py) pins a forward solve
-# with a source at exactly 2N kernel calls for N modes.  Once it counts one
-# call per kind, both can take every mode at once, as eval_homogeneous does.
+# A table evaluates one mode's row per kernel_grid call: the benchmark's
+# self-check (perfbench/selfcheck.py) pins a forward solve with a nonzero
+# datum and a source at exactly 2N kernel calls for N modes.  Once it counts
+# one call per kind, a table can evaluate every mode at once, as
+# eval_homogeneous does.
 
 
-def state_rows(order: FractionalOrder, lambdas: np.ndarray,
-               times: np.ndarray) -> np.ndarray:
-    """Each mode's response E_{a,1}(p lam_n t^a) to its initial datum, one
-    row per eigenvalue over ``times``."""
-    return np.array([kernel_grid(order, lam, times, "state") for lam in lambdas])
-
-
-def source_rows(order: FractionalOrder, lambdas: np.ndarray, tg: TimeGrid,
-                forcing: np.ndarray) -> np.ndarray:
-    """Each mode's response p * conv(f_n, dW_n) to its forcing row f_n on
-    the grid times, where p is the phase factor and
+class KernelTable:
+    """The kernel rows of one order over one eigenvalue list and one time
+    grid: mode n's state row E_{a,1}(p lam_n t^a) on the grid times, and
+    its integral steps dW_n = diff W_n, where
     W_n(tau) = tau^a E_{a,a+1}(p lam_n tau^a) on the grid including t = 0
-    integrates the impulse kernel exactly over grid subintervals.  A mode
-    whose forcing vanishes responds with exact zeros; the others share one
-    convolution call."""
-    taus = tg.dt * np.arange(tg.n_t + 1)
-    rows = np.zeros((len(lambdas), tg.n_t), dtype=np.complex128)
+    integrates the impulse kernel exactly over grid subintervals.
+
+    Each mode's row of each kind is evaluated on first use, by one
+    ``kernel_grid`` call for that mode, and kept, so a run that passes one
+    table to its data solve, its design and its checks evaluates each row
+    once.  A table belongs to one run: nothing outlives it."""
+
+    def __init__(self, order: FractionalOrder, lambdas: np.ndarray, tg: TimeGrid):
+        self.order, self.lambdas, self.tg = order, lambdas, tg
+        self._grids = {"state": tg.times, "integral": tg.dt * np.arange(tg.n_t + 1)}
+        self._rows = {}
+
+    def _stack(self, kind, modes):
+        rows = np.empty((len(modes), self.tg.n_t), dtype=np.complex128)
+        for k, n in enumerate(modes):
+            if (kind, n) not in self._rows:
+                row = kernel_grid(self.order, self.lambdas[n], self._grids[kind], kind)
+                self._rows[kind, n] = row if kind == "state" else np.diff(row)
+            rows[k] = self._rows[kind, n]
+        return rows
+
+    def state(self, modes) -> np.ndarray:
+        """The state rows of ``modes``, one row per mode: each mode's
+        response to its initial datum."""
+        return self._stack("state", modes)
+
+    def steps(self, modes) -> np.ndarray:
+        """The integral steps dW_n of ``modes``, one row per mode."""
+        return self._stack("integral", modes)
+
+
+def kernel_table(order: FractionalOrder | KernelTable, lambdas: np.ndarray,
+                 tg: TimeGrid) -> KernelTable:
+    """A new table of ``order`` over ``lambdas`` and ``tg``; a table passed
+    as ``order`` is returned itself, once its grid and leading eigenvalues
+    are checked to be these."""
+    if isinstance(order, FractionalOrder):
+        return KernelTable(order, lambdas, tg)
+    if order.tg != tg or not np.array_equal(order.lambdas[:len(lambdas)], lambdas):
+        raise GridMismatchError("kernel table built for another time grid or eigensystem")
+    return order
+
+
+def source_rows(table: KernelTable, modes: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+    """Each mode's response p * conv(f_n, dW_n) to its forcing row f_n on
+    the grid times, p the phase factor, for the modes ``modes`` with one
+    forcing row each.  A mode whose forcing vanishes responds with exact
+    zeros and takes no kernel row; the others share one convolution call."""
+    rows = np.zeros((len(modes), table.tg.n_t), dtype=np.complex128)
     live = np.flatnonzero(np.any(forcing, axis=1))
     if live.size:
-        dw = np.array([np.diff(kernel_grid(order, lambdas[n], taus, "integral"))
-                       for n in live])
-        rows[live] = order.phase_factor * causal_conv(forcing[live].T, dw.T).T
+        dw = table.steps(np.asarray(modes)[live])
+        rows[live] = table.order.phase_factor * causal_conv(forcing[live].T, dw.T).T
     return rows
 
 
-def solve_forward(y0: np.ndarray, src: SourceSpec | None, order: FractionalOrder,
-                  eig: EigenSystem, tg: TimeGrid) -> SpaceTimeField:
+def solve_forward(y0: np.ndarray, src: SourceSpec | None,
+                  order: FractionalOrder | KernelTable, eig: EigenSystem,
+                  tg: TimeGrid) -> SpaceTimeField:
     """Modal solution: per mode,
     c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + p * conv(f_n, dW_n)(t)
-    (see ``state_rows`` and ``source_rows``)."""
+    (see ``KernelTable`` and ``source_rows``).  A mode whose initial
+    coefficient vanishes responds to it with exact zeros and takes no state
+    row.  ``order`` may be a ``KernelTable`` over ``eig`` and ``tg``, which
+    then supplies and keeps the rows."""
+    table = kernel_table(order, eig.lambdas, tg)
     c0 = project(np.asarray(y0, dtype=np.complex128), eig)
-    coeffs = c0[:, None] * state_rows(order, eig.lambdas, tg.times)
+    coeffs = np.zeros((eig.n, tg.n_t), dtype=np.complex128)
+    live = np.flatnonzero(c0)
+    coeffs[live] = c0[live, None] * table.state(live)
     if src is not None:
         if src.rho.shape[0] != tg.n_t:
             raise GridMismatchError(
                 f"rho sampled at {src.rho.shape[0]} times, grid has {tg.n_t}"
             )
         forcing = np.outer(project(src.g, eig), src.rho)
-        coeffs += source_rows(order, eig.lambdas, tg, forcing)
+        coeffs += source_rows(table, np.arange(eig.n), forcing)
     return SpaceTimeField(coeffs.T @ eig.phis, tg, eig.grid)
 
 
@@ -154,7 +198,7 @@ def eval_homogeneous(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
     """Homogeneous solution at arbitrary positive times (long-horizon
     experiments run outside any uniform grid).  Every mode's state kernel
     comes from one ``kernel_grid`` call, bit for bit the rows of
-    ``state_rows``."""
+    ``KernelTable.state``."""
     c0 = project(np.asarray(y0, dtype=np.complex128), eig)
     kernels = kernel_grid(order, eig.lambdas, times, "state")
     return (c0[:, None] * kernels).T @ eig.phis
@@ -232,8 +276,8 @@ def duhamel_check(src: SourceSpec, order: FractionalOrder, eig: EigenSystem,
     extra p from the source coupling.
 
     Both sides are compared as n_t x N modal coefficients, with one
-    ``kernel_grid`` call per kind for every mode (the rows of ``state_rows``
-    and ``source_rows``, bit for bit); the eigenvectors are h-orthonormal,
+    ``kernel_grid`` call per kind for every mode (the rows of
+    ``KernelTable``, bit for bit); the eigenvectors are h-orthonormal,
     so coefficient norms equal grid norms up to rounding.
     """
     rho = src.rho

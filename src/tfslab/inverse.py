@@ -24,7 +24,7 @@ from .errors import (
     RankDeficientError,
     SourceHypothesisError,
 )
-from .forward import TimeGrid, eval_homogeneous, source_rows, state_rows
+from .forward import KernelTable, TimeGrid, eval_homogeneous, kernel_table, source_rows
 from .mlf import FractionalOrder, kernel_grid
 from .observe import ObservationMask, ObservedData
 from .spectral import EigenSystem
@@ -166,8 +166,9 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     return coeffs, resid, diag
 
 
-def _tikhonov_result(data: ObservedData, order: FractionalOrder, eig: EigenSystem,
-                     cfg: TikhonovConfig, rho: np.ndarray = None) -> InversionResult:
+def _tikhonov_result(data: ObservedData, order: FractionalOrder | KernelTable,
+                     eig: EigenSystem, cfg: TikhonovConfig,
+                     rho: np.ndarray = None) -> InversionResult:
     """Tikhonov recovery of the modal coefficients behind ``data`` and their
     synthesis, through the design on the data's mask and time grid; the data
     are weighted by sqrt(h dt) like the design."""
@@ -184,25 +185,28 @@ def _tikhonov_result(data: ObservedData, order: FractionalOrder, eig: EigenSyste
     )
 
 
-def _separable_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
-                      mask: ObservationMask, n_modes: int,
+def _separable_design(eig: EigenSystem, order: FractionalOrder | KernelTable,
+                      tg: TimeGrid, mask: ObservationMask, n_modes: int,
                       rho: np.ndarray = None) -> np.ndarray:
     """Observation operator on the truncated modal space: rows indexed by
     (t_i, masked node), columns by mode, entries r_n(t_i) phi_n(x_j)
     sqrt(h dt) so that G*G approximates the continuous normal operator.
 
     Without ``rho``, r_n is mode n's response to the initial datum phi_n
-    (``state_rows``); with it, r_n is the response to the source
-    rho(t) phi_n(x) (``source_rows``), as in the forward solver."""
+    (``KernelTable.state``); with it, r_n is the response to the source
+    rho(t) phi_n(x) (``source_rows``), as in the forward solver.  ``order``
+    may be the ``KernelTable`` of the solve behind the data, whose rows are
+    then read, not evaluated again."""
     if n_modes > eig.n:
         raise GridMismatchError(f"{n_modes} modes requested, eigensystem has {eig.n}")
     if mask.grid != eig.grid:
         raise GridMismatchError("mask and eigensystem live on different grids")
-    lambdas = eig.lambdas[:n_modes]
+    table = kernel_table(order, eig.lambdas[:n_modes], tg)
+    modes = np.arange(n_modes)
     if rho is None:
-        rows = state_rows(order, lambdas, tg.times)
+        rows = table.state(modes)
     else:
-        rows = source_rows(order, lambdas, tg, np.broadcast_to(rho, (n_modes, tg.n_t)))
+        rows = source_rows(table, modes, np.broadcast_to(rho, (n_modes, tg.n_t)))
     phi_masked = eig.phis[:n_modes, mask.indices]
     # (time, node) rows in C order, like the ravelled observations
     w = math.sqrt(eig.grid.h * tg.dt)
@@ -210,16 +214,18 @@ def _separable_design(eig: EigenSystem, order: FractionalOrder, tg: TimeGrid,
         return w * (rows.T[:, None, :] * phi_masked.T).reshape(-1, n_modes)
 
 
-def invert_initial(data: ObservedData, order: FractionalOrder, eig: EigenSystem,
-                   cfg: TikhonovConfig) -> InversionResult:
-    """Tikhonov recovery of the initial datum from masked observations."""
+def invert_initial(data: ObservedData, order: FractionalOrder | KernelTable,
+                   eig: EigenSystem, cfg: TikhonovConfig) -> InversionResult:
+    """Tikhonov recovery of the initial datum from masked observations;
+    ``order`` may be the ``KernelTable`` of the solve behind the data."""
     return _tikhonov_result(data, order, eig, cfg)
 
 
-def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder,
+def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder | KernelTable,
                   eig: EigenSystem, cfg: TikhonovConfig) -> InversionResult:
     """Tikhonov recovery of the spatial factor g of a separable source
-    rho(t) g(x); the temporal factor must not vanish identically."""
+    rho(t) g(x); the temporal factor must not vanish identically.
+    ``order`` may be the ``KernelTable`` of the solve behind the data."""
     rho = np.asarray(rho, dtype=np.complex128)
     if float(np.max(np.abs(rho))) == 0.0:
         raise SourceHypothesisError(

@@ -23,9 +23,11 @@ _MAX_PASSES = 64
 
 
 def _freeze(arr):
-    arr = np.asarray(arr)
-    arr.setflags(write=False)
-    return arr
+    """A read-only view of ``arr``: the caller's own array, when it is
+    passed in without conversion, stays writable, and no data are copied."""
+    view = np.asarray(arr).view()
+    view.setflags(write=False)
+    return view
 
 
 @dataclass(frozen=True)

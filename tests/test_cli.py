@@ -487,7 +487,58 @@ class TestSmallArtifactsNeverFork:
         assert result.passed, result.detail
 
 
-TINY = dict(grid={"L": 1.0, "m": 15}, time={"T": 1.0, "n_t": 8}, n_modes=3)
+class TestKernelCalls:
+    """A run evaluates each kernel row it needs once: the data solve, the
+    designs and the trajectory check read one table's rows, and a mode
+    whose initial coefficient vanishes takes no state row."""
+
+    ALL_MODES = {"kind": "mix", "coeffs_re": [1.0, 0.5, 0.25, 2.0]}  # every mode of 4
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # (kind, eigenvalues) of each kernel_grid call
+        from tfslab import forward, inverse
+        made = []
+        for module in (forward, inverse):
+            monkeypatch.setattr(module, "kernel_grid",
+                                lambda *args, exact=module.kernel_grid: made.append(
+                                    (args[3], tuple(np.atleast_1d(args[1]).tolist())))
+                                or exact(*args))
+        return made
+
+    def test_invert_source_evaluates_each_integral_row_once(self, tmp_path, calls):
+        truth = {"rho": {"kind": "const", "value": 1.0}, "g": self.ALL_MODES}
+        cfg = inversion_config("invert-source", truth, {"gamma": 1e-6, "n_modes": 2})
+        cli.run(cfg, str(tmp_path))
+        assert [kind for kind, _ in calls] == ["integral"] * 4
+        assert len(set(calls)) == 4
+
+    def test_invert_initial_design_reads_the_data_solve_rows(self, tmp_path, calls):
+        cfg = inversion_config("invert-initial", {"initial": self.ALL_MODES},
+                               {"gamma": 1e-6, "n_modes": 3})
+        cli.run(cfg, str(tmp_path))
+        assert [kind for kind, _ in calls] == ["state"] * 4
+        assert len(set(calls)) == 4
+
+    @pytest.mark.parametrize("source", [False, True])
+    def test_zero_datum_takes_no_state_row(self, tmp_path, calls, source):
+        cfg = forward_config(initial={"kind": "samples", "re": [0.0] * 63})
+        if source:
+            cfg["source"] = {"kind": "separable", "rho": {"kind": "const", "value": 1.0},
+                             "g": {"kind": "mix", "coeffs_re": [1.0] * 6}}
+        cli.run(cfg, str(tmp_path))
+        assert [kind for kind, _ in calls] == ["integral"] * (6 if source else 0)
+
+    def test_trajectory_check_reads_the_solve_rows(self, tmp_path, calls):
+        cfg = forward_config(source={"kind": "separable",
+                                     "rho": {"kind": "const", "value": 1.0},
+                                     "g": {"kind": "mix", "coeffs_re": [1.0] * 6}})
+        report = cli.run(cfg, str(tmp_path))
+        assert report["checks"]["kernel_trajectory_max_dev"] <= 1e-12
+        assert ("state", (math.pi**2,)) in calls  # mode 1, the checked mode
+        assert len(set(calls)) == len(calls) <= 12
+
+TINY =dict(grid={"L": 1.0, "m": 15}, time={"T": 1.0, "n_t": 8}, n_modes=3)
 NOISE = {"level": 1e-3, "seed": 1}
 FUZZ_CONFIGS = {
     "forward": forward_config(

@@ -10,6 +10,7 @@ from tfslab import forward
 from tfslab._kernels import causal_conv
 from tfslab.errors import GridMismatchError, MLDomainError
 from tfslab.forward import (
+    KernelTable,
     SourceSpec,
     SpaceTimeField,
     TimeGrid,
@@ -24,7 +25,8 @@ from tfslab.forward import (
     solve_forward,
 )
 from tfslab.mlf import FractionalOrder, MLParams, kernel_grid, ml_eval
-from tfslab.spectral import Grid1D, OperatorSpec, analytic_eigensystem, assemble_operator, eigen_solve
+from tfslab.spectral import (Grid1D, OperatorSpec, Tridiag, analytic_eigensystem,
+                             assemble_operator, eigen_solve)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,108 @@ class TestSolveForward:
         src = SourceSpec(np.ones(tg.n_t - 1), eig.phis[1])
         with pytest.raises(GridMismatchError, match="rho sampled at 9 times, grid has 10"):
             solve_forward(eig.phis[0].astype(complex), src, FractionalOrder(0.5), eig, tg)
+
+
+class TestKernelTable:
+    """A run's kernel rows, each evaluated on first use by one per-mode
+    ``kernel_grid`` call and read from the table afterwards."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        exact = forward.kernel_grid
+        monkeypatch.setattr(forward, "kernel_grid",
+                            lambda *args: made.append((np.shape(args[1]), args[3]))
+                            or exact(*args))
+        return made
+
+    @pytest.mark.parametrize("system, phase", [("eig", "standard_i"),
+                                               ("fd_system", "power_i_alpha")])
+    def test_zero_datum_field_matches_the_full_formula(self, request, system, phase):
+        # every mode's state row times its zero coefficient, plus the
+        # source rows, as the solve formed the field before it skipped the
+        # zero-datum modes
+        fixture = request.getfixturevalue(system)
+        eig = fixture[1] if system == "fd_system" else fixture
+        order, tg = FractionalOrder(0.6, phase), TimeGrid(1.0, 40)
+        rho = np.cos(3.0 * tg.times) + 1j * tg.times
+        g = eig.phis[0] + 2.0 * eig.phis[2] - 0.5j * eig.phis[5]
+        c0 = project(np.zeros(eig.grid.m), eig)
+        state = np.array([kernel_grid(order, lam, tg.times, "state") for lam in eig.lambdas])
+        forcing = np.outer(project(g, eig), rho)
+        live = np.flatnonzero(np.any(forcing, axis=1))
+        taus = tg.dt * np.arange(tg.n_t + 1)
+        dw = np.array([np.diff(kernel_grid(order, eig.lambdas[n], taus, "integral"))
+                       for n in live])
+        driven = np.zeros((eig.n, tg.n_t), dtype=complex)
+        driven[live] = order.phase_factor * causal_conv(forcing[live].T, dw.T).T
+        expect = (c0[:, None] * state + driven).T @ eig.phis
+        got = solve_forward(np.zeros(eig.grid.m), SourceSpec(rho, g), order, eig, tg)
+        assert np.array_equal(got.values, expect)
+
+    def test_rows_are_evaluated_once(self, eig, calls):
+        tg = TimeGrid(1.0, 20)
+        table = KernelTable(FractionalOrder(0.5), eig.lambdas, tg)
+        first = table.state([2, 0])
+        first += 1.0  # the caller's copy, not the table's row
+        assert np.array_equal(table.state([0, 1, 2]),
+                              [kernel_grid(FractionalOrder(0.5), eig.lambdas[n],
+                                           tg.times, "state") for n in range(3)])
+        table.steps([1])
+        table.steps(np.arange(2))
+        assert calls == [((), "state")] * 3 + [((), "integral")] * 2
+
+    def test_table_solve_matches_order_solve(self, fd_system):
+        _, eig = fd_system
+        tg = TimeGrid(1.0, 30)
+        order = FractionalOrder(0.7, "power_i_alpha")
+        y0 = eig.phis[1] - 0.3j * eig.phis[4]
+        src = SourceSpec(np.exp(1j * tg.times), eig.phis[0] + eig.phis[6])
+        table = KernelTable(order, eig.lambdas, tg)
+        for _ in range(2):  # the second solve reads every row from the table
+            got = solve_forward(y0, src, table, eig, tg).values
+            assert np.array_equal(got, solve_forward(y0, src, order, eig, tg).values)
+
+    @pytest.mark.parametrize("other", ["time", "eigenvalues"])
+    def test_table_of_another_run_rejected(self, eig, other):
+        tg = TimeGrid(1.0, 20)
+        if other == "time":
+            table = KernelTable(FractionalOrder(0.5), eig.lambdas, TimeGrid(1.0, 21))
+        else:
+            table = KernelTable(FractionalOrder(0.5), 2.0 * eig.lambdas, tg)
+        with pytest.raises(GridMismatchError):
+            solve_forward(eig.phis[0], None, table, eig, tg)
+
+
+class TestFrozenArrays:
+    """A dataclass keeps a read-only view of each array it is given: no
+    copy, and the caller's own array stays writable whatever its dtype."""
+
+    BUILDERS = {
+        "SourceSpec": (SourceSpec, [(4,), (3,)], ("rho", "g")),
+        "OperatorSpec": (lambda a, p: OperatorSpec(a, p, 1.0), [(4,), (3,)], ("a", "p")),
+        "Tridiag": (Tridiag, [(3,), (2,)], ("diag", "off")),
+        "SpaceTimeField": (lambda v: SpaceTimeField(v, TimeGrid(1.0, 4), Grid1D(1.0, 3)),
+                           [(4, 3)], ("values",)),
+    }
+
+    @pytest.mark.parametrize("name, dtype", [
+        ("SourceSpec", np.float64), ("SourceSpec", np.complex128),
+        ("OperatorSpec", np.float64), ("Tridiag", np.float64),
+        ("SpaceTimeField", np.float64), ("SpaceTimeField", np.complex128),
+    ])
+    def test_caller_arrays_stay_writable(self, name, dtype):
+        build, shapes, fields = self.BUILDERS[name]
+        given = [np.full(shape, 2.0, dtype=dtype) for shape in shapes]
+        obj = build(*given)
+        for arr, field in zip(given, fields):
+            kept = getattr(obj, field)
+            assert np.shares_memory(kept, arr) == (kept.dtype == arr.dtype)
+            arr[0] = 3.0
+            assert arr.flags.writeable
+            assert not kept.flags.writeable
+            with pytest.raises(ValueError):
+                kept[0] = 0.0
 
 
 class TestFractionalCalculus:

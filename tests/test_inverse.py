@@ -367,8 +367,9 @@ class TestModalDesignsMatchForwardSolves:
             assert order_misfit(data, y0, alpha, order.phase, eig) == ref
 
     def test_kernel_calls(self, system, monkeypatch):
-        # a forward solve with a source makes one kernel_grid call per mode
-        # and kind, the 2N calls that the benchmark's self-check
+        # a forward solve with a source, from a datum with a nonzero
+        # coefficient on every mode, makes one kernel_grid call per mode and
+        # kind, the 2N calls that the benchmark's self-check
         # (perfbench/selfcheck.py) counts; an order misfit makes one call
         # across all modes per trial order
         eig, order, tg, mask = system
@@ -385,6 +386,33 @@ class TestModalDesignsMatchForwardSolves:
         res = invert_order(data, y0, eig, OrderSearchConfig(0.3, 0.9, 5, 1e-2), order.phase)
         assert calls == [(eig.n,)] * res.diagnostics["evaluations"]
 
+
+    @pytest.mark.parametrize("source", [False, True])
+    def test_design_reads_the_data_solve_table(self, system, monkeypatch, source):
+        # the design of an inversion at the truth order takes every row from
+        # the table of the solve behind its data, and matches a design that
+        # evaluates its own rows bit for bit
+        eig, order, tg, mask = system
+        calls = []
+        exact = forward.kernel_grid
+        monkeypatch.setattr(forward, "kernel_grid",
+                            lambda *args: calls.append(args[3]) or exact(*args))
+        rho = np.exp(2j * tg.times)
+        table = forward.KernelTable(order, eig.lambdas, tg)
+        if source:
+            y0, src = np.zeros(eig.grid.m), SourceSpec(rho, eig.phis.sum(axis=0))
+        else:
+            y0, src = eig.phis.sum(axis=0) * (1.0 - 0.5j), None
+        data = observe(solve_forward(y0, src, table, eig, tg), mask, 1e-3, 5)
+        assert calls == ["integral" if source else "state"] * eig.n
+        calls.clear()
+        cfg = TikhonovConfig(1e-8, 6)
+        if source:
+            got, ref = (invert_source(data, rho, o, eig, cfg) for o in (table, order))
+        else:
+            got, ref = (invert_initial(data, o, eig, cfg) for o in (table, order))
+        assert calls == ["integral" if source else "state"] * 6  # ref's rows only
+        assert np.array_equal(got.modal, ref.modal) and got.residual == ref.residual
 
 class TestInvertOrder:
     def test_noiseless_truth_recovery(self, setup):
