@@ -25,6 +25,7 @@ from .errors import (
     TfslabError,
 )
 from .forward import (
+    KernelTable,
     SourceSpec,
     SpaceTimeField,
     TimeGrid,

@@ -117,7 +117,7 @@ def _size(obj, path, lo):
     n = _integer(obj, path, lo=lo)
     try:
         np.empty(n)  # never touched, so no memory is committed
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError at 2**60 floats or more
         raise ConfigError(f"{path}={n}: an array of that length cannot be allocated",
                           field=path) from None
     return n
@@ -424,9 +424,9 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     # the truth order's kernel rows, each evaluated once for the run: the
     # data solve, the forward run's trajectory check and the Tikhonov
     # designs (whose order is the truth order) read them from this table
-    table = KernelTable(exp.truth_order, eig.lambdas, tg)
+    table = KernelTable(exp.truth_order, eig, tg)
     phases.start("forward")
-    fieldv = solve_forward(y0, src, table, eig, tg)
+    fieldv = solve_forward(y0, src, table)
     phases.stop()
     if problem in ("forward", "invert-initial"):
         checks["tail_energy"] = projection_tail_energy(y0, eig)
@@ -459,9 +459,9 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
         if problem == "invert-order":
             result = invert_order(data, y0, eig, inv, phase=order.phase)
         elif problem == "invert-source":
-            result = invert_source(data, src.rho, table, eig, inv)
+            result = invert_source(data, src.rho, table, inv)
         else:
-            result = invert_initial(data, table, eig, inv)
+            result = invert_initial(data, table, inv)
         phases.stop()
         emit("estimate.json", dumps_canonical(result_to_json(result)))
         if problem == "invert-order":

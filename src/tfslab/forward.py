@@ -18,9 +18,6 @@ from .errors import CheckOverflowError, GridMismatchError, MLDomainError
 from .mlf import FractionalOrder, kernel_grid, rgamma_real
 from .spectral import EigenSystem, Grid1D, Tridiag, _freeze
 
-# A modal vector is a plain complex array of expansion coefficients.
-ModalVector = np.ndarray
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -78,7 +75,7 @@ class SpaceTimeField:
         object.__setattr__(self, "values", _freeze(vals))
 
 
-def project(samples: np.ndarray, eig: EigenSystem) -> ModalVector:
+def project(samples: np.ndarray, eig: EigenSystem) -> np.ndarray:
     """Modal coefficients <samples, phi_n>_h (conjugate-linear in phi_n;
     the eigenfunctions are real, so no conjugation is visible)."""
     samples = np.asarray(samples, dtype=np.complex128)
@@ -109,19 +106,21 @@ def projection_tail_energy(samples: np.ndarray, eig: EigenSystem) -> float:
 
 
 class KernelTable:
-    """The kernel rows of one order over one eigenvalue list and one time
-    grid: mode n's state row E_{a,1}(p lam_n t^a) on the grid times, and
-    its integral steps dW_n = diff W_n, where
-    W_n(tau) = tau^a E_{a,a+1}(p lam_n tau^a) on the grid including t = 0
-    integrates the impulse kernel exactly over grid subintervals.
+    """The kernel rows of one order over one eigensystem and one time grid:
+    mode n's state row E_{a,1}(p lam_n t^a) on the grid times, and its
+    integral steps dW_n = diff W_n, where W_n(tau) = tau^a E_{a,a+1}(p lam_n
+    tau^a) on the grid including t = 0 integrates the impulse kernel
+    exactly over grid subintervals.
 
-    Each mode's row of each kind is evaluated on first use, by one
-    ``kernel_grid`` call for that mode, and kept, so a run that passes one
-    table to its data solve, its design and its checks evaluates each row
-    once.  A table belongs to one run: nothing outlives it."""
+    Every grid solve and every Tikhonov design takes its order, eigensystem
+    and time grid from a table.  Each mode's row of each kind is evaluated
+    on first use, by one ``kernel_grid`` call for that mode, and kept, so a
+    run that passes one table to its data solve, its design and its checks
+    evaluates each row once.  An inversion rejects a table whose time grid
+    is not its data's.  A table belongs to one run: nothing outlives it."""
 
-    def __init__(self, order: FractionalOrder, lambdas: np.ndarray, tg: TimeGrid):
-        self.order, self.lambdas, self.tg = order, lambdas, tg
+    def __init__(self, order: FractionalOrder, eig: EigenSystem, tg: TimeGrid):
+        self.order, self.eig, self.tg = order, eig, tg
         self._grids = {"state": tg.times, "integral": tg.dt * np.arange(tg.n_t + 1)}
         self._rows = {}
 
@@ -129,7 +128,7 @@ class KernelTable:
         rows = np.empty((len(modes), self.tg.n_t), dtype=np.complex128)
         for k, n in enumerate(modes):
             if (kind, n) not in self._rows:
-                row = kernel_grid(self.order, self.lambdas[n], self._grids[kind], kind)
+                row = kernel_grid(self.order, self.eig.lambdas[n], self._grids[kind], kind)
                 self._rows[kind, n] = row if kind == "state" else np.diff(row)
             rows[k] = self._rows[kind, n]
         return rows
@@ -142,18 +141,6 @@ class KernelTable:
     def steps(self, modes) -> np.ndarray:
         """The integral steps dW_n of ``modes``, one row per mode."""
         return self._stack("integral", modes)
-
-
-def kernel_table(order: FractionalOrder | KernelTable, lambdas: np.ndarray,
-                 tg: TimeGrid) -> KernelTable:
-    """A new table of ``order`` over ``lambdas`` and ``tg``; a table passed
-    as ``order`` is returned itself, once its grid and leading eigenvalues
-    are checked to be these."""
-    if isinstance(order, FractionalOrder):
-        return KernelTable(order, lambdas, tg)
-    if order.tg != tg or not np.array_equal(order.lambdas[:len(lambdas)], lambdas):
-        raise GridMismatchError("kernel table built for another time grid or eigensystem")
-    return order
 
 
 def source_rows(table: KernelTable, modes: np.ndarray, forcing: np.ndarray) -> np.ndarray:
@@ -170,15 +157,13 @@ def source_rows(table: KernelTable, modes: np.ndarray, forcing: np.ndarray) -> n
 
 
 def solve_forward(y0: np.ndarray, src: SourceSpec | None,
-                  order: FractionalOrder | KernelTable, eig: EigenSystem,
-                  tg: TimeGrid) -> SpaceTimeField:
-    """Modal solution: per mode,
+                  table: KernelTable) -> SpaceTimeField:
+    """Modal solution on the table's eigensystem and time grid: per mode,
     c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + p * conv(f_n, dW_n)(t)
     (see ``KernelTable`` and ``source_rows``).  A mode whose initial
     coefficient vanishes responds to it with exact zeros and takes no state
-    row.  ``order`` may be a ``KernelTable`` over ``eig`` and ``tg``, which
-    then supplies and keeps the rows."""
-    table = kernel_table(order, eig.lambdas, tg)
+    row."""
+    eig, tg = table.eig, table.tg
     c0 = project(np.asarray(y0, dtype=np.complex128), eig)
     coeffs = np.zeros((eig.n, tg.n_t), dtype=np.complex128)
     live = np.flatnonzero(c0)

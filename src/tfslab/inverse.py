@@ -24,7 +24,7 @@ from .errors import (
     RankDeficientError,
     SourceHypothesisError,
 )
-from .forward import KernelTable, TimeGrid, eval_homogeneous, kernel_table, source_rows
+from .forward import KernelTable, eval_homogeneous, source_rows
 from .mlf import FractionalOrder, kernel_grid
 from .observe import ObservationMask, ObservedData
 from .spectral import EigenSystem
@@ -166,13 +166,15 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
     return coeffs, resid, diag
 
 
-def _tikhonov_result(data: ObservedData, order: FractionalOrder | KernelTable,
-                     eig: EigenSystem, cfg: TikhonovConfig,
+def _tikhonov_result(data: ObservedData, table: KernelTable, cfg: TikhonovConfig,
                      rho: np.ndarray = None) -> InversionResult:
     """Tikhonov recovery of the modal coefficients behind ``data`` and their
-    synthesis, through the design on the data's mask and time grid; the data
-    are weighted by sqrt(h dt) like the design."""
-    G = _separable_design(eig, order, data.tg, data.mask, cfg.n_modes, rho)
+    synthesis, through the design on the data's mask and the table's time
+    grid, which must be the data's; the data are weighted by sqrt(h dt)
+    like the design."""
+    if data.tg != table.tg:
+        raise GridMismatchError(f"data observed on {data.tg}, kernel table built on {table.tg}")
+    G = _separable_design(table, data.mask, cfg.n_modes, rho)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _tikhonov_solve
         d = math.sqrt(data.mask.grid.h * data.tg.dt) * data.values.ravel()
     coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
@@ -181,27 +183,27 @@ def _tikhonov_result(data: ObservedData, order: FractionalOrder | KernelTable,
         reg_norm=_norm(coeffs),  # inf fails the CLI's checks
         diagnostics=diag,
         modal=coeffs,
-        spatial=coeffs @ eig.phis[: cfg.n_modes],
+        spatial=coeffs @ table.eig.phis[: cfg.n_modes],
     )
 
 
-def _separable_design(eig: EigenSystem, order: FractionalOrder | KernelTable,
-                      tg: TimeGrid, mask: ObservationMask, n_modes: int,
+def _separable_design(table: KernelTable, mask: ObservationMask, n_modes: int,
                       rho: np.ndarray = None) -> np.ndarray:
-    """Observation operator on the truncated modal space: rows indexed by
-    (t_i, masked node), columns by mode, entries r_n(t_i) phi_n(x_j)
-    sqrt(h dt) so that G*G approximates the continuous normal operator.
+    """Observation operator on the truncated modal space of the table's
+    eigensystem: rows indexed by (t_i, masked node), columns by mode,
+    entries r_n(t_i) phi_n(x_j) sqrt(h dt) so that G*G approximates the
+    continuous normal operator.
 
     Without ``rho``, r_n is mode n's response to the initial datum phi_n
     (``KernelTable.state``); with it, r_n is the response to the source
-    rho(t) phi_n(x) (``source_rows``), as in the forward solver.  ``order``
-    may be the ``KernelTable`` of the solve behind the data, whose rows are
-    then read, not evaluated again."""
+    rho(t) phi_n(x) (``source_rows``), as in the forward solver.  Rows the
+    table already holds, such as those of the solve behind the data, are
+    read, not evaluated again."""
+    eig, tg = table.eig, table.tg
     if n_modes > eig.n:
         raise GridMismatchError(f"{n_modes} modes requested, eigensystem has {eig.n}")
     if mask.grid != eig.grid:
         raise GridMismatchError("mask and eigensystem live on different grids")
-    table = kernel_table(order, eig.lambdas[:n_modes], tg)
     modes = np.arange(n_modes)
     if rho is None:
         rows = table.state(modes)
@@ -214,18 +216,18 @@ def _separable_design(eig: EigenSystem, order: FractionalOrder | KernelTable,
         return w * (rows.T[:, None, :] * phi_masked.T).reshape(-1, n_modes)
 
 
-def invert_initial(data: ObservedData, order: FractionalOrder | KernelTable,
-                   eig: EigenSystem, cfg: TikhonovConfig) -> InversionResult:
-    """Tikhonov recovery of the initial datum from masked observations;
-    ``order`` may be the ``KernelTable`` of the solve behind the data."""
-    return _tikhonov_result(data, order, eig, cfg)
+def invert_initial(data: ObservedData, table: KernelTable,
+                   cfg: TikhonovConfig) -> InversionResult:
+    """Tikhonov recovery of the initial datum from masked observations,
+    with the kernel rows of ``table``, a table on the data's time grid."""
+    return _tikhonov_result(data, table, cfg)
 
 
-def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder | KernelTable,
-                  eig: EigenSystem, cfg: TikhonovConfig) -> InversionResult:
+def invert_source(data: ObservedData, rho: np.ndarray, table: KernelTable,
+                  cfg: TikhonovConfig) -> InversionResult:
     """Tikhonov recovery of the spatial factor g of a separable source
-    rho(t) g(x); the temporal factor must not vanish identically.
-    ``order`` may be the ``KernelTable`` of the solve behind the data."""
+    rho(t) g(x), with the kernel rows of ``table``, a table on the data's
+    time grid; the temporal factor must not vanish identically."""
     rho = np.asarray(rho, dtype=np.complex128)
     if float(np.max(np.abs(rho))) == 0.0:
         raise SourceHypothesisError(
@@ -234,7 +236,7 @@ def invert_source(data: ObservedData, rho: np.ndarray, order: FractionalOrder | 
         )
     if rho.shape[0] != data.tg.n_t:
         raise GridMismatchError(f"rho sampled at {rho.shape[0]} times vs {data.tg.n_t}")
-    return _tikhonov_result(data, order, eig, cfg, rho)
+    return _tikhonov_result(data, table, cfg, rho)
 
 
 def order_misfit(data: ObservedData, y0: np.ndarray, alpha: float,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, SourceHypothesisError
 from .forward import (
+    KernelTable,
     SourceSpec,
     TimeGrid,
     caputo_l1,
@@ -138,16 +139,16 @@ def _c4_forward_single_mode():
     order = FractionalOrder(0.6)
     tg = TimeGrid(1.0, 40)
     lam1 = float(eig.lambdas[0])
+    table = KernelTable(order, eig, tg)
     # homogeneous: modal trajectory equals the state kernel
-    y = solve_forward(eig.phis[0], None, order, eig, tg)
+    y = solve_forward(eig.phis[0], None, table)
     c1 = project(y.values.T, eig)[0]
     worst = float(np.max(np.abs(c1 - kernel_grid(order, lam1, tg.times, "state"))))
     assert worst <= 1e-12, f"trajectory deviates from state kernel by {worst:.3e}"
     # separable source, rho = 1: closed form vs quadrature of the entire
     # function E_{a,a}(-i lam u) over [0, t^a], 64 Gauss-Legendre nodes
     rho = np.ones(tg.n_t, dtype=complex)
-    ys = solve_forward(np.zeros(grid.m), SourceSpec(rho, eig.phis[0]),
-                       order, eig, tg)
+    ys = solve_forward(np.zeros(grid.m), SourceSpec(rho, eig.phis[0]), table)
     ts = np.array([0.25, 0.5, 1.0])
     got = project(ys.values[np.rint(ts / tg.dt).astype(int) - 1].T, eig)[0]
     x, w = np.polynomial.legendre.leggauss(64)
@@ -183,7 +184,7 @@ def _c6_pde_residual():
     resids = []
     for n_t in (200, 400, 800):
         tg = TimeGrid(1.0, n_t)
-        fieldv = solve_forward(y0, None, order, eig, tg)
+        fieldv = solve_forward(y0, None, KernelTable(order, eig, tg))
         resids.append(pde_residual(fieldv, y0, None, order, A))
     assert resids[0] > resids[1] > resids[2], (
         f"residuals not monotone under refinement: {resids}"
@@ -221,15 +222,16 @@ def _c8_initial_recovery():
     order = FractionalOrder(0.95)
     y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
     truth = project(y0, eig)[:8]
-    fieldv = solve_forward(y0, None, order, eig, tg)
+    table = KernelTable(order, eig, tg)
+    fieldv = solve_forward(y0, None, table)
     clean = observe(fieldv, mask, 0.0, 0)
-    res = invert_initial(clean, order, eig, TikhonovConfig(1e-10, 8))
+    res = invert_initial(clean, table, TikhonovConfig(1e-10, 8))
     smin = res.diagnostics["sigma_min"]
     assert smin > 0.0, "sigma_min(G) vanished"
     err_clean = float(np.linalg.norm(res.modal - truth))
     assert err_clean <= 1e-6, f"noiseless recovery error {err_clean:.3e} > 1e-6"
     noisy = observe(fieldv, mask, 1e-3, 7)
-    resn = invert_initial(noisy, order, eig, TikhonovConfig(1e-6, 8))
+    resn = invert_initial(noisy, table, TikhonovConfig(1e-6, 8))
     err_noisy = float(np.linalg.norm(resn.modal - truth) / np.linalg.norm(truth))
     assert err_noisy <= 1e-1, f"noisy recovery error {err_noisy:.3e} > 1e-1"
     return f"sigma_min {smin:.2e}; errors {err_clean:.1e} / {err_noisy:.1e}"
@@ -240,15 +242,16 @@ def _c9_source_recovery():
     order = FractionalOrder(0.95)
     rho = np.ones(tg.n_t, dtype=complex)
     g = eig.phis[1].astype(complex)
-    fieldv = solve_forward(np.zeros(grid.m), SourceSpec(rho, g), order, eig, tg)
+    table = KernelTable(order, eig, tg)
+    fieldv = solve_forward(np.zeros(grid.m), SourceSpec(rho, g), table)
     clean = observe(fieldv, mask, 0.0, 0)
-    res = invert_source(clean, rho, order, eig, TikhonovConfig(1e-12, 8))
+    res = invert_source(clean, rho, table, TikhonovConfig(1e-12, 8))
     truth = np.zeros(8, dtype=complex)
     truth[1] = 1.0
     err = float(np.linalg.norm(res.modal - truth))
     assert err <= 1e-5, f"source recovery error {err:.3e} > 1e-5"
     try:
-        invert_source(clean, np.zeros(tg.n_t), order, eig, TikhonovConfig(1e-12, 8))
+        invert_source(clean, np.zeros(tg.n_t), table, TikhonovConfig(1e-12, 8))
     except SourceHypothesisError:
         pass
     else:
@@ -260,7 +263,7 @@ def _c10_order_recovery():
     grid, eig, tg, mask = _recovery_setup()
     y0 = eig.phis[0].astype(complex)
     truth_order = FractionalOrder(0.5)
-    fieldv = solve_forward(y0, None, truth_order, eig, tg)
+    fieldv = solve_forward(y0, None, KernelTable(truth_order, eig, tg))
     data = observe(fieldv, mask, 0.0, 0)
     cfg = OrderSearchConfig(0.25, 0.85, 25, 1e-4)
     res = invert_order(data, y0, eig, cfg)

@@ -538,6 +538,18 @@ class TestKernelCalls:
         assert ("state", (math.pi**2,)) in calls  # mode 1, the checked mode
         assert len(set(calls)) == len(calls) <= 12
 
+    @pytest.mark.parametrize("name, kind", [("initial-data-recovery", "state"),
+                                            ("source-recovery", "integral")])
+    def test_recovery_criterion_shares_one_table(self, calls, name, kind):
+        # the data solve and every inversion of the criterion read one
+        # table: each of the 8 modes' rows is evaluated once, by the solve
+        # or by the first design that needs it
+        from tfslab import selftest
+        [result] = selftest.run_battery([name])
+        assert result.passed, result.detail
+        assert {k for k, _ in calls} == {kind}
+        assert len(set(calls)) == len(calls) == 8
+
 TINY =dict(grid={"L": 1.0, "m": 15}, time={"T": 1.0, "n_t": 8}, n_modes=3)
 NOISE = {"level": 1e-3, "seed": 1}
 FUZZ_CONFIGS = {
@@ -615,6 +627,9 @@ def with_leaves(problem, leaves):
 @example(with_leaves("invert-order", {"grid.m": 10**18}))  # sizes that cannot be allocated
 @example(with_leaves("invert-order", {"time.n_t": 10**18}))
 @example(with_leaves("invert-order", {"inversion.coarse_points": 10**18}))
+@example(with_leaves("invert-order", {"grid.m": 2**61}))  # numpy's ValueError from 2**60
+@example(with_leaves("invert-order", {"time.n_t": 2**61}))
+@example(with_leaves("invert-order", {"inversion.coarse_points": 2**61}))
 def test_mutated_config_runs_or_names_its_fault(case):
     # an invalid config exits 2 naming its field; exit 3 is kept for real
     # numerical failures (an overflowing L or rho, a flat misfit)

@@ -16,7 +16,7 @@ from tfslab.errors import (
     SourceHypothesisError,
 )
 from tfslab import forward, inverse
-from tfslab.forward import SourceSpec, TimeGrid, project, solve_forward
+from tfslab.forward import KernelTable, SourceSpec, TimeGrid, project, solve_forward
 from tfslab.inverse import (
     OrderSearchConfig,
     TikhonovConfig,
@@ -67,13 +67,13 @@ class TestDesignMatrix:
                            EigenGroup(2.0, 2, 3)))
         tg = TimeGrid(1.0, 5)
         mask = make_mask([(0.0, 1.0)], grid)
-        G = inverse._separable_design(eig, FractionalOrder(0.5), tg, mask, 3)
+        G = inverse._separable_design(KernelTable(FractionalOrder(0.5), eig, tg), mask, 3)
         col = G[:, 0].reshape(5, 3)
         assert np.max(np.abs(col - col[0])) <= 1e-6 * np.max(np.abs(col))
 
     def test_weighting(self, setup):
         grid, eig, tg, mask = setup
-        G = inverse._separable_design(eig, FractionalOrder(0.5), tg, mask, 4)
+        G = inverse._separable_design(KernelTable(FractionalOrder(0.5), eig, tg), mask, 4)
         # first column at the first time: E * phi * sqrt(h dt)
         k = kernel_grid(FractionalOrder(0.5), float(eig.lambdas[0]),
                         tg.times[:1], "state")[0]
@@ -85,7 +85,7 @@ class TestDesignMatrix:
         sigmas = []
         for iv in ((0.2, 0.8), (0.2, 0.5), (0.2, 0.4)):
             mask = make_mask([iv], grid)
-            G = inverse._separable_design(eig, FractionalOrder(0.9), tg, mask, 8)
+            G = inverse._separable_design(KernelTable(FractionalOrder(0.9), eig, tg), mask, 8)
             sigmas.append(scipy.linalg.svdvals(G)[-1])
         assert sigmas[0] > 0.0
         assert sigmas[0] >= sigmas[1] >= sigmas[2] > 0.0
@@ -94,32 +94,27 @@ class TestDesignMatrix:
 class TestInvertInitial:
     def test_zero_data_gives_zero(self, setup):
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.9)
-        zero = observe(
-            solve_forward(np.zeros(grid.m), None, order, eig, tg),
-            mask, 0.0, 0)
-        res = invert_initial(zero, order, eig, TikhonovConfig(1e-8, 8))
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
+        zero = observe(solve_forward(np.zeros(grid.m), None, table), mask, 0.0, 0)
+        res = invert_initial(zero, table, TikhonovConfig(1e-8, 8))
         assert np.max(np.abs(res.modal)) == 0.0
 
     def test_noiseless_single_mode(self, setup):
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.9)
-        y = solve_forward(eig.phis[0].astype(complex), None, order,
-                          eig, tg)
-        res = invert_initial(observe(y, mask, 0.0, 0), order, eig,
-                             TikhonovConfig(1e-10, 8))
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
+        y = solve_forward(eig.phis[0].astype(complex), None, table)
+        res = invert_initial(observe(y, mask, 0.0, 0), table, TikhonovConfig(1e-10, 8))
         e1 = np.zeros(8, dtype=complex)
         e1[0] = 1.0
         assert np.linalg.norm(res.modal - e1) <= 1e-6
 
     def test_noisy_mixed_recovery(self, setup):
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.9)
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
         y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
-        y = solve_forward(y0.astype(complex), None, order, eig, tg)
+        y = solve_forward(y0.astype(complex), None, table)
         # discrepancy-flavored choice: gamma at the noise-power scale
-        res = invert_initial(observe(y, mask, 1e-3, 5), order, eig,
-                             TikhonovConfig(1e-6, 8))
+        res = invert_initial(observe(y, mask, 1e-3, 5), table, TikhonovConfig(1e-6, 8))
         truth = project(y0.astype(complex), eig)
         rel = np.linalg.norm(res.modal - truth) / np.linalg.norm(truth)
         assert rel <= 1e-1
@@ -134,13 +129,13 @@ class TestInvertInitial:
         tg = TimeGrid(1.0, 2)
         mask = make_mask([(0.5, 0.53)], grid)
         assert mask.n_nodes == 1
-        y = solve_forward(eig.phis[0].astype(complex), None, order,
-                          eig, tg)
+        table = KernelTable(order, eig, tg)
+        y = solve_forward(eig.phis[0].astype(complex), None, table)
         with pytest.raises(RankDeficientError):
-            invert_initial(observe(y, mask, 0.0, 0), order, eig, TikhonovConfig(0.0, 8))
+            invert_initial(observe(y, mask, 0.0, 0), table, TikhonovConfig(0.0, 8))
         # a tall design with a duplicated column
         grid, eig, tg, mask = setup
-        G = inverse._separable_design(eig, order, tg, mask, 8)
+        G = inverse._separable_design(KernelTable(order, eig, tg), mask, 8)
         G = np.column_stack([G, G[:, -1]])
         with pytest.raises(RankDeficientError):
             inverse._tikhonov_solve(G, G[:, 0], 0.0)
@@ -152,13 +147,12 @@ class TestInvertInitial:
         # noise level 1e308 leaves the data and the weighted design finite,
         # but not the filtered solution
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.9)
-        y = solve_forward(scale * eig.phis[0].astype(complex), None,
-                          order, eig, tg)
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
+        y = solve_forward(scale * eig.phis[0].astype(complex), None, table)
         data = observe(y, mask, 1e308, 3)
         assert np.isfinite(data.values).all()
         with pytest.raises(OperatorOverflowError, match="Tikhonov coefficients"):
-            invert_initial(data, order, eig, TikhonovConfig(gamma, 8))
+            invert_initial(data, table, TikhonovConfig(gamma, 8))
 
     def test_norms_past_the_squares_range(self, setup):
         # noise level 1e308: the coefficients (max 5.7e305) and the residual
@@ -166,12 +160,11 @@ class TestInvertInitial:
         # plain norm; both norms are still finite, and match the
         # overflow-safe math.hypot
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.9)
-        y = solve_forward(1e-3 * eig.phis[0].astype(complex), None,
-                          order, eig, tg)
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
+        y = solve_forward(1e-3 * eig.phis[0].astype(complex), None, table)
         data = observe(y, mask, 1e308, 3)
-        res = invert_initial(data, order, eig, TikhonovConfig(1e-6, 8))
-        G = inverse._separable_design(eig, order, tg, mask, 8)
+        res = invert_initial(data, table, TikhonovConfig(1e-6, 8))
+        G = inverse._separable_design(table, mask, 8)
         d = math.sqrt(grid.h * tg.dt) * data.values.ravel()
         r = G @ res.modal - d
         for got, v in ((res.residual, r), (res.reg_norm, res.modal)):
@@ -183,14 +176,14 @@ class TestInvertInitial:
     def test_tikhonov_noise_ladder(self, setup):
         # gamma = noise^2: reconstruction error decreases with the noise
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.9)
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
         y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
         truth = project(y0.astype(complex), eig)
-        y = solve_forward(y0.astype(complex), None, order, eig, tg)
+        y = solve_forward(y0.astype(complex), None, table)
         errs = []
         for level in (1e-2, 1e-3, 1e-4):
             data = observe(y, mask, level, 11)
-            res = invert_initial(data, order, eig, TikhonovConfig(level**2, 8))
+            res = invert_initial(data, table, TikhonovConfig(level**2, 8))
             errs.append(np.linalg.norm(res.modal - truth))
         assert errs[0] > errs[1] > errs[2]
 
@@ -198,13 +191,13 @@ class TestInvertInitial:
         # reference: min |G c - d|^2 + gamma |c|^2 as one least-squares
         # problem on [G; sqrt(gamma) I] c = [d; 0]
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.9)
-        G = inverse._separable_design(eig, order, tg, mask, 8)
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
+        G = inverse._separable_design(table, mask, 8)
         y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
-        y = solve_forward(y0.astype(complex), None, order, eig, tg)
+        y = solve_forward(y0.astype(complex), None, table)
         data = observe(y, mask, 1e-3, 5)
         gamma = 1e-6
-        res = invert_initial(data, order, eig, TikhonovConfig(gamma, 8))
+        res = invert_initial(data, table, TikhonovConfig(gamma, 8))
         d = math.sqrt(grid.h * tg.dt) * data.values.ravel()
         A = np.vstack([G, math.sqrt(gamma) * np.eye(8)])
         ref = np.linalg.lstsq(A, np.concatenate([d, np.zeros(8)]), rcond=None)[0]
@@ -217,61 +210,52 @@ class TestInvertInitial:
 class TestInvertSource:
     def test_noiseless_mode_recovery(self, setup):
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.95)
+        table = KernelTable(FractionalOrder(0.95), eig, tg)
         rho = np.ones(tg.n_t, dtype=complex)
-        y = solve_forward(np.zeros(grid.m),
-                          SourceSpec(rho, eig.phis[1]), order, eig, tg)
-        res = invert_source(observe(y, mask, 0.0, 0), rho, order, eig,
-                            TikhonovConfig(1e-12, 8))
+        y = solve_forward(np.zeros(grid.m), SourceSpec(rho, eig.phis[1]), table)
+        res = invert_source(observe(y, mask, 0.0, 0), rho, table, TikhonovConfig(1e-12, 8))
         e2 = np.zeros(8, dtype=complex)
         e2[1] = 1.0
         assert np.linalg.norm(res.modal - e2) <= 1e-5
 
     def test_zero_data_gives_zero(self, setup):
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.5)
+        table = KernelTable(FractionalOrder(0.5), eig, tg)
         rho = np.ones(tg.n_t, dtype=complex)
-        zero = observe(
-            solve_forward(np.zeros(grid.m), None, order, eig, tg),
-            mask, 0.0, 0)
-        res = invert_source(zero, rho, order, eig, TikhonovConfig(1e-10, 8))
+        zero = observe(solve_forward(np.zeros(grid.m), None, table), mask, 0.0, 0)
+        res = invert_source(zero, rho, table, TikhonovConfig(1e-10, 8))
         assert np.max(np.abs(res.modal)) <= 1e-14
 
     def test_parabolic_rho_mixture_recovery(self, setup):
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.95)
+        table = KernelTable(FractionalOrder(0.95), eig, tg)
         t = tg.times
         rho = (t * (1.0 - t)).astype(complex)
         g = (0.8 * eig.phis[0] - 0.6 * eig.phis[2]).astype(complex)
-        y = solve_forward(np.zeros(grid.m), SourceSpec(rho, g),
-                          order, eig, tg)
+        y = solve_forward(np.zeros(grid.m), SourceSpec(rho, g), table)
         # the weighted source columns are O(1e-4), so gamma sits at the
         # squared-noise scale of the weighted data, not of the raw field
-        res = invert_source(observe(y, mask, 1e-3, 3), rho, order, eig,
-                            TikhonovConfig(1e-12, 8))
+        res = invert_source(observe(y, mask, 1e-3, 3), rho, table, TikhonovConfig(1e-12, 8))
         truth = project(g, eig)
         rel = np.linalg.norm(res.modal - truth) / np.linalg.norm(truth)
         assert rel <= 1e-1
 
     def test_vanishing_rho_rejected(self, setup):
         grid, eig, tg, mask = setup
-        order = FractionalOrder(0.5)
-        zero = observe(
-            solve_forward(np.zeros(grid.m), None, order, eig, tg),
-            mask, 0.0, 0)
+        table = KernelTable(FractionalOrder(0.5), eig, tg)
+        zero = observe(solve_forward(np.zeros(grid.m), None, table), mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
-            invert_source(zero, np.zeros(tg.n_t), order, eig, TikhonovConfig(1e-10, 8))
+            invert_source(zero, np.zeros(tg.n_t), table, TikhonovConfig(1e-10, 8))
 
 
 class TestSourceGuards:
     def test_too_many_unknowns(self, setup):
         grid, eig, tg, mask = setup
         rho = np.ones(tg.n_t, dtype=complex)
-        data = observe(solve_forward(np.zeros(grid.m), None,
-                                     FractionalOrder(0.5), eig, tg), mask, 0.0, 0)
+        table = KernelTable(FractionalOrder(0.5), eig, tg)
+        data = observe(solve_forward(np.zeros(grid.m), None, table), mask, 0.0, 0)
         with pytest.raises(GridMismatchError):
-            invert_source(data, rho, FractionalOrder(0.5), eig,
-                          TikhonovConfig(1e-10, eig.n + 1))
+            invert_source(data, rho, table, TikhonovConfig(1e-10, eig.n + 1))
 
     def test_mask_on_another_grid(self, setup):
         # data observed on m = 49 nodes, inverted with an eigensystem on 99
@@ -280,43 +264,59 @@ class TestSourceGuards:
         eig49 = analytic_eigensystem(1.0, 8, coarse)
         order = FractionalOrder(0.5)
         y0 = eig49.phis[0].astype(complex)
-        data = observe(solve_forward(y0, None, order, eig49, tg),
+        data = observe(solve_forward(y0, None, KernelTable(order, eig49, tg)),
                        make_mask([(0.2, 0.4)], coarse), 0.0, 0)
         rho = np.ones(tg.n_t, dtype=complex)
+        table = KernelTable(order, eig, tg)
         with pytest.raises(GridMismatchError):
-            invert_initial(data, order, eig, TikhonovConfig(1e-10, 4))
+            invert_initial(data, table, TikhonovConfig(1e-10, 4))
         with pytest.raises(GridMismatchError):
-            invert_source(data, rho, order, eig, TikhonovConfig(1e-10, 4))
+            invert_source(data, rho, table, TikhonovConfig(1e-10, 4))
         with pytest.raises(GridMismatchError):
             invert_order(data, eig.phis[0].astype(complex), eig,
                          OrderSearchConfig(0.25, 0.85, 25, 1e-4))
 
+    def test_table_on_another_time_grid(self, setup):
+        # data up to T = 1 and a table of the same step up to T = 2: the
+        # design would read rows of the wrong length, so both inversions
+        # refuse the table before they build one
+        grid, eig, tg, mask = setup
+        order = FractionalOrder(0.5)
+        rho = np.ones(tg.n_t, dtype=complex)
+        data = observe(solve_forward(np.zeros(grid.m), SourceSpec(rho, eig.phis[1]),
+                                     KernelTable(order, eig, tg)), mask, 0.0, 0)
+        table = KernelTable(order, eig, TimeGrid(2.0 * tg.T, 2 * tg.n_t))
+        with pytest.raises(GridMismatchError, match="kernel table built on"):
+            invert_initial(data, table, TikhonovConfig(1e-10, 4))
+        with pytest.raises(GridMismatchError, match="kernel table built on"):
+            invert_source(data, rho, table, TikhonovConfig(1e-10, 4))
+
     @pytest.mark.parametrize("where", ["mask", "time"])
     def test_data_observed_elsewhere(self, setup, where):
-        # each inversion reads E and the time grid from the data, so data
-        # observed off the fixture's set, or up to another horizon, invert
-        # to the truth at the noiseless tests' tolerances
+        # each inversion reads E from the data and the time grid from the
+        # table of the data's own solve, so data observed off the fixture's
+        # set, or up to another horizon, invert to the truth at the
+        # noiseless tests' tolerances
         grid, eig, tg, mask = setup
         if where == "mask":
             mask = make_mask([(0.5, 0.7)], grid)
         else:  # twice the horizon at the same step
             tg = TimeGrid(2.0 * tg.T, 2 * tg.n_t)
 
-        def observed(y0, src, order):
-            return observe(solve_forward(y0, src, order, eig, tg), mask, 0.0, 0)
+        def observed(y0, src, table):
+            return observe(solve_forward(y0, src, table), mask, 0.0, 0)
 
         unit = np.eye(8, dtype=complex)
-        order = FractionalOrder(0.9)
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
         y0 = eig.phis[0].astype(complex)
-        res = invert_initial(observed(y0, None, order), order, eig,
-                             TikhonovConfig(1e-10, 8))
+        res = invert_initial(observed(y0, None, table), table, TikhonovConfig(1e-10, 8))
         assert np.linalg.norm(res.modal - unit[0]) <= 1e-6
-        order = FractionalOrder(0.95)
+        table = KernelTable(FractionalOrder(0.95), eig, tg)
         rho = np.ones(tg.n_t, dtype=complex)
-        data = observed(np.zeros(grid.m), SourceSpec(rho, eig.phis[1]), order)
-        res = invert_source(data, rho, order, eig, TikhonovConfig(1e-12, 8))
+        data = observed(np.zeros(grid.m), SourceSpec(rho, eig.phis[1]), table)
+        res = invert_source(data, rho, table, TikhonovConfig(1e-12, 8))
         assert np.linalg.norm(res.modal - unit[1]) <= 1e-5
-        data = observed(y0, None, FractionalOrder(0.5))
+        data = observed(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-4))
         assert abs(res.order - 0.5) <= 1e-3
 
@@ -348,20 +348,20 @@ class TestModalDesignsMatchForwardSolves:
         ref = np.column_stack([
             w * mask.restrict(solve_forward(
                 np.zeros(eig.grid.m), SourceSpec(rho, eig.phis[n]),
-                order, eig, tg).values).ravel()
+                KernelTable(order, eig, tg)).values).ravel()
             for n in range(6)
         ])
-        got = inv._separable_design(eig, order, tg, mask, 6, rho)
+        got = inv._separable_design(KernelTable(order, eig, tg), mask, 6, rho)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_order_misfit_is_exact(self, system):
         eig, order, tg, mask = system
         y0 = (eig.phis[0] - 0.5j * eig.phis[2]).astype(complex)
-        data = observe(solve_forward(y0, None, order, eig, tg),
+        data = observe(solve_forward(y0, None, KernelTable(order, eig, tg)),
                        mask, 1e-3, 11)
         for alpha in (0.45, 0.8):
             trial = FractionalOrder(alpha, order.phase)
-            traj = solve_forward(y0, None, trial, eig, tg)
+            traj = solve_forward(y0, None, KernelTable(trial, eig, tg))
             diff = mask.restrict(traj.values) - data.values
             ref = float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
             assert order_misfit(data, y0, alpha, order.phase, eig) == ref
@@ -379,9 +379,9 @@ class TestModalDesignsMatchForwardSolves:
                             lambda *args: calls.append(np.shape(args[1])) or exact(*args))
         y0 = (eig.phis[0] - 0.5j * eig.phis[2]).astype(complex)
         src = SourceSpec(np.ones(tg.n_t), eig.phis.sum(axis=0).astype(complex))
-        solve_forward(y0, src, order, eig, tg)
+        solve_forward(y0, src, KernelTable(order, eig, tg))
         assert calls == [()] * (2 * eig.n)
-        data = observe(solve_forward(y0, None, order, eig, tg), mask, 1e-3, 11)
+        data = observe(solve_forward(y0, None, KernelTable(order, eig, tg)), mask, 1e-3, 11)
         calls.clear()
         res = invert_order(data, y0, eig, OrderSearchConfig(0.3, 0.9, 5, 1e-2), order.phase)
         assert calls == [(eig.n,)] * res.diagnostics["evaluations"]
@@ -390,27 +390,28 @@ class TestModalDesignsMatchForwardSolves:
     @pytest.mark.parametrize("source", [False, True])
     def test_design_reads_the_data_solve_table(self, system, monkeypatch, source):
         # the design of an inversion at the truth order takes every row from
-        # the table of the solve behind its data, and matches a design that
-        # evaluates its own rows bit for bit
+        # the table of the solve behind its data, and matches a design on a
+        # new table, which evaluates its own rows, bit for bit
         eig, order, tg, mask = system
         calls = []
         exact = forward.kernel_grid
         monkeypatch.setattr(forward, "kernel_grid",
                             lambda *args: calls.append(args[3]) or exact(*args))
         rho = np.exp(2j * tg.times)
-        table = forward.KernelTable(order, eig.lambdas, tg)
+        table = KernelTable(order, eig, tg)
         if source:
             y0, src = np.zeros(eig.grid.m), SourceSpec(rho, eig.phis.sum(axis=0))
         else:
             y0, src = eig.phis.sum(axis=0) * (1.0 - 0.5j), None
-        data = observe(solve_forward(y0, src, table, eig, tg), mask, 1e-3, 5)
+        data = observe(solve_forward(y0, src, table), mask, 1e-3, 5)
         assert calls == ["integral" if source else "state"] * eig.n
         calls.clear()
         cfg = TikhonovConfig(1e-8, 6)
+        fresh = KernelTable(order, eig, tg)
         if source:
-            got, ref = (invert_source(data, rho, o, eig, cfg) for o in (table, order))
+            got, ref = (invert_source(data, rho, t, cfg) for t in (table, fresh))
         else:
-            got, ref = (invert_initial(data, o, eig, cfg) for o in (table, order))
+            got, ref = (invert_initial(data, t, cfg) for t in (table, fresh))
         assert calls == ["integral" if source else "state"] * 6  # ref's rows only
         assert np.array_equal(got.modal, ref.modal) and got.residual == ref.residual
 
@@ -418,7 +419,7 @@ class TestInvertOrder:
     def test_noiseless_truth_recovery(self, setup):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, None, FractionalOrder(0.5), eig, tg)
+        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         data = observe(y, mask, 0.0, 0)
         res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-4))
         assert abs(res.order - 0.5) <= 1e-3
@@ -427,14 +428,14 @@ class TestInvertOrder:
     def test_misfit_vanishes_at_truth(self, setup):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, None, FractionalOrder(0.4), eig, tg)
+        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.4), eig, tg))
         data = observe(y, mask, 0.0, 0)
         assert order_misfit(data, y0, 0.4, "standard_i", eig) <= 1e-22
 
     def test_discriminability(self, setup):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, None, FractionalOrder(0.4), eig, tg)
+        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.4), eig, tg))
         data = observe(y, mask, 0.0, 0)
         m = order_misfit(data, y0, 0.6, "standard_i", eig)
         d2 = float(grid.h * tg.dt * np.sum(np.abs(data.values) ** 2))
@@ -443,7 +444,7 @@ class TestInvertOrder:
     def test_zero_datum_rejected(self, setup):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, None, FractionalOrder(0.5), eig, tg)
+        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         data = observe(y, mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
             invert_order(data, np.zeros(grid.m), eig, OrderSearchConfig(0.3, 0.7))
@@ -453,7 +454,7 @@ class TestInvertOrder:
         # must end the search at the float resolution, not loop forever
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, None, FractionalOrder(0.5), eig, tg)
+        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         data = observe(y, mask, 0.0, 0)
         calls = []
 
@@ -472,7 +473,7 @@ class TestInvertOrder:
         passes to order_misfit, in call order."""
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, None, FractionalOrder(alpha), eig, tg)
+        y = solve_forward(y0, None, KernelTable(FractionalOrder(alpha), eig, tg))
         data = observe(y, mask, 0.0, 0)
         calls = []
 
@@ -513,7 +514,7 @@ class TestInvertOrder:
     def test_flat_landscape_flagged(self, setup, monkeypatch):
         grid, eig, tg, mask = setup
         y0 = eig.phis[0].astype(complex)
-        y = solve_forward(y0, None, FractionalOrder(0.5), eig, tg)
+        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         data = observe(y, mask, 0.0, 0)
         import tfslab.inverse as inv
 

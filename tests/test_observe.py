@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tfslab.errors import EmptyMaskError, GridMismatchError
-from tfslab.forward import SpaceTimeField, TimeGrid, solve_forward
+from tfslab.forward import KernelTable, SpaceTimeField, TimeGrid, solve_forward
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import ObservedData, make_mask, observe
 from tfslab.spectral import Grid1D, analytic_eigensystem
@@ -16,7 +16,7 @@ def field():
     eig = analytic_eigensystem(1.0, 3, grid)
     tg = TimeGrid(1.0, 12)
     return solve_forward(eig.phis[0] + 0.5 * eig.phis[2], None,
-                         FractionalOrder(0.5), eig, tg)
+                         KernelTable(FractionalOrder(0.5), eig, tg))
 
 
 class TestMakeMask:

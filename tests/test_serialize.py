@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tfslab import serialize
-from tfslab.forward import SpaceTimeField, TimeGrid, solve_forward
+from tfslab.forward import KernelTable, SpaceTimeField, TimeGrid, solve_forward
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import ObservedData, make_mask, observe
 from tfslab.serialize import (
@@ -42,7 +42,7 @@ def texts(chunks):
 def test_observed_json_shape(eig):
     tg = TimeGrid(1.0, 6)
     y = solve_forward(eig.phis[0].astype(complex), None,
-                      FractionalOrder(0.5), eig, tg)
+                      KernelTable(FractionalOrder(0.5), eig, tg))
     mask = make_mask([(0.2, 0.4)], eig.grid)
     data = observe(y, mask, 1e-3, 3)
     doc = json.loads(texts(observed_chunks(data))[1])
@@ -181,7 +181,7 @@ class TestAtomicWrite:
 def test_field_json_flat_layout(eig):
     tg = TimeGrid(1.0, 3)
     y = solve_forward(eig.phis[0].astype(complex), None,
-                      FractionalOrder(0.5), eig, tg)
+                      KernelTable(FractionalOrder(0.5), eig, tg))
     doc = json.loads(texts(field_chunks(y))[1])
     assert len(doc["values_re_im"]) == 2 * 3 * eig.grid.m
     v0 = complex(doc["values_re_im"][0], doc["values_re_im"][1])
