@@ -10,6 +10,7 @@ failure.  TFSLAB_LOG sets verbosity.
 """
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -31,7 +32,7 @@ from .inverse import (
     invert_order,
     invert_source,
 )
-from .mlf import ALPHA_MAX, FractionalOrder, MLParams, ml_eval
+from .mlf import ALPHA_MAX, PHASES, FractionalOrder, MLParams, ml_eval
 from .observe import make_mask, observe
 from .serialize import (
     atomic_write_text,
@@ -150,9 +151,8 @@ def _order(obj):
     _number(obj["alpha"], "order.alpha", lo=0.0, hi=1.0, strict_lo=True,
             strict_hi=True)
     phase = obj.get("phase", "standard_i")
-    if phase not in ("standard_i", "power_i_alpha"):
-        raise ConfigError("order.phase must be standard_i|power_i_alpha",
-                          field="order.phase")
+    if phase not in PHASES:
+        raise ConfigError(f"order.phase must be {'|'.join(PHASES)}", field="order.phase")
     return FractionalOrder(obj["alpha"], phase)
 
 
@@ -287,8 +287,9 @@ def _order_search(obj):
 def _parse(cfg, problem, seed_override=None):
     """Check ``cfg`` as a ``problem`` config and build every input of the
     run; raises ``ConfigError`` naming the offending field.  The initial
-    datum and the source are functions of the eigensystem; ``truth_order``
-    is the order that generates the data."""
+    datum and the source are functions of the eigensystem; ``order`` is the
+    order that generates the data (for invert-order, ``truth.alpha`` with
+    ``order.phase``)."""
     if problem not in PROBLEMS:
         raise ConfigError(f"unknown problem {problem!r}", field="problem")
     # each problem accepts exactly the top-level sections it reads
@@ -316,7 +317,7 @@ def _parse(cfg, problem, seed_override=None):
         grid=grid, tg=tg, order=order, operator=_operator(cfg["operator"], grid),
         n_modes=n_modes, mask=_mask(cfg["mask"], grid), noise_level=0.0, seed=0,
         initial=lambda eig: np.zeros(grid.m), source=lambda eig: None,
-        mode=None, truth_order=order, inversion=None,
+        mode=None, inversion=None,
     )
     if "noise" in cfg:
         _check_keys(cfg["noise"], "noise", ("level", "seed"))
@@ -349,7 +350,7 @@ def _parse(cfg, problem, seed_override=None):
         _check_keys(truth, "truth", ("alpha", "initial"))
         _number(truth["alpha"], "truth.alpha", lo=0.0, hi=1.0, strict_lo=True,
                 strict_hi=True)
-        exp.truth_order = FractionalOrder(truth["alpha"], order.phase)
+        exp.order = FractionalOrder(truth["alpha"], order.phase)
         exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes)
         exp.inversion = _order_search(cfg["inversion"])
         return exp
@@ -374,18 +375,13 @@ def validate_config(raw: dict, problem: str) -> dict:
 # pipeline
 
 
-class _Phases:
-    def __init__(self):
-        self.seconds = {}
-        self._t0 = None
-        self._name = None
-
-    def start(self, name):
-        self._name, self._t0 = name, time.perf_counter()
-
-    def stop(self):
-        self.seconds[self._name] = time.perf_counter() - self._t0
-        log.debug("phase %s: %.6f s", self._name, self.seconds[self._name])
+@contextlib.contextmanager
+def _phase(seconds, name):
+    """Time the block as ``seconds[name]``."""
+    t0 = time.perf_counter()
+    yield
+    seconds[name] = time.perf_counter() - t0
+    log.debug("phase %s: %.6f s", name, seconds[name])
 
 
 def run(cfg: dict, output_dir: str) -> dict:
@@ -399,7 +395,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     """``run`` on ``exp``, the inputs ``_parse`` built from ``cfg``."""
     problem = cfg["problem"]
     grid, tg, order, inv = exp.grid, exp.tg, exp.order, exp.inversion
-    phases = _Phases()
+    phase_seconds = {}
     artifacts = []
     checks = {}
     os.makedirs(output_dir, exist_ok=True)
@@ -412,22 +408,20 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
         atomic_write_texts([os.path.join(output_dir, name) for name in names], chunks)
         artifacts.extend(names)
 
-    phases.start("spectral")
-    if exp.operator is None:
-        eig = analytic_eigensystem(grid.L, exp.n_modes, grid)
-    else:
-        eig = eigen_solve(assemble_operator(exp.operator, grid), exp.n_modes, grid)
-    phases.stop()
+    with _phase(phase_seconds, "spectral"):
+        if exp.operator is None:
+            eig = analytic_eigensystem(grid.L, exp.n_modes, grid)
+        else:
+            eig = eigen_solve(assemble_operator(exp.operator, grid), exp.n_modes, grid)
     emit("eigensystem.json", dumps_canonical(eigensystem_to_json(eig)))
 
     y0, src = exp.initial(eig), exp.source(eig)
-    # the truth order's kernel rows, each evaluated once for the run: the
+    # the data-generating order's kernel rows, each evaluated once: the
     # data solve, the forward run's trajectory check and the Tikhonov
-    # designs (whose order is the truth order) read them from this table
-    table = KernelTable(exp.truth_order, eig, tg)
-    phases.start("forward")
-    fieldv = solve_forward(y0, src, table)
-    phases.stop()
+    # designs read them from this table
+    table = KernelTable(order, eig, tg)
+    with _phase(phase_seconds, "forward"):
+        fieldv = solve_forward(y0, src, table)
     if problem in ("forward", "invert-initial"):
         checks["tail_energy"] = projection_tail_energy(y0, eig)
 
@@ -444,29 +438,25 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             if src is not None:
                 forcing = project(src.g, eig)[idx] * src.rho
                 expect += source_rows(table, [idx], forcing[None, :])[0]
-            # a row at a time: one projection of the whole field costs a
-            # BLAS buffer of about 1 MB of peak memory
-            traj = np.array([project(row, eig)[idx] for row in fieldv.values])
+            traj = eig.grid.h * (fieldv.values @ eig.phis[idx])
             checks["kernel_trajectory_max_dev"] = float(np.max(np.abs(traj - expect)))
         emit_pair(("field.csv", "field.json"), field_chunks(fieldv))
 
     else:
-        phases.start("observe")
-        data = observe(fieldv, exp.mask, exp.noise_level, exp.seed)
-        phases.stop()
+        with _phase(phase_seconds, "observe"):
+            data = observe(fieldv, exp.mask, exp.noise_level, exp.seed)
         emit_pair(("data.csv", "data.json"), observed_chunks(data))
-        phases.start("inverse")
-        if problem == "invert-order":
-            result = invert_order(data, y0, eig, inv, phase=order.phase)
-        elif problem == "invert-source":
-            result = invert_source(data, src.rho, table, inv)
-        else:
-            result = invert_initial(data, table, inv)
-        phases.stop()
+        with _phase(phase_seconds, "inverse"):
+            if problem == "invert-order":
+                result = invert_order(data, y0, eig, inv, phase=order.phase)
+            elif problem == "invert-source":
+                result = invert_source(data, src.rho, table, inv)
+            else:
+                result = invert_initial(data, table, inv)
         emit("estimate.json", dumps_canonical(result_to_json(result)))
         if problem == "invert-order":
             checks["alpha_hat"] = result.order
-            checks["alpha_abs_error"] = abs(result.order - exp.truth_order.alpha)
+            checks["alpha_abs_error"] = abs(result.order - order.alpha)
         else:
             # the Tikhonov estimate against the recovered datum's first modes
             truth = project(src.g if problem == "invert-source" else y0, eig)
@@ -485,7 +475,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
                 "double precision")
     report = {
         "config": cfg,
-        "phase_seconds": phases.seconds,
+        "phase_seconds": phase_seconds,
         "artifacts": sorted(artifacts),
         "checks": checks,
     }

@@ -239,13 +239,12 @@ def invert_source(data: ObservedData, rho: np.ndarray, table: KernelTable,
     return _tikhonov_result(data, table, cfg, rho)
 
 
-def order_misfit(data: ObservedData, y0: np.ndarray, alpha: float,
-                 phase: str, eig: EigenSystem) -> float:
+def order_misfit(data: ObservedData, y0: np.ndarray, order: FractionalOrder,
+                 eig: EigenSystem) -> float:
     """Squared weighted misfit between the observation of the homogeneous
-    alpha-solution and the data."""
+    solution at ``order`` and the data."""
     if data.mask.grid != eig.grid:
         raise GridMismatchError("mask and eigensystem live on different grids")
-    order = FractionalOrder(alpha, phase)
     tg = data.tg
     diff = data.mask.restrict(eval_homogeneous(y0, order, eig, tg.times)) - data.values
     return float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
@@ -265,7 +264,7 @@ def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
     trace = []
 
     def misfit(alpha):
-        value = order_misfit(data, y0, alpha, phase, eig)
+        value = order_misfit(data, y0, FractionalOrder(alpha, phase), eig)
         trace.append([alpha, value])
         return value
 

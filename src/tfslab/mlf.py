@@ -33,6 +33,8 @@ ASYMPTOTIC_RADIUS = 50.0
 Z_MAX_DEFAULT = 1.0e4
 # the largest order: the reduction takes ceil(alpha) roots of each argument
 ALPHA_MAX = 2.0
+# the phase conventions of a FractionalOrder
+PHASES = ("standard_i", "power_i_alpha")
 
 _EXP_ARG_MAX = 700.0
 _TARGET = 1.0e-15
@@ -87,7 +89,7 @@ class FractionalOrder:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise MLDomainError(f"order alpha must lie in (0, 1), got {self.alpha}")
-        if self.phase not in ("standard_i", "power_i_alpha"):
+        if self.phase not in PHASES:
             raise MLDomainError(f"unknown phase convention {self.phase!r}")
 
     @property

@@ -262,14 +262,13 @@ def _c9_source_recovery():
 def _c10_order_recovery():
     grid, eig, tg, mask = _recovery_setup()
     y0 = eig.phis[0].astype(complex)
-    truth_order = FractionalOrder(0.5)
-    fieldv = solve_forward(y0, None, KernelTable(truth_order, eig, tg))
+    fieldv = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
     data = observe(fieldv, mask, 0.0, 0)
     cfg = OrderSearchConfig(0.25, 0.85, 25, 1e-4)
     res = invert_order(data, y0, eig, cfg)
     err = abs(res.order - 0.5)
     assert err <= 1e-3, f"|alpha_hat - 0.5| = {err:.3e} > 1e-3"
-    m_other = order_misfit(data, y0, 0.7, "standard_i", eig)
+    m_other = order_misfit(data, y0, FractionalOrder(0.7), eig)
     d_norm2 = float(grid.h * tg.dt * np.sum(np.abs(data.values) ** 2))
     assert m_other > 1e-3 * d_norm2, (
         f"misfit at |alpha-beta|=0.2 is {m_other:.3e}, not discriminating "

@@ -279,35 +279,28 @@ def _chunks(header, nodes, times, values, meta) -> RowChunks:
 # domain objects
 
 
-def _field_meta(field) -> dict:
-    return {
-        "time": {"T": field.tg.T, "n_t": field.tg.n_t},
-        "grid": {"L": field.grid.L, "m": field.grid.m},
-    }
-
-
 def field_chunks(field):
     """The field's CSV rows and its canonical JSON (grid, time grid and
     ``values_re_im``), as one stream of ``(csv, json)`` chunk tuples."""
-    return _chunks("t,x,re_y,im_y", field.grid.nodes, field.tg.times, field.values,
-                   _field_meta(field))
-
-
-def _observed_meta(data) -> dict:
-    return {
-        "time": {"T": data.tg.T, "n_t": data.tg.n_t},
-        "mask": mask_to_json(data.mask),
-        "noise_level": data.noise_level,
-        "seed": data.seed,
+    meta = {
+        "time": {"T": field.tg.T, "n_t": field.tg.n_t},
+        "grid": {"L": field.grid.L, "m": field.grid.m},
     }
+    return _chunks("t,x,re_y,im_y", field.grid.nodes, field.tg.times, field.values, meta)
 
 
 def observed_chunks(data):
     """The observations' CSV rows and their canonical JSON (time grid, mask,
     noise level, seed and ``values_re_im``), as one stream of ``(csv,
     json)`` chunk tuples."""
+    meta = {
+        "time": {"T": data.tg.T, "n_t": data.tg.n_t},
+        "mask": mask_to_json(data.mask),
+        "noise_level": data.noise_level,
+        "seed": data.seed,
+    }
     return _chunks("t,x,re,im", data.mask.grid.nodes[data.mask.indices], data.tg.times,
-                   data.values, _observed_meta(data))
+                   data.values, meta)
 
 
 def mask_to_json(mask) -> dict:

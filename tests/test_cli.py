@@ -461,6 +461,25 @@ class TestDeterminism:
                 assert first == second, name
         assert self.without_phase_seconds(stdouts[0]) == self.without_phase_seconds(stdouts[1])
 
+    def test_order_search_ignores_order_alpha(self, tmp_path):
+        # truth.alpha generates an order search's data and order.phase sets
+        # its convention; order.alpha is checked but read by nothing
+        reports = []
+        for alpha in (0.5, 0.85):
+            cfg = dict(self.CONFIGS["invert-order"], order={"alpha": alpha,
+                                                            "phase": "standard_i"})
+            cfg["noise"] = self.NOISE
+            out = tmp_path / str(alpha)
+            cli.run(cfg, str(out))
+            reports.append(json.loads((out / "report.json").read_text()))
+        for name in ("data.csv", "data.json", "eigensystem.json", "estimate.json"):
+            assert (tmp_path / "0.5" / name).read_bytes() == \
+                (tmp_path / "0.85" / name).read_bytes(), name
+        for report in reports:
+            del report["phase_seconds"]
+            report["config"].pop("order")
+        assert reports[0] == reports[1]
+
 
 class TestSmallArtifactsNeverFork:
     """The observed data of an inversion at the benchmark's sizes (m = 99,
