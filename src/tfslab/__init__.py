@@ -40,11 +40,9 @@ from .forward import (
     solve_forward,
 )
 from .inverse import (
-    ContourSpec,
     InversionResult,
     OrderSearchConfig,
     TikhonovConfig,
-    contour_for_mode,
     extract_modal_projection,
     invert_initial,
     invert_order,

@@ -555,14 +555,18 @@ def _cmd_selftest(args):
     except ConfigError as exc:
         _error_json("config", str(exc), exc.field)
         return 2
-    print(selftest.format_table(results))
     if args.output:
-        os.makedirs(args.output, exist_ok=True)
-        write_json(os.path.join(args.output, "selftest.json"), [
-            {"name": r.name, "passed": r.passed, "runtime": r.runtime,
-             "limit": r.limit, "detail": r.detail}
-            for r in results
-        ])
+        try:
+            os.makedirs(args.output, exist_ok=True)
+            write_json(os.path.join(args.output, "selftest.json"), [
+                {"name": r.name, "passed": r.passed, "runtime": r.runtime,
+                 "limit": r.limit, "detail": r.detail}
+                for r in results
+            ])
+        except OSError as exc:
+            _error_json("io", str(exc))
+            return 4
+    print(selftest.format_table(results))
     return 0 if selftest.battery_passed(results) else 1
 
 

@@ -92,35 +92,6 @@ class InversionResult:
             raise GridMismatchError("residual must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ContourSpec:
-    """Circle around -i mu_ell for eigenprojection extraction; the radius
-    must keep every other -i mu_k strictly outside."""
-
-    center: complex
-    radius: float
-    n_quad: int
-
-    def __post_init__(self):
-        if self.n_quad < 8:
-            raise GridMismatchError("need at least 8 quadrature nodes")
-        if self.radius <= 0.0:
-            raise GridMismatchError("radius must be positive")
-
-
-def contour_for_mode(eig: EigenSystem, ell: int, n_quad: int = 64) -> ContourSpec:
-    """Contour around the ell-th distinct eigenvalue (0-based) whose radius
-    is a third of the gap to the nearest neighbor (1 for a lone
-    eigenvalue), so every other eigenvalue lies outside it."""
-    groups = eig.distinct
-    if not (0 <= ell < len(groups)):
-        raise GridMismatchError(f"distinct index {ell} out of range")
-    mu = groups[ell].mu
-    gaps = [abs(g.mu - mu) for i, g in enumerate(groups) if i != ell]
-    radius = min(gaps) / 3.0 if gaps else 1.0
-    return ContourSpec(complex(0.0, -mu), float(radius), int(n_quad))
-
-
 # ---------------------------------------------------------------------------
 # Tikhonov machinery
 
@@ -401,33 +372,33 @@ def laplace_identity_gap(alpha: float, mu_k: float, z: complex, T_trunc: float) 
 
 def modal_resolvent(coeffs: np.ndarray, eig: EigenSystem):
     """Synthetic resolvent S(eta) = sum_k (sum_j c_kj phi_kj)/(eta + i mu_k)
-    assembled from known modal data, on every grid node; restrict the
-    extracted projection to observe it on a subset."""
+    from known modal data: a 1-D array of eta gives one row per point over
+    every grid node (restrict the extracted projection to observe on E)."""
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.shape[0] != eig.n:
         raise GridMismatchError(f"{coeffs.shape[0]} coefficients vs {eig.n} modes")
-    parts = [(complex(0.0, g.mu), coeffs[g.start:g.stop] @ eig.phis[g.start:g.stop])
-             for g in eig.distinct]
-
-    def S(eta: complex) -> np.ndarray:
-        total = np.zeros(eig.grid.m, dtype=np.complex128)
-        for imu, vec in parts:
-            total += vec / (eta + imu)
-        return total
-
-    return S
+    imu = 1j * np.array([g.mu for g in eig.distinct])
+    vecs = np.array([coeffs[g.start:g.stop] @ eig.phis[g.start:g.stop]
+                     for g in eig.distinct])
+    return lambda eta: (1.0 / (np.asarray(eta)[:, None] + imu)) @ vecs
 
 
-def extract_modal_projection(resolvent, spec: ContourSpec) -> np.ndarray:
-    """Trapezoid quadrature of (1/2 pi i) times the contour integral of the
-    resolvent around -i mu_ell; converges geometrically in the node count
-    and returns the eigenprojection of the generating datum."""
-    n = spec.n_quad
-    angles = 2.0 * math.pi * np.arange(n) / n
-    total = None
-    for ang in angles:
-        rot = cmath.exp(1j * ang)
-        val = np.asarray(resolvent(spec.center + spec.radius * rot))
-        contrib = val * rot
-        total = contrib if total is None else total + contrib
-    return (spec.radius / n) * total
+def extract_modal_projection(resolvent, eig: EigenSystem, ell: int,
+                             n_quad: int) -> np.ndarray:
+    """(1/2 pi i) times the contour integral of the resolvent around
+    -i mu_ell, mu_ell the ell-th distinct eigenvalue (0-based), by the
+    ``n_quad``-node trapezoid rule on a circle whose radius is a third of the
+    gap to the nearest other distinct eigenvalue (1 for a lone one), so no
+    other pole lies inside.  One resolvent call takes all nodes; the sum
+    converges geometrically in ``n_quad`` to the eigenprojection of the
+    generating datum."""
+    groups = eig.distinct
+    if not (0 <= ell < len(groups)):
+        raise GridMismatchError(f"distinct index {ell} out of range")
+    if n_quad < 8:
+        raise GridMismatchError("need at least 8 quadrature nodes")
+    mu = groups[ell].mu
+    gaps = [abs(g.mu - mu) for i, g in enumerate(groups) if i != ell]
+    radius = min(gaps) / 3.0 if gaps else 1.0
+    rot = np.exp(2j * math.pi * np.arange(n_quad) / n_quad)
+    return (radius / n_quad) * (rot @ resolvent(complex(0.0, -mu) + radius * rot))

@@ -415,13 +415,13 @@ def kernel_grid(order: FractionalOrder, lam, times: np.ndarray,
     if kind not in ("state", "integral"):
         raise MLDomainError(f"kernel grids are state or integral, got {kind!r}")
     lam = np.asarray(lam, dtype=float)
-    neg = lam < 0.0
-    if neg.any():
-        raise MLDomainError(f"eigenvalue must be nonnegative, got {lam[neg][0]}")
-    times = np.asarray(times, dtype=float)
-    bad = times <= 0.0 if kind == "state" else times < 0.0
+    bad = ~((lam >= 0.0) & (lam < math.inf))
     if bad.any():
-        raise MLDomainError(f"kernel time must be positive, got {times[bad][0]}")
+        raise MLDomainError(f"eigenvalue must be finite and nonnegative, got {lam[bad][0]}")
+    times = np.asarray(times, dtype=float)
+    bad = ~((times > 0.0 if kind == "state" else times >= 0.0) & (times < math.inf))
+    if bad.any():
+        raise MLDomainError(f"kernel time must be finite and positive, got {times[bad][0]}")
     a, lams, flat = order.alpha, lam.reshape(-1, 1), times.ravel()
     if kind == "state":  # every time is positive
         out = _ml_row(a, 1.0, (lams * flat**a).ravel(), order.phase_factor)

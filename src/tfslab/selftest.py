@@ -33,7 +33,6 @@ from .forward import (
 from .inverse import (
     OrderSearchConfig,
     TikhonovConfig,
-    contour_for_mode,
     extract_modal_projection,
     invert_initial,
     invert_order,
@@ -290,9 +289,7 @@ def _c12_residue_extraction():
     eig = analytic_eigensystem(1.0, 3, grid)
     # single pole: exact at modest node counts
     coeffs = np.array([1.3 - 0.4j, 0.0, 0.0])
-    S = modal_resolvent(coeffs, eig)
-    spec = contour_for_mode(eig, 0, 64)
-    got = extract_modal_projection(S, spec)
+    got = extract_modal_projection(modal_resolvent(coeffs, eig), eig, 0, 64)
     exact = coeffs[0] * eig.phis[0]
     err_single = float(np.max(np.abs(got - exact)) / np.max(np.abs(exact)))
     assert err_single <= 1e-10, f"single-pole error {err_single:.3e} > 1e-10"
@@ -302,8 +299,7 @@ def _c12_residue_extraction():
     exact2 = coeffs2[1] * eig.phis[1]
     errors = []
     for n in (8, 16, 32, 64):
-        spec_n = contour_for_mode(eig, 1, n)
-        got_n = extract_modal_projection(S2, spec_n)
+        got_n = extract_modal_projection(S2, eig, 1, n)
         errors.append(float(np.max(np.abs(got_n - exact2))))
     for e0, e1 in zip(errors, errors[1:]):
         if e0 <= 1e-12:
@@ -311,7 +307,7 @@ def _c12_residue_extraction():
         assert e1 <= 0.5 * e0, f"decay ratio {e1 / e0:.3f} > 0.5: {errors}"
     # no energy at the target mode: projection vanishes
     S3 = modal_resolvent(np.array([0.0, 1.0, 0.0]), eig)
-    got3 = extract_modal_projection(S3, contour_for_mode(eig, 0, 64))
+    got3 = extract_modal_projection(S3, eig, 0, 64)
     leak = float(np.max(np.abs(got3)))
     assert leak <= 1e-8, f"empty-mode leakage {leak:.3e} > 1e-8"
     return f"single {err_single:.1e}; decay {errors}; leak {leak:.1e}"

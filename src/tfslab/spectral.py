@@ -144,6 +144,8 @@ class EigenSystem:
                 f"eigenvector block {phi.shape} inconsistent with "
                 f"{lam.shape[0]} eigenvalues on m={self.grid.m} nodes"
             )
+        if not np.isfinite(lam).all():
+            raise EigenSolveError("eigenvalues must be finite")
         if lam.size == 0 or lam[0] <= 0.0:
             raise EigenSolveError("spectrum must be positive (p >= 0 assumed)")
         if np.any(np.diff(lam) < 0.0):
@@ -188,7 +190,10 @@ def analytic_eigensystem(L: float, N: int, grid: Grid1D) -> EigenSystem:
     if N > grid.m:
         raise EigenSolveError(f"cannot return {N} modes on {grid.m} nodes")
     n = np.arange(1, N + 1)
-    lam = (n * math.pi / L) ** 2
+    with np.errstate(over="ignore"):
+        lam = (n * math.pi / L) ** 2
+    if not np.isfinite(lam).all():
+        raise OperatorOverflowError("eigenvalues exceed double precision")
     phi = math.sqrt(2.0 / L) * np.sin(np.outer(n, math.pi * grid.nodes / L))
     norms = np.sqrt(grid.h * np.sum(phi * phi, axis=1))
     phi /= norms[:, None]

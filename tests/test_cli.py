@@ -135,6 +135,23 @@ class TestForwardCommand:
         assert err["kind"] == "numerical"
         assert "overflows" in err["message"]
 
+    @pytest.mark.parametrize("op", [{"analytic": True}, {"a_const": 1.0, "p_const": 0.0}],
+                             ids=["analytic", "stencil"])
+    def test_overflowing_eigenvalues_exit_3(self, tmp_path, op):
+        # (N pi / L)^2 overflows for L below about N * 2.3e-154; the run
+        # fails before any write, and no numpy warning turns into a
+        # traceback under -W error
+        cfg = forward_config(grid={"L": 1e-160, "m": 15}, n_modes=3, operator=op,
+                             mask={"intervals": [[2e-161, 4e-161]]})
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "tfslab", "forward",
+                               "--config", write_config(tmp_path, cfg), "--output", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["error"]["kind"] == "numerical"
+        assert proc.stderr == ""
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestValidation:
     def test_malformed_alpha_exits_2_and_names_field(self, tmp_path, capsys):
@@ -335,6 +352,30 @@ class TestValidation:
                 cli.validate_config(cfg, "forward")
             assert str(validated.value) == str(raised.value)
 
+    @pytest.mark.parametrize("problem", sorted(cli.PROBLEMS))
+    def test_validate_config_returns_its_argument(self, problem):
+        cfg = FUZZ_CONFIGS[problem]
+        before = copy.deepcopy(cfg)
+        assert cli.validate_config(cfg, problem) is cfg
+        assert cfg == before
+
+    @pytest.mark.parametrize("problem,leaves,field", [
+        ("forward", {"order.alpha": 1.5}, "order.alpha"),
+        ("invert-initial", {"noise.seed": -1}, "noise.seed"),
+        ("invert-source", {"inversion.gamma": "x"}, "inversion.gamma"),
+        ("invert-order", {"inversion.alpha_hi": 0.2}, "inversion.alpha_lo"),
+    ])
+    def test_validate_config_raises_the_field_run_raises(self, tmp_path, problem, leaves,
+                                                         field):
+        _, cfg = with_leaves(problem, leaves)
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError) as validated:
+            cli.validate_config(cfg, problem)
+        with pytest.raises(ConfigError) as raised:
+            cli.run(cfg, str(out))
+        assert validated.value.field == raised.value.field == field
+        assert os.listdir(tmp_path) == []
+
     def test_output_that_is_a_file_exits_4(self, tmp_path, capsys):
         path = write_config(tmp_path, forward_config())
         out = tmp_path / "taken"
@@ -342,6 +383,19 @@ class TestValidation:
         assert cli.main(["forward", "--config", path, "--output", str(out)]) == 4
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "io"
         assert out.read_text() == ""
+
+    def test_seed_override_replaces_noise_seed(self, tmp_path, capsys):
+        cfg = dict(inversion_config("invert-source", SOURCE_TRUTH, self.TIKHONOV),
+                   noise={"level": 1e-3, "seed": 3})
+        overridden, configured = tmp_path / "overridden", tmp_path / "configured"
+        assert cli.main(["invert-source", "--config", write_config(tmp_path, cfg),
+                         "--output", str(overridden), "--seed", "7"]) == 0
+        cfg["noise"]["seed"] = 7
+        assert cli.main(["invert-source", "--config", write_config(tmp_path, cfg),
+                         "--output", str(configured)]) == 0
+        assert json.loads((overridden / "data.json").read_text())["seed"] == 7
+        for name in ("data.csv", "data.json"):
+            assert (overridden / name).read_text() == (configured / name).read_text()
 
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = dict(inversion_config("invert-initial", {"initial": {"kind": "mode", "index": 1}},
@@ -757,6 +811,15 @@ class TestSelftestCommand:
         [row] = json.loads((out / "selftest.json").read_text())
         assert sorted(row) == ["detail", "limit", "name", "passed", "runtime"]
         assert row["name"] == "residue-extraction" and row["passed"] is True
+
+    def test_output_that_is_a_file_exits_4(self, tmp_path, capsys):
+        # an unwritable report is an io error, not a failed criterion
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        assert cli.main(["selftest", "--criteria", "residue-extraction",
+                         "--output", str(out)]) == 4
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "io"
+        assert out.read_text() == "keep"
 
     def test_repeated_runs_identical_verdicts(self, capsys):
         rc1 = cli.main(["selftest", "--criteria", "spectral-convergence"])

@@ -20,7 +20,6 @@ from tfslab.forward import KernelTable, SourceSpec, TimeGrid, project, solve_for
 from tfslab.inverse import (
     OrderSearchConfig,
     TikhonovConfig,
-    contour_for_mode,
     extract_modal_projection,
     invert_initial,
     invert_order,
@@ -596,20 +595,20 @@ class TestResidueExtraction:
     def test_single_pole_exact(self, small_eig):
         coeffs = np.array([2.0 - 1.0j, 0.0, 0.0])
         S = modal_resolvent(coeffs, small_eig)
-        got = extract_modal_projection(S, contour_for_mode(small_eig, 0, 64))
+        got = extract_modal_projection(S, small_eig, 0, 64)
         expect = coeffs[0] * small_eig.phis[0]
         assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     def test_neighbor_suppression(self, small_eig):
         coeffs = np.array([1.0, 0.5, 0.0])
         S = modal_resolvent(coeffs, small_eig)
-        got = extract_modal_projection(S, contour_for_mode(small_eig, 1, 64))
+        got = extract_modal_projection(S, small_eig, 1, 64)
         expect = coeffs[1] * small_eig.phis[1]
         assert np.max(np.abs(got - expect)) <= 1e-8
 
     def test_no_energy_gives_zero(self, small_eig):
         S = modal_resolvent(np.array([0.0, 1.0, 0.0]), small_eig)
-        got = extract_modal_projection(S, contour_for_mode(small_eig, 0, 64))
+        got = extract_modal_projection(S, small_eig, 0, 64)
         assert np.max(np.abs(got)) <= 1e-8
 
     def test_geometric_convergence(self, small_eig):
@@ -618,7 +617,7 @@ class TestResidueExtraction:
         expect = coeffs[1] * small_eig.phis[1]
         errs = []
         for n in (8, 16, 32):
-            got = extract_modal_projection(S, contour_for_mode(small_eig, 1, n))
+            got = extract_modal_projection(S, small_eig, 1, n)
             errs.append(np.max(np.abs(got - expect)))
         for e0, e1 in zip(errs, errs[1:]):
             if e0 <= 1e-12:
@@ -626,11 +625,22 @@ class TestResidueExtraction:
             assert e1 <= 0.5 * e0
 
     def test_radius_validation(self, small_eig):
-        # a third of the gap keeps the neighbor outside the circle
-        gap = small_eig.distinct[1].mu - small_eig.distinct[0].mu
-        assert contour_for_mode(small_eig, 0, 64).radius == gap / 3.0
-        with pytest.raises(GridMismatchError):
-            contour_for_mode(small_eig, 0, 4)
+        S = modal_resolvent(np.array([1.0, 0.0, 0.0]), small_eig)
+        with pytest.raises(GridMismatchError, match="at least 8 quadrature nodes"):
+            extract_modal_projection(S, small_eig, 0, 4)
+        for ell in (-1, 3):
+            with pytest.raises(GridMismatchError, match=f"distinct index {ell} out of range"):
+                extract_modal_projection(S, small_eig, ell, 64)
+
+    def test_one_resolvent_call_at_every_node(self, small_eig):
+        # the circle around -i mu_1 has a third of the gap to mu_0 as radius
+        S = modal_resolvent(np.array([1.0, 0.5, 0.0]), small_eig)
+        calls = []
+        extract_modal_projection(lambda eta: calls.append(eta) or S(eta), small_eig, 1, 16)
+        [eta] = calls
+        mu = [g.mu for g in small_eig.distinct]
+        assert eta.shape == (16,)
+        assert np.allclose(np.abs(eta + 1j * mu[1]), (mu[1] - mu[0]) / 3.0, rtol=1e-12)
 
     def test_masked_extraction(self, small_eig):
         from tfslab.observe import make_mask
@@ -638,7 +648,7 @@ class TestResidueExtraction:
         mask = make_mask([(0.3, 0.7)], small_eig.grid)
         coeffs = np.array([1.5, 0.0, 0.0])
         S = modal_resolvent(coeffs, small_eig)
-        got = extract_modal_projection(S, contour_for_mode(small_eig, 0, 64))[mask.indices]
+        got = extract_modal_projection(S, small_eig, 0, 64)[mask.indices]
         expect = 1.5 * small_eig.phis[0][mask.indices]
         assert np.max(np.abs(got - expect)) <= 1e-10
 

@@ -251,6 +251,18 @@ class TestKernels:
         with pytest.raises(MLDomainError):
             kernel_grid(FractionalOrder(0.5), 1.0, np.array([0.0]), "state")
 
+    @pytest.mark.parametrize("kind", ["state", "integral"])
+    @pytest.mark.parametrize("lam,t,message", [
+        (math.inf, 0.5, "eigenvalue must be finite and nonnegative, got inf"),
+        (math.nan, 0.5, "eigenvalue must be finite and nonnegative, got nan"),
+        (1.0, math.inf, "kernel time must be finite and positive, got inf"),
+        (1.0, math.nan, "kernel time must be finite and positive, got nan"),
+    ])
+    def test_nonfinite_input_rejected(self, lam, t, message, kind):
+        # an infinite value gave zeros and a NaN a misleading overflow error
+        with pytest.raises(MLDomainError, match=message):
+            kernel_grid(FractionalOrder(0.5), lam, np.array([0.25, t]), kind)
+
     def test_unknown_kind(self):
         with pytest.raises(MLDomainError):
             kernel_grid(FractionalOrder(0.5), 1.0, np.array([1.0]), "resolvent")

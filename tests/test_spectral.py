@@ -86,6 +86,13 @@ class TestAnalytic:
         with pytest.raises(EigenSolveError):
             analytic_eigensystem(1.0, 64, Grid1D(1.0, 63))
 
+    def test_overflowing_eigenvalues_raise_without_warning(self):
+        # (N pi / L)^2 beyond double range for L below about N * 2.3e-154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorOverflowError, match="exceed double precision"):
+                analytic_eigensystem(1e-160, 3, Grid1D(1e-160, 15))
+
 
 class TestEigenSolve:
     def test_fd_eigenvalues_closed_form(self):
@@ -254,6 +261,15 @@ class TestEigenSystemInvariants:
         with pytest.raises(EigenSolveError):
             EigenSystem(grid, np.array([-1.0, 1.0, 2.0]), phis,
                         (EigenGroup(-1.0, 0, 3),))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_nonfinite(self, bad):
+        grid = Grid1D(1.0, 3)
+        phis = np.eye(3) / math.sqrt(grid.h)
+        with pytest.raises(EigenSolveError, match="finite"):
+            EigenSystem(grid, np.array([1.0, 2.0, bad]), phis,
+                        (EigenGroup(1.0, 0, 1), EigenGroup(2.0, 1, 2),
+                         EigenGroup(bad, 2, 3)))
 
     def test_rejects_non_orthonormal(self):
         grid = Grid1D(1.0, 3)
