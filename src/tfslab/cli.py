@@ -225,28 +225,32 @@ def _samples(obj, path, n, size):
 
 
 def _datum(obj, path, m, n_modes):
-    """A datum spec as a function of the eigensystem that returns the
-    datum's node samples."""
+    """A datum spec as a pair of functions of the eigensystem: one returns
+    the datum's modal coefficients, the other the energy of its part outside
+    their span.  A ``mode`` or ``mix`` datum is its coefficients, exactly,
+    with no part outside; ``samples`` are projected."""
     kind = _require_dict(obj, path).get("kind")
-    if kind == "mode":
-        _check_keys(obj, path, ("kind", "index"))
-        idx = _integer(obj["index"], f"{path}.index", lo=1)
-        if idx > n_modes:
-            raise ConfigError(f"mode index {idx} beyond n_modes={n_modes}",
-                              field=f"{path}.index")
-        return lambda eig: eig.phis[idx - 1].astype(complex)
-    if kind == "mix":
-        _check_keys(obj, path, ("kind", "coeffs_re"), ("coeffs_im",))
-        given = _complex_list(obj, path, "coeffs_re", "coeffs_im")
-        if given.size > n_modes:
-            raise ConfigError(f"{given.size} mix coefficients for n_modes={n_modes}",
-                              field=path)
+    if kind in ("mode", "mix"):
         coeffs = np.zeros(n_modes, dtype=complex)
-        coeffs[: given.size] = given
-        return lambda eig: coeffs @ eig.phis
+        if kind == "mode":
+            _check_keys(obj, path, ("kind", "index"))
+            idx = _integer(obj["index"], f"{path}.index", lo=1)
+            if idx > n_modes:
+                raise ConfigError(f"mode index {idx} beyond n_modes={n_modes}",
+                                  field=f"{path}.index")
+            coeffs[idx - 1] = 1.0
+        else:
+            _check_keys(obj, path, ("kind", "coeffs_re"), ("coeffs_im",))
+            given = _complex_list(obj, path, "coeffs_re", "coeffs_im")
+            if given.size > n_modes:
+                raise ConfigError(f"{given.size} mix coefficients for n_modes={n_modes}",
+                                  field=path)
+            coeffs[: given.size] = given
+        return (lambda eig: coeffs), (lambda eig: 0.0)
     if kind == "samples":
         values = _samples(obj, path, m, "m")
-        return lambda eig: values
+        return (lambda eig: project(values, eig)), (
+            lambda eig: projection_tail_energy(values, eig))
     raise ConfigError(f"{path}.kind must be mode|mix|samples", field=f"{path}.kind")
 
 
@@ -287,7 +291,8 @@ def _order_search(obj):
 def _parse(cfg, problem, seed_override=None):
     """Check ``cfg`` as a ``problem`` config and build every input of the
     run; raises ``ConfigError`` naming the offending field.  The initial
-    datum and the source are functions of the eigensystem; ``order`` is the
+    datum's coefficients, its tail energy and the source are functions of
+    the eigensystem; ``order`` is the
     order that generates the data (for invert-order, ``truth.alpha`` with
     ``order.phase``)."""
     if problem not in PROBLEMS:
@@ -316,7 +321,7 @@ def _parse(cfg, problem, seed_override=None):
     exp = SimpleNamespace(
         grid=grid, tg=tg, order=order, operator=_operator(cfg["operator"], grid),
         n_modes=n_modes, mask=_mask(cfg["mask"], grid), noise_level=0.0, seed=0,
-        initial=lambda eig: np.zeros(grid.m), source=lambda eig: None,
+        initial=lambda eig: np.zeros(eig.n), tail_energy=None, source=lambda eig: None,
         mode=None, inversion=None,
     )
     if "noise" in cfg:
@@ -328,11 +333,11 @@ def _parse(cfg, problem, seed_override=None):
 
     def source(obj, path):  # a separable source, as a function of the eigensystem
         rho = _rho(obj["rho"], f"{path}.rho", tg.n_t)
-        g = _datum(obj["g"], f"{path}.g", grid.m, n_modes)
+        g = _datum(obj["g"], f"{path}.g", grid.m, n_modes)[0]
         return lambda eig: SourceSpec(rho, g(eig))
 
     if problem == "forward":
-        exp.initial = _datum(cfg["initial"], "initial", grid.m, n_modes)
+        exp.initial, exp.tail_energy = _datum(cfg["initial"], "initial", grid.m, n_modes)
         exp.mode = cfg["initial"].get("index")  # a single mode's index, else None
         src = cfg.get("source", {"kind": "none"})
         if _require_dict(src, "source").get("kind") == "none":
@@ -351,12 +356,13 @@ def _parse(cfg, problem, seed_override=None):
         _number(truth["alpha"], "truth.alpha", lo=0.0, hi=1.0, strict_lo=True,
                 strict_hi=True)
         exp.order = FractionalOrder(truth["alpha"], order.phase)
-        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes)
+        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes)[0]
         exp.inversion = _order_search(cfg["inversion"])
         return exp
     if problem == "invert-initial":
         _check_keys(truth, "truth", ("initial",))
-        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes)
+        exp.initial, exp.tail_energy = _datum(truth["initial"], "truth.initial", grid.m,
+                                              n_modes)
     else:
         _check_keys(truth, "truth", ("rho", "g"))
         exp.source = source(truth, "truth")
@@ -398,7 +404,6 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     phase_seconds = {}
     artifacts = []
     checks = {}
-    os.makedirs(output_dir, exist_ok=True)
 
     def emit(name, text):
         atomic_write_text(os.path.join(output_dir, name), text)
@@ -413,6 +418,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             eig = analytic_eigensystem(grid.L, exp.n_modes, grid)
         else:
             eig = eigen_solve(assemble_operator(exp.operator, grid), exp.n_modes, grid)
+    os.makedirs(output_dir, exist_ok=True)  # a run that fails before here writes nothing
     emit("eigensystem.json", dumps_canonical(eigensystem_to_json(eig)))
 
     y0, src = exp.initial(eig), exp.source(eig)
@@ -423,20 +429,19 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     with _phase(phase_seconds, "forward"):
         fieldv = solve_forward(y0, src, table)
     if problem in ("forward", "invert-initial"):
-        checks["tail_energy"] = projection_tail_energy(y0, eig)
+        checks["tail_energy"] = exp.tail_energy(eig)
 
     if problem == "forward":
         with np.errstate(over="ignore", invalid="ignore"):  # checked with the others
-            checks["max_field_norm"] = max(
-                grid.norm(fieldv.values[i]) for i in range(tg.n_t)
-            )
+            checks["max_field_norm"] = math.sqrt(grid.h) * float(
+                np.linalg.norm(fieldv.values, axis=1).max())
         if exp.mode is not None:
             # the mode's full response: its unit initial datum plus the part
             # of the source that drives it
             idx = exp.mode - 1
             expect = table.state([idx])[0]
             if src is not None:
-                forcing = project(src.g, eig)[idx] * src.rho
+                forcing = src.g[idx] * src.rho
                 expect += source_rows(table, [idx], forcing[None, :])[0]
             traj = eig.grid.h * (fieldv.values @ eig.phis[idx])
             checks["kernel_trajectory_max_dev"] = float(np.max(np.abs(traj - expect)))
@@ -459,8 +464,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             checks["alpha_abs_error"] = abs(result.order - order.alpha)
         else:
             # the Tikhonov estimate against the recovered datum's first modes
-            truth = project(src.g if problem == "invert-source" else y0, eig)
-            truth = truth[: inv.n_modes]
+            truth = (src.g if problem == "invert-source" else y0)[: inv.n_modes]
             checks["sigma_min"] = result.diagnostics["sigma_min"]
             with np.errstate(over="ignore", invalid="ignore"):
                 checks["modal_rel_error"] = float(np.linalg.norm(result.modal - truth)

@@ -44,8 +44,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Separable source term rho(t) g(x); a run without a source passes
-    None where a ``SourceSpec`` is taken."""
+    """Separable source term rho(t) g(x), with ``rho`` sampled on the grid
+    times and g given by its modal coefficients (``project`` turns node
+    samples into them); a run without a source passes None where a
+    ``SourceSpec`` is taken."""
 
     rho: np.ndarray
     g: np.ndarray
@@ -86,6 +88,14 @@ def project(samples: np.ndarray, eig: EigenSystem) -> np.ndarray:
     return eig.grid.h * (eig.phis @ samples)
 
 
+def _modal(c: np.ndarray, eig: EigenSystem, name: str) -> np.ndarray:
+    """``c`` as a complex vector of one coefficient per mode of ``eig``."""
+    c = np.asarray(c, dtype=np.complex128)
+    if c.shape != (eig.n,):
+        raise GridMismatchError(f"{name} has shape {c.shape}, the eigensystem {eig.n} modes")
+    return c
+
+
 def projection_tail_energy(samples: np.ndarray, eig: EigenSystem) -> float:
     """Energy of the component outside span{phi_1..phi_N}: the declared
     truncation approximation of a solve; raises where an energy overflows."""
@@ -116,8 +126,11 @@ class KernelTable:
     and time grid from a table.  Each mode's row of each kind is evaluated
     on first use, by one ``kernel_grid`` call for that mode, and kept, so a
     run that passes one table to its data solve, its design and its checks
-    evaluates each row once.  An inversion rejects a table whose time grid
-    is not its data's.  A table belongs to one run: nothing outlives it."""
+    evaluates each row once.  A solve asks only for the rows of the modes
+    its datum and forcing reach: a datum given by its modal coefficients
+    takes no row for a mode whose coefficient is exactly zero.  An
+    inversion rejects a table whose time grid is not its data's.  A table
+    belongs to one run: nothing outlives it."""
 
     def __init__(self, order: FractionalOrder, eig: EigenSystem, tg: TimeGrid):
         self.order, self.eig, self.tg = order, eig, tg
@@ -156,15 +169,16 @@ def source_rows(table: KernelTable, modes: np.ndarray, forcing: np.ndarray) -> n
     return rows
 
 
-def solve_forward(y0: np.ndarray, src: SourceSpec | None,
+def solve_forward(c0: np.ndarray, src: SourceSpec | None,
                   table: KernelTable) -> SpaceTimeField:
-    """Modal solution on the table's eigensystem and time grid: per mode,
+    """Modal solution on the table's eigensystem and time grid from the
+    initial datum's modal coefficients ``c0``: per mode,
     c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + p * conv(f_n, dW_n)(t)
     (see ``KernelTable`` and ``source_rows``).  A mode whose initial
     coefficient vanishes responds to it with exact zeros and takes no state
-    row."""
+    row, so a datum given in modes evaluates only its own modes' rows."""
     eig, tg = table.eig, table.tg
-    c0 = project(np.asarray(y0, dtype=np.complex128), eig)
+    c0 = _modal(c0, eig, "initial datum")
     coeffs = np.zeros((eig.n, tg.n_t), dtype=np.complex128)
     live = np.flatnonzero(c0)
     coeffs[live] = c0[live, None] * table.state(live)
@@ -173,20 +187,23 @@ def solve_forward(y0: np.ndarray, src: SourceSpec | None,
             raise GridMismatchError(
                 f"rho sampled at {src.rho.shape[0]} times, grid has {tg.n_t}"
             )
-        forcing = np.outer(project(src.g, eig), src.rho)
+        forcing = np.outer(_modal(src.g, eig, "source factor g"), src.rho)
         coeffs += source_rows(table, np.arange(eig.n), forcing)
     return SpaceTimeField(coeffs.T @ eig.phis, tg, eig.grid)
 
 
-def eval_homogeneous(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
-                     times: np.ndarray) -> np.ndarray:
-    """Homogeneous solution at arbitrary positive times (long-horizon
-    experiments run outside any uniform grid).  Every mode's state kernel
-    comes from one ``kernel_grid`` call, bit for bit the rows of
-    ``KernelTable.state``."""
-    c0 = project(np.asarray(y0, dtype=np.complex128), eig)
-    kernels = kernel_grid(order, eig.lambdas, times, "state")
-    return (c0[:, None] * kernels).T @ eig.phis
+def eval_homogeneous(c0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
+                     times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Homogeneous solution from the initial datum's modal coefficients
+    ``c0`` at arbitrary positive times (long-horizon experiments run outside
+    any uniform grid), synthesized on the grid nodes ``nodes`` only.  The
+    modes whose coefficient is nonzero take their state rows from one
+    ``kernel_grid`` call, bit for bit the rows of ``KernelTable.state``;
+    the others take none."""
+    c0 = _modal(c0, eig, "initial datum")
+    live = np.flatnonzero(c0)
+    rows = kernel_grid(order, eig.lambdas[live], times, "state")
+    return (c0[live, None] * rows).T @ eig.phis[np.ix_(live, nodes)]
 
 
 def caputo_l1(series: np.ndarray, alpha: float, tg: TimeGrid) -> np.ndarray:
@@ -227,23 +244,24 @@ def rl_integral(series: np.ndarray, beta: float, tg: TimeGrid) -> np.ndarray:
     return scale * causal_conv(series, weights)
 
 
-def pde_residual(field: SpaceTimeField, y0: np.ndarray, src: SourceSpec | None,
+def pde_residual(field: SpaceTimeField, y0: np.ndarray, forcing: np.ndarray | None,
                  order: FractionalOrder, A: Tridiag) -> float:
-    """Max over grid times of || e^{-i phase} d^alpha y - A y - f ||_{L2,h};
-    A is the matrix of -L, so the standard-phase residual is
-    i d^alpha y - A y - f.  Every time row is formed and normed at once."""
+    """Max over grid times of || e^{-i phase} d^alpha y - A y - f ||_{L2,h},
+    with the initial datum ``y0`` and the source ``forcing`` = f (None for
+    none) as node samples, f one row per grid time; A is the matrix of -L,
+    so the standard-phase residual is i d^alpha y - A y - f.  Every time row
+    is formed and normed at once."""
     tg, grid = field.tg, field.grid
     y0 = np.asarray(y0, dtype=np.complex128)
     if A.n != grid.m or y0.shape != (grid.m,):
         raise GridMismatchError(f"operator size {A.n}, y0 shape {y0.shape} vs grid m={grid.m}")
-    if src is not None and (src.rho.shape, src.g.shape) != ((tg.n_t,), (grid.m,)):
-        raise GridMismatchError(f"source rho shape {src.rho.shape}, g shape {src.g.shape} "
-                                f"vs n_t={tg.n_t}, m={grid.m}")
+    if forcing is not None and np.shape(forcing) != (tg.n_t, grid.m):
+        raise GridMismatchError(f"forcing shape {np.shape(forcing)} vs n_t={tg.n_t}, m={grid.m}")
     dcap = caputo_l1(np.vstack([y0[None, :], field.values]), order.alpha, tg)
     rot = np.conj(order.phase_factor)  # unit modulus, so conj is e^{-i phi}
     r = rot * dcap - A.matvec(field.values.T).T
-    if src is not None:
-        r -= np.outer(src.rho, src.g)
+    if forcing is not None:
+        r -= forcing
     return math.sqrt(grid.h) * float(np.linalg.norm(r, axis=1).max())
 
 
@@ -268,7 +286,7 @@ def duhamel_check(src: SourceSpec, order: FractionalOrder, eig: EigenSystem,
     rho = src.rho
     if rho.shape != (tg.n_t,):
         raise GridMismatchError(f"rho shape {rho.shape} vs n_t={tg.n_t}")
-    c = project(src.g, eig)
+    c = _modal(src.g, eig, "source factor g")
     dw = np.diff(kernel_grid(order, eig.lambdas, tg.dt * np.arange(tg.n_t + 1), "integral"))
     y = order.phase_factor * causal_conv(np.outer(rho, c), dw.T)
     del dw  # freed before the state kernels are built
@@ -278,13 +296,14 @@ def duhamel_check(src: SourceSpec, order: FractionalOrder, eig: EigenSystem,
     return float(np.linalg.norm(lhs - rhs, axis=1).max())
 
 
-def decay_slope(y0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
+def decay_slope(c0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
                 indices: np.ndarray) -> float:
     """Log-log slope of t -> ||y(t,.)||_{L2(E),h} for the homogeneous
-    solution at 25 times over [1e2, 1e4]; asymptotically -alpha, so decay is
+    solution from the modal coefficients ``c0``, at 25 times over [1e2, 1e4]
+    and on the nodes ``indices`` of E; asymptotically -alpha, so decay is
     algebraic rather than faster than every polynomial."""
     times = np.geomspace(1e2, 1e4, 25)
-    vals = eval_homogeneous(y0, order, eig, times)
-    norms = math.sqrt(eig.grid.h) * np.linalg.norm(vals[:, indices], axis=1)
+    vals = eval_homogeneous(c0, order, eig, times, indices)
+    norms = math.sqrt(eig.grid.h) * np.linalg.norm(vals, axis=1)
     slope = np.polyfit(np.log(times), np.log(norms), 1)[0]
     return float(slope)

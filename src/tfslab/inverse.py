@@ -210,32 +210,34 @@ def invert_source(data: ObservedData, rho: np.ndarray, table: KernelTable,
     return _tikhonov_result(data, table, cfg, rho)
 
 
-def order_misfit(data: ObservedData, y0: np.ndarray, order: FractionalOrder,
+def order_misfit(data: ObservedData, c0: np.ndarray, order: FractionalOrder,
                  eig: EigenSystem) -> float:
     """Squared weighted misfit between the observation of the homogeneous
-    solution at ``order`` and the data."""
+    solution from the modal coefficients ``c0`` at ``order`` and the data;
+    the solution is synthesized on the masked nodes only."""
     if data.mask.grid != eig.grid:
         raise GridMismatchError("mask and eigensystem live on different grids")
     tg = data.tg
-    diff = data.mask.restrict(eval_homogeneous(y0, order, eig, tg.times)) - data.values
+    diff = eval_homogeneous(c0, order, eig, tg.times, data.mask.indices) - data.values
     return float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
 
 
-def invert_order(data: ObservedData, y0: np.ndarray, eig: EigenSystem,
+def invert_order(data: ObservedData, c0: np.ndarray, eig: EigenSystem,
                  cfg: OrderSearchConfig, phase: str = "standard_i") -> InversionResult:
-    """Order recovery by misfit minimization: a coarse scan over the bracket
+    """Order recovery by misfit minimization, from the generating datum's
+    modal coefficients ``c0``: a coarse scan over the bracket
     (the landscape may be non-convex), then Brent's method (parabolic steps
     with golden-section fallback) between the neighbours of the coarse
     minimum.  A flat landscape is flagged rather than minimized.  The
     estimate is the best order evaluated, and ``diagnostics["trace"]`` lists
     every evaluated (order, misfit) pair in evaluation order."""
-    y0 = np.asarray(y0, dtype=np.complex128)
-    if float(np.max(np.abs(y0))) == 0.0:
+    c0 = np.asarray(c0, dtype=np.complex128)
+    if float(np.max(np.abs(c0))) == 0.0:
         raise SourceHypothesisError("generating datum u must not vanish")
     trace = []
 
     def misfit(alpha):
-        value = order_misfit(data, y0, FractionalOrder(alpha, phase), eig)
+        value = order_misfit(data, c0, FractionalOrder(alpha, phase), eig)
         trace.append([alpha, value])
         return value
 

@@ -140,14 +140,15 @@ def _c4_forward_single_mode():
     lam1 = float(eig.lambdas[0])
     table = KernelTable(order, eig, tg)
     # homogeneous: modal trajectory equals the state kernel
-    y = solve_forward(eig.phis[0], None, table)
+    e1 = np.eye(eig.n)[0]
+    y = solve_forward(e1, None, table)
     c1 = project(y.values.T, eig)[0]
     worst = float(np.max(np.abs(c1 - kernel_grid(order, lam1, tg.times, "state"))))
     assert worst <= 1e-12, f"trajectory deviates from state kernel by {worst:.3e}"
     # separable source, rho = 1: closed form vs quadrature of the entire
     # function E_{a,a}(-i lam u) over [0, t^a], 64 Gauss-Legendre nodes
     rho = np.ones(tg.n_t, dtype=complex)
-    ys = solve_forward(np.zeros(grid.m), SourceSpec(rho, eig.phis[0]), table)
+    ys = solve_forward(np.zeros(eig.n), SourceSpec(rho, e1), table)
     ts = np.array([0.25, 0.5, 1.0])
     got = project(ys.values[np.rint(ts / tg.dt).astype(int) - 1].T, eig)[0]
     x, w = np.polynomial.legendre.leggauss(64)
@@ -167,7 +168,8 @@ def _c5_classical_limit():
     eig = analytic_eigensystem(math.pi, 2, grid)
     order = FractionalOrder(0.999)
     lam1 = float(eig.lambdas[0])
-    vals = eval_homogeneous(eig.phis[0], order, eig, np.array([1.0]))
+    vals = eval_homogeneous(np.eye(eig.n)[0], order, eig, np.array([1.0]),
+                            np.arange(grid.m))
     target = cmath.exp(-1j * lam1) * eig.phis[0]
     dev = grid.norm(vals[0] - target)
     assert dev <= 5e-3, f"classical-limit deviation {dev:.3e} > 5e-3"
@@ -183,7 +185,7 @@ def _c6_pde_residual():
     resids = []
     for n_t in (200, 400, 800):
         tg = TimeGrid(1.0, n_t)
-        fieldv = solve_forward(y0, None, KernelTable(order, eig, tg))
+        fieldv = solve_forward(project(y0, eig), None, KernelTable(order, eig, tg))
         resids.append(pde_residual(fieldv, y0, None, order, A))
     assert resids[0] > resids[1] > resids[2], (
         f"residuals not monotone under refinement: {resids}"
@@ -195,7 +197,7 @@ def _c7_duhamel():
     grid = Grid1D(1.0, 99)
     eig = analytic_eigensystem(1.0, 8, grid)
     order = FractionalOrder(0.5)
-    g = eig.phis[0].astype(complex)
+    g = np.eye(eig.n)[0]
     discs = []
     for n_t in (1000, 2000):
         tg = TimeGrid(1.0, n_t)
@@ -217,12 +219,12 @@ def _recovery_setup():
 def _c8_initial_recovery():
     # alpha is free in this criterion; 0.95 keeps the high-mode kernel
     # columns oscillatory enough that the design is well conditioned
-    grid, eig, tg, mask = _recovery_setup()
+    _, eig, tg, mask = _recovery_setup()
     order = FractionalOrder(0.95)
-    y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
-    truth = project(y0, eig)[:8]
+    truth = np.zeros(8, dtype=complex)
+    truth[:2] = 1.0 / math.sqrt(2.0)
     table = KernelTable(order, eig, tg)
-    fieldv = solve_forward(y0, None, table)
+    fieldv = solve_forward(truth, None, table)
     clean = observe(fieldv, mask, 0.0, 0)
     res = invert_initial(clean, table, TikhonovConfig(1e-10, 8))
     smin = res.diagnostics["sigma_min"]
@@ -237,16 +239,15 @@ def _c8_initial_recovery():
 
 
 def _c9_source_recovery():
-    grid, eig, tg, mask = _recovery_setup()
+    _, eig, tg, mask = _recovery_setup()
     order = FractionalOrder(0.95)
     rho = np.ones(tg.n_t, dtype=complex)
-    g = eig.phis[1].astype(complex)
-    table = KernelTable(order, eig, tg)
-    fieldv = solve_forward(np.zeros(grid.m), SourceSpec(rho, g), table)
-    clean = observe(fieldv, mask, 0.0, 0)
-    res = invert_source(clean, rho, table, TikhonovConfig(1e-12, 8))
     truth = np.zeros(8, dtype=complex)
     truth[1] = 1.0
+    table = KernelTable(order, eig, tg)
+    fieldv = solve_forward(np.zeros(8), SourceSpec(rho, truth), table)
+    clean = observe(fieldv, mask, 0.0, 0)
+    res = invert_source(clean, rho, table, TikhonovConfig(1e-12, 8))
     err = float(np.linalg.norm(res.modal - truth))
     assert err <= 1e-5, f"source recovery error {err:.3e} > 1e-5"
     try:
@@ -260,7 +261,7 @@ def _c9_source_recovery():
 
 def _c10_order_recovery():
     grid, eig, tg, mask = _recovery_setup()
-    y0 = eig.phis[0].astype(complex)
+    y0 = np.eye(eig.n)[0]
     fieldv = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
     data = observe(fieldv, mask, 0.0, 0)
     cfg = OrderSearchConfig(0.25, 0.85, 25, 1e-4)
@@ -319,7 +320,7 @@ def _c13_decay_slope():
     mask = make_mask([(0.2, 0.4)], grid)
     details = []
     for alpha in (0.5, 0.8):
-        slope = decay_slope(eig.phis[0], FractionalOrder(alpha), eig, mask.indices)
+        slope = decay_slope(np.eye(eig.n)[0], FractionalOrder(alpha), eig, mask.indices)
         assert abs(slope + alpha) <= 0.05, (
             f"alpha={alpha}: slope {slope:.4f} vs -{alpha} (tol 0.05)"
         )

@@ -113,6 +113,28 @@ class TestForwardCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["checks"]["kernel_trajectory_max_dev"] <= 1e-12
 
+    @pytest.mark.parametrize("place", ["initial", "source.g"])
+    def test_samples_of_a_mode_give_the_mode_field(self, tmp_path, place):
+        # the projected path agrees with the modal one: node samples of
+        # mode 3 give mode 3's field; only the projection's rounding differs
+        from tfslab.spectral import Grid1D, analytic_eigensystem
+
+        phi = analytic_eigensystem(1.0, 6, Grid1D(1.0, 63)).phis[2]
+        fields, tails = [], []
+        for datum in ({"kind": "mode", "index": 3}, {"kind": "samples", "re": phi.tolist()}):
+            cfg = forward_config()
+            if place == "initial":
+                cfg["initial"] = datum
+            else:
+                cfg["source"] = {"kind": "separable",
+                                 "rho": {"kind": "const", "value": 1.0}, "g": datum}
+            out = tmp_path / datum["kind"]
+            tails.append(cli.run(cfg, str(out))["checks"]["tail_energy"])
+            fields.append(np.array(json.loads((out / "field.json").read_text())["values_re_im"]))
+        assert np.max(np.abs(fields[0] - fields[1])) <= 1e-12
+        if place == "initial":
+            assert tails[0] == 0.0 and 0.0 <= tails[1] <= 1e-12
+
     def test_debug_log_names_each_phase(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="tfslab.cli")
         cfg = write_config(tmp_path, forward_config(n_modes=2))
@@ -150,7 +172,7 @@ class TestForwardCommand:
         assert proc.returncode == 3, proc.stdout + proc.stderr
         assert json.loads(proc.stdout)["error"]["kind"] == "numerical"
         assert proc.stderr == ""
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 class TestValidation:
@@ -602,6 +624,22 @@ class TestKernelCalls:
         cli.run(cfg, str(tmp_path))
         assert [kind for kind, _ in calls] == ["integral"] * (6 if source else 0)
 
+    def test_single_mode_forward_takes_one_state_row(self, tmp_path, calls):
+        # a mode datum reaches the solve as its coefficients: the other
+        # modes' coefficients are exactly 0 and take no row
+        report = cli.run(forward_config(), str(tmp_path))
+        assert calls == [("state", (math.pi**2,))]
+        assert report["checks"]["tail_energy"] == 0.0
+
+    def test_single_mode_order_search_takes_one_state_row_per_order(self, tmp_path, calls):
+        cfg = inversion_config("invert-order", ORDER_TRUTH,
+                               {"alpha_lo": 0.3, "alpha_hi": 0.9})
+        cli.run(cfg, str(tmp_path))
+        evaluations = json.loads((tmp_path / "estimate.json").read_text())[
+            "diagnostics"]["evaluations"]
+        # the data solve's row, then one row per trial order
+        assert calls == [("state", (math.pi**2,))] * (1 + evaluations)
+
     def test_trajectory_check_reads_the_solve_rows(self, tmp_path, calls):
         cfg = forward_config(source={"kind": "separable",
                                      "rho": {"kind": "const", "value": 1.0},
@@ -721,13 +759,22 @@ def test_mutated_config_runs_or_names_its_fault(case):
             rc == 3 and err["kind"] == "numerical"), (rc, err, cfg)
 
 
+# node samples of 1e200, whose energy overflows; a mode or mix datum has no
+# energy outside its modes, so its tail energy is exactly 0 and the same
+# size fails a later check (the field norm, or the recovery error)
+HUGE_SAMPLES = {"kind": "samples", "re": [1e200] * TINY["grid"]["m"]}
+HUGE_MIX = {"kind": "mix", "coeffs_re": [1e200, 1e200]}
+
+
 @pytest.mark.parametrize("problem,leaves,check", [
-    ("invert-initial", {"truth.initial.coeffs_re": [1e200, 1e200]}, "tail_energy"),
+    ("invert-initial", {"truth.initial": HUGE_SAMPLES}, "tail_energy"),
     ("invert-initial", {"noise.level": 1e308}, "Tikhonov coefficients"),
-    ("forward", {"initial": {"kind": "mix", "coeffs_re": [1e200, 1e200]}}, "tail_energy"),
+    ("forward", {"initial": HUGE_SAMPLES}, "tail_energy"),
     ("forward", {"source.rho.value": 1e300}, "max_field_norm"),
     ("invert-initial", {"noise.level": 1e308, "truth.initial.coeffs_re": [10.0, 10.0]},
      "weighted design or data overflow"),
+    ("invert-initial", {"truth.initial": HUGE_MIX}, "modal_rel_error"),
+    ("forward", {"initial": HUGE_MIX}, "max_field_norm"),
 ])
 def test_overflowing_check_exits_3(tmp_path, capsys, problem, leaves, check):
     # a check that is not a finite number fails the run, with no numpy

@@ -29,6 +29,11 @@ from tfslab.spectral import (Grid1D, OperatorSpec, Tridiag, analytic_eigensystem
                              assemble_operator, eigen_solve)
 
 
+def unit(eig, n):
+    """The modal coefficients of mode n's eigenfunction (0-based)."""
+    return np.eye(eig.n, dtype=complex)[n]
+
+
 @pytest.fixture(scope="module")
 def eig():
     grid = Grid1D(1.0, 99)
@@ -80,7 +85,7 @@ class TestSolveForward:
     def test_single_mode_separation(self, eig):
         order = FractionalOrder(0.6)
         tg = TimeGrid(1.0, 25)
-        y = solve_forward(eig.phis[0].astype(complex), None, KernelTable(order, eig, tg))
+        y = solve_forward(unit(eig, 0), None, KernelTable(order, eig, tg))
         k = kernel_grid(order, float(eig.lambdas[0]), tg.times, "state")
         for i in range(tg.n_t):
             c = project(y.values[i], eig)
@@ -91,8 +96,8 @@ class TestSolveForward:
         order = FractionalOrder(0.5)
         tg = TimeGrid(1.0, 10)
         rng = np.random.default_rng(np.random.Philox(5))
-        u = rng.standard_normal(99) + 1j * rng.standard_normal(99)
-        v = rng.standard_normal(99) + 1j * rng.standard_normal(99)
+        u = project(rng.standard_normal(99) + 1j * rng.standard_normal(99), eig)
+        v = project(rng.standard_normal(99) + 1j * rng.standard_normal(99), eig)
         a, b = 1.3 - 0.2j, -0.7 + 0.9j
         table = KernelTable(order, eig, tg)
         left = solve_forward(a * u + b * v, None, table).values
@@ -105,7 +110,7 @@ class TestSolveForward:
         order = FractionalOrder(0.5)
         tg = TimeGrid(1.0, 25)
         rho = np.ones(tg.n_t, dtype=complex)
-        y = solve_forward(np.zeros(99), SourceSpec(rho, eig.phis[0]),
+        y = solve_forward(np.zeros(8), SourceSpec(rho, unit(eig, 0)),
                           KernelTable(order, eig, tg))
         k = kernel_grid(order, float(eig.lambdas[0]), tg.times, "integral")
         for i in range(tg.n_t):
@@ -116,7 +121,7 @@ class TestSolveForward:
         order = FractionalOrder(0.7)
         tg = TimeGrid(1.0, 40)
         rho = np.ones(tg.n_t, dtype=complex)
-        y = solve_forward(np.zeros(99), SourceSpec(rho, eig.phis[1]),
+        y = solve_forward(np.zeros(8), SourceSpec(rho, unit(eig, 1)),
                           KernelTable(order, eig, tg))
         lam = float(eig.lambdas[1])
         params = MLParams(order.alpha, order.alpha)
@@ -139,8 +144,8 @@ class TestSolveForward:
         tg = TimeGrid(2.0, 40)
         c0 = certify_c0(order.alpha, lambda_grid=eig.lambdas, t_grid=tg.times)
         rng = np.random.default_rng(np.random.Philox(11))
-        y0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) @ eig.phis
-        c_init = np.abs(project(y0, eig))
+        y0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        c_init = np.abs(y0)
         y = solve_forward(y0, None, KernelTable(order, eig, tg))
         for i, t in enumerate(tg.times):
             c = np.abs(project(y.values[i], eig))
@@ -154,8 +159,8 @@ class TestSolveForward:
         tg = TimeGrid(1.0, 30)
         c0 = certify_c0(order.alpha, lambda_grid=eig.lambdas, t_grid=tg.times)
         rng = np.random.default_rng(np.random.Philox(13))
-        y0 = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) @ eig.phis
-        y0 = y0 / eig.grid.norm(y0)
+        y0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        y0 = y0 / np.linalg.norm(y0)
         y = solve_forward(y0, None, KernelTable(order, eig, tg))
         for i in range(tg.n_t):
             assert eig.grid.norm(y.values[i]) <= c0 * (1.0 + 1e-9)
@@ -163,7 +168,7 @@ class TestSolveForward:
     def test_phase_variant_trajectory(self, eig):
         order = FractionalOrder(0.5, "power_i_alpha")
         tg = TimeGrid(1.0, 10)
-        y = solve_forward(eig.phis[0].astype(complex), None, KernelTable(order, eig, tg))
+        y = solve_forward(unit(eig, 0), None, KernelTable(order, eig, tg))
         lam = float(eig.lambdas[0])
         phase = cmath.exp(-1j * math.pi * 0.25)
         for i, t in enumerate(tg.times):
@@ -175,19 +180,28 @@ class TestSolveForward:
         # continuity holds only on (0, T]; the datum is recovered modally
         # as t -> 0+
         order = FractionalOrder(0.5)
-        c0 = project(eig.phis[0].astype(complex), eig)
+        c0 = unit(eig, 0)
         for t in (1e-3, 1e-5, 1e-7):
-            vals = eval_homogeneous(eig.phis[0], order, eig, np.array([t]))
+            vals = eval_homogeneous(c0, order, eig, np.array([t]), np.arange(eig.grid.m))
             c = project(vals[0], eig)
             gap = np.max(np.abs(c - c0))
             assert gap <= 3.0 * float(eig.lambdas[0]) * t**0.5
 
+    def test_node_samples_rejected(self, eig):
+        # the solver takes modal coefficients; node samples go through
+        # project first
+        table = KernelTable(FractionalOrder(0.5), eig, TimeGrid(1.0, 10))
+        with pytest.raises(GridMismatchError, match="initial datum has shape"):
+            solve_forward(eig.phis[0], None, table)
+        with pytest.raises(GridMismatchError, match="source factor g has shape"):
+            solve_forward(np.zeros(8), SourceSpec(np.ones(10), eig.phis[0]), table)
+
     def test_source_length_mismatch_rejected(self, eig):
         # rho sampled at one time fewer than the grid has
         tg = TimeGrid(1.0, 10)
-        src = SourceSpec(np.ones(tg.n_t - 1), eig.phis[1])
+        src = SourceSpec(np.ones(tg.n_t - 1), unit(eig, 1))
         with pytest.raises(GridMismatchError, match="rho sampled at 9 times, grid has 10"):
-            solve_forward(eig.phis[0].astype(complex), src,
+            solve_forward(unit(eig, 0), src,
                           KernelTable(FractionalOrder(0.5), eig, tg))
 
 
@@ -214,10 +228,10 @@ class TestKernelTable:
         eig = fixture[1] if system == "fd_system" else fixture
         order, tg = FractionalOrder(0.6, phase), TimeGrid(1.0, 40)
         rho = np.cos(3.0 * tg.times) + 1j * tg.times
-        g = eig.phis[0] + 2.0 * eig.phis[2] - 0.5j * eig.phis[5]
-        c0 = project(np.zeros(eig.grid.m), eig)
+        g = project(eig.phis[0] + 2.0 * eig.phis[2] - 0.5j * eig.phis[5], eig)
+        c0 = np.zeros(eig.n)
         state = np.array([kernel_grid(order, lam, tg.times, "state") for lam in eig.lambdas])
-        forcing = np.outer(project(g, eig), rho)
+        forcing = np.outer(g, rho)
         live = np.flatnonzero(np.any(forcing, axis=1))
         taus = tg.dt * np.arange(tg.n_t + 1)
         dw = np.array([np.diff(kernel_grid(order, eig.lambdas[n], taus, "integral"))
@@ -225,7 +239,7 @@ class TestKernelTable:
         driven = np.zeros((eig.n, tg.n_t), dtype=complex)
         driven[live] = order.phase_factor * causal_conv(forcing[live].T, dw.T).T
         expect = (c0[:, None] * state + driven).T @ eig.phis
-        got = solve_forward(np.zeros(eig.grid.m), SourceSpec(rho, g), KernelTable(order, eig, tg))
+        got = solve_forward(c0, SourceSpec(rho, g), KernelTable(order, eig, tg))
         assert np.array_equal(got.values, expect)
 
     def test_rows_are_evaluated_once(self, eig, calls):
@@ -245,8 +259,8 @@ class TestKernelTable:
         # the solve that evaluated them, bit for bit, and evaluates nothing
         _, eig = fd_system
         tg = TimeGrid(1.0, 30)
-        y0 = eig.phis[1] - 0.3j * eig.phis[4]
-        src = SourceSpec(np.exp(1j * tg.times), eig.phis[0] + eig.phis[6])
+        y0 = unit(eig, 1) - 0.3j * unit(eig, 4)
+        src = SourceSpec(np.exp(1j * tg.times), unit(eig, 0) + unit(eig, 6))
         table = KernelTable(FractionalOrder(0.7, "power_i_alpha"), eig, tg)
         first = solve_forward(y0, src, table).values
         evaluated = len(calls)
@@ -370,7 +384,7 @@ class TestResidualAndDuhamel:
         resids = []
         for n_t in (100, 200, 400):
             tg = TimeGrid(1.0, n_t)
-            y = solve_forward(y0, None, KernelTable(order, eig, tg))
+            y = solve_forward(project(y0, eig), None, KernelTable(order, eig, tg))
             resids.append(pde_residual(y, y0, None, order, A))
         assert resids[0] > resids[1] > resids[2]
 
@@ -385,7 +399,7 @@ class TestResidualAndDuhamel:
         y0 = c @ eig.phis
         y0 = y0 / eig.grid.norm(y0)
         tg = TimeGrid(1.0, 1000)
-        y = solve_forward(y0, None, KernelTable(order, eig, tg))
+        y = solve_forward(project(y0, eig), None, KernelTable(order, eig, tg))
         r = pde_residual(y, y0, None, order, A)
         assert r <= 10.0
 
@@ -393,8 +407,8 @@ class TestResidualAndDuhamel:
         _, eig = fd_system
         order = FractionalOrder(0.5)
         tg = TimeGrid(1.0, 50)
-        assert duhamel_check(SourceSpec(np.ones(tg.n_t), np.zeros(63)), order, eig, tg) <= 1e-14
-        assert duhamel_check(SourceSpec(np.zeros(tg.n_t), eig.phis[0]), order, eig, tg) <= 1e-14
+        assert duhamel_check(SourceSpec(np.ones(tg.n_t), np.zeros(8)), order, eig, tg) <= 1e-14
+        assert duhamel_check(SourceSpec(np.zeros(tg.n_t), unit(eig, 0)), order, eig, tg) <= 1e-14
 
     def test_duhamel_refinement_order(self, fd_system):
         _, eig = fd_system
@@ -402,7 +416,7 @@ class TestResidualAndDuhamel:
         discs = []
         for n_t in (250, 500, 1000):
             tg = TimeGrid(1.0, n_t)
-            discs.append(duhamel_check(SourceSpec(np.ones(tg.n_t), eig.phis[0]),
+            discs.append(duhamel_check(SourceSpec(np.ones(tg.n_t), unit(eig, 0)),
                                        order, eig, tg))
         orders = [math.log2(discs[i] / discs[i + 1]) for i in range(2)]
         assert all(o >= 0.9 for o in orders)
@@ -413,7 +427,7 @@ class TestResidualAndDuhamel:
         discs = []
         for n_t in (200, 400):
             tg = TimeGrid(1.0, n_t)
-            discs.append(duhamel_check(SourceSpec(np.ones(tg.n_t), eig.phis[0]),
+            discs.append(duhamel_check(SourceSpec(np.ones(tg.n_t), unit(eig, 0)),
                                        order, eig, tg))
         assert discs[1] <= 0.7 * discs[0]
 
@@ -428,24 +442,26 @@ class TestResidualAndDuhamel:
         values = np.outer(tg.times, eig.phis[0]).astype(complex)
         field = SpaceTimeField(values, tg, eig.grid)
         dcap = tg.times ** 0.5 / math.gamma(1.5)
-        src = SourceSpec(1j * dcap - lam * tg.times, eig.phis[0])
-        r = pde_residual(field, np.zeros(eig.grid.m), src, order, A)
+        forcing = np.outer(1j * dcap - lam * tg.times, eig.phis[0])
+        r = pde_residual(field, np.zeros(eig.grid.m), forcing, order, A)
         assert r <= 1e-10
 
 
 def grid_duhamel(g, rho, order, eig, tg):
     """The Duhamel discrepancy on the m nodes: both solutions synthesized as
     fields, J^{1-alpha} and the rho-convolution applied node by node, and
-    each time row normed on its own."""
+    each time row normed on its own; ``g`` is given by its modal
+    coefficients."""
     v = solve_forward(g, None, KernelTable(order, eig, tg)).values
-    y = solve_forward(np.zeros(eig.grid.m), SourceSpec(rho, g), KernelTable(order, eig, tg)).values
+    y = solve_forward(np.zeros(eig.n), SourceSpec(rho, g), KernelTable(order, eig, tg)).values
     lhs = rl_integral(y, 1.0 - order.alpha, tg)
     rhs = order.phase_factor * tg.dt * causal_conv(v, rho)
     return max(eig.grid.norm(row) for row in lhs - rhs)
 
 
 def row_residual(field, y0, src, order, A):
-    """The PDE residual one time row at a time."""
+    """The PDE residual one time row at a time, for the separable source
+    ``src`` whose factor g is given as node samples."""
     tg, grid = field.tg, field.grid
     dcap = caputo_l1(np.vstack([y0[None, :], field.values]), order.alpha, tg)
     ay = A.matvec(field.values.T).T
@@ -466,10 +482,10 @@ class TestVectorizedChecks:
         order = FractionalOrder(0.5 if phase == "standard_i" else 0.6, phase)
         tg = TimeGrid(1.0, 1000)
         if datum == "mode":  # the selftest's datum and source
-            g, rho = eig.phis[0].astype(complex), np.ones(tg.n_t, dtype=complex)
+            g, rho = unit(eig, 0), np.ones(tg.n_t, dtype=complex)
         else:
             rng = np.random.default_rng(np.random.Philox(29))
-            g = (rng.standard_normal(eig.n) + 1j * rng.standard_normal(eig.n)) @ eig.phis
+            g = rng.standard_normal(eig.n) + 1j * rng.standard_normal(eig.n)
             rho = np.exp(3j * tg.times) * (1.0 + tg.times)
         ref = grid_duhamel(g, rho, order, eig, tg)
         assert abs(duhamel_check(SourceSpec(rho, g), order, eig, tg) - ref) <= 1e-12 * ref
@@ -486,7 +502,8 @@ class TestVectorizedChecks:
                if separable else None)
         field = SpaceTimeField(values[1:], tg, eig.grid)
         ref = row_residual(field, values[0], src, order, A)
-        assert abs(pde_residual(field, values[0], src, order, A) - ref) <= 1e-13 * ref
+        forcing = None if src is None else np.outer(src.rho, src.g)
+        assert abs(pde_residual(field, values[0], forcing, order, A) - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("n_rho, m_g, m_y0", [
         (25, 63, 63),  # a longer rho was truncated to the grid
@@ -499,12 +516,13 @@ class TestVectorizedChecks:
         A, eig = fd_system
         tg = TimeGrid(1.0, 20)
         field = SpaceTimeField(np.zeros((tg.n_t, eig.grid.m), dtype=complex), tg, eig.grid)
-        src = (None if n_rho is None
-               else SourceSpec(np.ones(n_rho), np.ones(m_g)))
+        forcing = None if n_rho is None else np.ones((n_rho, m_g))
         with pytest.raises(GridMismatchError):
-            pde_residual(field, np.zeros(m_y0), src, FractionalOrder(0.5), A)
+            pde_residual(field, np.zeros(m_y0), forcing, FractionalOrder(0.5), A)
 
-    @pytest.mark.parametrize("n_rho, m_g", [(25, 63), (15, 63), (20, 62)])
+    # g of 8 coefficients fits the 8-mode system; 63 and 62 entries (node
+    # samples, or too few of them) do not
+    @pytest.mark.parametrize("n_rho, m_g", [(25, 63), (15, 63), (20, 62), (25, 8), (15, 8)])
     def test_duhamel_rejects_mismatched_inputs(self, fd_system, n_rho, m_g):
         _, eig = fd_system
         with pytest.raises(GridMismatchError):
@@ -520,12 +538,12 @@ class TestVectorizedChecks:
                             lambda *args: calls.append((np.shape(args[1]), args[3]))
                             or exact(*args))
         tg = TimeGrid(1.0, 100)
-        duhamel_check(SourceSpec(np.ones(tg.n_t), eig.phis[0]), FractionalOrder(0.5), eig, tg)
+        duhamel_check(SourceSpec(np.ones(tg.n_t), unit(eig, 0)), FractionalOrder(0.5), eig, tg)
         assert sorted(calls) == [((n_modes,), "integral"), ((n_modes,), "state")]
 
     def test_duhamel_allocates_no_space_time_field(self, eig):
         tg = TimeGrid(1.0, 2000)
-        args = (SourceSpec(np.ones(tg.n_t), eig.phis[0]), FractionalOrder(0.5), eig, tg)
+        args = (SourceSpec(np.ones(tg.n_t), unit(eig, 0)), FractionalOrder(0.5), eig, tg)
         duhamel_check(*args)  # one-time set-up outside the measurement
         tracemalloc.start()
         try:
@@ -541,12 +559,13 @@ class TestDecay:
         from tfslab.observe import make_mask
 
         mask = make_mask([(0.2, 0.4)], eig.grid)
-        slope = decay_slope(eig.phis[0], FractionalOrder(0.5), eig, mask.indices)
+        slope = decay_slope(unit(eig, 0), FractionalOrder(0.5), eig, mask.indices)
         assert slope == pytest.approx(-0.5, abs=0.05)
 
     def test_decay_is_algebraic_not_exponential(self, eig):
         # norms drop by ~10^alpha per decade, far from exponential decay
         order = FractionalOrder(0.5)
-        vals = eval_homogeneous(eig.phis[0], order, eig, np.array([1e2, 1e3, 1e4]))
+        vals = eval_homogeneous(unit(eig, 0), order, eig, np.array([1e2, 1e3, 1e4]),
+                                np.arange(eig.grid.m))
         norms = [eig.grid.norm(v) for v in vals]
         assert norms[2] >= norms[0] * 10 ** (-2 * 0.5) * 0.5

@@ -16,7 +16,7 @@ from tfslab.errors import (
     SourceHypothesisError,
 )
 from tfslab import forward, inverse
-from tfslab.forward import KernelTable, SourceSpec, TimeGrid, project, solve_forward
+from tfslab.forward import KernelTable, SourceSpec, TimeGrid, solve_forward
 from tfslab.inverse import (
     OrderSearchConfig,
     TikhonovConfig,
@@ -39,6 +39,11 @@ from tfslab.spectral import (
     assemble_operator,
     eigen_solve,
 )
+
+
+def unit(eig, n):
+    """The modal coefficients of mode n's eigenfunction (0-based)."""
+    return np.eye(eig.n, dtype=complex)[n]
 
 
 @pytest.fixture(scope="module")
@@ -94,14 +99,14 @@ class TestInvertInitial:
     def test_zero_data_gives_zero(self, setup):
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        zero = observe(solve_forward(np.zeros(grid.m), None, table), mask, 0.0, 0)
+        zero = observe(solve_forward(np.zeros(eig.n), None, table), mask, 0.0, 0)
         res = invert_initial(zero, table, TikhonovConfig(1e-8, 8))
         assert np.max(np.abs(res.modal)) == 0.0
 
     def test_noiseless_single_mode(self, setup):
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        y = solve_forward(eig.phis[0].astype(complex), None, table)
+        y = solve_forward(unit(eig, 0), None, table)
         res = invert_initial(observe(y, mask, 0.0, 0), table, TikhonovConfig(1e-10, 8))
         e1 = np.zeros(8, dtype=complex)
         e1[0] = 1.0
@@ -110,11 +115,10 @@ class TestInvertInitial:
     def test_noisy_mixed_recovery(self, setup):
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
-        y = solve_forward(y0.astype(complex), None, table)
+        truth = (unit(eig, 0) + unit(eig, 1)) / math.sqrt(2.0)
+        y = solve_forward(truth, None, table)
         # discrepancy-flavored choice: gamma at the noise-power scale
         res = invert_initial(observe(y, mask, 1e-3, 5), table, TikhonovConfig(1e-6, 8))
-        truth = project(y0.astype(complex), eig)
         rel = np.linalg.norm(res.modal - truth) / np.linalg.norm(truth)
         assert rel <= 1e-1
 
@@ -129,7 +133,7 @@ class TestInvertInitial:
         mask = make_mask([(0.5, 0.53)], grid)
         assert mask.n_nodes == 1
         table = KernelTable(order, eig, tg)
-        y = solve_forward(eig.phis[0].astype(complex), None, table)
+        y = solve_forward(unit(eig, 0), None, table)
         with pytest.raises(RankDeficientError):
             invert_initial(observe(y, mask, 0.0, 0), table, TikhonovConfig(0.0, 8))
         # a tall design with a duplicated column
@@ -147,7 +151,7 @@ class TestInvertInitial:
         # but not the filtered solution
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        y = solve_forward(scale * eig.phis[0].astype(complex), None, table)
+        y = solve_forward(scale * unit(eig, 0), None, table)
         data = observe(y, mask, 1e308, 3)
         assert np.isfinite(data.values).all()
         with pytest.raises(OperatorOverflowError, match="Tikhonov coefficients"):
@@ -160,7 +164,7 @@ class TestInvertInitial:
         # overflow-safe math.hypot
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        y = solve_forward(1e-3 * eig.phis[0].astype(complex), None, table)
+        y = solve_forward(1e-3 * unit(eig, 0), None, table)
         data = observe(y, mask, 1e308, 3)
         res = invert_initial(data, table, TikhonovConfig(1e-6, 8))
         G = inverse._separable_design(table, mask, 8)
@@ -176,9 +180,8 @@ class TestInvertInitial:
         # gamma = noise^2: reconstruction error decreases with the noise
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
-        truth = project(y0.astype(complex), eig)
-        y = solve_forward(y0.astype(complex), None, table)
+        truth = (unit(eig, 0) + unit(eig, 1)) / math.sqrt(2.0)
+        y = solve_forward(truth, None, table)
         errs = []
         for level in (1e-2, 1e-3, 1e-4):
             data = observe(y, mask, level, 11)
@@ -192,8 +195,7 @@ class TestInvertInitial:
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
         G = inverse._separable_design(table, mask, 8)
-        y0 = (eig.phis[0] + eig.phis[1]) / math.sqrt(2.0)
-        y = solve_forward(y0.astype(complex), None, table)
+        y = solve_forward((unit(eig, 0) + unit(eig, 1)) / math.sqrt(2.0), None, table)
         data = observe(y, mask, 1e-3, 5)
         gamma = 1e-6
         res = invert_initial(data, table, TikhonovConfig(gamma, 8))
@@ -211,7 +213,7 @@ class TestInvertSource:
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.95), eig, tg)
         rho = np.ones(tg.n_t, dtype=complex)
-        y = solve_forward(np.zeros(grid.m), SourceSpec(rho, eig.phis[1]), table)
+        y = solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, 1)), table)
         res = invert_source(observe(y, mask, 0.0, 0), rho, table, TikhonovConfig(1e-12, 8))
         e2 = np.zeros(8, dtype=complex)
         e2[1] = 1.0
@@ -221,7 +223,7 @@ class TestInvertSource:
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.5), eig, tg)
         rho = np.ones(tg.n_t, dtype=complex)
-        zero = observe(solve_forward(np.zeros(grid.m), None, table), mask, 0.0, 0)
+        zero = observe(solve_forward(np.zeros(eig.n), None, table), mask, 0.0, 0)
         res = invert_source(zero, rho, table, TikhonovConfig(1e-10, 8))
         assert np.max(np.abs(res.modal)) <= 1e-14
 
@@ -230,19 +232,18 @@ class TestInvertSource:
         table = KernelTable(FractionalOrder(0.95), eig, tg)
         t = tg.times
         rho = (t * (1.0 - t)).astype(complex)
-        g = (0.8 * eig.phis[0] - 0.6 * eig.phis[2]).astype(complex)
-        y = solve_forward(np.zeros(grid.m), SourceSpec(rho, g), table)
+        g = 0.8 * unit(eig, 0) - 0.6 * unit(eig, 2)
+        y = solve_forward(np.zeros(eig.n), SourceSpec(rho, g), table)
         # the weighted source columns are O(1e-4), so gamma sits at the
         # squared-noise scale of the weighted data, not of the raw field
         res = invert_source(observe(y, mask, 1e-3, 3), rho, table, TikhonovConfig(1e-12, 8))
-        truth = project(g, eig)
-        rel = np.linalg.norm(res.modal - truth) / np.linalg.norm(truth)
+        rel = np.linalg.norm(res.modal - g) / np.linalg.norm(g)
         assert rel <= 1e-1
 
     def test_vanishing_rho_rejected(self, setup):
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.5), eig, tg)
-        zero = observe(solve_forward(np.zeros(grid.m), None, table), mask, 0.0, 0)
+        zero = observe(solve_forward(np.zeros(eig.n), None, table), mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
             invert_source(zero, np.zeros(tg.n_t), table, TikhonovConfig(1e-10, 8))
 
@@ -252,7 +253,7 @@ class TestSourceGuards:
         grid, eig, tg, mask = setup
         rho = np.ones(tg.n_t, dtype=complex)
         table = KernelTable(FractionalOrder(0.5), eig, tg)
-        data = observe(solve_forward(np.zeros(grid.m), None, table), mask, 0.0, 0)
+        data = observe(solve_forward(np.zeros(eig.n), None, table), mask, 0.0, 0)
         with pytest.raises(GridMismatchError):
             invert_source(data, rho, table, TikhonovConfig(1e-10, eig.n + 1))
 
@@ -262,8 +263,7 @@ class TestSourceGuards:
         coarse = Grid1D(1.0, 49)
         eig49 = analytic_eigensystem(1.0, 8, coarse)
         order = FractionalOrder(0.5)
-        y0 = eig49.phis[0].astype(complex)
-        data = observe(solve_forward(y0, None, KernelTable(order, eig49, tg)),
+        data = observe(solve_forward(unit(eig49, 0), None, KernelTable(order, eig49, tg)),
                        make_mask([(0.2, 0.4)], coarse), 0.0, 0)
         rho = np.ones(tg.n_t, dtype=complex)
         table = KernelTable(order, eig, tg)
@@ -272,7 +272,7 @@ class TestSourceGuards:
         with pytest.raises(GridMismatchError):
             invert_source(data, rho, table, TikhonovConfig(1e-10, 4))
         with pytest.raises(GridMismatchError):
-            invert_order(data, eig.phis[0].astype(complex), eig,
+            invert_order(data, unit(eig, 0), eig,
                          OrderSearchConfig(0.25, 0.85, 25, 1e-4))
 
     def test_table_on_another_time_grid(self, setup):
@@ -282,7 +282,7 @@ class TestSourceGuards:
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.5)
         rho = np.ones(tg.n_t, dtype=complex)
-        data = observe(solve_forward(np.zeros(grid.m), SourceSpec(rho, eig.phis[1]),
+        data = observe(solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, 1)),
                                      KernelTable(order, eig, tg)), mask, 0.0, 0)
         table = KernelTable(order, eig, TimeGrid(2.0 * tg.T, 2 * tg.n_t))
         with pytest.raises(GridMismatchError, match="kernel table built on"):
@@ -305,16 +305,15 @@ class TestSourceGuards:
         def observed(y0, src, table):
             return observe(solve_forward(y0, src, table), mask, 0.0, 0)
 
-        unit = np.eye(8, dtype=complex)
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        y0 = eig.phis[0].astype(complex)
+        y0 = unit(eig, 0)
         res = invert_initial(observed(y0, None, table), table, TikhonovConfig(1e-10, 8))
-        assert np.linalg.norm(res.modal - unit[0]) <= 1e-6
+        assert np.linalg.norm(res.modal - y0) <= 1e-6
         table = KernelTable(FractionalOrder(0.95), eig, tg)
         rho = np.ones(tg.n_t, dtype=complex)
-        data = observed(np.zeros(grid.m), SourceSpec(rho, eig.phis[1]), table)
+        data = observed(np.zeros(eig.n), SourceSpec(rho, unit(eig, 1)), table)
         res = invert_source(data, rho, table, TikhonovConfig(1e-12, 8))
-        assert np.linalg.norm(res.modal - unit[1]) <= 1e-5
+        assert np.linalg.norm(res.modal - unit(eig, 1)) <= 1e-5
         data = observed(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-4))
         assert abs(res.order - 0.5) <= 1e-3
@@ -346,7 +345,7 @@ class TestModalDesignsMatchForwardSolves:
         w = math.sqrt(eig.grid.h * tg.dt)
         ref = np.column_stack([
             w * mask.restrict(solve_forward(
-                np.zeros(eig.grid.m), SourceSpec(rho, eig.phis[n]),
+                np.zeros(eig.n), SourceSpec(rho, unit(eig, n)),
                 KernelTable(order, eig, tg)).values).ravel()
             for n in range(6)
         ])
@@ -355,7 +354,7 @@ class TestModalDesignsMatchForwardSolves:
 
     def test_order_misfit_is_exact(self, system):
         eig, order, tg, mask = system
-        y0 = (eig.phis[0] - 0.5j * eig.phis[2]).astype(complex)
+        y0 = unit(eig, 0) - 0.5j * unit(eig, 2)
         data = observe(solve_forward(y0, None, KernelTable(order, eig, tg)),
                        mask, 1e-3, 11)
         for alpha in (0.45, 0.8):
@@ -370,20 +369,20 @@ class TestModalDesignsMatchForwardSolves:
         # coefficient on every mode, makes one kernel_grid call per mode and
         # kind, the 2N calls that the benchmark's self-check
         # (perfbench/selfcheck.py) counts; an order misfit makes one call
-        # across all modes per trial order
+        # across the datum's nonzero modes per trial order
         eig, order, tg, mask = system
         calls = []
         exact = forward.kernel_grid
         monkeypatch.setattr(forward, "kernel_grid",
                             lambda *args: calls.append(np.shape(args[1])) or exact(*args))
-        y0 = (eig.phis[0] - 0.5j * eig.phis[2]).astype(complex)
-        src = SourceSpec(np.ones(tg.n_t), eig.phis.sum(axis=0).astype(complex))
-        solve_forward(y0, src, KernelTable(order, eig, tg))
+        src = SourceSpec(np.ones(tg.n_t), np.ones(eig.n))
+        solve_forward(np.linspace(1.0, 2.0, eig.n), src, KernelTable(order, eig, tg))
         assert calls == [()] * (2 * eig.n)
+        y0 = unit(eig, 0) - 0.5j * unit(eig, 2)
         data = observe(solve_forward(y0, None, KernelTable(order, eig, tg)), mask, 1e-3, 11)
         calls.clear()
         res = invert_order(data, y0, eig, OrderSearchConfig(0.3, 0.9, 5, 1e-2), order.phase)
-        assert calls == [(eig.n,)] * res.diagnostics["evaluations"]
+        assert calls == [(2,)] * res.diagnostics["evaluations"]
 
 
     @pytest.mark.parametrize("source", [False, True])
@@ -399,9 +398,9 @@ class TestModalDesignsMatchForwardSolves:
         rho = np.exp(2j * tg.times)
         table = KernelTable(order, eig, tg)
         if source:
-            y0, src = np.zeros(eig.grid.m), SourceSpec(rho, eig.phis.sum(axis=0))
+            y0, src = np.zeros(eig.n), SourceSpec(rho, np.ones(eig.n))
         else:
-            y0, src = eig.phis.sum(axis=0) * (1.0 - 0.5j), None
+            y0, src = np.full(eig.n, 1.0 - 0.5j), None
         data = observe(solve_forward(y0, src, table), mask, 1e-3, 5)
         assert calls == ["integral" if source else "state"] * eig.n
         calls.clear()
@@ -417,7 +416,7 @@ class TestModalDesignsMatchForwardSolves:
 class TestInvertOrder:
     def test_noiseless_truth_recovery(self, setup):
         grid, eig, tg, mask = setup
-        y0 = eig.phis[0].astype(complex)
+        y0 = unit(eig, 0)
         y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         data = observe(y, mask, 0.0, 0)
         res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-4))
@@ -426,14 +425,14 @@ class TestInvertOrder:
 
     def test_misfit_vanishes_at_truth(self, setup):
         grid, eig, tg, mask = setup
-        y0 = eig.phis[0].astype(complex)
+        y0 = unit(eig, 0)
         y = solve_forward(y0, None, KernelTable(FractionalOrder(0.4), eig, tg))
         data = observe(y, mask, 0.0, 0)
         assert order_misfit(data, y0, FractionalOrder(0.4), eig) <= 1e-22
 
     def test_discriminability(self, setup):
         grid, eig, tg, mask = setup
-        y0 = eig.phis[0].astype(complex)
+        y0 = unit(eig, 0)
         y = solve_forward(y0, None, KernelTable(FractionalOrder(0.4), eig, tg))
         data = observe(y, mask, 0.0, 0)
         m = order_misfit(data, y0, FractionalOrder(0.6), eig)
@@ -442,17 +441,17 @@ class TestInvertOrder:
 
     def test_zero_datum_rejected(self, setup):
         grid, eig, tg, mask = setup
-        y0 = eig.phis[0].astype(complex)
+        y0 = unit(eig, 0)
         y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         data = observe(y, mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
-            invert_order(data, np.zeros(grid.m), eig, OrderSearchConfig(0.3, 0.7))
+            invert_order(data, np.zeros(eig.n), eig, OrderSearchConfig(0.3, 0.7))
 
     def test_refine_tol_below_float_resolution_ends(self, setup, monkeypatch):
         # the bracket cannot shrink below one ulp; a tolerance under that
         # must end the search at the float resolution, not loop forever
         grid, eig, tg, mask = setup
-        y0 = eig.phis[0].astype(complex)
+        y0 = unit(eig, 0)
         y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         data = observe(y, mask, 0.0, 0)
         calls = []
@@ -471,7 +470,7 @@ class TestInvertOrder:
         """invert_order on noiseless data at ``alpha``, with the orders it
         passes to order_misfit, in call order."""
         grid, eig, tg, mask = setup
-        y0 = eig.phis[0].astype(complex)
+        y0 = unit(eig, 0)
         y = solve_forward(y0, None, KernelTable(FractionalOrder(alpha), eig, tg))
         data = observe(y, mask, 0.0, 0)
         calls = []
@@ -512,7 +511,7 @@ class TestInvertOrder:
 
     def test_flat_landscape_flagged(self, setup, monkeypatch):
         grid, eig, tg, mask = setup
-        y0 = eig.phis[0].astype(complex)
+        y0 = unit(eig, 0)
         y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
         data = observe(y, mask, 0.0, 0)
         import tfslab.inverse as inv

@@ -15,7 +15,7 @@ def field():
     grid = Grid1D(1.0, 9)
     eig = analytic_eigensystem(1.0, 3, grid)
     tg = TimeGrid(1.0, 12)
-    return solve_forward(eig.phis[0] + 0.5 * eig.phis[2], None,
+    return solve_forward(np.array([1.0, 0.0, 0.5]), None,
                          KernelTable(FractionalOrder(0.5), eig, tg))
 
 

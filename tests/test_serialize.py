@@ -41,7 +41,7 @@ def texts(chunks):
 
 def test_observed_json_shape(eig):
     tg = TimeGrid(1.0, 6)
-    y = solve_forward(eig.phis[0].astype(complex), None,
+    y = solve_forward(np.eye(eig.n)[0], None,
                       KernelTable(FractionalOrder(0.5), eig, tg))
     mask = make_mask([(0.2, 0.4)], eig.grid)
     data = observe(y, mask, 1e-3, 3)
@@ -180,7 +180,7 @@ class TestAtomicWrite:
 
 def test_field_json_flat_layout(eig):
     tg = TimeGrid(1.0, 3)
-    y = solve_forward(eig.phis[0].astype(complex), None,
+    y = solve_forward(np.eye(eig.n)[0], None,
                       KernelTable(FractionalOrder(0.5), eig, tg))
     doc = json.loads(texts(field_chunks(y))[1])
     assert len(doc["values_re_im"]) == 2 * 3 * eig.grid.m
