@@ -28,6 +28,7 @@ from .forward import (KernelTable, SourceSpec, TimeGrid, project, projection_tai
 from .inverse import (
     OrderSearchConfig,
     TikhonovConfig,
+    _norm,
     invert_initial,
     invert_order,
     invert_source,
@@ -432,9 +433,8 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
         checks["tail_energy"] = exp.tail_energy(eig)
 
     if problem == "forward":
-        with np.errstate(over="ignore", invalid="ignore"):  # checked with the others
-            checks["max_field_norm"] = math.sqrt(grid.h) * float(
-                np.linalg.norm(fieldv.values, axis=1).max())
+        checks["max_field_norm"] = math.sqrt(grid.h) * float(
+            _norm(fieldv.values, axis=1).max())
         if exp.mode is not None:
             # the mode's full response: its unit initial datum plus the part
             # of the source that drives it
@@ -466,9 +466,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             # the Tikhonov estimate against the recovered datum's first modes
             truth = (src.g if problem == "invert-source" else y0)[: inv.n_modes]
             checks["sigma_min"] = result.diagnostics["sigma_min"]
-            with np.errstate(over="ignore", invalid="ignore"):
-                checks["modal_rel_error"] = float(np.linalg.norm(result.modal - truth)
-                                                  / max(np.linalg.norm(truth), 1e-300))
+            checks["modal_rel_error"] = _norm(result.modal - truth) / max(_norm(truth), 1e-300)
             emit("mask.json", dumps_canonical(mask_to_json(exp.mask)))
             emit("estimate.csv", spatial_to_csv(grid.nodes, result.spatial))
 

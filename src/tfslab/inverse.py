@@ -26,7 +26,7 @@ from .errors import (
 )
 from .forward import KernelTable, eval_homogeneous, source_rows
 from .mlf import FractionalOrder, kernel_grid
-from .observe import ObservationMask, ObservedData
+from .observe import ObservedData
 from .spectral import EigenSystem
 
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section share of the larger side
@@ -96,30 +96,43 @@ class InversionResult:
 # Tikhonov machinery
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of ``v``.  Where finite entries square past double
-    range and the plain norm reads inf, the norm is taken of ``v`` scaled by
-    its largest entry, so every other vector keeps the plain norm's bits."""
+def _norm(v: np.ndarray, axis: int = None):
+    """Euclidean norm of ``v``, or with ``axis`` the norms of its slices
+    along it.  Where finite entries square past double range and a plain
+    norm reads inf, that norm is taken of its slice scaled by the slice's
+    largest entry, so every other norm keeps the plain norm's bits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        plain = float(np.linalg.norm(v))
-        if plain != math.inf or not np.isfinite(v).all():
-            return plain
-        top = float(np.max(np.abs(v)))
-        return top * float(np.linalg.norm(v / top))
+        plain = np.linalg.norm(v, axis=axis)
+        redo = np.isinf(plain)
+        if redo.any():
+            redo &= np.isfinite(v).all(axis=axis)
+            top = np.max(np.abs(v), axis=axis, keepdims=True)
+            scaled = np.squeeze(top, axis) * np.linalg.norm(v / top, axis=axis)
+            plain = np.where(redo, scaled, plain)
+    return float(plain) if axis is None else plain
 
 
-def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
-    """Minimize |G c - d|^2 + gamma |c|^2 from one thin SVD G = U S V*,
-    with Tikhonov filter factors: c = V diag(s / (s^2 + gamma)) U* d.
-    For gamma = 0 the design must be numerically full rank; a design with
-    fewer rows than columns has a null space, so its sigma_min is 0."""
-    if not (np.isfinite(G).all() and np.isfinite(d).all()):
+def _tikhonov_solve(rows: np.ndarray, phi: np.ndarray, D: np.ndarray, gamma: float):
+    """Minimize |G c - d|^2 + gamma |c|^2 for the Khatri-Rao design G whose
+    column n is rows[n] (x) phi[n], rows indexed by (time, node) in C order
+    like d = D.ravel(), without forming G.  Thin QRs rows^T = Q1 A and
+    phi^T = Q2 B (phi real) give G = (Q1 (x) Q2) K, column n of K being
+    A_n (x) B_n, at most N^2 x N.  Q1 (x) Q2 has orthonormal columns, so one
+    SVD K = U S V* is G's, U* d = U_K* vec(Q1* D Q2), and Tikhonov's filter
+    factors give c = V diag(s / (s^2 + gamma)) U* d.  The residual is taken
+    on the time-node grid, as the norm of rows^T diag(c) phi - D.  For
+    gamma = 0 the design must be numerically full rank; a design with fewer
+    rows than columns has a null space, so its sigma_min is 0.  Returns the
+    coefficients, the residual and G's sigma_min and sigma_max."""
+    n = rows.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        q1, a = np.linalg.qr(rows.T)
+        q2, b = np.linalg.qr(phi.T)
+        K = (a[:, None, :] * b[None, :, :]).reshape(-1, n)
+    if not (np.isfinite(K).all() and np.isfinite(D).all()):
         raise OperatorOverflowError("weighted design or data overflow double precision")
-    U, s, Vh = np.linalg.svd(G, full_matrices=False)
-    # LAPACK's column-major layout, so that the products below take the
-    # same BLAS paths and round the same way whichever wrapper returned it
-    U, Vh = np.asfortranarray(U), np.asfortranarray(Vh)
-    smin = 0.0 if G.shape[0] < G.shape[1] else float(s[-1])
+    U, s, Vh = np.linalg.svd(K, full_matrices=False)
+    smin = 0.0 if D.size < n else float(s[-1])
     smax = float(s[0])
     if gamma == 0.0 and smin <= 1e-8 * smax:
         raise RankDeficientError(
@@ -128,8 +141,9 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
         )
     # data near the float range can overflow the coefficients
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ d))
-        resid = _norm(G @ coeffs - d)
+        proj = (q1.conj().T @ D @ q2).ravel()
+        coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ proj))
+        resid = _norm((rows.T * coeffs) @ phi - D)
     if not (np.isfinite(coeffs).all() and math.isfinite(resid)):
         raise OperatorOverflowError(
             "Tikhonov coefficients or residual overflow double precision")
@@ -140,65 +154,51 @@ def _tikhonov_solve(G: np.ndarray, d: np.ndarray, gamma: float):
 def _tikhonov_result(data: ObservedData, table: KernelTable, cfg: TikhonovConfig,
                      rho: np.ndarray = None) -> InversionResult:
     """Tikhonov recovery of the modal coefficients behind ``data`` and their
-    synthesis, through the design on the data's mask and the table's time
-    grid, which must be the data's; the data are weighted by sqrt(h dt)
-    like the design."""
-    if data.tg != table.tg:
-        raise GridMismatchError(f"data observed on {data.tg}, kernel table built on {table.tg}")
-    G = _separable_design(table, data.mask, cfg.n_modes, rho)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked by _tikhonov_solve
-        d = math.sqrt(data.mask.grid.h * data.tg.dt) * data.values.ravel()
-    coeffs, resid, diag = _tikhonov_solve(G, d, cfg.gamma)
-    return InversionResult(
-        residual=resid,
-        reg_norm=_norm(coeffs),  # inf fails the CLI's checks
-        diagnostics=diag,
-        modal=coeffs,
-        spatial=coeffs @ table.eig.phis[: cfg.n_modes],
-    )
-
-
-def _separable_design(table: KernelTable, mask: ObservationMask, n_modes: int,
-                      rho: np.ndarray = None) -> np.ndarray:
-    """Observation operator on the truncated modal space of the table's
-    eigensystem: rows indexed by (t_i, masked node), columns by mode,
-    entries r_n(t_i) phi_n(x_j) sqrt(h dt) so that G*G approximates the
-    continuous normal operator.
-
-    Without ``rho``, r_n is mode n's response to the initial datum phi_n
-    (``KernelTable.state``); with it, r_n is the response to the source
-    rho(t) phi_n(x) (``source_rows``), as in the forward solver.  Rows the
-    table already holds, such as those of the solve behind the data, are
-    read, not evaluated again."""
-    eig, tg = table.eig, table.tg
+    synthesis.  The observation operator maps c to sum_n c_n r_n(t_i)
+    phi_n(x_j) on the data's times and masked nodes, weighted by sqrt(h dt)
+    like the data, and reaches ``_tikhonov_solve`` as its two factors.  r_n
+    is mode n's response to the initial datum phi_n (``KernelTable.state``)
+    or, with ``rho``, to the source rho(t) phi_n(x) (``source_rows``); rows
+    the table holds are read, not evaluated again."""
+    eig, tg, n_modes = table.eig, table.tg, cfg.n_modes
+    if data.tg != tg:
+        raise GridMismatchError(f"data observed on {data.tg}, kernel table built on {tg}")
     if n_modes > eig.n:
         raise GridMismatchError(f"{n_modes} modes requested, eigensystem has {eig.n}")
-    if mask.grid != eig.grid:
+    if data.mask.grid != eig.grid:
         raise GridMismatchError("mask and eigensystem live on different grids")
     modes = np.arange(n_modes)
     if rho is None:
         rows = table.state(modes)
     else:
         rows = source_rows(table, modes, np.broadcast_to(rho, (n_modes, tg.n_t)))
-    phi_masked = eig.phis[:n_modes, mask.indices]
-    # (time, node) rows in C order, like the ravelled observations
     w = math.sqrt(eig.grid.h * tg.dt)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _tikhonov_solve
-        return w * (rows.T[:, None, :] * phi_masked.T).reshape(-1, n_modes)
+        rows, D = w * rows, w * data.values
+    coeffs, resid, diag = _tikhonov_solve(rows, eig.phis[:n_modes, data.mask.indices],
+                                          D, cfg.gamma)
+    return InversionResult(
+        residual=resid,
+        reg_norm=_norm(coeffs),  # inf fails the CLI's checks
+        diagnostics=diag,
+        modal=coeffs,
+        spatial=coeffs @ eig.phis[:n_modes],
+    )
 
 
 def invert_initial(data: ObservedData, table: KernelTable,
                    cfg: TikhonovConfig) -> InversionResult:
-    """Tikhonov recovery of the initial datum from masked observations,
-    with the kernel rows of ``table``, a table on the data's time grid."""
+    """Tikhonov recovery of the initial datum's first ``cfg.n_modes`` modal
+    coefficients from masked observations, with the state rows of
+    ``table``, a table on the data's time grid (see ``_tikhonov_solve``)."""
     return _tikhonov_result(data, table, cfg)
 
 
 def invert_source(data: ObservedData, rho: np.ndarray, table: KernelTable,
                   cfg: TikhonovConfig) -> InversionResult:
-    """Tikhonov recovery of the spatial factor g of a separable source
-    rho(t) g(x), with the kernel rows of ``table``, a table on the data's
-    time grid; the temporal factor must not vanish identically."""
+    """``invert_initial`` for the spatial factor g of a separable source
+    rho(t) g(x), whose modes respond through the integral steps of
+    ``table``; the temporal factor must not vanish identically."""
     rho = np.asarray(rho, dtype=np.complex128)
     if float(np.max(np.abs(rho))) == 0.0:
         raise SourceHypothesisError(

@@ -760,36 +760,60 @@ def test_mutated_config_runs_or_names_its_fault(case):
 
 
 # node samples of 1e200, whose energy overflows; a mode or mix datum has no
-# energy outside its modes, so its tail energy is exactly 0 and the same
-# size fails a later check (the field norm, or the recovery error)
+# energy outside its modes, so its tail energy is exactly 0
 HUGE_SAMPLES = {"kind": "samples", "re": [1e200] * TINY["grid"]["m"]}
 HUGE_MIX = {"kind": "mix", "coeffs_re": [1e200, 1e200]}
+
+
+def run_recording_warnings(tmp_path, problem, cfg):
+    """``cli.main`` on ``cfg``, writing to ``tmp_path/out``; returns the exit
+    code and the numpy RuntimeWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main([problem, "--config", write_config(tmp_path, cfg),
+                       "--output", str(tmp_path / "out")])
+    return rc, [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("problem,leaves,check", [
     ("invert-initial", {"truth.initial": HUGE_SAMPLES}, "tail_energy"),
     ("invert-initial", {"noise.level": 1e308}, "Tikhonov coefficients"),
     ("forward", {"initial": HUGE_SAMPLES}, "tail_energy"),
-    ("forward", {"source.rho.value": 1e300}, "max_field_norm"),
+    ("invert-source", {"noise.level": 1e308}, "Tikhonov coefficients"),
     ("invert-initial", {"noise.level": 1e308, "truth.initial.coeffs_re": [10.0, 10.0]},
      "weighted design or data overflow"),
-    ("invert-initial", {"truth.initial": HUGE_MIX}, "modal_rel_error"),
-    ("forward", {"initial": HUGE_MIX}, "max_field_norm"),
 ])
 def test_overflowing_check_exits_3(tmp_path, capsys, problem, leaves, check):
     # a check that is not a finite number fails the run, with no numpy
     # warning on stderr first; no report.json carries NaN or a false 0
     _, cfg = with_leaves(problem, leaves)
-    out = tmp_path / "out"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rc = cli.main([problem, "--config", write_config(tmp_path, cfg),
-                       "--output", str(out)])
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rc, caught = run_recording_warnings(tmp_path, problem, cfg)
+    assert not caught
     assert rc == 3
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["kind"] == "numerical" and err["message"].startswith(check)
-    assert not (out / "report.json").exists()
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("problem,leaves,check,lo,hi", [
+    ("forward", {"source.rho.value": 1e300}, "max_field_norm", 1e297, 1e299),
+    ("forward", {"initial": HUGE_MIX}, "max_field_norm", 1e198, 1e200),
+    ("invert-initial", {"truth.initial": HUGE_MIX}, "modal_rel_error", 0.0, 0.1),
+])
+def test_checks_past_the_squares_range(tmp_path, problem, leaves, check, lo, hi):
+    # a field or an estimate whose entries are finite but whose squares
+    # overflow has a finite norm: the checks take it scaled, the run exits 0
+    # with no numpy warning, and the estimate keeps its size (about 1e200)
+    _, cfg = with_leaves(problem, leaves)
+    rc, caught = run_recording_warnings(tmp_path, problem, cfg)
+    assert not caught
+    assert rc == 0
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())["checks"]
+    assert all(math.isfinite(value) for value in checks.values())
+    assert lo <= checks[check] <= hi
+    if problem == "invert-initial":
+        estimate = json.loads((tmp_path / "out" / "estimate.json").read_text())
+        assert 1e199 <= estimate["reg_norm"] <= 1e201
 
 
 class TestMlEval:

@@ -16,7 +16,7 @@ from tfslab.errors import (
     SourceHypothesisError,
 )
 from tfslab import forward, inverse
-from tfslab.forward import KernelTable, SourceSpec, TimeGrid, solve_forward
+from tfslab.forward import KernelTable, SourceSpec, TimeGrid, solve_forward, source_rows
 from tfslab.inverse import (
     OrderSearchConfig,
     TikhonovConfig,
@@ -46,6 +46,34 @@ def unit(eig, n):
     return np.eye(eig.n, dtype=complex)[n]
 
 
+def explicit_design(table, mask, n_modes, rho=None):
+    """The reference observation operator as a dense (n_t |E|) x N matrix,
+    the form the factored Tikhonov solve never builds: column n is
+    w r_n (x) phi_n|_E with w = sqrt(h dt), rows indexed by (time, masked
+    node) in C order like the ravelled observations.  r_n is mode n's state
+    row, or with ``rho`` its response to the source rho(t) phi_n(x)."""
+    eig, tg = table.eig, table.tg
+    modes = np.arange(n_modes)
+    if rho is None:
+        rows = table.state(modes)
+    else:
+        rows = source_rows(table, modes, np.broadcast_to(rho, (n_modes, tg.n_t)))
+    w = math.sqrt(eig.grid.h * tg.dt)
+    return w * (rows.T[:, None, :] * eig.phis[:n_modes, mask.indices].T).reshape(-1, n_modes)
+
+
+def explicit_solve(G, d, gamma):
+    """The reference Tikhonov solve: one thin SVD G = U S V* of the explicit
+    design and c = V diag(s / (s^2 + gamma)) U* d, with the rank test of the
+    factored solve.  Returns (coefficients, residual, sigma_min, sigma_max)."""
+    U, s, Vh = np.linalg.svd(G, full_matrices=False)
+    smin = 0.0 if G.shape[0] < G.shape[1] else float(s[-1])
+    if gamma == 0.0 and smin <= 1e-8 * s[0]:
+        raise RankDeficientError("explicit design is rank deficient")
+    coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ d))
+    return coeffs, float(np.linalg.norm(G @ coeffs - d)), smin, float(s[0])
+
+
 @pytest.fixture(scope="module")
 def small_eig():
     return analytic_eigensystem(1.0, 3, Grid1D(1.0, 19))
@@ -71,13 +99,13 @@ class TestDesignMatrix:
                            EigenGroup(2.0, 2, 3)))
         tg = TimeGrid(1.0, 5)
         mask = make_mask([(0.0, 1.0)], grid)
-        G = inverse._separable_design(KernelTable(FractionalOrder(0.5), eig, tg), mask, 3)
+        G = explicit_design(KernelTable(FractionalOrder(0.5), eig, tg), mask, 3)
         col = G[:, 0].reshape(5, 3)
         assert np.max(np.abs(col - col[0])) <= 1e-6 * np.max(np.abs(col))
 
     def test_weighting(self, setup):
         grid, eig, tg, mask = setup
-        G = inverse._separable_design(KernelTable(FractionalOrder(0.5), eig, tg), mask, 4)
+        G = explicit_design(KernelTable(FractionalOrder(0.5), eig, tg), mask, 4)
         # first column at the first time: E * phi * sqrt(h dt)
         k = kernel_grid(FractionalOrder(0.5), float(eig.lambdas[0]),
                         tg.times[:1], "state")[0]
@@ -85,12 +113,16 @@ class TestDesignMatrix:
         np.testing.assert_allclose(G[: mask.n_nodes, 0], expect, rtol=1e-12)
 
     def test_sigma_min_positive_and_monotone_under_mask_shrink(self, setup):
+        # the inversion's own sigma_min, checked against the explicit
+        # design's by TestFactoredSolve
         grid, eig, tg, _ = setup
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
+        zero = solve_forward(np.zeros(eig.n), None, table)
         sigmas = []
         for iv in ((0.2, 0.8), (0.2, 0.5), (0.2, 0.4)):
-            mask = make_mask([iv], grid)
-            G = inverse._separable_design(KernelTable(FractionalOrder(0.9), eig, tg), mask, 8)
-            sigmas.append(scipy.linalg.svdvals(G)[-1])
+            data = observe(zero, make_mask([iv], grid), 0.0, 0)
+            res = invert_initial(data, table, TikhonovConfig(1e-10, 8))
+            sigmas.append(res.diagnostics["sigma_min"])
         assert sigmas[0] > 0.0
         assert sigmas[0] >= sigmas[1] >= sigmas[2] > 0.0
 
@@ -136,12 +168,19 @@ class TestInvertInitial:
         y = solve_forward(unit(eig, 0), None, table)
         with pytest.raises(RankDeficientError):
             invert_initial(observe(y, mask, 0.0, 0), table, TikhonovConfig(0.0, 8))
-        # a tall design with a duplicated column
-        grid, eig, tg, mask = setup
-        G = inverse._separable_design(KernelTable(order, eig, tg), mask, 8)
-        G = np.column_stack([G, G[:, -1]])
+        # a tall design with a duplicated column: two orthonormal
+        # eigenvectors of one eigenvalue that agree on E, here Hadamard rows
+        # on 4 nodes observed at the first 2, respond identically there
+        grid = Grid1D(1.0, 4)
+        had = np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])
+        eig = EigenSystem(grid, np.array([1.0, 1.0, 2.0, 3.0]), had / (2.0 * math.sqrt(grid.h)),
+                          (EigenGroup(1.0, 0, 2), EigenGroup(2.0, 2, 3), EigenGroup(3.0, 3, 4)))
+        mask = make_mask([(0.1, 0.5)], grid)
+        assert mask.indices.tolist() == [0, 1]
+        table = KernelTable(order, eig, TimeGrid(1.0, 20))
+        y = solve_forward(unit(eig, 0), None, table)
         with pytest.raises(RankDeficientError):
-            inverse._tikhonov_solve(G, G[:, 0], 0.0)
+            invert_initial(observe(y, mask, 0.0, 0), table, TikhonovConfig(0.0, 4))
 
     @pytest.mark.parametrize("scale,gamma", [
         (1e-1, 1e-12),  # NaN coefficients
@@ -167,7 +206,7 @@ class TestInvertInitial:
         y = solve_forward(1e-3 * unit(eig, 0), None, table)
         data = observe(y, mask, 1e308, 3)
         res = invert_initial(data, table, TikhonovConfig(1e-6, 8))
-        G = inverse._separable_design(table, mask, 8)
+        G = explicit_design(table, mask, 8)
         d = math.sqrt(grid.h * tg.dt) * data.values.ravel()
         r = G @ res.modal - d
         for got, v in ((res.residual, r), (res.reg_norm, res.modal)):
@@ -175,6 +214,12 @@ class TestInvertInitial:
             assert got == pytest.approx(math.hypot(*v.real, *v.imag), rel=1e-12)
         # an ordinary vector keeps the plain norm's bits
         assert inverse._norm(r * 1e-300) == float(np.linalg.norm(r * 1e-300))
+        # row-wise, the overflowing row is scaled and the ordinary one keeps
+        # the plain row norm's bits
+        rows = np.stack([r, r * 1e-300])
+        got = inverse._norm(rows, axis=1)
+        assert got[0] == pytest.approx(res.residual, rel=1e-12)
+        assert got[1] == np.linalg.norm(rows[1:], axis=1)[0]
 
     def test_tikhonov_noise_ladder(self, setup):
         # gamma = noise^2: reconstruction error decreases with the noise
@@ -194,7 +239,7 @@ class TestInvertInitial:
         # problem on [G; sqrt(gamma) I] c = [d; 0]
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        G = inverse._separable_design(table, mask, 8)
+        G = explicit_design(table, mask, 8)
         y = solve_forward((unit(eig, 0) + unit(eig, 1)) / math.sqrt(2.0), None, table)
         data = observe(y, mask, 1e-3, 5)
         gamma = 1e-6
@@ -246,6 +291,89 @@ class TestInvertSource:
         zero = observe(solve_forward(np.zeros(eig.n), None, table), mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
             invert_source(zero, np.zeros(tg.n_t), table, TikhonovConfig(1e-10, 8))
+
+
+# tracemalloc's peak in a factored source inversion over the nbytes of the
+# explicit design it replaces, at test_never_forms_the_design's shape: 0.245
+# measured with numpy 2.4, most of it the source rows' FFT convolution.  The
+# explicit design alone is 1, and the solve that formed it peaked at 3.1.
+PEAK_SHARE = 0.35
+
+
+class TestFactoredSolve:
+    """The factored Tikhonov solve against the explicit design's SVD.  At
+    gamma = 0 two stable least-squares solves of noisy data differ by up
+    to cond(G)^2 eps relative, so the shapes take order 0.9 and 6 unknowns,
+    where cond(G) stays below 1e4."""
+
+    GRID = Grid1D(1.0, 99)
+    EIG = analytic_eigensystem(1.0, 8, GRID)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1e-6])
+    @pytest.mark.parametrize("n_t,interval,source", [
+        (3, (0.2, 0.4), False),  # n_t < N
+        (50, (0.2, 0.24), False),  # |E| = 5 < N
+        (50, (0.3, 0.305), False),  # |E| = 1
+        (50, (0.2, 0.4), True),  # complex rho
+        (2, (0.3, 0.305), False),  # n_t |E| < N: a null space
+    ], ids=["short-time", "narrow-mask", "one-node", "complex-rho", "wide"])
+    def test_matches_explicit_solve(self, n_t, interval, source, gamma):
+        eig, tg = self.EIG, TimeGrid(1.0, n_t)
+        mask = make_mask([interval], self.GRID)
+        table = KernelTable(FractionalOrder(0.9), eig, tg)
+        truth = unit(eig, 0) - 0.5j * unit(eig, 2)
+        if source:
+            t = tg.times
+            rho = np.cos(3.0 * t) + 1j * t
+            y = solve_forward(np.zeros(eig.n), SourceSpec(rho, truth), table)
+        else:
+            rho = None
+            y = solve_forward(truth, None, table)
+        data = observe(y, mask, 1e-3, 7)
+        cfg = TikhonovConfig(gamma, 6)
+        d = math.sqrt(self.GRID.h * tg.dt) * data.values.ravel()
+        G = explicit_design(table, mask, 6, rho)
+
+        def solve():
+            if rho is None:
+                return invert_initial(data, table, cfg)
+            return invert_source(data, rho, table, cfg)
+
+        try:
+            coeffs, resid, smin, smax = explicit_solve(G, d, gamma)
+        except RankDeficientError:
+            with pytest.raises(RankDeficientError):
+                solve()
+            return
+        res = solve()
+        assert np.linalg.norm(res.modal - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
+        assert res.residual == pytest.approx(resid, rel=1e-12)
+        assert abs(res.diagnostics["sigma_min"] - smin) <= 1e-12 * smax
+        assert abs(res.diagnostics["sigma_max"] - smax) <= 1e-12 * smax
+
+    def test_never_forms_the_design(self):
+        # 1,000 times at the 41 nodes of [0.2, 0.4] for 16 unknowns: the
+        # explicit design would be 41,000 x 16 complex, 10.5 MB; the factors,
+        # the data and the residual are each n_t x N or n_t x |E|
+        import tracemalloc
+
+        grid = Grid1D(1.0, 199)
+        eig = analytic_eigensystem(1.0, 16, grid)
+        tg = TimeGrid(1.0, 1000)
+        mask = make_mask([(0.2, 0.4)], grid)
+        table = KernelTable(FractionalOrder(0.6), eig, tg)
+        rho = np.ones(tg.n_t, dtype=complex)
+        data = observe(solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, 0)), table),
+                       mask, 1e-3, 5)
+        design_bytes = tg.n_t * mask.n_nodes * 16 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            res = invert_source(data, rho, table, TikhonovConfig(1e-6, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.diagnostics["sigma_min"] > 0.0
+        assert peak <= PEAK_SHARE * design_bytes, (peak, design_bytes)
 
 
 class TestSourceGuards:
@@ -320,8 +448,9 @@ class TestSourceGuards:
 
 
 class TestModalDesignsMatchForwardSolves:
-    """The closed-form designs against columns and misfits assembled from
-    full forward solves, the reference they replace."""
+    """The explicit source design (the factored solve's oracle) and the
+    order misfit against columns and misfits assembled from full forward
+    solves."""
 
     @pytest.fixture(scope="class", params=["analytic", "finite-difference"])
     def system(self, request):
@@ -337,8 +466,6 @@ class TestModalDesignsMatchForwardSolves:
         return eig, order, TimeGrid(1.0, 60), make_mask([(0.1, 0.35)], eig.grid)
 
     def test_source_design(self, system):
-        import tfslab.inverse as inv
-
         eig, order, tg, mask = system
         t = tg.times
         rho = (np.cos(3.0 * t) + 1j * t).astype(complex)
@@ -349,7 +476,7 @@ class TestModalDesignsMatchForwardSolves:
                 KernelTable(order, eig, tg)).values).ravel()
             for n in range(6)
         ])
-        got = inv._separable_design(KernelTable(order, eig, tg), mask, 6, rho)
+        got = explicit_design(KernelTable(order, eig, tg), mask, 6, rho)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_order_misfit_is_exact(self, system):
