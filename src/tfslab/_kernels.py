@@ -40,7 +40,8 @@ def causal_conv(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     # the transform length scipy.signal.fftconvolve picks for a full
     # convolution, so results match it bit for bit
     length = _fast_length(2 * n - 1)
-    k = np.fft.fft(kernel[:n], length, axis=0)
-    if signal.ndim > k.ndim:
-        k = k[:, None]
-    return np.fft.ifft(np.fft.fft(signal, length, axis=0) * k, axis=0)[:n]
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers check finiteness
+        k = np.fft.fft(kernel[:n], length, axis=0)
+        if signal.ndim > k.ndim:
+            k = k[:, None]
+        return np.fft.ifft(np.fft.fft(signal, length, axis=0) * k, axis=0)[:n]

@@ -140,9 +140,10 @@ def _tikhonov_solve(rows: np.ndarray, phi: np.ndarray, D: np.ndarray, gamma: flo
             f"{smin / max(smax, 1e-300):.3e}); use gamma > 0"
         )
     # data near the float range can overflow the coefficients
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         proj = (q1.conj().T @ D @ q2).ravel()
-        coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ proj))
+        filt = np.where(np.isinf(s * s), 1.0 / (s + gamma / s), s / (s * s + gamma))
+        coeffs = Vh.conj().T @ (filt * (U.conj().T @ proj))
         resid = _norm((rows.T * coeffs) @ phi - D)
     if not (np.isfinite(coeffs).all() and math.isfinite(resid)):
         raise OperatorOverflowError(

@@ -4,16 +4,16 @@ Floats are rendered with Python's shortest-roundtrip repr (max 17
 significant digits); JSON keys are sorted.  Identical inputs therefore
 produce byte-identical artifacts.
 
-The complex arrays of the field and the observed data are rendered one
-time row at a time, each float's repr once (``repr`` of the row's list, in
-C), and the CSV and the JSON artifact are both built from that row
-string: the JSON is the small document through ``json.dumps`` with the
-array spliced in.  ``dumps_canonical`` splices a document's top-level
-float arrays in the same way.  An artifact pair comes as a ``RowChunks``:
-a ``(csv, json)`` head, the chunk tuples of any row range, one per row, and
-a tail.  ``atomic_write_texts`` writes each tuple to both files before it
-draws the next: one rendered row per artifact pair and process is held,
-never a full artifact text.
+The complex arrays of the field and the observed data are rendered a
+block of whole time rows at a time (``BLOCK_FLOATS``), each float's repr
+once (``repr`` of the block's list, in C), and the CSV and the JSON
+artifact are both built from its strings: the JSON is the small document
+through ``json.dumps`` with the array spliced in, as ``dumps_canonical``
+splices a document's top-level float arrays.  An artifact pair comes as a
+``RowChunks``: a ``(csv, json)`` head, the chunk tuples of any row range,
+one per block, and a tail.  ``atomic_write_texts`` writes each tuple to
+both files before it draws the next: one rendered block per artifact pair
+and process is held, never a full artifact text.
 
 Rendering costs about 1 µs a float, and rows render independently.  A
 pair of at least ``2 * PART_FLOATS`` floats has its row range split into
@@ -40,6 +40,10 @@ import numpy as np
 # in-process.
 PART_FLOATS = 65_536
 
+# The floats of whole rows (at least one) rendered as one block, so narrow
+# rows share one repr, split and join; README gives the measured trade-off.
+BLOCK_FLOATS = 256
+
 
 def _json_default(obj):
     """``json.dumps`` hook for the one value type the stdlib encoder does
@@ -57,12 +61,13 @@ _SEP = ",\n    "
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_items(row: str) -> str:
-    """A rendered row, ``"x_0, x_1, ..."``, as the items of a top-level JSON
+def _json_items(parts) -> str:
+    """Rendered floats, ``repr``'s strings, as the items of a top-level JSON
     array, in json's spelling and at indent 4."""
-    if "n" in row:  # a finite repr holds only digits, ".", "-", "+" and "e"
-        row = ", ".join([_JSON_SPELLING.get(part, part) for part in row.split(", ")])
-    return row.replace(", ", _SEP)
+    items = _SEP.join(parts)
+    if "n" not in items:  # a finite repr holds only digits, ".", "-", "+" and "e"
+        return items
+    return _SEP.join([_JSON_SPELLING.get(part, part) for part in parts])
 
 
 def dumps_canonical(obj) -> str:
@@ -80,7 +85,8 @@ def dumps_canonical(obj) -> str:
     for key, values in arrays.items():
         # a top-level item's key at indent 2 is unique in the document
         item = f"\n  {json.dumps(key)}: "
-        array = f"[\n    {_json_items(repr(values.tolist())[1:-1])}\n  ]" if values.size else "[]"
+        items = _json_items(repr(values.tolist())[1:-1].split(", "))
+        array = f"[\n    {items}\n  ]" if values.size else "[]"
         text = text.replace(item + json.dumps(_SPLICE), item + array)
     return text
 
@@ -98,20 +104,6 @@ def _temp(path, suffix):
     its descriptor and name."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     return tempfile.mkstemp(dir=directory, prefix=".tfslab-", suffix=suffix)
-
-
-class RowChunks:
-    """The chunk tuples of an artifact pair: ``head``, one tuple per row,
-    ``rows(start, stop)`` giving those of rows ``start`` to ``stop - 1``,
-    and ``tail``.  ``atomic_write_texts`` writes them in that order and may
-    render disjoint row slices in separate processes."""
-
-    def __init__(self, head, rows, n_rows, floats, tail):
-        self.head = head
-        self.rows = rows
-        self.n_rows = n_rows
-        self.floats = floats
-        self.tail = tail
 
 
 def _slice_bounds(chunks):
@@ -230,49 +222,52 @@ def write_json(path: str, obj) -> None:
 
 
 def _re_im(values) -> np.ndarray:
-    """Real and imaginary parts interleaved, [re_0, im_0, re_1, im_1, ...],
-    in row-major order of ``values``."""
-    flat = np.ravel(values)
-    return np.column_stack([flat.real, flat.imag]).ravel()
+    """Real and imaginary parts interleaved along the last axis, [re_0, im_0,
+    re_1, im_1, ...]: a float64 view, copied unless contiguous complex128."""
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.float64)
 
 
-def _render(row) -> str:
-    """A 1-D array as one string of its interleaved parts, ``"re_0, im_0,
-    re_1, im_1, ..."``; ``repr`` of the list renders every float once, with
-    the digits ``f"{x!r}"`` and ``json`` give."""
-    return repr(_re_im(row).tolist())[1:-1]
+def _render_block(prefixes, xs, floats) -> tuple[str, list]:
+    """The CSV lines ``{prefix}x,re,im`` of the interleaved parts ``floats``,
+    one row per prefix at the nodes ``xs`` (``"x,"`` each), and the floats'
+    strings, from one ``repr`` of their list; the slots raise ``ValueError``
+    where the nodes and the floats disagree."""
+    parts = repr(floats.ravel().tolist())[1:-1].split(", ")
+    cells = [None, None, None, ",", None, "\n"] * (len(parts) // 2)
+    cells[0::6] = [prefix for prefix in prefixes for _ in xs]
+    cells[1::6] = xs * len(prefixes)
+    cells[2::6] = parts[0::2]
+    cells[4::6] = parts[1::2]
+    return "".join(cells), parts
 
 
-def _csv_lines(prefix: str, xs, row: str) -> str:
-    """The CSV lines ``{prefix}x,re,im`` of one rendered row at the node
-    reprs ``xs``."""
-    parts = iter(row.split(", "))
-    return "".join([f"{prefix}{x},{re},{im}\n"
-                    for x, re, im in zip(xs, parts, parts, strict=True)])
-
-
-def _chunks(header, nodes, times, values, meta) -> RowChunks:
+class RowChunks:
     """The CSV (``header``, then lines ``t,x,re,im``, time-major) and the JSON
     (``dumps_canonical({**meta, "values_re_im": <the floats of values>})``)
-    of a time-major complex array, as a ``RowChunks``: the header and the
-    JSON head, one tuple per row rendered once, and the JSON tail.  The
-    JSON's small document goes through ``json.dumps`` with a placeholder
-    for the array; the key is top-level, so its items sit at indent 4."""
-    xs = [repr(x) for x in np.asarray(nodes, dtype=float).tolist()]
-    head, _, tail = dumps_canonical({**meta, "values_re_im": _SPLICE}).partition(
-        json.dumps(_SPLICE))
-    times = np.asarray(times, dtype=float).tolist()
-    if len(times) != len(values):
-        raise ValueError(f"{len(times)} times for {len(values)} rows")
+    of a time-major complex array as chunk tuples, in the order they are
+    written: ``head``; ``rows(start, stop)``, one per block of the rows
+    ``start`` to ``stop - 1``, row slices possibly in separate processes;
+    ``tail``.  The JSON's small document goes through ``json.dumps``, and the
+    array, a top-level key's, is spliced in at indent 4."""
 
-    def rows(start, stop):
-        for i in range(start, stop):
-            row = _render(values[i])
-            yield (_csv_lines(f"{times[i]!r},", xs, row),
-                   (_SEP if i else "") + _json_items(row))
+    def __init__(self, header, nodes, times, values, meta):
+        self.times = np.asarray(times, dtype=float)
+        if len(self.times) != len(values):
+            raise ValueError(f"{len(self.times)} times for {len(values)} rows")
+        self.xs = [f"{x!r}," for x in np.asarray(nodes, dtype=float).tolist()]
+        self.re_im = _re_im(values)
+        self.n_rows, self.floats = len(values), self.re_im.size
+        head, _, tail = dumps_canonical({**meta, "values_re_im": _SPLICE}).partition(
+            json.dumps(_SPLICE))
+        self.head, self.tail = (header + "\n", head + "[\n    "), ("", "\n  ]" + tail)
 
-    return RowChunks((header + "\n", head + "[\n    "), rows, len(values),
-                     2 * np.size(values), ("", "\n  ]" + tail))
+    def rows(self, start, stop):
+        step = max(1, BLOCK_FLOATS // self.re_im.shape[1])
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            csv, parts = _render_block([f"{t!r}," for t in self.times[lo:hi].tolist()],
+                                       self.xs, self.re_im[lo:hi])
+            yield csv, (_SEP if lo else "") + _json_items(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +281,7 @@ def field_chunks(field):
         "time": {"T": field.tg.T, "n_t": field.tg.n_t},
         "grid": {"L": field.grid.L, "m": field.grid.m},
     }
-    return _chunks("t,x,re_y,im_y", field.grid.nodes, field.tg.times, field.values, meta)
+    return RowChunks("t,x,re_y,im_y", field.grid.nodes, field.tg.times, field.values, meta)
 
 
 def observed_chunks(data):
@@ -299,7 +294,7 @@ def observed_chunks(data):
         "noise_level": data.noise_level,
         "seed": data.seed,
     }
-    return _chunks("t,x,re,im", data.mask.grid.nodes[data.mask.indices], data.tg.times,
+    return RowChunks("t,x,re,im", data.mask.grid.nodes[data.mask.indices], data.tg.times,
                    data.values, meta)
 
 
@@ -341,5 +336,5 @@ def result_to_json(result) -> dict:
 
 
 def spatial_to_csv(nodes, values) -> str:
-    xs = [repr(x) for x in np.asarray(nodes, dtype=float).tolist()]
-    return "x,re,im\n" + _csv_lines("", xs, _render(values))
+    xs = [f"{x!r}," for x in np.asarray(nodes, dtype=float).tolist()]
+    return "x,re,im\n" + _render_block([""], xs, _re_im(values))[0]

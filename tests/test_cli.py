@@ -782,6 +782,7 @@ def run_recording_warnings(tmp_path, problem, cfg):
     ("invert-source", {"noise.level": 1e308}, "Tikhonov coefficients"),
     ("invert-initial", {"noise.level": 1e308, "truth.initial.coeffs_re": [10.0, 10.0]},
      "weighted design or data overflow"),
+    ("forward", {"source.rho.value": 1.7e308}, "field contains non-finite samples"),
 ])
 def test_overflowing_check_exits_3(tmp_path, capsys, problem, leaves, check):
     # a check that is not a finite number fails the run, with no numpy

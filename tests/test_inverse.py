@@ -64,14 +64,18 @@ def explicit_design(table, mask, n_modes, rho=None):
 
 def explicit_solve(G, d, gamma):
     """The reference Tikhonov solve: one thin SVD G = U S V* of the explicit
-    design and c = V diag(s / (s^2 + gamma)) U* d, with the rank test of the
+    design and c = V diag(s / (s^2 + gamma)) U* d, the filter taken as
+    1 / (s + gamma / s) where s^2 overflows, with the rank test of the
     factored solve.  Returns (coefficients, residual, sigma_min, sigma_max)."""
     U, s, Vh = np.linalg.svd(G, full_matrices=False)
     smin = 0.0 if G.shape[0] < G.shape[1] else float(s[-1])
     if gamma == 0.0 and smin <= 1e-8 * s[0]:
         raise RankDeficientError("explicit design is rank deficient")
-    coeffs = Vh.conj().T @ (s / (s * s + gamma) * (U.conj().T @ d))
-    return coeffs, float(np.linalg.norm(G @ coeffs - d)), smin, float(s[0])
+    with np.errstate(over="ignore", divide="ignore"):
+        filt = np.where(np.isinf(s * s), 1.0 / (s + gamma / s), s / (s * s + gamma))
+    coeffs = Vh.conj().T @ (filt * (U.conj().T @ d))
+    # the norm scaled where its square overflows, as the factored solve's
+    return coeffs, inverse._norm(G @ coeffs - d), smin, float(s[0])
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +354,25 @@ class TestFactoredSolve:
         assert res.residual == pytest.approx(resid, rel=1e-12)
         assert abs(res.diagnostics["sigma_min"] - smin) <= 1e-12 * smax
         assert abs(res.diagnostics["sigma_max"] - smax) <= 1e-12 * smax
+
+    def test_design_past_the_squares_range(self):
+        # the tiny CLI source inversion with rho = 1e300: sigma ~ 3e297, whose
+        # square overflows; the filter 1 / (s + gamma / s) keeps the estimate,
+        # which was an all-zero one while the filter read s / (s^2 + gamma)
+        grid = Grid1D(1.0, 15)
+        eig, tg = analytic_eigensystem(1.0, 3, grid), TimeGrid(1.0, 8)
+        mask = make_mask([(0.2, 0.4)], grid)
+        table = KernelTable(FractionalOrder(0.5), eig, tg)
+        rho = np.full(tg.n_t, 1e300, dtype=complex)
+        data = observe(solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, 0)), table),
+                       mask, 1e-3, 1)
+        res = invert_source(data, rho, table, TikhonovConfig(1e-6, 2))
+        d = math.sqrt(grid.h * tg.dt) * data.values.ravel()
+        coeffs, resid, smin, smax = explicit_solve(explicit_design(table, mask, 2, rho), d, 1e-6)
+        assert smin > 1e154
+        assert np.linalg.norm(res.modal - coeffs) <= 1e-12 * np.linalg.norm(coeffs)
+        assert res.residual == pytest.approx(resid, rel=1e-12)
+        assert np.linalg.norm(res.modal - [1.0, 0.0]) <= 1e-2
 
     def test_never_forms_the_design(self):
         # 1,000 times at the 41 nodes of [0.2, 0.4] for 16 unknowns: the

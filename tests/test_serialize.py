@@ -210,6 +210,31 @@ def test_writing_a_field_holds_about_one_row(tmp_path):
         field.values[0, 0].real, field.values[0, 0].imag]
 
 
+def test_writing_observed_data_holds_about_one_block(tmp_path):
+    """The observed data's rows are narrow (2 floats a masked node), so they
+    render ``BLOCK_FLOATS`` floats of whole rows at a time: peak memory while
+    writing the pair is a small multiple of one block's text, not a multiple
+    of the 400 rows' (about 165 blocks of text)."""
+    rng = np.random.default_rng(1)
+    grid, tg = Grid1D(1.0, 99), TimeGrid(1.0, 400)
+    mask = make_mask([(0.2, 0.4)], grid)
+    values = (rng.standard_normal((tg.n_t, mask.n_nodes))
+              + 1j * rng.standard_normal((tg.n_t, mask.n_nodes)))
+    data = ObservedData(values, mask, tg, 1e-3, 1)
+    rows = serialize.BLOCK_FLOATS // (2 * mask.n_nodes)
+    block = len(repr(values[:rows].view(np.float64).ravel().tolist()))
+    paths = [str(tmp_path / "data.csv"), str(tmp_path / "data.json")]
+    tracemalloc.start()
+    try:
+        atomic_write_texts(paths, observed_chunks(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * block
+    assert json.loads((tmp_path / "data.json").read_text())["values_re_im"][-2:] == [
+        values[-1, -1].real, values[-1, -1].imag]
+
+
 class TestExactText:
     """The artifact text, pinned on tiny inputs: every float goes through
     repr (signed zeros, shortest round-trip digits, subnormal-range
@@ -506,6 +531,17 @@ def test_streamed_observed_matches_reference_texts(data):
          "noise_level": observed.noise_level, "seed": observed.seed}, values)
 
 
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.complex128, st.integers(1, 6), elements=st.complex_numbers()))
+def test_spatial_csv_matches_reference_text(values):
+    # estimate.csv: one rendered row of any floats, non-finite ones included
+    nodes = np.linspace(0.1, 0.9, values.size)
+    assert spatial_to_csv(nodes, values) == "x,re,im\n" + "".join(
+        f"{x!r},{v.real!r},{v.imag!r}\n" for x, v in zip(nodes.tolist(), values.tolist()))
+    with pytest.raises(ValueError):
+        spatial_to_csv(np.append(nodes, 1.0), values)
+
+
 float_arrays = arrays(np.float64, st.integers(0, 6), elements=st.floats())
 json_values = st.one_of(float_arrays, st.floats(), st.integers(), st.text(max_size=3),
                         st.builds(lambda a: {"nested": a}, float_arrays))
@@ -571,6 +607,43 @@ class TestSplitWriter:
         assert sorted(tmp_path.iterdir()) == sorted(paths)
         assert_no_child_left()
 
+    # blocks of one row (budgets 1-3), of three rows (7) and of a whole slice
+    # (14, the whole array) of 7 rows of one node, in 1, 2 and 3 slices
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("block_floats", [1, 2, 3, 7, 14])
+    def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, cpus,
+                                                   block_floats):
+        field = self.field(7, m=1)
+        force_parts(monkeypatch, cpus)
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", block_floats)
+        paths = [tmp_path / "field.csv", tmp_path / "field.json"]
+        atomic_write_texts([str(p) for p in paths], field_chunks(field))
+        assert [p.read_text() for p in paths] == [
+            reference_csv("t,x,re_y,im_y", field.grid.nodes, field.values, field.tg.times),
+            reference_json({"grid": {"L": 1.0, "m": 1}, "time": {"T": 1.0, "n_t": 7}},
+                           field.values)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_non_finite_samples_at_block_ends(self, tmp_path, monkeypatch, cpus):
+        # blocks of two rows: non-finite floats open and close blocks, and
+        # keep their spellings in each
+        grid, tg = Grid1D(1.0, 9), TimeGrid(1.0, 6)
+        mask = make_mask([(0.2, 0.6)], grid)
+        values = np.full((tg.n_t, mask.n_nodes), complex(1.5, -0.25))
+        values[0, 0], values[1, -1] = complex(np.nan, 1.0), complex(2.0, np.inf)
+        values[2, 0], values[5, -1] = complex(-np.inf, 0.0), complex(0.0, np.nan)
+        data = ObservedData(values, mask, tg, 0.0, 0)
+        force_parts(monkeypatch, cpus)
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 4 * mask.n_nodes)
+        paths = [tmp_path / "data.csv", tmp_path / "data.json"]
+        atomic_write_texts([str(p) for p in paths], observed_chunks(data))
+        assert [p.read_text() for p in paths] == [
+            reference_csv("t,x,re,im", grid.nodes[mask.indices], values, tg.times),
+            reference_json({"time": {"T": tg.T, "n_t": tg.n_t}, "mask": mask_to_json(mask),
+                            "noise_level": 0.0, "seed": 0}, values)]
+        assert_no_child_left()
+
     def test_observed_data_splits_to_the_same_bytes(self, tmp_path, monkeypatch):
         # non-finite samples keep their spellings in every slice
         grid = Grid1D(1.0, 9)
@@ -597,14 +670,15 @@ class TestSplitWriter:
         old, new = tmp_path / "field.csv", tmp_path / "field.json"
         atomic_write_text(str(old), "old\n")
         force_parts(monkeypatch, 3)
-        lines = serialize._csv_lines
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 1)  # one row per block
+        render = serialize._render_block
 
-        def failing(prefix, xs, rendered):
-            if prefix == f"{float(row)!r},":
+        def failing(prefixes, *args):
+            if f"{float(row)!r}," in prefixes:
                 raise error("renderer failed")
-            return lines(prefix, xs, rendered)
+            return render(prefixes, *args)
 
-        monkeypatch.setattr(serialize, "_csv_lines", failing)
+        monkeypatch.setattr(serialize, "_render_block", failing)
         with pytest.raises(raised):
             atomic_write_texts([str(old), str(new)], field_chunks(self.field(6)))
         assert old.read_text() == "old\n"
