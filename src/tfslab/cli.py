@@ -11,6 +11,7 @@ failure.  TFSLAB_LOG sets verbosity.
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, GridMismatchError,
                      MLDomainError, NumericalError, TfslabError)
 from .forward import (KernelTable, SourceSpec, TimeGrid, project, projection_tail_energy,
-                      solve_forward, source_rows)
+                      solve_forward, solve_modal, source_rows, synthesize_rows)
 from .inverse import (
     OrderSearchConfig,
     TikhonovConfig,
@@ -428,15 +429,25 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     # designs read them from this table
     table = KernelTable(order, eig, tg)
     with _phase(phase_seconds, "forward"):
-        fieldv = solve_forward(y0, src, table)
+        if problem != "forward":
+            fieldv = solve_forward(y0, src, table)
+        else:
+            # checked 32 rows at a time, never whole; a one-row tail joins the last block
+            rows = functools.partial(synthesize_rows, solve_modal(y0, src, table), eig.phis)
+            norms, trajs = [], []
+            for lo in range(0, tg.n_t - 1, 32):
+                block = rows(lo, lo + 32 if tg.n_t - lo > 33 else tg.n_t)
+                if not np.all(np.isfinite(block)):
+                    raise GridMismatchError("field contains non-finite samples")
+                norms.append(float(_norm(block, axis=1).max()))
+                if exp.mode is not None:
+                    trajs.append(block @ eig.phis[exp.mode - 1])
+            del block  # the writers draw their own rows
     if problem in ("forward", "invert-initial"):
         checks["tail_energy"] = exp.tail_energy(eig)
 
     if problem == "forward":
-        # 64 rows at a time, with the same bits: a whole-field temporary (6.3 MB
-        # at m = 511, n_t = 800) set forward-output's peak RSS
-        checks["max_field_norm"] = math.sqrt(grid.h) * max(
-            float(_norm(fieldv.values[i:i + 64], axis=1).max()) for i in range(0, tg.n_t, 64))
+        checks["max_field_norm"] = math.sqrt(grid.h) * max(norms)
         if exp.mode is not None:
             # the mode's full response: its unit initial datum plus the part
             # of the source that drives it
@@ -445,9 +456,9 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             if src is not None:
                 forcing = src.g[idx] * src.rho
                 expect += source_rows(table, [idx], forcing[None, :])[0]
-            traj = eig.grid.h * (fieldv.values @ eig.phis[idx])
+            traj = eig.grid.h * np.concatenate(trajs)
             checks["kernel_trajectory_max_dev"] = float(np.max(np.abs(traj - expect)))
-        emit_pair(("field.csv", "field.json"), field_chunks(fieldv))
+        emit_pair(("field.csv", "field.json"), field_chunks(tg, grid, rows))
 
     else:
         with _phase(phase_seconds, "observe"):

@@ -169,10 +169,9 @@ def source_rows(table: KernelTable, modes: np.ndarray, forcing: np.ndarray) -> n
     return rows
 
 
-def solve_forward(c0: np.ndarray, src: SourceSpec | None,
-                  table: KernelTable) -> SpaceTimeField:
+def solve_modal(c0: np.ndarray, src: SourceSpec | None, table: KernelTable) -> np.ndarray:
     """Modal solution on the table's eigensystem and time grid from the
-    initial datum's modal coefficients ``c0``: per mode,
+    initial datum's modal coefficients ``c0``, modes x grid times: per mode,
     c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + p * conv(f_n, dW_n)(t)
     (see ``KernelTable`` and ``source_rows``).  A mode whose initial
     coefficient vanishes responds to it with exact zeros and takes no state
@@ -189,7 +188,21 @@ def solve_forward(c0: np.ndarray, src: SourceSpec | None,
             )
         forcing = np.outer(_modal(src.g, eig, "source factor g"), src.rho)
         coeffs += source_rows(table, np.arange(eig.n), forcing)
-    return SpaceTimeField(coeffs.T @ eig.phis, tg, eig.grid)
+    return coeffs
+
+
+def synthesize_rows(coeffs: np.ndarray, phis: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo`` to ``hi - 1`` of the node samples ``coeffs.T @ phis``, bit for bit:
+    a one-row product goes through gemv and rounds otherwise, so it is cut from two."""
+    start = max(0, min(lo, hi - 2))
+    return (coeffs[:, start:max(hi, start + 2)].T @ phis)[lo - start:hi - start]
+
+
+def solve_forward(c0: np.ndarray, src: SourceSpec | None,
+                  table: KernelTable) -> SpaceTimeField:
+    """``solve_modal``'s solution as samples on the table's grid nodes."""
+    rows = synthesize_rows(solve_modal(c0, src, table), table.eig.phis, 0, table.tg.n_t)
+    return SpaceTimeField(rows, table.tg, table.eig.grid)
 
 
 def eval_homogeneous(c0: np.ndarray, order: FractionalOrder, eig: EigenSystem,

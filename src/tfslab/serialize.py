@@ -5,22 +5,24 @@ significant digits); JSON keys are sorted.  Identical inputs therefore
 produce byte-identical artifacts.
 
 The complex arrays of the field and the observed data are rendered a
-block of whole time rows at a time (``BLOCK_FLOATS``), each float's repr
-once (``repr`` of the block's list, in C), and the CSV and the JSON
-artifact are both built from its strings: the JSON is the small document
-through ``json.dumps`` with the array spliced in, as ``dumps_canonical``
-splices a document's top-level float arrays.  An artifact pair comes as a
-``RowChunks``: a ``(csv, json)`` head, the chunk tuples of any row range,
-one per block, and a tail.  ``atomic_write_texts`` writes each tuple to
-both files before it draws the next: one rendered block per artifact pair
-and process is held, never a full artifact text.
+block of whole time rows at a time (``BLOCK_FLOATS``), drawn from a row
+source (a forward run synthesizes its field's rows from the modal
+solution, never holding the field), each float's repr once (``repr`` of
+the block's list, in C), and the CSV and the JSON artifact are both built
+from its strings: the JSON is the small document through ``json.dumps``
+with the array spliced in, as ``dumps_canonical`` splices a document's
+top-level float arrays.  An artifact pair comes as a ``RowChunks``: a
+``(csv, json)`` head, the chunk tuples of any row range, one per block,
+and a tail.  ``atomic_write_texts`` writes each tuple to both files
+before it draws the next: one rendered block per artifact pair and
+process is held, never a full artifact text.
 
 Rendering costs about 1 µs a float, and rows render independently.  A
 pair of at least ``2 * PART_FLOATS`` floats has its row range split into
 one contiguous slice per usable CPU, each of at least ``PART_FLOATS``
-floats: forked children render the later slices into part files next to
-the temp files while this process renders the first, and it then appends
-the parts in order.  The bytes are the same for any number of slices.
+floats: forked children draw and render the later slices into part files
+next to the temp files while this process does the first, and it then
+appends the parts in order.  The bytes are the same for any number of slices.
 """
 
 import contextlib
@@ -40,8 +42,8 @@ import numpy as np
 # in-process.
 PART_FLOATS = 65_536
 
-# The floats of whole rows (at least one) rendered as one block, so narrow
-# rows share one repr, split and join; README gives the measured trade-off.
+# The floats of whole rows (at least two, see forward.synthesize_rows) rendered
+# as one block, so narrow rows share one repr; README gives the trade-off.
 BLOCK_FLOATS = 256
 
 
@@ -243,45 +245,44 @@ def _render_block(prefixes, xs, floats) -> tuple[str, list]:
 
 class RowChunks:
     """The CSV (``header``, then lines ``t,x,re,im``, time-major) and the JSON
-    (``dumps_canonical({**meta, "values_re_im": <the floats of values>})``)
-    of a time-major complex array as chunk tuples, in the order they are
-    written: ``head``; ``rows(start, stop)``, one per block of the rows
-    ``start`` to ``stop - 1``, row slices possibly in separate processes;
+    (``dumps_canonical({**meta, "values_re_im": <the floats of the rows>})``)
+    of the time-major complex rows that ``source(lo, hi)`` returns, as chunk
+    tuples in the order they are written: ``head``; ``rows(start, stop)``,
+    one per block of the rows ``start`` to ``stop - 1``, blocks drawn from
+    ``source`` eight at a time, row slices possibly in separate processes;
     ``tail``.  The JSON's small document goes through ``json.dumps``, and the
     array, a top-level key's, is spliced in at indent 4."""
 
-    def __init__(self, header, nodes, times, values, meta):
-        self.times = np.asarray(times, dtype=float)
-        if len(self.times) != len(values):
-            raise ValueError(f"{len(self.times)} times for {len(values)} rows")
+    def __init__(self, header, nodes, times, source, meta):
+        self.times, self.source = np.asarray(times, dtype=float), source
         self.xs = [f"{x!r}," for x in np.asarray(nodes, dtype=float).tolist()]
-        self.re_im = _re_im(values)
-        self.n_rows, self.floats = len(values), self.re_im.size
+        self.n_rows, self.floats = len(self.times), 2 * len(self.xs) * len(self.times)
         head, _, tail = dumps_canonical({**meta, "values_re_im": _SPLICE}).partition(
             json.dumps(_SPLICE))
         self.head, self.tail = (header + "\n", head + "[\n    "), ("", "\n  ]" + tail)
 
     def rows(self, start, stop):
-        step = max(1, BLOCK_FLOATS // self.re_im.shape[1])
-        for lo in range(start, stop, step):
-            hi = min(lo + step, stop)
-            csv, parts = _render_block([f"{t!r}," for t in self.times[lo:hi].tolist()],
-                                       self.xs, self.re_im[lo:hi])
-            yield csv, (_SEP if lo else "") + _json_items(parts)
+        step = max(2, BLOCK_FLOATS // (2 * len(self.xs)))
+        # eight blocks are drawn at a time: a source that synthesizes its rows
+        # calls BLAS, whose vector kernels slow the rendering after each call
+        for first in range(start, stop, 8 * step):
+            drawn = _re_im(self.source(first, min(first + 8 * step, stop)))
+            for lo in range(first, first + len(drawn), step):
+                hi = min(lo + step, stop)
+                csv, parts = _render_block([f"{t!r}," for t in self.times[lo:hi].tolist()],
+                                           self.xs, drawn[lo - first:hi - first])
+                yield csv, (_SEP if lo else "") + _json_items(parts)
 
 
 # ---------------------------------------------------------------------------
 # domain objects
 
 
-def field_chunks(field):
-    """The field's CSV rows and its canonical JSON (grid, time grid and
-    ``values_re_im``), as one stream of ``(csv, json)`` chunk tuples."""
-    meta = {
-        "time": {"T": field.tg.T, "n_t": field.tg.n_t},
-        "grid": {"L": field.grid.L, "m": field.grid.m},
-    }
-    return RowChunks("t,x,re_y,im_y", field.grid.nodes, field.tg.times, field.values, meta)
+def field_chunks(tg, grid, source):
+    """The CSV rows and canonical JSON (grid, time grid and ``values_re_im``) of
+    the field on ``tg`` x ``grid`` whose rows ``source(lo, hi)`` returns."""
+    meta = {"time": {"T": tg.T, "n_t": tg.n_t}, "grid": {"L": grid.L, "m": grid.m}}
+    return RowChunks("t,x,re_y,im_y", grid.nodes, tg.times, source, meta)
 
 
 def observed_chunks(data):
@@ -295,7 +296,7 @@ def observed_chunks(data):
         "seed": data.seed,
     }
     return RowChunks("t,x,re,im", data.mask.grid.nodes[data.mask.indices], data.tg.times,
-                   data.values, meta)
+                     lambda lo, hi: data.values[lo:hi], meta)
 
 
 def mask_to_json(mask) -> dict:

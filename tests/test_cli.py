@@ -794,6 +794,39 @@ def test_overflowing_check_exits_3(tmp_path, capsys, problem, leaves, check):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["kind"] == "numerical" and err["message"].startswith(check)
     assert not (tmp_path / "out" / "report.json").exists()
+    # the field's rows are checked before either field artifact is begun
+    assert not [p.name for p in (tmp_path / "out").glob("*")
+                if p.name.startswith(("field.", ".tfslab-")) or p.name.endswith(".part")]
+
+
+# tracemalloc's peak in a forward run over the nbytes of the field it writes,
+# at test_forward_run_never_holds_the_field's shape: 0.34 measured with numpy
+# 2.4, set by the kernel evaluator's contour blocks in the modal solve.  The
+# run that formed the whole field peaked at 1.36.
+FIELD_PEAK_SHARE = 0.35
+
+
+def test_forward_run_never_holds_the_field(tmp_path):
+    # 400 times at 255 nodes, a 1.6 MB field: the run keeps the 8 x 400
+    # modal coefficients, and its checks and writers synthesize rows a block
+    # at a time (a forked writer's rows are not traced here).  A first run
+    # does the imports and fills the evaluator's node-set caches, which
+    # outlive it.
+    import tracemalloc
+
+    cfg = forward_config(grid={"L": 1.0, "m": 255}, time={"T": 1.0, "n_t": 400},
+                         n_modes=8, source=TestDeterminism.SOURCE)
+    field_bytes = 400 * 255 * np.dtype(complex).itemsize
+    cli.run(cfg, str(tmp_path / "first"))
+    tracemalloc.start()
+    try:
+        report = cli.run(cfg, str(tmp_path / "out"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["checks"]["kernel_trajectory_max_dev"] <= 1e-10
+    assert (tmp_path / "out" / "field.json").stat().st_size > field_bytes
+    assert peak <= FIELD_PEAK_SHARE * field_bytes, (peak, field_bytes)
 
 
 @pytest.mark.parametrize("problem,leaves,check,lo,hi", [

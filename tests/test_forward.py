@@ -205,6 +205,37 @@ class TestSolveForward:
                           KernelTable(FractionalOrder(0.5), eig, tg))
 
 
+class TestSynthesizedRows:
+    """A modal solution's nodal rows, synthesized a range at a time, are the
+    rows of the whole product ``coeffs.T @ phis`` bit for bit; numpy takes a
+    one-row product through gemv, which rounds differently, so one-row
+    ranges and one-row tails are the cases that matter."""
+
+    @pytest.mark.parametrize("n_t", [1, 2, 3, 65, 129, 800])
+    def test_every_row_range_is_the_whole_products(self, n_t):
+        rng = np.random.default_rng(n_t)
+        coeffs = rng.standard_normal((8, n_t)) + 1j * rng.standard_normal((8, n_t))
+        phis = rng.standard_normal((8, 63))
+        whole = coeffs.T @ phis
+        if n_t <= 129:  # every range
+            ranges = [(a, b) for a in range(n_t) for b in range(a + 1, n_t + 1)]
+        else:  # every one-row range, and every split into blocks of 2-66 rows
+            ranges = [(a, a + 1) for a in range(n_t)] + [
+                (a, min(a + size, n_t)) for size in range(2, 67) for a in range(0, n_t, size)]
+        bad = [(a, b) for a, b in ranges
+               if not np.array_equal(forward.synthesize_rows(coeffs, phis, a, b), whole[a:b])]
+        assert not bad
+
+    def test_solve_forward_is_the_synthesized_modal_solution(self, eig):
+        tg = TimeGrid(1.0, 33)
+        table = KernelTable(FractionalOrder(0.7), eig, tg)
+        src = SourceSpec(np.exp(1j * tg.times), unit(eig, 0) - 2.0 * unit(eig, 5))
+        coeffs = forward.solve_modal(unit(eig, 1) + 0.5j * unit(eig, 3), src, table)
+        assert coeffs.shape == (eig.n, tg.n_t)
+        field = solve_forward(unit(eig, 1) + 0.5j * unit(eig, 3), src, table)
+        assert np.array_equal(field.values, coeffs.T @ eig.phis)
+
+
 class TestKernelTable:
     """A run's kernel rows, each evaluated on first use by one per-mode
     ``kernel_grid`` call and read from the table afterwards."""

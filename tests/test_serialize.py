@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import stat
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tfslab import serialize
-from tfslab.forward import KernelTable, SpaceTimeField, TimeGrid, solve_forward
+from tfslab.forward import (KernelTable, SpaceTimeField, TimeGrid, solve_forward,
+                            synthesize_rows)
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import ObservedData, make_mask, observe
 from tfslab.serialize import (
@@ -31,6 +33,12 @@ from tfslab.spectral import Grid1D, analytic_eigensystem
 @pytest.fixture(scope="module")
 def eig():
     return analytic_eigensystem(1.0, 4, Grid1D(1.0, 19))
+
+
+def held_field_chunks(field):
+    """``field_chunks`` of a field held whole: its rows are slices of its
+    values."""
+    return field_chunks(field.tg, field.grid, lambda lo, hi: field.values[lo:hi])
 
 
 def texts(chunks):
@@ -182,7 +190,7 @@ def test_field_json_flat_layout(eig):
     tg = TimeGrid(1.0, 3)
     y = solve_forward(np.eye(eig.n)[0], None,
                       KernelTable(FractionalOrder(0.5), eig, tg))
-    doc = json.loads(texts(field_chunks(y))[1])
+    doc = json.loads(texts(held_field_chunks(y))[1])
     assert len(doc["values_re_im"]) == 2 * 3 * eig.grid.m
     v0 = complex(doc["values_re_im"][0], doc["values_re_im"][1])
     assert v0 == complex(y.values[0, 0])
@@ -201,7 +209,7 @@ def test_writing_a_field_holds_about_one_row(tmp_path):
     paths = [str(tmp_path / "field.csv"), str(tmp_path / "field.json")]
     tracemalloc.start()
     try:
-        atomic_write_texts(paths, field_chunks(field))
+        atomic_write_texts(paths, held_field_chunks(field))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -246,7 +254,7 @@ class TestExactText:
                        [complex(0.0, -1 / 3), complex(2.5, 1e-300), -1.0]])
 
     def test_field_csv(self):
-        text = texts(field_chunks(SpaceTimeField(self.values, self.tg, self.grid)))[0]
+        text = texts(held_field_chunks(SpaceTimeField(self.values, self.tg, self.grid)))[0]
         assert text == (
             "t,x,re_y,im_y\n"
             "0.15,0.1,-0.0,0.1\n"
@@ -333,7 +341,7 @@ class TestExactText:
 
     def test_field_json(self):
         field = SpaceTimeField(self.values, self.tg, self.grid)
-        text = texts(field_chunks(field))[1]
+        text = texts(held_field_chunks(field))[1]
         assert text == """{
   "grid": {
     "L": 0.4,
@@ -405,7 +413,7 @@ class TestExactText:
         # the serializer reads only these attributes; a real grid has at
         # least 3 nodes and 2 times
         field = stand_in_field(np.array([[complex(5e-324, 1e16)]]), [1e-5], [1e-5])
-        csv_text, json_text = texts(field_chunks(field))
+        csv_text, json_text = texts(held_field_chunks(field))
         assert csv_text == "t,x,re_y,im_y\n1e-05,1e-05,5e-324,1e+16\n"
         assert json_text == """{
   "grid": {
@@ -504,7 +512,7 @@ def fields(draw):
 @settings(max_examples=200, deadline=None)
 @given(fields())
 def test_streamed_field_matches_reference_texts(field):
-    csv_text, json_text = texts(field_chunks(field))
+    csv_text, json_text = texts(held_field_chunks(field))
     assert csv_text == reference_csv(
         "t,x,re_y,im_y", field.grid.nodes, field.values, field.tg.times)
     assert json_text == reference_json(
@@ -596,19 +604,19 @@ class TestSplitWriter:
     def test_bytes_do_not_depend_on_the_part_count(self, tmp_path, monkeypatch,
                                                    cpus, n_t, part_floats, forks):
         field = self.field(n_t)
-        expected = texts(field_chunks(field))
+        expected = texts(held_field_chunks(field))
         force_parts(monkeypatch, cpus, part_floats)
         fork, calls = os.fork, []
         monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
         paths = [tmp_path / "field.csv", tmp_path / "field.json"]
-        atomic_write_texts([str(p) for p in paths], field_chunks(field))
+        atomic_write_texts([str(p) for p in paths], held_field_chunks(field))
         assert tuple(p.read_text() for p in paths) == expected
         assert len(calls) == forks
         assert sorted(tmp_path.iterdir()) == sorted(paths)
         assert_no_child_left()
 
-    # blocks of one row (budgets 1-3), of three rows (7) and of a whole slice
-    # (14, the whole array) of 7 rows of one node, in 1, 2 and 3 slices
+    # blocks of two rows (budgets 1-3), of three rows (7) and of a whole
+    # slice (14, the whole array) of 7 rows of one node, in 1, 2 and 3 slices
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("block_floats", [1, 2, 3, 7, 14])
     def test_bytes_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch, cpus,
@@ -617,7 +625,7 @@ class TestSplitWriter:
         force_parts(monkeypatch, cpus)
         monkeypatch.setattr(serialize, "BLOCK_FLOATS", block_floats)
         paths = [tmp_path / "field.csv", tmp_path / "field.json"]
-        atomic_write_texts([str(p) for p in paths], field_chunks(field))
+        atomic_write_texts([str(p) for p in paths], held_field_chunks(field))
         assert [p.read_text() for p in paths] == [
             reference_csv("t,x,re_y,im_y", field.grid.nodes, field.values, field.tg.times),
             reference_json({"grid": {"L": 1.0, "m": 1}, "time": {"T": 1.0, "n_t": 7}},
@@ -663,24 +671,56 @@ class TestSplitWriter:
         (1, KeyboardInterrupt, KeyboardInterrupt)])
     def test_failed_slice_replaces_no_target(self, tmp_path, monkeypatch, row, error,
                                              raised):
-        # 6 rows in 3 slices, [0, 2) here and [2, 4), [4, 6) in children:
-        # row 5 fails in the last child after it wrote row 4, and the
-        # write raises OSError; row 1 fails here, and the children are
-        # killed and the failure raised as it is
+        # 9 rows in 3 slices of blocks of two rows, [0, 3) here and [3, 6),
+        # [6, 9) in children: row 5 fails in the middle child after it wrote
+        # rows 3 and 4, and the write raises OSError; row 1 fails here, and
+        # the children are killed and the failure raised as it is.  Each
+        # case fails once as its block is rendered and once as its rows are
+        # synthesized.
         old, new = tmp_path / "field.csv", tmp_path / "field.json"
         atomic_write_text(str(old), "old\n")
         force_parts(monkeypatch, 3)
-        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 1)  # one row per block
-        render = serialize._render_block
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 1)  # two rows per block
+        field, render = self.field(9), serialize._render_block
+        for stage in ("render", "synthesis"):
 
-        def failing(prefixes, *args):
-            if f"{float(row)!r}," in prefixes:
-                raise error("renderer failed")
-            return render(prefixes, *args)
+            def failing(prefixes, *args):
+                if stage == "render" and f"{float(row)!r}," in prefixes:
+                    raise error("renderer failed")
+                return render(prefixes, *args)
 
-        monkeypatch.setattr(serialize, "_render_block", failing)
-        with pytest.raises(raised):
-            atomic_write_texts([str(old), str(new)], field_chunks(self.field(6)))
-        assert old.read_text() == "old\n"
-        assert list(tmp_path.iterdir()) == [old]
+            def source(lo, hi):
+                if stage == "synthesis" and lo <= row < hi:
+                    raise error("synthesis failed")
+                return field.values[lo:hi]
+
+            monkeypatch.setattr(serialize, "_render_block", failing)
+            with pytest.raises(raised):
+                atomic_write_texts([str(old), str(new)],
+                                   field_chunks(field.tg, field.grid, source))
+            assert old.read_text() == "old\n"
+            assert list(tmp_path.iterdir()) == [old]
+            assert_no_child_left()
+
+    # the rows of a modal solution, synthesized a block at a time in every
+    # slice, forked ones included, with blocks of two rows (budget 1) and
+    # one-row tails, or of a whole slice (budget 256)
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("block_floats", [1, 256])
+    def test_synthesized_field_has_the_whole_products_bytes(self, tmp_path, monkeypatch,
+                                                             cpus, block_floats):
+        rng = np.random.default_rng(cpus)
+        grid, tg = Grid1D(1.0, 5), TimeGrid(1.0, 7)
+        coeffs = rng.standard_normal((3, tg.n_t)) + 1j * rng.standard_normal((3, tg.n_t))
+        phis = rng.standard_normal((3, grid.m))
+        force_parts(monkeypatch, cpus)
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", block_floats)
+        paths = [tmp_path / "field.csv", tmp_path / "field.json"]
+        atomic_write_texts([str(p) for p in paths], field_chunks(
+            tg, grid, functools.partial(synthesize_rows, coeffs, phis)))
+        whole = coeffs.T @ phis
+        assert [p.read_text() for p in paths] == [
+            reference_csv("t,x,re_y,im_y", grid.nodes, whole, tg.times),
+            reference_json({"grid": {"L": 1.0, "m": grid.m},
+                            "time": {"T": 1.0, "n_t": tg.n_t}}, whole)]
         assert_no_child_left()
