@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, GridMismatchError,
                      MLDomainError, NumericalError, TfslabError)
-from .forward import (KernelTable, SourceSpec, TimeGrid, project, projection_tail_energy,
-                      solve_forward, solve_modal, source_rows, synthesize_rows)
+from .forward import (KernelTable, SourceSpec, TimeGrid, field_blocks, project,
+                      projection_tail_energy, solve_modal, source_rows, synthesize_rows)
 from .inverse import (
     OrderSearchConfig,
     TikhonovConfig,
@@ -429,16 +429,10 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     # designs read them from this table
     table = KernelTable(order, eig, tg)
     with _phase(phase_seconds, "forward"):
-        if problem != "forward":
-            fieldv = solve_forward(y0, src, table)
-        else:
-            # checked 32 rows at a time, never whole; a one-row tail joins the last block
-            rows = functools.partial(synthesize_rows, solve_modal(y0, src, table), eig.phis)
+        coeffs = solve_modal(y0, src, table)
+        if problem == "forward":
             norms, trajs = [], []
-            for lo in range(0, tg.n_t - 1, 32):
-                block = rows(lo, lo + 32 if tg.n_t - lo > 33 else tg.n_t)
-                if not np.all(np.isfinite(block)):
-                    raise GridMismatchError("field contains non-finite samples")
+            for block in field_blocks(coeffs, eig.phis):
                 norms.append(float(_norm(block, axis=1).max()))
                 if exp.mode is not None:
                     trajs.append(block @ eig.phis[exp.mode - 1])
@@ -458,11 +452,12 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
                 expect += source_rows(table, [idx], forcing[None, :])[0]
             traj = eig.grid.h * np.concatenate(trajs)
             checks["kernel_trajectory_max_dev"] = float(np.max(np.abs(traj - expect)))
+        rows = functools.partial(synthesize_rows, coeffs, eig.phis)
         emit_pair(("field.csv", "field.json"), field_chunks(tg, grid, rows))
 
     else:
         with _phase(phase_seconds, "observe"):
-            data = observe(fieldv, exp.mask, exp.noise_level, exp.seed)
+            data = observe(coeffs, eig, tg, exp.mask, exp.noise_level, exp.seed)
         emit_pair(("data.csv", "data.json"), observed_chunks(data))
         with _phase(phase_seconds, "inverse"):
             if problem == "invert-order":

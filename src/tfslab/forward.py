@@ -72,8 +72,6 @@ class SpaceTimeField:
             raise GridMismatchError(
                 f"field shape {vals.shape} vs (n_t={self.tg.n_t}, m={self.grid.m})"
             )
-        if not np.all(np.isfinite(vals)):
-            raise GridMismatchError("field contains non-finite samples")
         object.__setattr__(self, "values", _freeze(vals))
 
 
@@ -198,10 +196,20 @@ def synthesize_rows(coeffs: np.ndarray, phis: np.ndarray, lo: int, hi: int) -> n
     return (coeffs[:, start:max(hi, start + 2)].T @ phis)[lo - start:hi - start]
 
 
+def field_blocks(coeffs: np.ndarray, phis: np.ndarray):
+    """The node samples ``coeffs.T @ phis`` in blocks of 32 rows, bit for bit (64-row
+    blocks' temporaries held 0.55 of the field at m = 255); raises on a non-finite sample."""
+    for lo in range(0, coeffs.shape[1], 32):
+        block = synthesize_rows(coeffs, phis, lo, min(lo + 32, coeffs.shape[1]))
+        if not np.all(np.isfinite(block)):
+            raise GridMismatchError("field contains non-finite samples")
+        yield block
+
+
 def solve_forward(c0: np.ndarray, src: SourceSpec | None,
                   table: KernelTable) -> SpaceTimeField:
     """``solve_modal``'s solution as samples on the table's grid nodes."""
-    rows = synthesize_rows(solve_modal(c0, src, table), table.eig.phis, 0, table.tg.n_t)
+    rows = np.concatenate(list(field_blocks(solve_modal(c0, src, table), table.eig.phis)))
     return SpaceTimeField(rows, table.tg, table.eig.grid)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    CheckOverflowError,
     FlatMisfitError,
     GridMismatchError,
     MLAccuracyError,
@@ -215,12 +216,16 @@ def order_misfit(data: ObservedData, c0: np.ndarray, order: FractionalOrder,
                  eig: EigenSystem) -> float:
     """Squared weighted misfit between the observation of the homogeneous
     solution from the modal coefficients ``c0`` at ``order`` and the data;
-    the solution is synthesized on the masked nodes only."""
+    the solution is synthesized on the masked nodes only; raises where it overflows."""
     if data.mask.grid != eig.grid:
         raise GridMismatchError("mask and eigensystem live on different grids")
     tg = data.tg
     diff = eval_homogeneous(c0, order, eig, tg.times, data.mask.indices) - data.values
-    return float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
+    if not math.isfinite(value):
+        raise CheckOverflowError(f"order misfit: {value} at alpha={order.alpha} overflows")
+    return value
 
 
 def invert_order(data: ObservedData, c0: np.ndarray, eig: EigenSystem,

@@ -1,11 +1,10 @@
-"""Positive-measure observation sets, field restriction, and measurement
-noise.
+"""Positive-measure observation sets, the observation of a modal solution on
+them, and measurement noise.
 
 The observation set E is a finite union of disjoint intervals mapped to
-grid node indices; noise is additive complex Gaussian scaled by the
-field's max modulus, generated by a counter-based RNG (Philox) so outputs
-are reproducible across platforms.
-"""
+grid node indices; noise is additive complex Gaussian scaled by the field's
+max modulus, generated by a counter-based RNG (Philox) so outputs are
+reproducible across platforms."""
 
 import math
 from dataclasses import dataclass
@@ -13,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMaskError, GridMismatchError
-from .spectral import Grid1D, _freeze
+from .forward import TimeGrid, field_blocks
+from .spectral import EigenSystem, Grid1D, _freeze
 
 # node-capture comparisons use a relative fudge so interval endpoints that
 # coincide with nodes are not lost to floating-point dust
@@ -42,10 +42,6 @@ class ObservationMask:
     def n_nodes(self) -> int:
         return int(self.indices.size)
 
-    def restrict(self, rows: np.ndarray) -> np.ndarray:
-        """Column restriction of (time x space) samples to the masked nodes."""
-        return np.asarray(rows)[..., self.indices]
-
 
 @dataclass(frozen=True)
 class ObservedData:
@@ -54,7 +50,7 @@ class ObservedData:
 
     values: np.ndarray
     mask: ObservationMask
-    tg: "TimeGrid"
+    tg: TimeGrid
     noise_level: float
     seed: int
 
@@ -102,21 +98,25 @@ def make_mask(intervals, grid: Grid1D) -> ObservationMask:
     return ObservationMask(grid, ivs, indices, measure)
 
 
-def observe(field, mask: ObservationMask, noise_level: float = 0.0,
-            seed: int = 0) -> ObservedData:
-    """Restrict a space-time field to (0,T) x E and add measurement noise.
-
-    Noise is noise_level * max|field| * standard complex Gaussian per entry
-    (independent real and imaginary parts of variance 1/2), deterministic
-    in the seed.
-    """
-    if field.grid != mask.grid:
-        raise GridMismatchError("field and mask live on different grids")
-    vals = mask.restrict(field.values).copy()
+def observe(coeffs: np.ndarray, eig: EigenSystem, tg: TimeGrid, mask: ObservationMask,
+            noise_level: float = 0.0, seed: int = 0) -> ObservedData:
+    """Observe the modal solution ``coeffs`` (modes of ``eig`` x times of ``tg``)
+    on (0,T) x E: only the masked columns of its node samples are kept, which
+    ``field_blocks`` makes a block of rows at a time.  Noise is noise_level *
+    max|field| * standard complex Gaussian per entry (independent real and
+    imaginary parts of variance 1/2), deterministic in the seed."""
+    if eig.grid != mask.grid:
+        raise GridMismatchError("solution and mask live on different grids")
+    kept, peak = [], 0.0
+    for block in field_blocks(coeffs, eig.phis):
+        kept.append(block.take(mask.indices, axis=1))  # C order: block[:, E] is Fortran's
+        if noise_level > 0.0:
+            peak = max(peak, float(np.max(np.abs(block))))
+    vals = np.concatenate(kept)
     if noise_level > 0.0:
-        scale = noise_level * float(np.max(np.abs(field.values)))
+        scale = noise_level * peak
         rng = np.random.Generator(np.random.Philox(seed))
         noise = rng.standard_normal(vals.shape) + 1j * rng.standard_normal(vals.shape)
         with np.errstate(over="ignore", invalid="ignore"):  # inversions reject non-finite data
             vals += scale * noise / math.sqrt(2.0)
-    return ObservedData(vals, mask, field.tg, float(noise_level), int(seed))
+    return ObservedData(vals, mask, tg, float(noise_level), int(seed))

@@ -29,6 +29,7 @@ from .forward import (
     pde_residual,
     project,
     solve_forward,
+    solve_modal,
 )
 from .inverse import (
     OrderSearchConfig,
@@ -224,14 +225,14 @@ def _c8_initial_recovery():
     truth = np.zeros(8, dtype=complex)
     truth[:2] = 1.0 / math.sqrt(2.0)
     table = KernelTable(order, eig, tg)
-    fieldv = solve_forward(truth, None, table)
-    clean = observe(fieldv, mask, 0.0, 0)
+    coeffs = solve_modal(truth, None, table)
+    clean = observe(coeffs, eig, tg, mask, 0.0, 0)
     res = invert_initial(clean, table, TikhonovConfig(1e-10, 8))
     smin = res.diagnostics["sigma_min"]
     assert smin > 0.0, "sigma_min(G) vanished"
     err_clean = float(np.linalg.norm(res.modal - truth))
     assert err_clean <= 1e-6, f"noiseless recovery error {err_clean:.3e} > 1e-6"
-    noisy = observe(fieldv, mask, 1e-3, 7)
+    noisy = observe(coeffs, eig, tg, mask, 1e-3, 7)
     resn = invert_initial(noisy, table, TikhonovConfig(1e-6, 8))
     err_noisy = float(np.linalg.norm(resn.modal - truth) / np.linalg.norm(truth))
     assert err_noisy <= 1e-1, f"noisy recovery error {err_noisy:.3e} > 1e-1"
@@ -245,8 +246,8 @@ def _c9_source_recovery():
     truth = np.zeros(8, dtype=complex)
     truth[1] = 1.0
     table = KernelTable(order, eig, tg)
-    fieldv = solve_forward(np.zeros(8), SourceSpec(rho, truth), table)
-    clean = observe(fieldv, mask, 0.0, 0)
+    coeffs = solve_modal(np.zeros(8), SourceSpec(rho, truth), table)
+    clean = observe(coeffs, eig, tg, mask, 0.0, 0)
     res = invert_source(clean, rho, table, TikhonovConfig(1e-12, 8))
     err = float(np.linalg.norm(res.modal - truth))
     assert err <= 1e-5, f"source recovery error {err:.3e} > 1e-5"
@@ -262,8 +263,8 @@ def _c9_source_recovery():
 def _c10_order_recovery():
     grid, eig, tg, mask = _recovery_setup()
     y0 = np.eye(eig.n)[0]
-    fieldv = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
-    data = observe(fieldv, mask, 0.0, 0)
+    coeffs = solve_modal(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
+    data = observe(coeffs, eig, tg, mask, 0.0, 0)
     cfg = OrderSearchConfig(0.25, 0.85, 25, 1e-4)
     res = invert_order(data, y0, eig, cfg)
     err = abs(res.order - 0.5)

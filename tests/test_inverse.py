@@ -16,7 +16,8 @@ from tfslab.errors import (
     SourceHypothesisError,
 )
 from tfslab import forward, inverse
-from tfslab.forward import KernelTable, SourceSpec, TimeGrid, solve_forward, source_rows
+from tfslab.forward import (KernelTable, SourceSpec, TimeGrid, solve_forward, solve_modal,
+                            source_rows)
 from tfslab.inverse import (
     OrderSearchConfig,
     TikhonovConfig,
@@ -121,10 +122,10 @@ class TestDesignMatrix:
         # design's by TestFactoredSolve
         grid, eig, tg, _ = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        zero = solve_forward(np.zeros(eig.n), None, table)
+        zero = solve_modal(np.zeros(eig.n), None, table)
         sigmas = []
         for iv in ((0.2, 0.8), (0.2, 0.5), (0.2, 0.4)):
-            data = observe(zero, make_mask([iv], grid), 0.0, 0)
+            data = observe(zero, eig, tg, make_mask([iv], grid), 0.0, 0)
             res = invert_initial(data, table, TikhonovConfig(1e-10, 8))
             sigmas.append(res.diagnostics["sigma_min"])
         assert sigmas[0] > 0.0
@@ -135,15 +136,15 @@ class TestInvertInitial:
     def test_zero_data_gives_zero(self, setup):
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        zero = observe(solve_forward(np.zeros(eig.n), None, table), mask, 0.0, 0)
+        zero = observe(solve_modal(np.zeros(eig.n), None, table), eig, tg, mask, 0.0, 0)
         res = invert_initial(zero, table, TikhonovConfig(1e-8, 8))
         assert np.max(np.abs(res.modal)) == 0.0
 
     def test_noiseless_single_mode(self, setup):
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        y = solve_forward(unit(eig, 0), None, table)
-        res = invert_initial(observe(y, mask, 0.0, 0), table, TikhonovConfig(1e-10, 8))
+        y = solve_modal(unit(eig, 0), None, table)
+        res = invert_initial(observe(y, eig, tg, mask, 0.0, 0), table, TikhonovConfig(1e-10, 8))
         e1 = np.zeros(8, dtype=complex)
         e1[0] = 1.0
         assert np.linalg.norm(res.modal - e1) <= 1e-6
@@ -152,9 +153,9 @@ class TestInvertInitial:
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
         truth = (unit(eig, 0) + unit(eig, 1)) / math.sqrt(2.0)
-        y = solve_forward(truth, None, table)
+        y = solve_modal(truth, None, table)
         # discrepancy-flavored choice: gamma at the noise-power scale
-        res = invert_initial(observe(y, mask, 1e-3, 5), table, TikhonovConfig(1e-6, 8))
+        res = invert_initial(observe(y, eig, tg, mask, 1e-3, 5), table, TikhonovConfig(1e-6, 8))
         rel = np.linalg.norm(res.modal - truth) / np.linalg.norm(truth)
         assert rel <= 1e-1
 
@@ -169,9 +170,9 @@ class TestInvertInitial:
         mask = make_mask([(0.5, 0.53)], grid)
         assert mask.n_nodes == 1
         table = KernelTable(order, eig, tg)
-        y = solve_forward(unit(eig, 0), None, table)
+        y = solve_modal(unit(eig, 0), None, table)
         with pytest.raises(RankDeficientError):
-            invert_initial(observe(y, mask, 0.0, 0), table, TikhonovConfig(0.0, 8))
+            invert_initial(observe(y, eig, tg, mask, 0.0, 0), table, TikhonovConfig(0.0, 8))
         # a tall design with a duplicated column: two orthonormal
         # eigenvectors of one eigenvalue that agree on E, here Hadamard rows
         # on 4 nodes observed at the first 2, respond identically there
@@ -182,9 +183,10 @@ class TestInvertInitial:
         mask = make_mask([(0.1, 0.5)], grid)
         assert mask.indices.tolist() == [0, 1]
         table = KernelTable(order, eig, TimeGrid(1.0, 20))
-        y = solve_forward(unit(eig, 0), None, table)
+        y = solve_modal(unit(eig, 0), None, table)
         with pytest.raises(RankDeficientError):
-            invert_initial(observe(y, mask, 0.0, 0), table, TikhonovConfig(0.0, 4))
+            invert_initial(observe(y, eig, table.tg, mask, 0.0, 0), table,
+                           TikhonovConfig(0.0, 4))
 
     @pytest.mark.parametrize("scale,gamma", [
         (1e-1, 1e-12),  # NaN coefficients
@@ -194,8 +196,8 @@ class TestInvertInitial:
         # but not the filtered solution
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        y = solve_forward(scale * unit(eig, 0), None, table)
-        data = observe(y, mask, 1e308, 3)
+        y = solve_modal(scale * unit(eig, 0), None, table)
+        data = observe(y, eig, tg, mask, 1e308, 3)
         assert np.isfinite(data.values).all()
         with pytest.raises(OperatorOverflowError, match="Tikhonov coefficients"):
             invert_initial(data, table, TikhonovConfig(gamma, 8))
@@ -207,8 +209,8 @@ class TestInvertInitial:
         # overflow-safe math.hypot
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
-        y = solve_forward(1e-3 * unit(eig, 0), None, table)
-        data = observe(y, mask, 1e308, 3)
+        y = solve_modal(1e-3 * unit(eig, 0), None, table)
+        data = observe(y, eig, tg, mask, 1e308, 3)
         res = invert_initial(data, table, TikhonovConfig(1e-6, 8))
         G = explicit_design(table, mask, 8)
         d = math.sqrt(grid.h * tg.dt) * data.values.ravel()
@@ -230,10 +232,10 @@ class TestInvertInitial:
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
         truth = (unit(eig, 0) + unit(eig, 1)) / math.sqrt(2.0)
-        y = solve_forward(truth, None, table)
+        y = solve_modal(truth, None, table)
         errs = []
         for level in (1e-2, 1e-3, 1e-4):
-            data = observe(y, mask, level, 11)
+            data = observe(y, eig, tg, mask, level, 11)
             res = invert_initial(data, table, TikhonovConfig(level**2, 8))
             errs.append(np.linalg.norm(res.modal - truth))
         assert errs[0] > errs[1] > errs[2]
@@ -244,8 +246,8 @@ class TestInvertInitial:
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.9), eig, tg)
         G = explicit_design(table, mask, 8)
-        y = solve_forward((unit(eig, 0) + unit(eig, 1)) / math.sqrt(2.0), None, table)
-        data = observe(y, mask, 1e-3, 5)
+        y = solve_modal((unit(eig, 0) + unit(eig, 1)) / math.sqrt(2.0), None, table)
+        data = observe(y, eig, tg, mask, 1e-3, 5)
         gamma = 1e-6
         res = invert_initial(data, table, TikhonovConfig(gamma, 8))
         d = math.sqrt(grid.h * tg.dt) * data.values.ravel()
@@ -262,8 +264,8 @@ class TestInvertSource:
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.95), eig, tg)
         rho = np.ones(tg.n_t, dtype=complex)
-        y = solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, 1)), table)
-        res = invert_source(observe(y, mask, 0.0, 0), rho, table, TikhonovConfig(1e-12, 8))
+        y = solve_modal(np.zeros(eig.n), SourceSpec(rho, unit(eig, 1)), table)
+        res = invert_source(observe(y, eig, tg, mask, 0.0, 0), rho, table, TikhonovConfig(1e-12, 8))
         e2 = np.zeros(8, dtype=complex)
         e2[1] = 1.0
         assert np.linalg.norm(res.modal - e2) <= 1e-5
@@ -272,7 +274,7 @@ class TestInvertSource:
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.5), eig, tg)
         rho = np.ones(tg.n_t, dtype=complex)
-        zero = observe(solve_forward(np.zeros(eig.n), None, table), mask, 0.0, 0)
+        zero = observe(solve_modal(np.zeros(eig.n), None, table), eig, tg, mask, 0.0, 0)
         res = invert_source(zero, rho, table, TikhonovConfig(1e-10, 8))
         assert np.max(np.abs(res.modal)) <= 1e-14
 
@@ -282,17 +284,17 @@ class TestInvertSource:
         t = tg.times
         rho = (t * (1.0 - t)).astype(complex)
         g = 0.8 * unit(eig, 0) - 0.6 * unit(eig, 2)
-        y = solve_forward(np.zeros(eig.n), SourceSpec(rho, g), table)
+        y = solve_modal(np.zeros(eig.n), SourceSpec(rho, g), table)
         # the weighted source columns are O(1e-4), so gamma sits at the
         # squared-noise scale of the weighted data, not of the raw field
-        res = invert_source(observe(y, mask, 1e-3, 3), rho, table, TikhonovConfig(1e-12, 8))
+        res = invert_source(observe(y, eig, tg, mask, 1e-3, 3), rho, table, TikhonovConfig(1e-12, 8))
         rel = np.linalg.norm(res.modal - g) / np.linalg.norm(g)
         assert rel <= 1e-1
 
     def test_vanishing_rho_rejected(self, setup):
         grid, eig, tg, mask = setup
         table = KernelTable(FractionalOrder(0.5), eig, tg)
-        zero = observe(solve_forward(np.zeros(eig.n), None, table), mask, 0.0, 0)
+        zero = observe(solve_modal(np.zeros(eig.n), None, table), eig, tg, mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
             invert_source(zero, np.zeros(tg.n_t), table, TikhonovConfig(1e-10, 8))
 
@@ -329,11 +331,11 @@ class TestFactoredSolve:
         if source:
             t = tg.times
             rho = np.cos(3.0 * t) + 1j * t
-            y = solve_forward(np.zeros(eig.n), SourceSpec(rho, truth), table)
+            y = solve_modal(np.zeros(eig.n), SourceSpec(rho, truth), table)
         else:
             rho = None
-            y = solve_forward(truth, None, table)
-        data = observe(y, mask, 1e-3, 7)
+            y = solve_modal(truth, None, table)
+        data = observe(y, eig, tg, mask, 1e-3, 7)
         cfg = TikhonovConfig(gamma, 6)
         d = math.sqrt(self.GRID.h * tg.dt) * data.values.ravel()
         G = explicit_design(table, mask, 6, rho)
@@ -364,8 +366,8 @@ class TestFactoredSolve:
         mask = make_mask([(0.2, 0.4)], grid)
         table = KernelTable(FractionalOrder(0.5), eig, tg)
         rho = np.full(tg.n_t, 1e300, dtype=complex)
-        data = observe(solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, 0)), table),
-                       mask, 1e-3, 1)
+        data = observe(solve_modal(np.zeros(eig.n), SourceSpec(rho, unit(eig, 0)), table),
+                       eig, tg, mask, 1e-3, 1)
         res = invert_source(data, rho, table, TikhonovConfig(1e-6, 2))
         d = math.sqrt(grid.h * tg.dt) * data.values.ravel()
         coeffs, resid, smin, smax = explicit_solve(explicit_design(table, mask, 2, rho), d, 1e-6)
@@ -386,8 +388,8 @@ class TestFactoredSolve:
         mask = make_mask([(0.2, 0.4)], grid)
         table = KernelTable(FractionalOrder(0.6), eig, tg)
         rho = np.ones(tg.n_t, dtype=complex)
-        data = observe(solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, 0)), table),
-                       mask, 1e-3, 5)
+        data = observe(solve_modal(np.zeros(eig.n), SourceSpec(rho, unit(eig, 0)), table),
+                       eig, tg, mask, 1e-3, 5)
         design_bytes = tg.n_t * mask.n_nodes * 16 * np.dtype(complex).itemsize
         tracemalloc.start()
         try:
@@ -404,7 +406,7 @@ class TestSourceGuards:
         grid, eig, tg, mask = setup
         rho = np.ones(tg.n_t, dtype=complex)
         table = KernelTable(FractionalOrder(0.5), eig, tg)
-        data = observe(solve_forward(np.zeros(eig.n), None, table), mask, 0.0, 0)
+        data = observe(solve_modal(np.zeros(eig.n), None, table), eig, tg, mask, 0.0, 0)
         with pytest.raises(GridMismatchError):
             invert_source(data, rho, table, TikhonovConfig(1e-10, eig.n + 1))
 
@@ -414,8 +416,8 @@ class TestSourceGuards:
         coarse = Grid1D(1.0, 49)
         eig49 = analytic_eigensystem(1.0, 8, coarse)
         order = FractionalOrder(0.5)
-        data = observe(solve_forward(unit(eig49, 0), None, KernelTable(order, eig49, tg)),
-                       make_mask([(0.2, 0.4)], coarse), 0.0, 0)
+        data = observe(solve_modal(unit(eig49, 0), None, KernelTable(order, eig49, tg)),
+                       eig49, tg, make_mask([(0.2, 0.4)], coarse), 0.0, 0)
         rho = np.ones(tg.n_t, dtype=complex)
         table = KernelTable(order, eig, tg)
         with pytest.raises(GridMismatchError):
@@ -433,8 +435,8 @@ class TestSourceGuards:
         grid, eig, tg, mask = setup
         order = FractionalOrder(0.5)
         rho = np.ones(tg.n_t, dtype=complex)
-        data = observe(solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, 1)),
-                                     KernelTable(order, eig, tg)), mask, 0.0, 0)
+        data = observe(solve_modal(np.zeros(eig.n), SourceSpec(rho, unit(eig, 1)),
+                                   KernelTable(order, eig, tg)), eig, tg, mask, 0.0, 0)
         table = KernelTable(order, eig, TimeGrid(2.0 * tg.T, 2 * tg.n_t))
         with pytest.raises(GridMismatchError, match="kernel table built on"):
             invert_initial(data, table, TikhonovConfig(1e-10, 4))
@@ -454,7 +456,7 @@ class TestSourceGuards:
             tg = TimeGrid(2.0 * tg.T, 2 * tg.n_t)
 
         def observed(y0, src, table):
-            return observe(solve_forward(y0, src, table), mask, 0.0, 0)
+            return observe(solve_modal(y0, src, table), eig, tg, mask, 0.0, 0)
 
         table = KernelTable(FractionalOrder(0.9), eig, tg)
         y0 = unit(eig, 0)
@@ -494,9 +496,8 @@ class TestModalDesignsMatchForwardSolves:
         rho = (np.cos(3.0 * t) + 1j * t).astype(complex)
         w = math.sqrt(eig.grid.h * tg.dt)
         ref = np.column_stack([
-            w * mask.restrict(solve_forward(
-                np.zeros(eig.n), SourceSpec(rho, unit(eig, n)),
-                KernelTable(order, eig, tg)).values).ravel()
+            w * solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, n)),
+                              KernelTable(order, eig, tg)).values[:, mask.indices].ravel()
             for n in range(6)
         ])
         got = explicit_design(KernelTable(order, eig, tg), mask, 6, rho)
@@ -505,12 +506,12 @@ class TestModalDesignsMatchForwardSolves:
     def test_order_misfit_is_exact(self, system):
         eig, order, tg, mask = system
         y0 = unit(eig, 0) - 0.5j * unit(eig, 2)
-        data = observe(solve_forward(y0, None, KernelTable(order, eig, tg)),
-                       mask, 1e-3, 11)
+        data = observe(solve_modal(y0, None, KernelTable(order, eig, tg)),
+                       eig, tg, mask, 1e-3, 11)
         for alpha in (0.45, 0.8):
             trial = FractionalOrder(alpha, order.phase)
             traj = solve_forward(y0, None, KernelTable(trial, eig, tg))
-            diff = mask.restrict(traj.values) - data.values
+            diff = traj.values[:, mask.indices] - data.values
             ref = float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
             assert order_misfit(data, y0, trial, eig) == ref
 
@@ -529,7 +530,8 @@ class TestModalDesignsMatchForwardSolves:
         solve_forward(np.linspace(1.0, 2.0, eig.n), src, KernelTable(order, eig, tg))
         assert calls == [()] * (2 * eig.n)
         y0 = unit(eig, 0) - 0.5j * unit(eig, 2)
-        data = observe(solve_forward(y0, None, KernelTable(order, eig, tg)), mask, 1e-3, 11)
+        data = observe(solve_modal(y0, None, KernelTable(order, eig, tg)), eig, tg, mask,
+                       1e-3, 11)
         calls.clear()
         res = invert_order(data, y0, eig, OrderSearchConfig(0.3, 0.9, 5, 1e-2), order.phase)
         assert calls == [(2,)] * res.diagnostics["evaluations"]
@@ -551,7 +553,7 @@ class TestModalDesignsMatchForwardSolves:
             y0, src = np.zeros(eig.n), SourceSpec(rho, np.ones(eig.n))
         else:
             y0, src = np.full(eig.n, 1.0 - 0.5j), None
-        data = observe(solve_forward(y0, src, table), mask, 1e-3, 5)
+        data = observe(solve_modal(y0, src, table), eig, tg, mask, 1e-3, 5)
         assert calls == ["integral" if source else "state"] * eig.n
         calls.clear()
         cfg = TikhonovConfig(1e-8, 6)
@@ -567,8 +569,8 @@ class TestInvertOrder:
     def test_noiseless_truth_recovery(self, setup):
         grid, eig, tg, mask = setup
         y0 = unit(eig, 0)
-        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
-        data = observe(y, mask, 0.0, 0)
+        y = solve_modal(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
+        data = observe(y, eig, tg, mask, 0.0, 0)
         res = invert_order(data, y0, eig, OrderSearchConfig(0.25, 0.85, 25, 1e-4))
         assert abs(res.order - 0.5) <= 1e-3
         assert res.residual <= 1e-10
@@ -576,15 +578,15 @@ class TestInvertOrder:
     def test_misfit_vanishes_at_truth(self, setup):
         grid, eig, tg, mask = setup
         y0 = unit(eig, 0)
-        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.4), eig, tg))
-        data = observe(y, mask, 0.0, 0)
+        y = solve_modal(y0, None, KernelTable(FractionalOrder(0.4), eig, tg))
+        data = observe(y, eig, tg, mask, 0.0, 0)
         assert order_misfit(data, y0, FractionalOrder(0.4), eig) <= 1e-22
 
     def test_discriminability(self, setup):
         grid, eig, tg, mask = setup
         y0 = unit(eig, 0)
-        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.4), eig, tg))
-        data = observe(y, mask, 0.0, 0)
+        y = solve_modal(y0, None, KernelTable(FractionalOrder(0.4), eig, tg))
+        data = observe(y, eig, tg, mask, 0.0, 0)
         m = order_misfit(data, y0, FractionalOrder(0.6), eig)
         d2 = float(grid.h * tg.dt * np.sum(np.abs(data.values) ** 2))
         assert m > 1e-3 * d2
@@ -592,8 +594,8 @@ class TestInvertOrder:
     def test_zero_datum_rejected(self, setup):
         grid, eig, tg, mask = setup
         y0 = unit(eig, 0)
-        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
-        data = observe(y, mask, 0.0, 0)
+        y = solve_modal(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
+        data = observe(y, eig, tg, mask, 0.0, 0)
         with pytest.raises(SourceHypothesisError):
             invert_order(data, np.zeros(eig.n), eig, OrderSearchConfig(0.3, 0.7))
 
@@ -602,8 +604,8 @@ class TestInvertOrder:
         # must end the search at the float resolution, not loop forever
         grid, eig, tg, mask = setup
         y0 = unit(eig, 0)
-        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
-        data = observe(y, mask, 0.0, 0)
+        y = solve_modal(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
+        data = observe(y, eig, tg, mask, 0.0, 0)
         calls = []
 
         def counted(*args):
@@ -621,8 +623,8 @@ class TestInvertOrder:
         passes to order_misfit, in call order."""
         grid, eig, tg, mask = setup
         y0 = unit(eig, 0)
-        y = solve_forward(y0, None, KernelTable(FractionalOrder(alpha), eig, tg))
-        data = observe(y, mask, 0.0, 0)
+        y = solve_modal(y0, None, KernelTable(FractionalOrder(alpha), eig, tg))
+        data = observe(y, eig, tg, mask, 0.0, 0)
         calls = []
 
         def counted(*args):
@@ -662,8 +664,8 @@ class TestInvertOrder:
     def test_flat_landscape_flagged(self, setup, monkeypatch):
         grid, eig, tg, mask = setup
         y0 = unit(eig, 0)
-        y = solve_forward(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
-        data = observe(y, mask, 0.0, 0)
+        y = solve_modal(y0, None, KernelTable(FractionalOrder(0.5), eig, tg))
+        data = observe(y, eig, tg, mask, 0.0, 0)
         import tfslab.inverse as inv
 
         monkeypatch.setattr(inv, "order_misfit",

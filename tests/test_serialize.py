@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tfslab import serialize
-from tfslab.forward import (KernelTable, SpaceTimeField, TimeGrid, solve_forward,
+from tfslab.forward import (KernelTable, SpaceTimeField, TimeGrid, solve_forward, solve_modal,
                             synthesize_rows)
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import ObservedData, make_mask, observe
@@ -49,10 +49,9 @@ def texts(chunks):
 
 def test_observed_json_shape(eig):
     tg = TimeGrid(1.0, 6)
-    y = solve_forward(np.eye(eig.n)[0], None,
-                      KernelTable(FractionalOrder(0.5), eig, tg))
+    y = solve_modal(np.eye(eig.n)[0], None, KernelTable(FractionalOrder(0.5), eig, tg))
     mask = make_mask([(0.2, 0.4)], eig.grid)
-    data = observe(y, mask, 1e-3, 3)
+    data = observe(y, eig, tg, mask, 1e-3, 3)
     doc = json.loads(texts(observed_chunks(data))[1])
     assert doc["seed"] == 3
     assert len(doc["values_re_im"]) == 2 * 6 * mask.n_nodes
@@ -432,8 +431,8 @@ class TestExactText:
 """
 
     def test_non_finite_spelling(self):
-        # SpaceTimeField rejects non-finite samples; observed data and
-        # estimates do not, and keep json's and repr's spellings
+        # a synthesized field is checked finite; observed data and
+        # estimates are not, and keep json's and repr's spellings
         nan, inf = float("nan"), float("inf")
         mask = make_mask([(0.15, 0.35)], self.grid)
         data = ObservedData(np.array([[complex(nan, inf), complex(-inf, 0.5)],
