@@ -59,8 +59,14 @@ class TestMakeMask:
 
 
 class TestObserve:
+    def test_noiseless_is_exact_restriction(self, solution):
+        coeffs, eig, tg, field = solution
+        mask = make_mask([(0.2, 0.4)], eig.grid)
+        data = observe(coeffs, eig, tg, mask, 0.0, 0)
+        np.testing.assert_array_equal(data.values, field[:, mask.indices])
+
     @pytest.mark.parametrize("n_t", [2, 3, 33, 65, 800])
-    def test_noiseless_is_exact_restriction(self, n_t):
+    def test_blocked_data_match_whole_field(self, n_t):
         # the data are made 32 rows at a time, never from the whole field,
         # and keep every bit of its masked columns and of the noise the
         # whole field's max modulus scales
