@@ -27,7 +27,6 @@ from .errors import (
 from .forward import (
     KernelTable,
     SourceSpec,
-    SpaceTimeField,
     TimeGrid,
     caputo_l1,
     decay_slope,
@@ -37,7 +36,6 @@ from .forward import (
     project,
     projection_tail_energy,
     rl_integral,
-    solve_forward,
 )
 from .inverse import (
     InversionResult,

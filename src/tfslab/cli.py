@@ -226,7 +226,14 @@ def _samples(obj, path, n, size):
     return values
 
 
-def _datum(obj, path, m, n_modes):
+def _require_nonzero(values, path):
+    """Reject all-zero ``values``: an inversion cannot identify its unknown from them."""
+    if not np.any(values):
+        raise ConfigError(f"{path} vanishes identically; the unknown is not identifiable",
+                          field=path)
+
+
+def _datum(obj, path, m, n_modes, nonzero=False):
     """A datum spec as a pair of functions of the eigensystem: one returns
     the datum's modal coefficients, the other the energy of its part outside
     their span.  A ``mode`` or ``mix`` datum is its coefficients, exactly,
@@ -248,9 +255,13 @@ def _datum(obj, path, m, n_modes):
                 raise ConfigError(f"{given.size} mix coefficients for n_modes={n_modes}",
                                   field=path)
             coeffs[: given.size] = given
+        if nonzero:
+            _require_nonzero(coeffs, path)
         return (lambda eig: coeffs), (lambda eig: 0.0)
     if kind == "samples":
         values = _samples(obj, path, m, "m")
+        if nonzero:
+            _require_nonzero(values, path)
         return (lambda eig: project(values, eig)), (
             lambda eig: projection_tail_energy(values, eig))
     raise ConfigError(f"{path}.kind must be mode|mix|samples", field=f"{path}.kind")
@@ -335,6 +346,8 @@ def _parse(cfg, problem, seed_override=None):
 
     def source(obj, path):  # a separable source, as a function of the eigensystem
         rho = _rho(obj["rho"], f"{path}.rho", tg.n_t)
+        if problem == "invert-source":
+            _require_nonzero(rho, f"{path}.rho")
         g = _datum(obj["g"], f"{path}.g", grid.m, n_modes)[0]
         return lambda eig: SourceSpec(rho, g(eig))
 
@@ -358,7 +371,7 @@ def _parse(cfg, problem, seed_override=None):
         _number(truth["alpha"], "truth.alpha", lo=0.0, hi=1.0, strict_lo=True,
                 strict_hi=True)
         exp.order = FractionalOrder(truth["alpha"], order.phase)
-        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes)[0]
+        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes, nonzero=True)[0]
         exp.inversion = _order_search(cfg["inversion"])
         return exp
     if problem == "invert-initial":

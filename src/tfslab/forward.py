@@ -16,7 +16,7 @@ import numpy as np
 from ._kernels import causal_conv
 from .errors import CheckOverflowError, GridMismatchError, MLDomainError
 from .mlf import FractionalOrder, kernel_grid, rgamma_real
-from .spectral import EigenSystem, Grid1D, Tridiag, _freeze
+from .spectral import EigenSystem, Tridiag, _freeze
 
 
 @dataclass(frozen=True)
@@ -55,24 +55,6 @@ class SourceSpec:
     def __post_init__(self):
         object.__setattr__(self, "rho", _freeze(np.asarray(self.rho, np.complex128)))
         object.__setattr__(self, "g", _freeze(np.asarray(self.g, np.complex128)))
-
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """Complex samples y(t_i, x_j) on the tensor grid; y(0, .) is kept by
-    the caller where the Caputo derivative needs it."""
-
-    values: np.ndarray
-    tg: TimeGrid
-    grid: Grid1D
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.tg.n_t, self.grid.m):
-            raise GridMismatchError(
-                f"field shape {vals.shape} vs (n_t={self.tg.n_t}, m={self.grid.m})"
-            )
-        object.__setattr__(self, "values", _freeze(vals))
 
 
 def project(samples: np.ndarray, eig: EigenSystem) -> np.ndarray:
@@ -206,13 +188,6 @@ def field_blocks(coeffs: np.ndarray, phis: np.ndarray):
         yield block
 
 
-def solve_forward(c0: np.ndarray, src: SourceSpec | None,
-                  table: KernelTable) -> SpaceTimeField:
-    """``solve_modal``'s solution as samples on the table's grid nodes."""
-    rows = np.concatenate(list(field_blocks(solve_modal(c0, src, table), table.eig.phis)))
-    return SpaceTimeField(rows, table.tg, table.eig.grid)
-
-
 def eval_homogeneous(c0: np.ndarray, order: FractionalOrder, eig: EigenSystem,
                      times: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Homogeneous solution from the initial datum's modal coefficients
@@ -265,55 +240,47 @@ def rl_integral(series: np.ndarray, beta: float, tg: TimeGrid) -> np.ndarray:
     return scale * causal_conv(series, weights)
 
 
-def pde_residual(field: SpaceTimeField, y0: np.ndarray, forcing: np.ndarray | None,
-                 order: FractionalOrder, A: Tridiag) -> float:
-    """Max over grid times of || e^{-i phase} d^alpha y - A y - f ||_{L2,h},
-    with the initial datum ``y0`` and the source ``forcing`` = f (None for
-    none) as node samples, f one row per grid time; A is the matrix of -L,
-    so the standard-phase residual is i d^alpha y - A y - f.  Every time row
-    is formed and normed at once."""
-    tg, grid = field.tg, field.grid
+def pde_residual(coeffs: np.ndarray, table: KernelTable, y0: np.ndarray,
+                 forcing: np.ndarray | None, A: Tridiag) -> float:
+    """Max over grid times of || e^{-i phase} d^alpha y - A y - f ||_{L2,h}
+    for the modal solution ``coeffs`` (modes x grid times) on the table,
+    synthesized on the grid nodes, with the initial datum ``y0`` and the
+    source ``forcing`` = f (None for none) as node samples, f one row per
+    grid time; A is the matrix of -L, so the standard-phase residual is
+    i d^alpha y - A y - f.  Every time row is formed and normed at once."""
+    order, tg, grid = table.order, table.tg, table.eig.grid
     y0 = np.asarray(y0, dtype=np.complex128)
-    if A.n != grid.m or y0.shape != (grid.m,):
-        raise GridMismatchError(f"operator size {A.n}, y0 shape {y0.shape} vs grid m={grid.m}")
+    if np.shape(coeffs) != (table.eig.n, tg.n_t) or A.n != grid.m or y0.shape != (grid.m,):
+        raise GridMismatchError(f"coefficients {np.shape(coeffs)}, operator {A.n}, y0 {y0.shape}"
+                                f" vs N={table.eig.n}, n_t={tg.n_t}, m={grid.m}")
     if forcing is not None and np.shape(forcing) != (tg.n_t, grid.m):
         raise GridMismatchError(f"forcing shape {np.shape(forcing)} vs n_t={tg.n_t}, m={grid.m}")
-    dcap = caputo_l1(np.vstack([y0[None, :], field.values]), order.alpha, tg)
+    values = coeffs.T @ table.eig.phis
+    dcap = caputo_l1(np.vstack([y0[None, :], values]), order.alpha, tg)
     rot = np.conj(order.phase_factor)  # unit modulus, so conj is e^{-i phi}
-    r = rot * dcap - A.matvec(field.values.T).T
+    r = rot * dcap - A.matvec(values.T).T
     if forcing is not None:
         r -= forcing
     return math.sqrt(grid.h) * float(np.linalg.norm(r, axis=1).max())
 
 
-def duhamel_check(src: SourceSpec, order: FractionalOrder, eig: EigenSystem,
-                  tg: TimeGrid) -> float:
+def duhamel_check(src: SourceSpec, table: KernelTable) -> float:
     """Discrepancy of the time-fractional Duhamel identity
     J^{1-alpha} y(g) = p * (rho * v(g)) (time convolution, p the source
     phase factor) for the source ``src`` = rho g, with y(g) the
-    source-driven solution and v(g) the homogeneous one.  Both sides are
+    source-driven solution and v(g) the homogeneous one, both solved on the
+    table and compared as modal coefficients, whose norms are grid norms up
+    to rounding (the eigenvectors are h-orthonormal).  Both sides are
     discretized independently; the value should vanish under time
     refinement.
 
     The phase factor belongs to the identity: per mode both sides reduce
     to multiples of t E_{a,2}(p lam t^a), the driven side carrying the
-    extra p from the source coupling.
-
-    Both sides are compared as n_t x N modal coefficients, with one
-    ``kernel_grid`` call per kind for every mode (the rows of
-    ``KernelTable``, bit for bit); the eigenvectors are h-orthonormal,
-    so coefficient norms equal grid norms up to rounding.
-    """
-    rho = src.rho
-    if rho.shape != (tg.n_t,):
-        raise GridMismatchError(f"rho shape {rho.shape} vs n_t={tg.n_t}")
-    c = _modal(src.g, eig, "source factor g")
-    dw = np.diff(kernel_grid(order, eig.lambdas, tg.dt * np.arange(tg.n_t + 1), "integral"))
-    y = order.phase_factor * causal_conv(np.outer(rho, c), dw.T)
-    del dw  # freed before the state kernels are built
-    v = c * kernel_grid(order, eig.lambdas, tg.times, "state").T
-    lhs = rl_integral(y, 1.0 - order.alpha, tg)
-    rhs = order.phase_factor * tg.dt * causal_conv(v, rho)
+    extra p from the source coupling."""
+    y = solve_modal(np.zeros(table.eig.n), src, table).T
+    v = solve_modal(src.g, None, table).T
+    lhs = rl_integral(y, 1.0 - table.order.alpha, table.tg)
+    rhs = table.order.phase_factor * table.tg.dt * causal_conv(v, src.rho)
     return float(np.linalg.norm(lhs - rhs, axis=1).max())
 
 

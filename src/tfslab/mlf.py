@@ -322,17 +322,19 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     by_set = np.argsort(which, kind="stable")  # the points of each set, in order
     zs, vals = z[by_set], np.empty(z.shape, dtype=np.complex128)
     end = 0
-    for j, count in enumerate(np.bincount(which, minlength=len(sets)).tolist()):
-        if not count:
-            continue
-        sa, w = _contour_nodes(alpha, beta, *sets[j])
-        step = max(1, _BLOCK // sa.size)
-        for lo in range(end, end + count, step):
-            hi = min(lo + step, end + count)
-            d = sa - zs[lo:hi, None]
-            np.divide(w, d, out=d)
-            d.sum(axis=1, out=vals[lo:hi])
-        end += count
+    # a large |beta| overflows the nodes or their weights: the callers check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j, count in enumerate(np.bincount(which, minlength=len(sets)).tolist()):
+            if not count:
+                continue
+            sa, w = _contour_nodes(alpha, beta, *sets[j])
+            step = max(1, _BLOCK // sa.size)
+            for lo in range(end, end + count, step):
+                hi = min(lo + step, end + count)
+                d = sa - zs[lo:hi, None]
+                np.divide(w, d, out=d)
+                d.sum(axis=1, out=vals[lo:hi])
+            end += count
     out[by_set] += vals
     return out
 
@@ -387,7 +389,7 @@ def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
         raise MLDomainError(f"|z|={abs(flat[big][0]):.4g} beyond cap {z_max:.4g}")
     val = _ml_row(params.alpha, params.beta, flat)
     if not np.isfinite(val).all():
-        raise MLOverflowError("evaluation produced a non-finite value")
+        raise MLOverflowError(f"E_{{{params.alpha},{params.beta}}} exceeds double range")
     if verify:
         shifted = _ml_row(params.alpha, params.alpha + params.beta, flat)
         gap = np.abs(val - rgamma_real(params.beta) - flat * shifted)

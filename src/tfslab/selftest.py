@@ -28,7 +28,6 @@ from .forward import (
     eval_homogeneous,
     pde_residual,
     project,
-    solve_forward,
     solve_modal,
 )
 from .inverse import (
@@ -142,16 +141,16 @@ def _c4_forward_single_mode():
     table = KernelTable(order, eig, tg)
     # homogeneous: modal trajectory equals the state kernel
     e1 = np.eye(eig.n)[0]
-    y = solve_forward(e1, None, table)
-    c1 = project(y.values.T, eig)[0]
+    y = solve_modal(e1, None, table).T @ eig.phis
+    c1 = project(y.T, eig)[0]
     worst = float(np.max(np.abs(c1 - kernel_grid(order, lam1, tg.times, "state"))))
     assert worst <= 1e-12, f"trajectory deviates from state kernel by {worst:.3e}"
     # separable source, rho = 1: closed form vs quadrature of the entire
     # function E_{a,a}(-i lam u) over [0, t^a], 64 Gauss-Legendre nodes
     rho = np.ones(tg.n_t, dtype=complex)
-    ys = solve_forward(np.zeros(eig.n), SourceSpec(rho, e1), table)
+    ys = solve_modal(np.zeros(eig.n), SourceSpec(rho, e1), table).T @ eig.phis
     ts = np.array([0.25, 0.5, 1.0])
-    got = project(ys.values[np.rint(ts / tg.dt).astype(int) - 1].T, eig)[0]
+    got = project(ys[np.rint(ts / tg.dt).astype(int) - 1].T, eig)[0]
     x, w = np.polynomial.legendre.leggauss(64)
     half = 0.5 * ts**order.alpha
     vals = ml_eval(MLParams(order.alpha, order.alpha),
@@ -185,9 +184,9 @@ def _c6_pde_residual():
     y0 = eig.phis[0].astype(complex)
     resids = []
     for n_t in (200, 400, 800):
-        tg = TimeGrid(1.0, n_t)
-        fieldv = solve_forward(project(y0, eig), None, KernelTable(order, eig, tg))
-        resids.append(pde_residual(fieldv, y0, None, order, A))
+        table = KernelTable(order, eig, TimeGrid(1.0, n_t))
+        resids.append(pde_residual(solve_modal(project(y0, eig), None, table), table, y0,
+                                   None, A))
     assert resids[0] > resids[1] > resids[2], (
         f"residuals not monotone under refinement: {resids}"
     )
@@ -201,8 +200,8 @@ def _c7_duhamel():
     g = np.eye(eig.n)[0]
     discs = []
     for n_t in (1000, 2000):
-        tg = TimeGrid(1.0, n_t)
-        discs.append(duhamel_check(SourceSpec(np.ones(n_t), g), order, eig, tg))
+        table = KernelTable(order, eig, TimeGrid(1.0, n_t))
+        discs.append(duhamel_check(SourceSpec(np.ones(n_t), g), table))
     assert discs[0] <= 1e-3, f"Duhamel discrepancy {discs[0]:.3e} > 1e-3 at dt=1e-3"
     ratio = discs[1] / discs[0]
     assert ratio <= 0.7, f"refinement ratio {ratio:.3f} not halving"

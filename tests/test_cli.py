@@ -325,6 +325,9 @@ class TestValidation:
         self.assert_config_error(tmp_path, capsys, cfg, "truth.g")
 
     TIKHONOV = {"gamma": 1e-8, "n_modes": 4}
+    ORDER_SEARCH = {"alpha_lo": 0.3, "alpha_hi": 0.9}
+    ZERO_RHO = {"kind": "const", "value": 0.0}
+    ZERO_MIX = {"kind": "mix", "coeffs_re": [0.0]}
 
     @pytest.mark.parametrize("cfg,field", [
         # checks that need n_modes or m (forward n_modes = 6, m = 63;
@@ -352,10 +355,23 @@ class TestValidation:
         (forward_config(source={"kind": "bogus"}), "source.kind"),
         (forward_config(mask={"intervals": "[0.2, 0.4]"}), "mask.intervals"),
         (forward_config(mask={"intervals": [[0.2]]}), "mask.intervals"),
+        # data that cannot identify the unknown: a vanishing temporal factor
+        # or generating datum (n_t = 20, m = 63)
+        (inversion_config("invert-source", dict(SOURCE_TRUTH, rho=ZERO_RHO), TIKHONOV),
+         "truth.rho"),
+        (inversion_config("invert-source",
+                          dict(SOURCE_TRUTH, rho={"kind": "samples", "re": [0.0] * 20}), TIKHONOV),
+         "truth.rho"),
+        (inversion_config("invert-order", dict(ORDER_TRUTH, initial=ZERO_MIX), ORDER_SEARCH),
+         "truth.initial"),
+        (inversion_config("invert-order",
+                          dict(ORDER_TRUTH, initial={"kind": "samples", "re": [0.0] * 63}),
+                          ORDER_SEARCH), "truth.initial"),
     ], ids=["initial-index", "source-index", "truth-initial-index", "truth-g-index",
             "long-mix", "short-samples", "forward-truth", "forward-inversion",
             "forward-noise", "inversion-initial", "inversion-source", "output-dir-type",
-            "n-modes-above-m", "source-kind", "intervals-type", "interval-length"])
+            "n-modes-above-m", "source-kind", "intervals-type", "interval-length",
+            "zero-rho", "zero-rho-samples", "zero-order-datum", "zero-order-samples"])
     def test_error_found_before_any_solve(self, tmp_path, capsys, cfg, field):
         self.assert_config_error(tmp_path, capsys, cfg, field)
 
@@ -917,6 +933,23 @@ class TestMlEval:
         rc = cli.main(["ml-eval", "--alpha", alpha, "--beta", beta, "--re", re, "--im", im])
         assert rc == 3
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
+
+    @pytest.mark.parametrize("beta", ["-171", "1e308"])
+    def test_overflowing_contour_exits_3_without_warnings(self, capsys, beta):
+        # the contour's node weights (-171) or its nodes (1e308) overflow; the
+        # caches are cleared so that the node sets are built in this call
+        from tfslab import mlf
+
+        mlf._contour_nodes.cache_clear()
+        mlf._parabola.cache_clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["ml-eval", "--alpha", "0.5", f"--beta={beta}", "--re", "1"])
+        assert rc == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "numerical"
+        assert error["message"].startswith(f"E_{{0.5,{float(beta)}}}")
 
 
 class TestSelftestCommand:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from helpers import node_samples
 from tfslab import forward
 from tfslab._kernels import causal_conv
 from tfslab.errors import GridMismatchError, MLDomainError
 from tfslab.forward import (
     KernelTable,
     SourceSpec,
-    SpaceTimeField,
     TimeGrid,
     caputo_l1,
     decay_slope,
@@ -22,7 +22,7 @@ from tfslab.forward import (
     project,
     projection_tail_energy,
     rl_integral,
-    solve_forward,
+    solve_modal,
 )
 from tfslab.mlf import FractionalOrder, MLParams, kernel_grid, ml_eval
 from tfslab.spectral import (Grid1D, OperatorSpec, Tridiag, analytic_eigensystem,
@@ -85,10 +85,10 @@ class TestSolveForward:
     def test_single_mode_separation(self, eig):
         order = FractionalOrder(0.6)
         tg = TimeGrid(1.0, 25)
-        y = solve_forward(unit(eig, 0), None, KernelTable(order, eig, tg))
+        y = node_samples(unit(eig, 0), None, KernelTable(order, eig, tg))
         k = kernel_grid(order, float(eig.lambdas[0]), tg.times, "state")
         for i in range(tg.n_t):
-            c = project(y.values[i], eig)
+            c = project(y[i], eig)
             assert abs(c[0] - k[i]) <= 1e-12
             assert np.max(np.abs(c[1:])) <= 1e-12
 
@@ -100,9 +100,8 @@ class TestSolveForward:
         v = project(rng.standard_normal(99) + 1j * rng.standard_normal(99), eig)
         a, b = 1.3 - 0.2j, -0.7 + 0.9j
         table = KernelTable(order, eig, tg)
-        left = solve_forward(a * u + b * v, None, table).values
-        right = (a * solve_forward(u, None, table).values
-                 + b * solve_forward(v, None, table).values)
+        left = node_samples(a * u + b * v, None, table)
+        right = a * node_samples(u, None, table) + b * node_samples(v, None, table)
         assert np.max(np.abs(left - right)) <= 1e-12 * max(1.0, np.max(np.abs(left)))
 
     def test_constant_rho_source_closed_form(self, eig):
@@ -110,23 +109,23 @@ class TestSolveForward:
         order = FractionalOrder(0.5)
         tg = TimeGrid(1.0, 25)
         rho = np.ones(tg.n_t, dtype=complex)
-        y = solve_forward(np.zeros(8), SourceSpec(rho, unit(eig, 0)),
-                          KernelTable(order, eig, tg))
+        y = node_samples(np.zeros(8), SourceSpec(rho, unit(eig, 0)),
+                         KernelTable(order, eig, tg))
         k = kernel_grid(order, float(eig.lambdas[0]), tg.times, "integral")
         for i in range(tg.n_t):
-            c = project(y.values[i], eig)[0]
+            c = project(y[i], eig)[0]
             assert abs(c - -1j * k[i]) <= 1e-12
 
     def test_source_against_quadrature(self, eig):
         order = FractionalOrder(0.7)
         tg = TimeGrid(1.0, 40)
         rho = np.ones(tg.n_t, dtype=complex)
-        y = solve_forward(np.zeros(8), SourceSpec(rho, unit(eig, 1)),
-                          KernelTable(order, eig, tg))
+        y = node_samples(np.zeros(8), SourceSpec(rho, unit(eig, 1)),
+                         KernelTable(order, eig, tg))
         lam = float(eig.lambdas[1])
         params = MLParams(order.alpha, order.alpha)
         t = 1.0
-        got = project(y.values[-1], eig)[1]
+        got = project(y[-1], eig)[1]
 
         def f(u, sign):
             v = ml_eval(params, complex(0.0, -lam * u), verify=False)
@@ -146,9 +145,9 @@ class TestSolveForward:
         rng = np.random.default_rng(np.random.Philox(11))
         y0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         c_init = np.abs(y0)
-        y = solve_forward(y0, None, KernelTable(order, eig, tg))
+        y = node_samples(y0, None, KernelTable(order, eig, tg))
         for i, t in enumerate(tg.times):
-            c = np.abs(project(y.values[i], eig))
+            c = np.abs(project(y[i], eig))
             bound = c0 * c_init / (1.0 + eig.lambdas * t**0.5)
             assert np.all(c <= bound * (1.0 + 1e-9) + 1e-15)
 
@@ -161,18 +160,18 @@ class TestSolveForward:
         rng = np.random.default_rng(np.random.Philox(13))
         y0 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         y0 = y0 / np.linalg.norm(y0)
-        y = solve_forward(y0, None, KernelTable(order, eig, tg))
+        y = node_samples(y0, None, KernelTable(order, eig, tg))
         for i in range(tg.n_t):
-            assert eig.grid.norm(y.values[i]) <= c0 * (1.0 + 1e-9)
+            assert eig.grid.norm(y[i]) <= c0 * (1.0 + 1e-9)
 
     def test_phase_variant_trajectory(self, eig):
         order = FractionalOrder(0.5, "power_i_alpha")
         tg = TimeGrid(1.0, 10)
-        y = solve_forward(unit(eig, 0), None, KernelTable(order, eig, tg))
+        y = node_samples(unit(eig, 0), None, KernelTable(order, eig, tg))
         lam = float(eig.lambdas[0])
         phase = cmath.exp(-1j * math.pi * 0.25)
         for i, t in enumerate(tg.times):
-            c = project(y.values[i], eig)[0]
+            c = project(y[i], eig)[0]
             expect = ml_eval(MLParams(0.5, 1.0), phase * lam * t**0.5, verify=False)
             assert abs(c - expect) <= 1e-12
 
@@ -192,17 +191,16 @@ class TestSolveForward:
         # project first
         table = KernelTable(FractionalOrder(0.5), eig, TimeGrid(1.0, 10))
         with pytest.raises(GridMismatchError, match="initial datum has shape"):
-            solve_forward(eig.phis[0], None, table)
+            solve_modal(eig.phis[0], None, table)
         with pytest.raises(GridMismatchError, match="source factor g has shape"):
-            solve_forward(np.zeros(8), SourceSpec(np.ones(10), eig.phis[0]), table)
+            solve_modal(np.zeros(8), SourceSpec(np.ones(10), eig.phis[0]), table)
 
     def test_source_length_mismatch_rejected(self, eig):
         # rho sampled at one time fewer than the grid has
         tg = TimeGrid(1.0, 10)
         src = SourceSpec(np.ones(tg.n_t - 1), unit(eig, 1))
         with pytest.raises(GridMismatchError, match="rho sampled at 9 times, grid has 10"):
-            solve_forward(unit(eig, 0), src,
-                          KernelTable(FractionalOrder(0.5), eig, tg))
+            solve_modal(unit(eig, 0), src, KernelTable(FractionalOrder(0.5), eig, tg))
 
 
 class TestSynthesizedRows:
@@ -225,15 +223,6 @@ class TestSynthesizedRows:
         bad = [(a, b) for a, b in ranges
                if not np.array_equal(forward.synthesize_rows(coeffs, phis, a, b), whole[a:b])]
         assert not bad
-
-    def test_solve_forward_is_the_synthesized_modal_solution(self, eig):
-        tg = TimeGrid(1.0, 33)
-        table = KernelTable(FractionalOrder(0.7), eig, tg)
-        src = SourceSpec(np.exp(1j * tg.times), unit(eig, 0) - 2.0 * unit(eig, 5))
-        coeffs = forward.solve_modal(unit(eig, 1) + 0.5j * unit(eig, 3), src, table)
-        assert coeffs.shape == (eig.n, tg.n_t)
-        field = solve_forward(unit(eig, 1) + 0.5j * unit(eig, 3), src, table)
-        assert np.array_equal(field.values, coeffs.T @ eig.phis)
 
 
 class TestKernelTable:
@@ -270,8 +259,8 @@ class TestKernelTable:
         driven = np.zeros((eig.n, tg.n_t), dtype=complex)
         driven[live] = order.phase_factor * causal_conv(forcing[live].T, dw.T).T
         expect = (c0[:, None] * state + driven).T @ eig.phis
-        got = solve_forward(c0, SourceSpec(rho, g), KernelTable(order, eig, tg))
-        assert np.array_equal(got.values, expect)
+        got = node_samples(c0, SourceSpec(rho, g), KernelTable(order, eig, tg))
+        assert np.array_equal(got, expect)
 
     def test_rows_are_evaluated_once(self, eig, calls):
         tg = TimeGrid(1.0, 20)
@@ -293,9 +282,9 @@ class TestKernelTable:
         y0 = unit(eig, 1) - 0.3j * unit(eig, 4)
         src = SourceSpec(np.exp(1j * tg.times), unit(eig, 0) + unit(eig, 6))
         table = KernelTable(FractionalOrder(0.7, "power_i_alpha"), eig, tg)
-        first = solve_forward(y0, src, table).values
+        first = solve_modal(y0, src, table)
         evaluated = len(calls)
-        assert np.array_equal(solve_forward(y0, src, table).values, first)
+        assert np.array_equal(solve_modal(y0, src, table), first)
         assert evaluated > 0 and len(calls) == evaluated
 
 
@@ -307,14 +296,11 @@ class TestFrozenArrays:
         "SourceSpec": (SourceSpec, [(4,), (3,)], ("rho", "g")),
         "OperatorSpec": (lambda a, p: OperatorSpec(a, p, 1.0), [(4,), (3,)], ("a", "p")),
         "Tridiag": (Tridiag, [(3,), (2,)], ("diag", "off")),
-        "SpaceTimeField": (lambda v: SpaceTimeField(v, TimeGrid(1.0, 4), Grid1D(1.0, 3)),
-                           [(4, 3)], ("values",)),
     }
 
     @pytest.mark.parametrize("name, dtype", [
         ("SourceSpec", np.float64), ("SourceSpec", np.complex128),
         ("OperatorSpec", np.float64), ("Tridiag", np.float64),
-        ("SpaceTimeField", np.float64), ("SpaceTimeField", np.complex128),
     ])
     def test_caller_arrays_stay_writable(self, name, dtype):
         build, shapes, fields = self.BUILDERS[name]
@@ -402,10 +388,8 @@ class TestFractionalCalculus:
 class TestResidualAndDuhamel:
     def test_zero_field_zero_residual(self, fd_system):
         A, eig = fd_system
-        tg = TimeGrid(1.0, 10)
-        field = SpaceTimeField(np.zeros((10, 63), dtype=complex), tg, eig.grid)
-        r = pde_residual(field, np.zeros(63), None,
-                         FractionalOrder(0.5), A)
+        table = KernelTable(FractionalOrder(0.5), eig, TimeGrid(1.0, 10))
+        r = pde_residual(np.zeros((8, 10), dtype=complex), table, np.zeros(63), None, A)
         assert r == 0.0
 
     def test_single_mode_residual_decreases(self, fd_system):
@@ -414,9 +398,9 @@ class TestResidualAndDuhamel:
         y0 = eig.phis[0].astype(complex)
         resids = []
         for n_t in (100, 200, 400):
-            tg = TimeGrid(1.0, n_t)
-            y = solve_forward(project(y0, eig), None, KernelTable(order, eig, tg))
-            resids.append(pde_residual(y, y0, None, order, A))
+            table = KernelTable(order, eig, TimeGrid(1.0, n_t))
+            resids.append(pde_residual(solve_modal(project(y0, eig), None, table), table, y0,
+                                       None, A))
         assert resids[0] > resids[1] > resids[2]
 
     def test_multimode_residual_ceiling(self, fd_system):
@@ -429,26 +413,23 @@ class TestResidualAndDuhamel:
         c = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / (1 + np.arange(8)) ** 2
         y0 = c @ eig.phis
         y0 = y0 / eig.grid.norm(y0)
-        tg = TimeGrid(1.0, 1000)
-        y = solve_forward(project(y0, eig), None, KernelTable(order, eig, tg))
-        r = pde_residual(y, y0, None, order, A)
+        table = KernelTable(order, eig, TimeGrid(1.0, 1000))
+        r = pde_residual(solve_modal(project(y0, eig), None, table), table, y0, None, A)
         assert r <= 10.0
 
     def test_duhamel_trivial_cases(self, fd_system):
         _, eig = fd_system
-        order = FractionalOrder(0.5)
-        tg = TimeGrid(1.0, 50)
-        assert duhamel_check(SourceSpec(np.ones(tg.n_t), np.zeros(8)), order, eig, tg) <= 1e-14
-        assert duhamel_check(SourceSpec(np.zeros(tg.n_t), unit(eig, 0)), order, eig, tg) <= 1e-14
+        table = KernelTable(FractionalOrder(0.5), eig, TimeGrid(1.0, 50))
+        assert duhamel_check(SourceSpec(np.ones(50), np.zeros(8)), table) <= 1e-14
+        assert duhamel_check(SourceSpec(np.zeros(50), unit(eig, 0)), table) <= 1e-14
 
     def test_duhamel_refinement_order(self, fd_system):
         _, eig = fd_system
         order = FractionalOrder(0.5)
         discs = []
         for n_t in (250, 500, 1000):
-            tg = TimeGrid(1.0, n_t)
-            discs.append(duhamel_check(SourceSpec(np.ones(tg.n_t), unit(eig, 0)),
-                                       order, eig, tg))
+            table = KernelTable(order, eig, TimeGrid(1.0, n_t))
+            discs.append(duhamel_check(SourceSpec(np.ones(n_t), unit(eig, 0)), table))
         orders = [math.log2(discs[i] / discs[i + 1]) for i in range(2)]
         assert all(o >= 0.9 for o in orders)
 
@@ -457,9 +438,8 @@ class TestResidualAndDuhamel:
         order = FractionalOrder(0.6, "power_i_alpha")
         discs = []
         for n_t in (200, 400):
-            tg = TimeGrid(1.0, n_t)
-            discs.append(duhamel_check(SourceSpec(np.ones(tg.n_t), unit(eig, 0)),
-                                       order, eig, tg))
+            table = KernelTable(order, eig, TimeGrid(1.0, n_t))
+            discs.append(duhamel_check(SourceSpec(np.ones(n_t), unit(eig, 0)), table))
         assert discs[1] <= 0.7 * discs[0]
 
     def test_manufactured_source_residual_vanishes(self, fd_system):
@@ -470,32 +450,34 @@ class TestResidualAndDuhamel:
         order = FractionalOrder(0.5)
         tg = TimeGrid(1.0, 50)
         lam = float(eig.lambdas[0])
-        values = np.outer(tg.times, eig.phis[0]).astype(complex)
-        field = SpaceTimeField(values, tg, eig.grid)
+        coeffs = np.zeros((eig.n, tg.n_t), dtype=complex)
+        coeffs[0] = tg.times
         dcap = tg.times ** 0.5 / math.gamma(1.5)
         forcing = np.outer(1j * dcap - lam * tg.times, eig.phis[0])
-        r = pde_residual(field, np.zeros(eig.grid.m), forcing, order, A)
+        r = pde_residual(coeffs, KernelTable(order, eig, tg), np.zeros(eig.grid.m), forcing, A)
         assert r <= 1e-10
 
 
-def grid_duhamel(g, rho, order, eig, tg):
+def grid_duhamel(g, rho, table):
     """The Duhamel discrepancy on the m nodes: both solutions synthesized as
     fields, J^{1-alpha} and the rho-convolution applied node by node, and
     each time row normed on its own; ``g`` is given by its modal
     coefficients."""
-    v = solve_forward(g, None, KernelTable(order, eig, tg)).values
-    y = solve_forward(np.zeros(eig.n), SourceSpec(rho, g), KernelTable(order, eig, tg)).values
+    order, tg, eig = table.order, table.tg, table.eig
+    v = node_samples(g, None, table)
+    y = node_samples(np.zeros(eig.n), SourceSpec(rho, g), table)
     lhs = rl_integral(y, 1.0 - order.alpha, tg)
     rhs = order.phase_factor * tg.dt * causal_conv(v, rho)
     return max(eig.grid.norm(row) for row in lhs - rhs)
 
 
-def row_residual(field, y0, src, order, A):
-    """The PDE residual one time row at a time, for the separable source
-    ``src`` whose factor g is given as node samples."""
-    tg, grid = field.tg, field.grid
-    dcap = caputo_l1(np.vstack([y0[None, :], field.values]), order.alpha, tg)
-    ay = A.matvec(field.values.T).T
+def row_residual(values, y0, src, table, A):
+    """The PDE residual of the node samples ``values`` one time row at a
+    time, for the separable source ``src`` whose factor g is given as node
+    samples."""
+    order, tg, grid = table.order, table.tg, table.eig.grid
+    dcap = caputo_l1(np.vstack([y0[None, :], values]), order.alpha, tg)
+    ay = A.matvec(values.T).T
     worst = 0.0
     for i in range(tg.n_t):
         f = src.rho[i] * src.g if src is not None else 0.0
@@ -518,23 +500,22 @@ class TestVectorizedChecks:
             rng = np.random.default_rng(np.random.Philox(29))
             g = rng.standard_normal(eig.n) + 1j * rng.standard_normal(eig.n)
             rho = np.exp(3j * tg.times) * (1.0 + tg.times)
-        ref = grid_duhamel(g, rho, order, eig, tg)
-        assert abs(duhamel_check(SourceSpec(rho, g), order, eig, tg) - ref) <= 1e-12 * ref
+        table = KernelTable(order, eig, tg)
+        ref = grid_duhamel(g, rho, table)
+        assert abs(duhamel_check(SourceSpec(rho, g), table) - ref) <= 1e-12 * ref
 
     @pytest.mark.parametrize("separable", [False, True])
     def test_residual_matches_row_by_row(self, fd_system, separable):
         A, eig = fd_system
-        order = FractionalOrder(0.6, "power_i_alpha")
-        tg = TimeGrid(1.0, 200)
+        table = KernelTable(FractionalOrder(0.6, "power_i_alpha"), eig, TimeGrid(1.0, 200))
         rng = np.random.default_rng(np.random.Philox(31))
-        shape = (tg.n_t + 1, eig.grid.m)
-        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        src = (SourceSpec(np.exp(2j * tg.times), values[0] + eig.phis[1])
+        coeffs = rng.standard_normal((eig.n, 200)) + 1j * rng.standard_normal((eig.n, 200))
+        y0 = rng.standard_normal(eig.grid.m) + 1j * rng.standard_normal(eig.grid.m)
+        src = (SourceSpec(np.exp(2j * table.tg.times), y0 + eig.phis[1])
                if separable else None)
-        field = SpaceTimeField(values[1:], tg, eig.grid)
-        ref = row_residual(field, values[0], src, order, A)
+        ref = row_residual(coeffs.T @ eig.phis, y0, src, table, A)
         forcing = None if src is None else np.outer(src.rho, src.g)
-        assert abs(pde_residual(field, values[0], forcing, order, A) - ref) <= 1e-13 * ref
+        assert abs(pde_residual(coeffs, table, y0, forcing, A) - ref) <= 1e-13 * ref
 
     @pytest.mark.parametrize("n_rho, m_g, m_y0", [
         (25, 63, 63),  # a longer rho was truncated to the grid
@@ -545,23 +526,34 @@ class TestVectorizedChecks:
     ])
     def test_residual_rejects_mismatched_inputs(self, fd_system, n_rho, m_g, m_y0):
         A, eig = fd_system
-        tg = TimeGrid(1.0, 20)
-        field = SpaceTimeField(np.zeros((tg.n_t, eig.grid.m), dtype=complex), tg, eig.grid)
+        table = KernelTable(FractionalOrder(0.5), eig, TimeGrid(1.0, 20))
         forcing = None if n_rho is None else np.ones((n_rho, m_g))
         with pytest.raises(GridMismatchError):
-            pde_residual(field, np.zeros(m_y0), forcing, FractionalOrder(0.5), A)
+            pde_residual(np.zeros((eig.n, 20)), table, np.zeros(m_y0), forcing, A)
+
+    # coefficients of one mode too few, one grid time too few, and node
+    # samples in place of coefficients
+    @pytest.mark.parametrize("shape", [(7, 20), (8, 19), (20, 63)])
+    def test_residual_rejects_coefficients_off_the_table(self, fd_system, shape):
+        A, eig = fd_system
+        table = KernelTable(FractionalOrder(0.5), eig, TimeGrid(1.0, 20))
+        with pytest.raises(GridMismatchError, match="coefficients"):
+            pde_residual(np.zeros(shape), table, np.zeros(63), None, A)
 
     # g of 8 coefficients fits the 8-mode system; 63 and 62 entries (node
     # samples, or too few of them) do not
     @pytest.mark.parametrize("n_rho, m_g", [(25, 63), (15, 63), (20, 62), (25, 8), (15, 8)])
     def test_duhamel_rejects_mismatched_inputs(self, fd_system, n_rho, m_g):
         _, eig = fd_system
+        table = KernelTable(FractionalOrder(0.5), eig, TimeGrid(1.0, 20))
         with pytest.raises(GridMismatchError):
-            duhamel_check(SourceSpec(np.ones(n_rho), np.ones(m_g)), FractionalOrder(0.5),
-                          eig, TimeGrid(1.0, 20))
+            duhamel_check(SourceSpec(np.ones(n_rho), np.ones(m_g)), table)
 
     @pytest.mark.parametrize("n_modes", [4, 8])
-    def test_duhamel_makes_one_kernel_call_per_kind(self, monkeypatch, n_modes):
+    def test_duhamel_shares_the_table(self, monkeypatch, n_modes):
+        # the check evaluates a row of each kind for each mode its factor g
+        # reaches, none for a zero coefficient, and nothing on a table that
+        # already holds those rows
         eig = analytic_eigensystem(1.0, n_modes, Grid1D(1.0, 99))
         calls = []
         exact = forward.kernel_grid
@@ -569,16 +561,21 @@ class TestVectorizedChecks:
                             lambda *args: calls.append((np.shape(args[1]), args[3]))
                             or exact(*args))
         tg = TimeGrid(1.0, 100)
-        duhamel_check(SourceSpec(np.ones(tg.n_t), unit(eig, 0)), FractionalOrder(0.5), eig, tg)
-        assert sorted(calls) == [((n_modes,), "integral"), ((n_modes,), "state")]
+        table = KernelTable(FractionalOrder(0.5), eig, tg)
+        src = SourceSpec(np.ones(tg.n_t), unit(eig, 0) - 0.5j * unit(eig, 2))
+        first = duhamel_check(src, table)
+        assert sorted(calls) == [((), "integral")] * 2 + [((), "state")] * 2
+        calls.clear()
+        assert duhamel_check(src, table) == first
+        assert calls == []
 
     def test_duhamel_allocates_no_space_time_field(self, eig):
         tg = TimeGrid(1.0, 2000)
-        args = (SourceSpec(np.ones(tg.n_t), unit(eig, 0)), FractionalOrder(0.5), eig, tg)
-        duhamel_check(*args)  # one-time set-up outside the measurement
+        src, order = SourceSpec(np.ones(tg.n_t), unit(eig, 0)), FractionalOrder(0.5)
+        duhamel_check(src, KernelTable(order, eig, tg))  # one-time set-up outside the measurement
         tracemalloc.start()
         try:
-            duhamel_check(*args)
+            duhamel_check(src, KernelTable(order, eig, tg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

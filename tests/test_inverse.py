@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+from helpers import node_samples
 from tfslab.errors import (
     FlatMisfitError,
     GridMismatchError,
@@ -16,8 +17,7 @@ from tfslab.errors import (
     SourceHypothesisError,
 )
 from tfslab import forward, inverse
-from tfslab.forward import (KernelTable, SourceSpec, TimeGrid, solve_forward, solve_modal,
-                            source_rows)
+from tfslab.forward import KernelTable, SourceSpec, TimeGrid, solve_modal, source_rows
 from tfslab.inverse import (
     OrderSearchConfig,
     TikhonovConfig,
@@ -496,8 +496,8 @@ class TestModalDesignsMatchForwardSolves:
         rho = (np.cos(3.0 * t) + 1j * t).astype(complex)
         w = math.sqrt(eig.grid.h * tg.dt)
         ref = np.column_stack([
-            w * solve_forward(np.zeros(eig.n), SourceSpec(rho, unit(eig, n)),
-                              KernelTable(order, eig, tg)).values[:, mask.indices].ravel()
+            w * node_samples(np.zeros(eig.n), SourceSpec(rho, unit(eig, n)),
+                             KernelTable(order, eig, tg))[:, mask.indices].ravel()
             for n in range(6)
         ])
         got = explicit_design(KernelTable(order, eig, tg), mask, 6, rho)
@@ -510,8 +510,8 @@ class TestModalDesignsMatchForwardSolves:
                        eig, tg, mask, 1e-3, 11)
         for alpha in (0.45, 0.8):
             trial = FractionalOrder(alpha, order.phase)
-            traj = solve_forward(y0, None, KernelTable(trial, eig, tg))
-            diff = traj.values[:, mask.indices] - data.values
+            traj = node_samples(y0, None, KernelTable(trial, eig, tg))
+            diff = traj[:, mask.indices] - data.values
             ref = float(eig.grid.h * tg.dt * np.sum(np.abs(diff) ** 2))
             assert order_misfit(data, y0, trial, eig) == ref
 
@@ -527,7 +527,7 @@ class TestModalDesignsMatchForwardSolves:
         monkeypatch.setattr(forward, "kernel_grid",
                             lambda *args: calls.append(np.shape(args[1])) or exact(*args))
         src = SourceSpec(np.ones(tg.n_t), np.ones(eig.n))
-        solve_forward(np.linspace(1.0, 2.0, eig.n), src, KernelTable(order, eig, tg))
+        solve_modal(np.linspace(1.0, 2.0, eig.n), src, KernelTable(order, eig, tg))
         assert calls == [()] * (2 * eig.n)
         y0 = unit(eig, 0) - 0.5j * unit(eig, 2)
         data = observe(solve_modal(y0, None, KernelTable(order, eig, tg)), eig, tg, mask,

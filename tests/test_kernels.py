@@ -37,8 +37,8 @@ def test_2d_matches_bruteforce(rng):
 
 
 def test_2d_kernel_convolves_column_by_column(rng):
-    # one kernel column per signal column, as source_rows and duhamel_check
-    # pass them (a transposed view): bit for bit the one-column calls
+    # one kernel column per signal column, as source_rows passes them (a
+    # transposed view): bit for bit the one-column calls
     sig = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
     ker = (rng.standard_normal((5, 31)) + 1j * rng.standard_normal((5, 31))).T
     got = _kernels.causal_conv(sig, ker)

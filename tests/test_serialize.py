@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from helpers import node_samples
 from tfslab import serialize
-from tfslab.forward import (KernelTable, SpaceTimeField, TimeGrid, solve_forward, solve_modal,
-                            synthesize_rows)
+from tfslab.forward import KernelTable, TimeGrid, solve_modal, synthesize_rows
 from tfslab.mlf import FractionalOrder
 from tfslab.observe import ObservedData, make_mask, observe
 from tfslab.serialize import (
@@ -36,8 +36,8 @@ def eig():
 
 
 def held_field_chunks(field):
-    """``field_chunks`` of a field held whole: its rows are slices of its
-    values."""
+    """``field_chunks`` of a field held whole, any object with node samples
+    ``values`` on ``tg`` x ``grid``: its rows are slices of its values."""
     return field_chunks(field.tg, field.grid, lambda lo, hi: field.values[lo:hi])
 
 
@@ -187,12 +187,11 @@ class TestAtomicWrite:
 
 def test_field_json_flat_layout(eig):
     tg = TimeGrid(1.0, 3)
-    y = solve_forward(np.eye(eig.n)[0], None,
-                      KernelTable(FractionalOrder(0.5), eig, tg))
-    doc = json.loads(texts(held_field_chunks(y))[1])
+    y = node_samples(np.eye(eig.n)[0], None, KernelTable(FractionalOrder(0.5), eig, tg))
+    doc = json.loads(texts(held_field_chunks(SimpleNamespace(values=y, tg=tg, grid=eig.grid)))[1])
     assert len(doc["values_re_im"]) == 2 * 3 * eig.grid.m
     v0 = complex(doc["values_re_im"][0], doc["values_re_im"][1])
-    assert v0 == complex(y.values[0, 0])
+    assert v0 == complex(y[0, 0])
 
 
 def test_writing_a_field_holds_about_one_row(tmp_path):
@@ -202,19 +201,19 @@ def test_writing_a_field_holds_about_one_row(tmp_path):
     multiple of the field's 200 rows."""
     rng = np.random.default_rng(0)
     n_t, m = 200, 255
-    field = SpaceTimeField(rng.standard_normal((n_t, m)) + 1j * rng.standard_normal((n_t, m)),
-                           TimeGrid(1.0, n_t), Grid1D(1.0, m))
-    row = len(repr(field.values[0].view(np.float64).tolist()))
+    values = rng.standard_normal((n_t, m)) + 1j * rng.standard_normal((n_t, m))
+    row = len(repr(values[0].view(np.float64).tolist()))
     paths = [str(tmp_path / "field.csv"), str(tmp_path / "field.json")]
     tracemalloc.start()
     try:
-        atomic_write_texts(paths, held_field_chunks(field))
+        atomic_write_texts(paths, held_field_chunks(
+            SimpleNamespace(values=values, tg=TimeGrid(1.0, n_t), grid=Grid1D(1.0, m))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * row
     assert json.loads((tmp_path / "field.json").read_text())["values_re_im"][:2] == [
-        field.values[0, 0].real, field.values[0, 0].imag]
+        values[0, 0].real, values[0, 0].imag]
 
 
 def test_writing_observed_data_holds_about_one_block(tmp_path):
@@ -253,7 +252,7 @@ class TestExactText:
                        [complex(0.0, -1 / 3), complex(2.5, 1e-300), -1.0]])
 
     def test_field_csv(self):
-        text = texts(held_field_chunks(SpaceTimeField(self.values, self.tg, self.grid)))[0]
+        text = texts(held_field_chunks(self))[0]
         assert text == (
             "t,x,re_y,im_y\n"
             "0.15,0.1,-0.0,0.1\n"
@@ -339,8 +338,7 @@ class TestExactText:
             dumps_canonical({"x": object()})
 
     def test_field_json(self):
-        field = SpaceTimeField(self.values, self.tg, self.grid)
-        text = texts(held_field_chunks(field))[1]
+        text = texts(held_field_chunks(self))[1]
         assert text == """{
   "grid": {
     "L": 0.4,
