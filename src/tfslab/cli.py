@@ -23,7 +23,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import (CheckOverflowError, ConfigError, EmptyMaskError, GridMismatchError,
-                     MLDomainError, NumericalError, TfslabError)
+                     MLDomainError, NumericalError)
 from .forward import (KernelTable, SourceSpec, TimeGrid, field_blocks, project,
                       projection_tail_energy, solve_modal, source_rows, synthesize_rows)
 from .inverse import (
@@ -234,10 +234,10 @@ def _require_nonzero(values, path):
 
 
 def _datum(obj, path, m, n_modes, nonzero=False):
-    """A datum spec as a pair of functions of the eigensystem: one returns
-    the datum's modal coefficients, the other the energy of its part outside
-    their span.  A ``mode`` or ``mix`` datum is its coefficients, exactly,
-    with no part outside; ``samples`` are projected."""
+    """A datum spec as ``(values, is_samples)``.  A ``mode`` or ``mix``
+    datum's values are its modal coefficients, exactly; a ``samples``
+    datum's are its node values, which ``_modal`` projects once the
+    eigensystem exists."""
     kind = _require_dict(obj, path).get("kind")
     if kind in ("mode", "mix"):
         coeffs = np.zeros(n_modes, dtype=complex)
@@ -257,14 +257,19 @@ def _datum(obj, path, m, n_modes, nonzero=False):
             coeffs[: given.size] = given
         if nonzero:
             _require_nonzero(coeffs, path)
-        return (lambda eig: coeffs), (lambda eig: 0.0)
+        return coeffs, False
     if kind == "samples":
         values = _samples(obj, path, m, "m")
         if nonzero:
             _require_nonzero(values, path)
-        return (lambda eig: project(values, eig)), (
-            lambda eig: projection_tail_energy(values, eig))
+        return values, True
     raise ConfigError(f"{path}.kind must be mode|mix|samples", field=f"{path}.kind")
+
+
+def _modal(datum, eig):
+    """A ``_datum``'s modal coefficients over ``eig``."""
+    values, is_samples = datum
+    return project(values, eig) if is_samples else values
 
 
 def _rho(obj, path, n_t):
@@ -303,11 +308,10 @@ def _order_search(obj):
 
 def _parse(cfg, problem, seed_override=None):
     """Check ``cfg`` as a ``problem`` config and build every input of the
-    run; raises ``ConfigError`` naming the offending field.  The initial
-    datum's coefficients, its tail energy and the source are functions of
-    the eigensystem; ``order`` is the
-    order that generates the data (for invert-order, ``truth.alpha`` with
-    ``order.phase``)."""
+    run as a value; raises ``ConfigError`` naming the offending field.
+    ``initial`` is a ``_datum``, ``source`` None or rho with a ``_datum`` g,
+    and ``order`` the order that generates the data (for invert-order,
+    ``truth.alpha`` with ``order.phase``)."""
     if problem not in PROBLEMS:
         raise ConfigError(f"unknown problem {problem!r}", field="problem")
     # each problem accepts exactly the top-level sections it reads
@@ -332,10 +336,9 @@ def _parse(cfg, problem, seed_override=None):
         raise ConfigError("n_modes exceeds interior node count", field="n_modes")
     order = _order(cfg["order"])
     exp = SimpleNamespace(
-        grid=grid, tg=tg, order=order, operator=_operator(cfg["operator"], grid),
+        cfg=cfg, grid=grid, tg=tg, order=order, operator=_operator(cfg["operator"], grid),
         n_modes=n_modes, mask=_mask(cfg["mask"], grid), noise_level=0.0, seed=0,
-        initial=lambda eig: np.zeros(eig.n), tail_energy=None, source=lambda eig: None,
-        mode=None, inversion=None,
+        initial=(np.zeros(n_modes), False), source=None, inversion=None,
     )
     if "noise" in cfg:
         _check_keys(cfg["noise"], "noise", ("level", "seed"))
@@ -344,16 +347,14 @@ def _parse(cfg, problem, seed_override=None):
     if seed_override is not None:
         exp.seed = _integer(seed_override, "seed", lo=0)
 
-    def source(obj, path):  # a separable source, as a function of the eigensystem
+    def source(obj, path):  # a separable source's temporal samples and datum
         rho = _rho(obj["rho"], f"{path}.rho", tg.n_t)
         if problem == "invert-source":
             _require_nonzero(rho, f"{path}.rho")
-        g = _datum(obj["g"], f"{path}.g", grid.m, n_modes)[0]
-        return lambda eig: SourceSpec(rho, g(eig))
+        return rho, _datum(obj["g"], f"{path}.g", grid.m, n_modes)
 
     if problem == "forward":
-        exp.initial, exp.tail_energy = _datum(cfg["initial"], "initial", grid.m, n_modes)
-        exp.mode = cfg["initial"].get("index")  # a single mode's index, else None
+        exp.initial = _datum(cfg["initial"], "initial", grid.m, n_modes)
         src = cfg.get("source", {"kind": "none"})
         if _require_dict(src, "source").get("kind") == "none":
             _check_keys(src, "source", ("kind",))
@@ -371,13 +372,12 @@ def _parse(cfg, problem, seed_override=None):
         _number(truth["alpha"], "truth.alpha", lo=0.0, hi=1.0, strict_lo=True,
                 strict_hi=True)
         exp.order = FractionalOrder(truth["alpha"], order.phase)
-        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes, nonzero=True)[0]
+        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes, nonzero=True)
         exp.inversion = _order_search(cfg["inversion"])
         return exp
     if problem == "invert-initial":
         _check_keys(truth, "truth", ("initial",))
-        exp.initial, exp.tail_energy = _datum(truth["initial"], "truth.initial", grid.m,
-                                              n_modes)
+        exp.initial = _datum(truth["initial"], "truth.initial", grid.m, n_modes)
     else:
         _check_keys(truth, "truth", ("rho", "g"))
         exp.source = source(truth, "truth")
@@ -409,13 +409,13 @@ def run(cfg: dict, output_dir: str) -> dict:
     """Execute the configured pipeline and write artifacts; returns the run
     report (also written as report.json).  ``cfg`` is parsed first, so a
     config error raises ``ConfigError`` before any solve or write."""
-    return _run(cfg, _parse(cfg, _require_dict(cfg, "config").get("problem")), output_dir)
+    return _run(_parse(cfg, _require_dict(cfg, "config").get("problem")), output_dir)
 
 
-def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
-    """``run`` on ``exp``, the inputs ``_parse`` built from ``cfg``."""
-    problem = cfg["problem"]
-    grid, tg, order, inv = exp.grid, exp.tg, exp.order, exp.inversion
+def _run(exp: SimpleNamespace, output_dir: str) -> dict:
+    """``run`` on ``exp``, the inputs ``_parse`` built from its config."""
+    problem, grid, tg, order, inv = exp.cfg["problem"], exp.grid, exp.tg, exp.order, exp.inversion
+    mode = exp.cfg.get("initial", {}).get("index")  # a single mode's index, else None
     phase_seconds = {}
     artifacts = []
     checks = {}
@@ -436,7 +436,8 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
     os.makedirs(output_dir, exist_ok=True)  # a run that fails before here writes nothing
     emit("eigensystem.json", dumps_canonical(eigensystem_to_json(eig)))
 
-    y0, src = exp.initial(eig), exp.source(eig)
+    y0 = _modal(exp.initial, eig)
+    src = None if exp.source is None else SourceSpec(exp.source[0], _modal(exp.source[1], eig))
     # the data-generating order's kernel rows, each evaluated once: the
     # data solve, the forward run's trajectory check and the Tikhonov
     # designs read them from this table
@@ -447,18 +448,19 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
             norms, trajs = [], []
             for block in field_blocks(coeffs, eig.phis):
                 norms.append(float(_norm(block, axis=1).max()))
-                if exp.mode is not None:
-                    trajs.append(block @ eig.phis[exp.mode - 1])
+                if mode is not None:
+                    trajs.append(block @ eig.phis[mode - 1])
             del block  # the writers draw their own rows
     if problem in ("forward", "invert-initial"):
-        checks["tail_energy"] = exp.tail_energy(eig)
+        values, is_samples = exp.initial
+        checks["tail_energy"] = projection_tail_energy(values, eig) if is_samples else 0.0
 
     if problem == "forward":
         checks["max_field_norm"] = math.sqrt(grid.h) * max(norms)
-        if exp.mode is not None:
+        if mode is not None:
             # the mode's full response: its unit initial datum plus the part
             # of the source that drives it
-            idx = exp.mode - 1
+            idx = mode - 1
             expect = table.state([idx])[0]
             if src is not None:
                 forcing = src.g[idx] * src.rho
@@ -497,7 +499,7 @@ def _run(cfg: dict, exp: SimpleNamespace, output_dir: str) -> dict:
                 f"{name}: {value} is not a finite number; the run's values exceed "
                 "double precision")
     report = {
-        "config": cfg,
+        "config": exp.cfg,
         "phase_seconds": phase_seconds,
         "artifacts": sorted(artifacts),
         "checks": checks,
@@ -522,28 +524,15 @@ def _cmd_experiment(problem, args):
         with open(args.config) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        _error_json("io", f"cannot read config: {exc}")
-        return 4
+        raise OSError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        _error_json("config", f"config is not valid JSON: {exc}")
-        return 2
-    try:
-        exp = _parse(raw, problem, args.seed)
-        output_dir = args.output or raw.get("output_dir")
-        if not output_dir:
-            raise ConfigError("no output directory (config output_dir or --output)",
-                              field="output_dir")
-        report = _run(raw, exp, output_dir)
-    except ConfigError as exc:
-        _error_json("config", str(exc), exc.field)
-        return 2
-    except (NumericalError, FloatingPointError) as exc:
-        _error_json("numerical", str(exc))
-        return 3
-    except OSError as exc:
-        _error_json("io", str(exc))
-        return 4
-    print(dumps_canonical({"report": report}), end="")
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    exp = _parse(raw, problem, args.seed)
+    output_dir = args.output or raw.get("output_dir")
+    if not output_dir:
+        raise ConfigError("no output directory (config output_dir or --output)",
+                          field="output_dir")
+    print(dumps_canonical({"report": _run(exp, output_dir)}), end="")
     return 0
 
 
@@ -553,15 +542,8 @@ def _cmd_ml_eval(args):
                           _number(args.beta, "beta"))
         value = ml_eval(params, complex(_number(args.re, "re"), _number(args.im, "im")),
                         verify=not args.no_verify)
-    except ConfigError as exc:
-        _error_json("config", str(exc), exc.field)
-        return 2
     except MLDomainError as exc:  # the modulus cap
-        _error_json("config", str(exc), "z")
-        return 2
-    except TfslabError as exc:
-        _error_json("numerical", str(exc))
-        return 3
+        raise ConfigError(str(exc), field="z") from exc
     print(json.dumps({"alpha": args.alpha, "beta": args.beta,
                       "z": {"re": args.re, "im": args.im},
                       "value": {"re": value.real, "im": value.imag}},
@@ -573,22 +555,14 @@ def _cmd_selftest(args):
     from . import selftest
 
     names = args.criteria.split(",") if args.criteria else None
-    try:
-        results = selftest.run_battery(names)
-    except ConfigError as exc:
-        _error_json("config", str(exc), exc.field)
-        return 2
+    results = selftest.run_battery(names)
     if args.output:
-        try:
-            os.makedirs(args.output, exist_ok=True)
-            write_json(os.path.join(args.output, "selftest.json"), [
-                {"name": r.name, "passed": r.passed, "runtime": r.runtime,
-                 "limit": r.limit, "detail": r.detail}
-                for r in results
-            ])
-        except OSError as exc:
-            _error_json("io", str(exc))
-            return 4
+        os.makedirs(args.output, exist_ok=True)
+        write_json(os.path.join(args.output, "selftest.json"), [
+            {"name": r.name, "passed": r.passed, "runtime": r.runtime,
+             "limit": r.limit, "detail": r.detail}
+            for r in results
+        ])
     print(selftest.format_table(results))
     return 0 if selftest.battery_passed(results) else 1
 
@@ -623,11 +597,22 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    if args.command in PROBLEMS:
-        return _cmd_experiment(args.command, args)
-    if args.command == "ml-eval":
-        return _cmd_ml_eval(args)
-    return _cmd_selftest(args)
+    # the subcommands raise; here, and only here, an error becomes its exit code
+    try:
+        if args.command in PROBLEMS:
+            return _cmd_experiment(args.command, args)
+        if args.command == "ml-eval":
+            return _cmd_ml_eval(args)
+        return _cmd_selftest(args)
+    except ConfigError as exc:
+        _error_json("config", str(exc), exc.field)
+        return 2
+    except NumericalError as exc:
+        _error_json("numerical", str(exc))
+        return 3
+    except OSError as exc:
+        _error_json("io", str(exc))
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -143,7 +143,9 @@ def _frozen(*arrays):
 def _exp_branch(alpha: float, beta: float, z: np.ndarray, logz: np.ndarray,
                 s0: np.ndarray) -> np.ndarray:
     """exp(((1-beta)/alpha) log z + s0)/alpha, the contribution of the pole
-    s0 = z^{1/alpha}; raises where it overflows, 0 where it underflows."""
+    s0 = z^{1/alpha}; raises where s0 overflows, 0 where it underflows.  A
+    large |beta| can still overflow the exponent: the callers ignore that
+    overflow and check the value."""
     big = s0.real > _EXP_ARG_MAX
     if big.any():
         raise MLOverflowError(
@@ -227,10 +229,11 @@ def _asymptotic_row(alpha: float, beta: float, z: np.ndarray, rho: np.ndarray,
     at = slice(None) if branch.all() else branch
     if branch.any():
         logz = np.log(z[at])
-        value = _exp_branch(alpha, beta, z[at], logz, np.exp(logz / alpha))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _exp_branch(alpha, beta, z[at], logz, np.exp(logz / alpha))
         gap[at] += value
-    gap = np.abs(gap)
-    floor = np.log(1e-17 * gap, out=np.full(z.size, -math.inf), where=gap > 0.0)
+    gap = 1e-17 * np.abs(gap)  # a floor that underflows to 0 is -inf
+    floor = np.log(gap, out=np.full(z.size, -math.inf), where=gap > 0.0)
     count, terms = _term_counts(alpha, beta, ell, floor, direction)
     weights = _asymptotic_weights(alpha, beta, terms, direction)[0]
     by_count = np.argsort(count)[::-1]  # most terms first
@@ -275,6 +278,8 @@ def _parabola(mu: float, h: float, n: int):
     return _frozen(iu1, s, np.log(s))  # one log serves both powers of s
 
 
+# a large |beta| overflows the pole term, the nodes or their weights: the callers check
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """Laplace inversion on parabolic contours with pole subtraction.
 
@@ -322,19 +327,17 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     by_set = np.argsort(which, kind="stable")  # the points of each set, in order
     zs, vals = z[by_set], np.empty(z.shape, dtype=np.complex128)
     end = 0
-    # a large |beta| overflows the nodes or their weights: the callers check
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, count in enumerate(np.bincount(which, minlength=len(sets)).tolist()):
-            if not count:
-                continue
-            sa, w = _contour_nodes(alpha, beta, *sets[j])
-            step = max(1, _BLOCK // sa.size)
-            for lo in range(end, end + count, step):
-                hi = min(lo + step, end + count)
-                d = sa - zs[lo:hi, None]
-                np.divide(w, d, out=d)
-                d.sum(axis=1, out=vals[lo:hi])
-            end += count
+    for j, count in enumerate(np.bincount(which, minlength=len(sets)).tolist()):
+        if not count:
+            continue
+        sa, w = _contour_nodes(alpha, beta, *sets[j])
+        step = max(1, _BLOCK // sa.size)
+        for lo in range(end, end + count, step):
+            hi = min(lo + step, end + count)
+            d = sa - zs[lo:hi, None]
+            np.divide(w, d, out=d)
+            d.sum(axis=1, out=vals[lo:hi])
+        end += count
     out[by_set] += vals
     return out
 
@@ -387,19 +390,23 @@ def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
     big = np.abs(flat) > z_max
     if big.any():
         raise MLDomainError(f"|z|={abs(flat[big][0]):.4g} beyond cap {z_max:.4g}")
-    val = _ml_row(params.alpha, params.beta, flat)
-    if not np.isfinite(val).all():
-        raise MLOverflowError(f"E_{{{params.alpha},{params.beta}}} exceeds double range")
-    if verify:
-        shifted = _ml_row(params.alpha, params.alpha + params.beta, flat)
-        gap = np.abs(val - rgamma_real(params.beta) - flat * shifted)
-        bad = np.flatnonzero(gap > 1e-9 * (1.0 + np.abs(val)))
-        if bad.size:
-            i = bad[0]
-            raise MLAccuracyError(
-                f"recurrence check failed for (alpha={params.alpha}, "
-                f"beta={params.beta}, z={complex(flat[i])}): residual {gap[i]:.3e}"
-            )
+    try:
+        val = _ml_row(params.alpha, params.beta, flat)
+        if not np.isfinite(val).all():
+            raise OverflowError
+        if verify:
+            shifted = _ml_row(params.alpha, params.alpha + params.beta, flat)
+            gap = np.abs(val - rgamma_real(params.beta) - flat * shifted)
+            bad = np.flatnonzero(gap > 1e-9 * (1.0 + np.abs(val)))
+            if bad.size:
+                i = bad[0]
+                raise MLAccuracyError(
+                    f"recurrence check failed for (alpha={params.alpha}, "
+                    f"beta={params.beta}, z={complex(flat[i])}): residual {gap[i]:.3e}"
+                )
+    except OverflowError:  # also from math's gamma, lgamma or ceil at a |beta| near 1e308
+        raise MLOverflowError(
+            f"E_{{{params.alpha},{params.beta}}} exceeds double range") from None
     return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
 

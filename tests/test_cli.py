@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfslab import cli
-from tfslab.errors import ConfigError
+from tfslab.errors import ConfigError, MLOverflowError
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -934,22 +934,71 @@ class TestMlEval:
         assert rc == 3
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "numerical"
 
-    @pytest.mark.parametrize("beta", ["-171", "1e308"])
-    def test_overflowing_contour_exits_3_without_warnings(self, capsys, beta):
-        # the contour's node weights (-171) or its nodes (1e308) overflow; the
-        # caches are cleared so that the node sets are built in this call
+    @pytest.mark.parametrize("alpha,beta,re,im", [
+        pytest.param("0.5", "-171", "1", "0", id="-171"),  # the node weights overflow
+        pytest.param("0.5", "1e308", "1", "0", id="1e308"),  # the nodes overflow
+        # math.lgamma of beta (asymptotic weights) and math.ceil of an infinite
+        # truncation overflow as Python errors
+        pytest.param("0.5", "1e308", "200", "0", id="lgamma"),
+        pytest.param("0.5", "-1e308", "1", "0", id="ceil"),
+        # math.lgamma of beta in the recurrence check
+        pytest.param("0.5", "1e308", "30", "30", id="verify-lgamma"),
+        # the pole term overflows
+        pytest.param("0.9", "-171", "200", "0", id="pole"),
+        pytest.param("1.5", "-1e5", "30", "0", id="reduced-pole"),
+    ])
+    def test_overflowing_contour_exits_3_without_warnings(self, capsys, alpha, beta, re, im):
+        # the caches are cleared so that the node sets are built in this call
         from tfslab import mlf
 
         mlf._contour_nodes.cache_clear()
         mlf._parabola.cache_clear()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rc = cli.main(["ml-eval", "--alpha", "0.5", f"--beta={beta}", "--re", "1"])
+            rc = cli.main(["ml-eval", "--alpha", alpha, f"--beta={beta}", f"--re={re}",
+                           f"--im={im}"])
         assert rc == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         error = json.loads(capsys.readouterr().out)["error"]
         assert error["kind"] == "numerical"
-        assert error["message"].startswith(f"E_{{0.5,{float(beta)}}}")
+        assert error["message"].startswith(f"E_{{{float(alpha)},{float(beta)}}}")
+
+    def test_underflowing_term_floor_exits_0_without_warnings(self, capsys):
+        # 1e-17 times the first asymptotic term underflows to 0 at this beta
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["ml-eval", "--alpha", "0.5", "--beta=171.7", "--re=-60"])
+        assert rc == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert math.isfinite(json.loads(capsys.readouterr().out)["value"]["re"])
+
+
+@pytest.mark.parametrize("error,code", [
+    (ConfigError("bad field", field="x"), 2),
+    (MLOverflowError("too big"), 3),
+    (OSError("disk gone"), 4),
+], ids=["config", "numerical", "io"])
+@pytest.mark.parametrize("command,callee", [
+    ("forward", "tfslab.cli._run"),
+    ("ml-eval", "tfslab.cli.ml_eval"),
+    ("selftest", "tfslab.selftest.run_battery"),
+])
+def test_main_maps_each_failure_to_its_exit_code(tmp_path, monkeypatch, capsys, error,
+                                                 code, command, callee):
+    # one handler in main turns what any subcommand raises into one error line
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(callee, fail)
+    argv = {"forward": ["--config", write_config(tmp_path, forward_config()),
+                        "--output", str(tmp_path / "out")],
+            "ml-eval": ["--alpha", "0.5", "--beta", "1", "--re", "1"],
+            "selftest": []}[command]
+    assert cli.main([command, *argv]) == code
+    [line] = capsys.readouterr().out.splitlines()
+    kind = {2: "config", 3: "numerical", 4: "io"}[code]
+    assert json.loads(line)["error"]["kind"] == kind
+    assert json.loads(line)["error"]["message"] == str(error)
 
 
 class TestSelftestCommand:
