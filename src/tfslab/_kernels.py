@@ -28,20 +28,20 @@ def _fast_length(n: int) -> int:
 def causal_conv(signal: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Causal convolution of ``signal`` (1D or 2D, time on axis 0) with a
     ``kernel`` of length >= signal length, truncated to the signal length.
-    A 1D kernel serves every column of a 2D signal; a 2D kernel holds one
-    column per signal column, so one call convolves many pairs."""
+    A 1D operand serves every column of a 2D one, so one call convolves a
+    batch of signals with one kernel or one signal with a batch of kernels."""
     signal = np.asarray(signal, dtype=np.complex128)
     kernel = np.asarray(kernel, dtype=np.complex128)
     n = signal.shape[0]
     if kernel.shape[0] < n:
         raise ValueError("kernel shorter than signal")
-    if kernel.ndim == 2 and kernel.shape[1:] != signal.shape[1:]:
-        raise ValueError(f"kernel columns {kernel.shape[1:]} vs signal {signal.shape[1:]}")
+    if signal.ndim + kernel.ndim > 3:
+        raise ValueError(f"signal {signal.shape} and kernel {kernel.shape}: one must be 1D")
     # the transform length scipy.signal.fftconvolve picks for a full
     # convolution, so results match it bit for bit
     length = _fast_length(2 * n - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # the callers check finiteness
         k = np.fft.fft(kernel[:n], length, axis=0)
-        if signal.ndim > k.ndim:
-            k = k[:, None]
-        return np.fft.ifft(np.fft.fft(signal, length, axis=0) * k, axis=0)[:n]
+        # transposed, a 1D operand broadcasts over the other's columns; the
+        # signal's transform stays the left factor (not bitwise commutative)
+        return np.fft.ifft((np.fft.fft(signal, length, axis=0).T * k.T).T, axis=0)[:n]

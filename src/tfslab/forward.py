@@ -107,7 +107,7 @@ class KernelTable:
     on first use, by one ``kernel_grid`` call for that mode, and kept, so a
     run that passes one table to its data solve, its design and its checks
     evaluates each row once.  A solve asks only for the rows of the modes
-    its datum and forcing reach: a datum given by its modal coefficients
+    its datum and source reach: a datum given by its modal coefficients
     takes no row for a mode whose coefficient is exactly zero.  An
     inversion rejects a table whose time grid is not its data's.  A table
     belongs to one run: nothing outlives it."""
@@ -136,25 +136,19 @@ class KernelTable:
         return self._stack("integral", modes)
 
 
-def source_rows(table: KernelTable, modes: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-    """Each mode's response p * conv(f_n, dW_n) to its forcing row f_n on
-    the grid times, p the phase factor, for the modes ``modes`` with one
-    forcing row each.  A mode whose forcing vanishes responds with exact
-    zeros and takes no kernel row; the others share one convolution call."""
-    rows = np.zeros((len(modes), table.tg.n_t), dtype=np.complex128)
-    live = np.flatnonzero(np.any(forcing, axis=1))
-    if live.size:
-        dw = table.steps(np.asarray(modes)[live])
-        rows[live] = table.order.phase_factor * causal_conv(forcing[live].T, dw.T).T
-    return rows
+def source_rows(table: KernelTable, modes, rho: np.ndarray) -> np.ndarray:
+    """Each listed mode's response p * conv(rho, dW_n) to the unit source
+    rho(t) phi_n(x) on the grid times, p the phase factor, one row per mode
+    of ``modes``, from one convolution call."""
+    return table.order.phase_factor * causal_conv(rho, table.steps(modes).T).T
 
 
 def solve_modal(c0: np.ndarray, src: SourceSpec | None, table: KernelTable) -> np.ndarray:
     """Modal solution on the table's eigensystem and time grid from the
     initial datum's modal coefficients ``c0``, modes x grid times: per mode,
-    c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + p * conv(f_n, dW_n)(t)
-    (see ``KernelTable`` and ``source_rows``).  A mode whose initial
-    coefficient vanishes responds to it with exact zeros and takes no state
+    c_n(t) = c_n(0) E_{a,1}(p lam_n t^a) + g_n p * conv(rho, dW_n)(t)
+    (see ``KernelTable`` and ``source_rows``).  A term whose coefficient
+    c_n(0) or g_n, or whose rho, vanishes is exact zeros and takes no kernel
     row, so a datum given in modes evaluates only its own modes' rows."""
     eig, tg = table.eig, table.tg
     c0 = _modal(c0, eig, "initial datum")
@@ -166,8 +160,9 @@ def solve_modal(c0: np.ndarray, src: SourceSpec | None, table: KernelTable) -> n
             raise GridMismatchError(
                 f"rho sampled at {src.rho.shape[0]} times, grid has {tg.n_t}"
             )
-        forcing = np.outer(_modal(src.g, eig, "source factor g"), src.rho)
-        coeffs += source_rows(table, np.arange(eig.n), forcing)
+        g = _modal(src.g, eig, "source factor g")
+        live = np.flatnonzero(g) if np.any(src.rho) else []
+        coeffs[live] += g[live, None] * source_rows(table, live, src.rho)
     return coeffs
 
 

@@ -170,10 +170,7 @@ def _tikhonov_result(data: ObservedData, table: KernelTable, cfg: TikhonovConfig
     if data.mask.grid != eig.grid:
         raise GridMismatchError("mask and eigensystem live on different grids")
     modes = np.arange(n_modes)
-    if rho is None:
-        rows = table.state(modes)
-    else:
-        rows = source_rows(table, modes, np.broadcast_to(rho, (n_modes, tg.n_t)))
+    rows = table.state(modes) if rho is None else source_rows(table, modes, rho)
     w = math.sqrt(eig.grid.h * tg.dt)
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _tikhonov_solve
         rows, D = w * rows, w * data.values

@@ -256,7 +256,12 @@ def _contour_nodes(alpha: float, beta: float, mu: float, strip: float):
     """Trapezoid nodes on the parabola s(u) = mu (1 + iu)^2 for a pole
     clearance ``strip``: (s_k^alpha, w_k) with
     w_k = (h mu / pi) e^{s_k} s_k^{alpha - beta} (1 + i u_k), so that the
-    integral part of E_{alpha,beta}(z) is sum_k w_k / (s_k^alpha - z)."""
+    integral part of E_{alpha,beta}(z) is sum_k w_k / (s_k^alpha - z).
+    From alpha - beta = 650 on every node set's weights overflow, so the set
+    is refused before its size, which grows like sqrt(-beta), is computed;
+    ``ml_eval`` reports the overflow for the order it was called with."""
+    if alpha - beta >= 650.0:
+        raise OverflowError
     # truncation: e^{mu(1-U^2)} (mu(1+U^2))^{max(0, alpha-beta)} <= target
     u_max = math.sqrt(1.0 + _LOG_TARGET / mu)
     grow = max(0.0, alpha - beta)

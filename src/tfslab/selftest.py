@@ -134,7 +134,7 @@ def _c3_spectral_convergence():
 
 def _c4_forward_single_mode():
     grid = Grid1D(1.0, 199)
-    eig = analytic_eigensystem(1.0, 4, grid)
+    eig = analytic_eigensystem(4, grid)
     order = FractionalOrder(0.6)
     tg = TimeGrid(1.0, 40)
     lam1 = float(eig.lambdas[0])
@@ -165,7 +165,7 @@ def _c5_classical_limit():
     # L = pi gives lambda_1 = 1, the canonical classical oscillator; the
     # alpha -> 1 gap scales with lambda, so the domain choice matters
     grid = Grid1D(math.pi, 199)
-    eig = analytic_eigensystem(math.pi, 2, grid)
+    eig = analytic_eigensystem(2, grid)
     order = FractionalOrder(0.999)
     lam1 = float(eig.lambdas[0])
     vals = eval_homogeneous(np.eye(eig.n)[0], order, eig, np.array([1.0]),
@@ -195,7 +195,7 @@ def _c6_pde_residual():
 
 def _c7_duhamel():
     grid = Grid1D(1.0, 99)
-    eig = analytic_eigensystem(1.0, 8, grid)
+    eig = analytic_eigensystem(8, grid)
     order = FractionalOrder(0.5)
     g = np.eye(eig.n)[0]
     discs = []
@@ -210,7 +210,7 @@ def _c7_duhamel():
 
 def _recovery_setup():
     grid = Grid1D(1.0, 99)
-    eig = analytic_eigensystem(1.0, 8, grid)
+    eig = analytic_eigensystem(8, grid)
     tg = TimeGrid(1.0, 50)
     mask = make_mask([(0.2, 0.4)], grid)
     return grid, eig, tg, mask
@@ -287,7 +287,7 @@ def _c11_laplace_identity():
 
 def _c12_residue_extraction():
     grid = Grid1D(1.0, 19)
-    eig = analytic_eigensystem(1.0, 3, grid)
+    eig = analytic_eigensystem(3, grid)
     # single pole: exact at modest node counts
     coeffs = np.array([1.3 - 0.4j, 0.0, 0.0])
     got = extract_modal_projection(modal_resolvent(coeffs, eig), eig, 0, 64)
@@ -316,7 +316,7 @@ def _c12_residue_extraction():
 
 def _c13_decay_slope():
     grid = Grid1D(1.0, 63)
-    eig = analytic_eigensystem(1.0, 2, grid)
+    eig = analytic_eigensystem(2, grid)
     mask = make_mask([(0.2, 0.4)], grid)
     details = []
     for alpha in (0.5, 0.8):

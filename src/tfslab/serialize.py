@@ -30,7 +30,6 @@ import json
 import os
 import shutil
 import signal
-import tempfile
 
 import numpy as np
 
@@ -102,10 +101,14 @@ def _write(handles, chunks) -> None:
 
 
 def _temp(path, suffix):
-    """A new empty file next to ``path``, named ``.tfslab-*{suffix}``; returns
-    its descriptor and name."""
+    """A new empty file next to ``path``, named ``.tfslab-<random>{suffix}``
+    and created with the mode ``open`` gives a new file (0666 less the
+    umask); returns its descriptor and name.  An existing file of that name
+    is never opened: the call raises instead."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    return tempfile.mkstemp(dir=directory, prefix=".tfslab-", suffix=suffix)
+    name = os.path.join(directory, f".tfslab-{os.urandom(8).hex()}{suffix}")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC
+    return os.open(name, flags, 0o666), name
 
 
 def _slice_bounds(chunks):
@@ -201,11 +204,6 @@ def atomic_write_texts(paths, chunks) -> None:
                 _write_rows(paths, handles, chunks)
             else:
                 _write(handles, chunks)
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        for tmp in tmps:
-            os.chmod(tmp, 0o666 & ~umask)
         for tmp, path in zip(tmps, paths):
             os.replace(tmp, path)
     except BaseException:

@@ -181,12 +181,11 @@ def _group_distinct(lam: np.ndarray, tol: float):
     return tuple(groups)
 
 
-def analytic_eigensystem(L: float, N: int, grid: Grid1D) -> EigenSystem:
-    """Closed-form Dirichlet Laplacian system on (0, L):
+def analytic_eigensystem(N: int, grid: Grid1D) -> EigenSystem:
+    """Closed-form Dirichlet Laplacian system on the grid's interval (0, L):
     lambda_n = (n pi / L)^2, phi_n = sqrt(2/L) sin(n pi x / L), sampled on
     the grid and re-normalized in the discrete inner product."""
-    if grid.L != L:
-        raise GridMismatchError(f"grid has L={grid.L}, requested {L}")
+    L = grid.L
     if N > grid.m:
         raise EigenSolveError(f"cannot return {N} modes on {grid.m} nodes")
     n = np.arange(1, N + 1)

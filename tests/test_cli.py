@@ -119,7 +119,7 @@ class TestForwardCommand:
         # mode 3 give mode 3's field; only the projection's rounding differs
         from tfslab.spectral import Grid1D, analytic_eigensystem
 
-        phi = analytic_eigensystem(1.0, 6, Grid1D(1.0, 63)).phis[2]
+        phi = analytic_eigensystem(6, Grid1D(1.0, 63)).phis[2]
         fields, tails = [], []
         for datum in ({"kind": "mode", "index": 3}, {"kind": "samples", "re": phi.tolist()}):
             cfg = forward_config()
@@ -640,6 +640,14 @@ class TestKernelCalls:
         cli.run(cfg, str(tmp_path))
         assert [kind for kind, _ in calls] == ["integral"] * (6 if source else 0)
 
+    def test_vanishing_rho_takes_no_integral_row(self, tmp_path, calls):
+        # rho = 0 silences every mode's source term, whatever g holds
+        cfg = forward_config(initial={"kind": "mode", "index": 1})
+        cfg["source"] = {"kind": "separable", "rho": {"kind": "const", "value": 0.0},
+                         "g": {"kind": "mix", "coeffs_re": [1.0] * 6}}
+        cli.run(cfg, str(tmp_path))
+        assert [kind for kind, _ in calls] == ["state"]
+
     def test_single_mode_forward_takes_one_state_row(self, tmp_path, calls):
         # a mode datum reaches the solve as its coefficients: the other
         # modes' coefficients are exactly 0 and take no row
@@ -946,6 +954,11 @@ class TestMlEval:
         # the pole term overflows
         pytest.param("0.9", "-171", "200", "0", id="pole"),
         pytest.param("1.5", "-1e5", "30", "0", id="reduced-pole"),
+        # from alpha - beta = 650 on, the node sets are refused before they
+        # are sized: -1e200 overflowed np.arange's length, and -1e12 sized
+        # each set at about 39 million nodes
+        pytest.param("0.5", "-1e200", "1", "0", id="-1e200"),
+        pytest.param("0.5", "-1e12", "1", "0", id="-1e12"),
     ])
     def test_overflowing_contour_exits_3_without_warnings(self, capsys, alpha, beta, re, im):
         # the caches are cleared so that the node sets are built in this call

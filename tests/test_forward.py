@@ -37,7 +37,7 @@ def unit(eig, n):
 @pytest.fixture(scope="module")
 def eig():
     grid = Grid1D(1.0, 99)
-    return analytic_eigensystem(1.0, 8, grid)
+    return analytic_eigensystem(8, grid)
 
 
 @pytest.fixture(scope="module")
@@ -241,26 +241,31 @@ class TestKernelTable:
     @pytest.mark.parametrize("system, phase", [("eig", "standard_i"),
                                                ("fd_system", "power_i_alpha")])
     def test_zero_datum_field_matches_the_full_formula(self, request, system, phase):
-        # every mode's state row times its zero coefficient, plus the
-        # source rows, as the solve formed the field before it skipped the
-        # zero-datum modes
+        # every mode's state row times its zero coefficient, plus each mode's
+        # convolution of its forcing row g_n rho with its steps, as the solve
+        # formed the field before it skipped the zero-datum modes and scaled
+        # the unit-source rows by g_n: bit for bit where g_n is 0 or 1, to
+        # rounding where g_n multiplies after the convolution
         fixture = request.getfixturevalue(system)
         eig = fixture[1] if system == "fd_system" else fixture
         order, tg = FractionalOrder(0.6, phase), TimeGrid(1.0, 40)
         rho = np.cos(3.0 * tg.times) + 1j * tg.times
-        g = project(eig.phis[0] + 2.0 * eig.phis[2] - 0.5j * eig.phis[5], eig)
         c0 = np.zeros(eig.n)
         state = np.array([kernel_grid(order, lam, tg.times, "state") for lam in eig.lambdas])
-        forcing = np.outer(g, rho)
-        live = np.flatnonzero(np.any(forcing, axis=1))
         taus = tg.dt * np.arange(tg.n_t + 1)
-        dw = np.array([np.diff(kernel_grid(order, eig.lambdas[n], taus, "integral"))
-                       for n in live])
-        driven = np.zeros((eig.n, tg.n_t), dtype=complex)
-        driven[live] = order.phase_factor * causal_conv(forcing[live].T, dw.T).T
-        expect = (c0[:, None] * state + driven).T @ eig.phis
-        got = node_samples(c0, SourceSpec(rho, g), KernelTable(order, eig, tg))
-        assert np.array_equal(got, expect)
+        for g in (unit(eig, 0) + unit(eig, 2) + unit(eig, 5),
+                  project(eig.phis[0] + 2.0 * eig.phis[2] - 0.5j * eig.phis[5], eig)):
+            forcing = np.outer(g, rho)
+            driven = np.zeros((eig.n, tg.n_t), dtype=complex)
+            for n in np.flatnonzero(np.any(forcing, axis=1)):
+                dw = np.diff(kernel_grid(order, eig.lambdas[n], taus, "integral"))
+                driven[n] = order.phase_factor * causal_conv(forcing[n], dw)
+            expect = (c0[:, None] * state + driven).T @ eig.phis
+            got = node_samples(c0, SourceSpec(rho, g), KernelTable(order, eig, tg))
+            if np.all((g == 0) | (g == 1)):
+                assert np.array_equal(got, expect)
+            else:
+                assert np.max(np.abs(got - expect)) <= 1e-15 * np.max(np.abs(expect))
 
     def test_rows_are_evaluated_once(self, eig, calls):
         tg = TimeGrid(1.0, 20)
@@ -554,7 +559,7 @@ class TestVectorizedChecks:
         # the check evaluates a row of each kind for each mode its factor g
         # reaches, none for a zero coefficient, and nothing on a table that
         # already holds those rows
-        eig = analytic_eigensystem(1.0, n_modes, Grid1D(1.0, 99))
+        eig = analytic_eigensystem(n_modes, Grid1D(1.0, 99))
         calls = []
         exact = forward.kernel_grid
         monkeypatch.setattr(forward, "kernel_grid",

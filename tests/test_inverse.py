@@ -55,10 +55,7 @@ def explicit_design(table, mask, n_modes, rho=None):
     row, or with ``rho`` its response to the source rho(t) phi_n(x)."""
     eig, tg = table.eig, table.tg
     modes = np.arange(n_modes)
-    if rho is None:
-        rows = table.state(modes)
-    else:
-        rows = source_rows(table, modes, np.broadcast_to(rho, (n_modes, tg.n_t)))
+    rows = table.state(modes) if rho is None else source_rows(table, modes, rho)
     w = math.sqrt(eig.grid.h * tg.dt)
     return w * (rows.T[:, None, :] * eig.phis[:n_modes, mask.indices].T).reshape(-1, n_modes)
 
@@ -81,13 +78,13 @@ def explicit_solve(G, d, gamma):
 
 @pytest.fixture(scope="module")
 def small_eig():
-    return analytic_eigensystem(1.0, 3, Grid1D(1.0, 19))
+    return analytic_eigensystem(3, Grid1D(1.0, 19))
 
 
 @pytest.fixture(scope="module")
 def setup():
     grid = Grid1D(1.0, 99)
-    eig = analytic_eigensystem(1.0, 8, grid)
+    eig = analytic_eigensystem(8, grid)
     tg = TimeGrid(1.0, 50)
     mask = make_mask([(0.2, 0.4)], grid)
     return grid, eig, tg, mask
@@ -164,7 +161,7 @@ class TestInvertInitial:
         # SVD returns 2 singular values, none of them zero, yet the design
         # has a null space
         grid = Grid1D(1.0, 15)
-        eig = analytic_eigensystem(1.0, 8, grid)
+        eig = analytic_eigensystem(8, grid)
         order = FractionalOrder(0.5)
         tg = TimeGrid(1.0, 2)
         mask = make_mask([(0.5, 0.53)], grid)
@@ -313,7 +310,7 @@ class TestFactoredSolve:
     where cond(G) stays below 1e4."""
 
     GRID = Grid1D(1.0, 99)
-    EIG = analytic_eigensystem(1.0, 8, GRID)
+    EIG = analytic_eigensystem(8, GRID)
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-6])
     @pytest.mark.parametrize("n_t,interval,source", [
@@ -362,7 +359,7 @@ class TestFactoredSolve:
         # square overflows; the filter 1 / (s + gamma / s) keeps the estimate,
         # which was an all-zero one while the filter read s / (s^2 + gamma)
         grid = Grid1D(1.0, 15)
-        eig, tg = analytic_eigensystem(1.0, 3, grid), TimeGrid(1.0, 8)
+        eig, tg = analytic_eigensystem(3, grid), TimeGrid(1.0, 8)
         mask = make_mask([(0.2, 0.4)], grid)
         table = KernelTable(FractionalOrder(0.5), eig, tg)
         rho = np.full(tg.n_t, 1e300, dtype=complex)
@@ -383,7 +380,7 @@ class TestFactoredSolve:
         import tracemalloc
 
         grid = Grid1D(1.0, 199)
-        eig = analytic_eigensystem(1.0, 16, grid)
+        eig = analytic_eigensystem(16, grid)
         tg = TimeGrid(1.0, 1000)
         mask = make_mask([(0.2, 0.4)], grid)
         table = KernelTable(FractionalOrder(0.6), eig, tg)
@@ -414,7 +411,7 @@ class TestSourceGuards:
         # data observed on m = 49 nodes, inverted with an eigensystem on 99
         grid, eig, tg, mask = setup
         coarse = Grid1D(1.0, 49)
-        eig49 = analytic_eigensystem(1.0, 8, coarse)
+        eig49 = analytic_eigensystem(8, coarse)
         order = FractionalOrder(0.5)
         data = observe(solve_modal(unit(eig49, 0), None, KernelTable(order, eig49, tg)),
                        eig49, tg, make_mask([(0.2, 0.4)], coarse), 0.0, 0)
@@ -480,7 +477,7 @@ class TestModalDesignsMatchForwardSolves:
     @pytest.fixture(scope="class", params=["analytic", "finite-difference"])
     def system(self, request):
         if request.param == "analytic":
-            eig = analytic_eigensystem(1.0, 10, Grid1D(1.0, 99))
+            eig = analytic_eigensystem(10, Grid1D(1.0, 99))
             order = FractionalOrder(0.6)
         else:
             grid = Grid1D(1.0, 63)

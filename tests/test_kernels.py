@@ -37,20 +37,27 @@ def test_2d_matches_bruteforce(rng):
 
 
 def test_2d_kernel_convolves_column_by_column(rng):
-    # one kernel column per signal column, as source_rows passes them (a
-    # transposed view): bit for bit the one-column calls
-    sig = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
+    # one signal against a batch of kernel columns, as source_rows passes
+    # rho and the steps (a transposed view): bit for bit the one-column calls
+    sig = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     ker = (rng.standard_normal((5, 31)) + 1j * rng.standard_normal((5, 31))).T
     got = _kernels.causal_conv(sig, ker)
-    cols = np.stack([_kernels.causal_conv(sig[:, c], ker[:, c]) for c in range(5)], axis=1)
+    cols = np.stack([_kernels.causal_conv(sig, ker[:, c]) for c in range(5)], axis=1)
     assert got.tobytes() == cols.tobytes()
-    expect = np.stack([brute_conv(sig[:, c], ker[:30, c]) for c in range(5)], axis=1)
+    expect = np.stack([brute_conv(sig, ker[:30, c]) for c in range(5)], axis=1)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12)
+    # and the bits of each column convolved with its own copy of the signal,
+    # the paired form: the signal's transform stays the left factor
+    length = _kernels._fast_length(59)
+    paired = np.fft.ifft(np.fft.fft(np.tile(sig[:, None], (1, 5)), length, axis=0)
+                         * np.fft.fft(ker[:30], length, axis=0), axis=0)[:30]
+    assert got.tobytes() == paired.tobytes()
 
 
-@pytest.mark.parametrize("columns", [1, 2])
-def test_2d_kernel_columns_must_match_the_signal(columns):
-    # a single kernel column is not broadcast over the signal's three
+@pytest.mark.parametrize("columns", [1, 2, 3])
+def test_two_2d_operands_are_rejected(columns):
+    # a 2D signal takes a 1D kernel, a 2D kernel a 1D signal: nothing is
+    # paired or broadcast column against column
     with pytest.raises(ValueError):
         _kernels.causal_conv(np.ones((5, 3), dtype=complex),
                              np.ones((5, columns), dtype=complex))

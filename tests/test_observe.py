@@ -14,7 +14,7 @@ from tfslab.spectral import Grid1D, analytic_eigensystem
 def solution():
     """A modal solution, its eigensystem and time grid, and its node samples."""
     grid = Grid1D(1.0, 9)
-    eig = analytic_eigensystem(1.0, 3, grid)
+    eig = analytic_eigensystem(3, grid)
     tg = TimeGrid(1.0, 12)
     coeffs = solve_modal(np.array([1.0, 0.0, 0.5]), None,
                          KernelTable(FractionalOrder(0.5), eig, tg))
@@ -71,7 +71,7 @@ class TestObserve:
         # and keep every bit of its masked columns and of the noise the
         # whole field's max modulus scales
         grid = Grid1D(1.0, 63)
-        eig = analytic_eigensystem(1.0, 8, grid)
+        eig = analytic_eigensystem(8, grid)
         tg = TimeGrid(1.0, n_t)
         c0 = np.array([1.0 - 0.5j, 0.0, 0.25j, 2.0, 0.0, 0.0, -0.125, 1e-3j])
         coeffs = solve_modal(c0, None, KernelTable(FractionalOrder(0.6), eig, tg))

@@ -32,7 +32,7 @@ from tfslab.spectral import Grid1D, analytic_eigensystem
 
 @pytest.fixture(scope="module")
 def eig():
-    return analytic_eigensystem(1.0, 4, Grid1D(1.0, 19))
+    return analytic_eigensystem(4, Grid1D(1.0, 19))
 
 
 def held_field_chunks(field):
@@ -171,7 +171,7 @@ class TestAtomicWrite:
         assert target.read_text() == "whole\n"
 
     def test_mode_follows_the_umask(self, tmp_path):
-        # as open() would create it, not mkstemp's 0600
+        # as open() would create it: 0666 less the umask
         modes = {}
         old = os.umask(0o022)
         try:
@@ -183,6 +183,20 @@ class TestAtomicWrite:
         finally:
             os.umask(old)
         assert modes == {0o022: 0o644, 0o077: 0o600}
+
+    def test_writes_without_reading_the_umask(self, tmp_path, monkeypatch):
+        # setting the umask to read it would change it for every thread of
+        # the process while it is in effect; the files are created under it
+        def umask(mask):
+            raise AssertionError("os.umask was called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        grid, tg = Grid1D(1.0, 3), TimeGrid(1.0, 2)
+        field = SimpleNamespace(values=np.ones((2, 3), dtype=complex), tg=tg, grid=grid)
+        paths = [tmp_path / "field.csv", tmp_path / "field.json"]
+        atomic_write_texts([str(p) for p in paths], held_field_chunks(field))
+        assert paths[0].read_text().splitlines()[1] == "0.5,0.25,1.0,0.0"
+        assert json.loads(paths[1].read_text())["values_re_im"] == [1.0, 0.0] * 6
 
 
 def test_field_json_flat_layout(eig):

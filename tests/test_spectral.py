@@ -60,38 +60,38 @@ class TestAssemble:
 class TestAnalytic:
     def test_eigenvalues(self):
         grid = Grid1D(1.0, 63)
-        eig = analytic_eigensystem(1.0, 3, grid)
+        eig = analytic_eigensystem(3, grid)
         np.testing.assert_allclose(
             eig.lambdas, [math.pi**2, 4 * math.pi**2, 9 * math.pi**2], rtol=1e-14
         )
 
     def test_midpoint_value(self):
         grid = Grid1D(1.0, 63)  # x = 0.5 is a node (j = 32)
-        eig = analytic_eigensystem(1.0, 1, grid)
+        eig = analytic_eigensystem(1, grid)
         j = np.argmin(np.abs(grid.nodes - 0.5))
         assert eig.phis[0, j] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_longer_domain(self):
         grid = Grid1D(2.0, 31)
-        eig = analytic_eigensystem(2.0, 1, grid)
+        eig = analytic_eigensystem(1, grid)
         assert eig.lambdas[0] == pytest.approx(math.pi**2 / 4.0, rel=1e-14)
 
     def test_orthonormality(self):
         grid = Grid1D(1.0, 40)
-        eig = analytic_eigensystem(1.0, 10, grid)
+        eig = analytic_eigensystem(10, grid)
         gram = grid.h * (eig.phis @ eig.phis.T)
         assert np.max(np.abs(gram - np.eye(10))) <= 1e-10
 
     def test_too_many_modes(self):
         with pytest.raises(EigenSolveError):
-            analytic_eigensystem(1.0, 64, Grid1D(1.0, 63))
+            analytic_eigensystem(64, Grid1D(1.0, 63))
 
     def test_overflowing_eigenvalues_raise_without_warning(self):
         # (N pi / L)^2 beyond double range for L below about N * 2.3e-154
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OperatorOverflowError, match="exceed double precision"):
-                analytic_eigensystem(1e-160, 3, Grid1D(1e-160, 15))
+                analytic_eigensystem(3, Grid1D(1e-160, 15))
 
 
 class TestEigenSolve:
