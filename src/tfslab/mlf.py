@@ -15,6 +15,12 @@ the exact root-splitting identity
 
     E_{a,b}(z) = (1/n) sum_h E_{a/n,b}(z^{1/n} exp(2 pi i h / n)).
 
+A row may also give each point its own (alpha, beta): each point is
+classified and reduced at its own order, the contour points are grouped by
+(alpha, beta, node set) and the expansion is summed once per (alpha, beta),
+so every value equals its one-point call bit for bit.  A row with one
+(alpha, beta) passes numbers and keeps a single sort on the node set.
+
 All values are finite complex numbers or an exception; NaN/inf is never
 returned.
 """
@@ -60,16 +66,32 @@ def rgamma_real(x: float) -> float:
 
 @dataclass(frozen=True)
 class MLParams:
-    """Parameters (alpha, beta) of E_{alpha,beta}."""
+    """Parameters (alpha, beta) of E_{alpha,beta}: numbers, or arrays of the
+    argument's shape that give each point its own order (``ml_eval``
+    checks the shape).  An array is kept as a read-only float copy, and
+    every element is checked."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= ALPHA_MAX:
-            raise MLDomainError(f"alpha must lie in (0, {ALPHA_MAX}], got {self.alpha}")
-        if not math.isfinite(self.beta):
-            raise MLDomainError(f"beta must be finite, got {self.beta}")
+        if np.ndim(self.alpha) == 0 and np.ndim(self.beta) == 0:
+            if not 0.0 < self.alpha <= ALPHA_MAX:
+                raise MLDomainError(f"alpha must lie in (0, {ALPHA_MAX}], got {self.alpha}")
+            if not math.isfinite(self.beta):
+                raise MLDomainError(f"beta must be finite, got {self.beta}")
+            return
+        for name in ("alpha", "beta"):
+            value = np.array(getattr(self, name), dtype=float)
+            ok = (value > 0.0) & (value <= ALPHA_MAX) if name == "alpha" else np.isfinite(value)
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                where = tuple(int(i) for i in np.unravel_index(bad[0], value.shape))
+                want = f"lie in (0, {ALPHA_MAX}]" if name == "alpha" else "be finite"
+                raise MLDomainError(
+                    f"{name} must {want}, got {value.flat[bad[0]]} at index {where}")
+            _frozen(value)
+            object.__setattr__(self, name, value if value.ndim else float(value))
 
 
 @dataclass(frozen=True)
@@ -109,8 +131,10 @@ class FractionalOrder:
 
 # ---------------------------------------------------------------------------
 # region evaluators, each over a 1-D array of arguments (alpha <= 1).
-# Expansion weights and contour node sets depend on (alpha, beta) only and
-# are shared by every point, and each value depends on its own argument only.
+# alpha and beta are numbers, or arrays of the arguments' size with one order
+# per point.  Expansion weights and contour node sets depend on (alpha, beta)
+# only and are shared by the points of that order, and each value depends on
+# its own argument and order only.
 
 _BLOCK = 4096  # points x nodes or terms per pass: 64 KB, below glibc's 128 KB mmap threshold
 # contour scale mu of a point with a far pole: the largest rung <= a/4.
@@ -140,23 +164,45 @@ def _frozen(*arrays):
     return arrays
 
 
-def _exp_branch(alpha: float, beta: float, z: np.ndarray, logz: np.ndarray,
-                s0: np.ndarray) -> np.ndarray:
+def _part(order, at):
+    """The orders of the points ``at``: a number serves every point."""
+    return order[at] if isinstance(order, np.ndarray) else order
+
+
+def _runs(*keys):
+    """The stable permutation that sorts the points by ``keys`` (the last
+    one primary), and its runs of equal keys as (start, stop, *keys)."""
+    by_key = np.lexsort(keys)
+    ordered = [key[by_key] for key in keys]
+    edge = np.zeros(by_key.size + 1, dtype=bool)
+    edge[[0, -1]] = True
+    for key in ordered:
+        edge[1:-1] |= key[1:] != key[:-1]
+    bounds = np.flatnonzero(edge).tolist()
+    firsts = [key[bounds[:-1]].tolist() for key in ordered]
+    return by_key, list(zip(bounds[:-1], bounds[1:], *firsts))
+
+
+def _exp_branch(alpha, beta, z: np.ndarray, logz: np.ndarray, s0: np.ndarray) -> np.ndarray:
     """exp(((1-beta)/alpha) log z + s0)/alpha, the contribution of the pole
-    s0 = z^{1/alpha}; raises where s0 overflows, 0 where it underflows.  A
-    large |beta| can still overflow the exponent: the callers ignore that
-    overflow and check the value."""
+    s0 = z^{1/alpha}; raises where s0 overflows, 0 where the whole exponent
+    underflows (an underflowing e^{s0} counts only where the power of z does
+    not lift it back).  A large |beta| can still overflow the exponent: the
+    callers ignore that overflow and check the value."""
     big = s0.real > _EXP_ARG_MAX
     if big.any():
-        raise MLOverflowError(
-            f"E_{{{alpha},{beta}}} at |z|={abs(z[big][0]):.3g} exceeds double range"
-        )
+        i = np.flatnonzero(big)[0]
+        raise MLOverflowError(f"E_{{{_part(alpha, i)},{_part(beta, i)}}} at |z|={abs(z[i]):.3g}"
+                              " exceeds double range")
     live = s0.real > -745.0
-    if live.all():
-        return np.exp(((1.0 - beta) / alpha) * logz + s0) / alpha
-    out = np.zeros(z.shape, dtype=np.complex128)
-    out[live] = _exp_branch(alpha, beta, z[live], logz[live], s0[live])
-    return out
+    if not live.all():
+        live |= ((1.0 - beta) / alpha) * logz.real + s0.real > -745.0
+        if not live.all():
+            out = np.zeros(z.shape, dtype=np.complex128)
+            out[live] = _exp_branch(_part(alpha, live), _part(beta, live), z[live], logz[live],
+                                    s0[live])
+            return out
+    return np.exp(((1.0 - beta) / alpha) * logz + s0) / alpha
 
 
 @functools.lru_cache(maxsize=16)
@@ -165,11 +211,18 @@ def _asymptotic_weights(alpha: float, beta: float, terms: int, direction=1.0):
     ending where Gamma(1 - x) would overflow: weights -direction^{-k}/Gamma(x)
     of |z|^{-k} on the ray through ``direction``; the log of their envelope,
     |1/Gamma(x)| without the factor |sin(pi x)| of sin(pi x) Gamma(1 - x)/pi
-    where x < 1/2; and the running maximum of its steps up to term k."""
+    where x < 1/2; and the running maximum of its steps up to term k.  An
+    end before the first nonzero weight raises ``MLOverflowError`` instead
+    of summing no term: that weight's envelope Gamma(1 - x)/pi is then
+    above 2e306.  Only integer alpha and beta, whose weights are all zero,
+    end there quietly."""
     weights, env, rise = [], [], [-math.inf]
     for k in range(1, min(terms, _ASYMPTOTIC_TERMS) + 1):
         x = beta - alpha * k
         if 1.0 - x > 171.0:
+            if not (any(weights) or float(alpha).is_integer() and float(beta).is_integer()):
+                raise MLOverflowError(f"E_{{{alpha},{beta}}}: the expansion's first weight,"
+                                      " 1/Gamma(x) at x < -170, is out of range")
             break
         rg = rgamma_real(x)
         weights.append(-rg / direction**k)
@@ -218,7 +271,15 @@ def _asymptotic_row(alpha: float, beta: float, z: np.ndarray, rho: np.ndarray,
     point takes the terms of ``_term_counts`` at the floor 1e-17 |branch -
     first term| (the first with a nonzero weight), summed in one Horner pass
     from the last term down over the points sorted by count.  Every complex
-    product has a real-valued factor: a value rounds alike at any row size."""
+    product has a real-valued factor: a value rounds alike at any row size.
+    Per-point orders are summed one (alpha, beta) at a time."""
+    if isinstance(alpha, np.ndarray):
+        by_order, runs = _runs(beta, alpha)
+        out = np.empty(z.size, dtype=np.complex128)
+        for start, stop, b, a in runs:
+            at = by_order[start:stop]
+            out[at] = _asymptotic_row(a, b, z[at], rho[at], direction)
+        return out
     u, ell, theta = 1.0 / rho, np.log(rho), np.angle(z)
     turn, direction = (-theta, 1.0) if direction is None else (None, direction)
     weights = _asymptotic_weights(alpha, beta, _ASYMPTOTIC_CHUNK, direction)[0]
@@ -285,7 +346,7 @@ def _parabola(mu: float, h: float, n: int):
 
 # a large |beta| overflows the pole term, the nodes or their weights: the callers check
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+def _contour_row(alpha, beta, z: np.ndarray) -> np.ndarray:
     """Laplace inversion on parabolic contours with pole subtraction.
 
     Every point of the closed unit disk takes one node set, the parabola
@@ -306,10 +367,10 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     So a row uses at most nine node sets per (alpha, beta); each is built
     once (``_contour_nodes``), and each point's value is one row of the
     Cauchy product sum_k w_k / (s_k^alpha - z), in blocks of at most
-    ``_BLOCK`` points x nodes."""
-    sets = _NODE_SETS + ((max(_FAR_MU[-1], beta - alpha), _DISK_STRIP),)
+    ``_BLOCK`` points x nodes.  The points are grouped by node set with one
+    stable sort, and with per-point orders by (alpha, beta, node set)."""
     disk = np.abs(z) <= 1.0
-    which = np.where(disk, len(_NODE_SETS), len(_NODE_SETS) - 1)  # into sets
+    which = np.where(disk, len(_NODE_SETS), len(_NODE_SETS) - 1)  # the disk set last
     out = np.zeros(z.shape, dtype=np.complex128)  # residues, then integrals
     pole = ~disk  # the principal sheet has a pole iff |arg z| <= alpha pi
     if pole.any():
@@ -317,50 +378,72 @@ def _contour_row(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         pole &= np.abs(theta) <= alpha * math.pi
     if pole.any():
         at = np.flatnonzero(pole)
+        alpha_at, beta_at = _part(alpha, at), _part(beta, at)
         logz = np.log(z[at])
-        s0 = np.exp(logz / alpha)
-        half = np.cos(theta[at] / (2.0 * alpha))  # cos(arg(s0)/2) >= 0
+        s0 = np.exp(logz / alpha_at)
+        half = np.cos(theta[at] / (2.0 * alpha_at))  # cos(arg(s0)/2) >= 0
         a = np.abs(s0) * half * half
         far = a >= 0.72
         if far.any():
-            out[at[far]] = _exp_branch(alpha, beta, z[at[far]], logz[far], s0[far])
+            out[at[far]] = _exp_branch(_part(alpha_at, far), _part(beta_at, far), z[at[far]],
+                                       logz[far], s0[far])
             which[at[far]] = np.searchsorted(_FAR_MU, 0.25 * a[far], side="right") - 1
         if not far.all():
             clear = np.abs(np.sqrt(s0[~far] / 2.0).real - 1.0)  # > 0.4 for a < 0.72
             rung = np.searchsorted(_NEAR_STRIP, clear, side="right") - 1
             which[at[~far]] = len(_FAR_MU) + np.maximum(rung, 0)
-    by_set = np.argsort(which, kind="stable")  # the points of each set, in order
+    if isinstance(alpha, np.ndarray):
+        by_set, groups = _runs(which, beta, alpha)
+    else:
+        by_set = np.argsort(which, kind="stable")  # the points of each set, in order
+        groups, stop = [], 0
+        for j, count in enumerate(np.bincount(which).tolist()):
+            if count:
+                groups.append((stop, stop + count, j, beta, alpha))
+                stop += count
     zs, vals = z[by_set], np.empty(z.shape, dtype=np.complex128)
-    end = 0
-    for j, count in enumerate(np.bincount(which, minlength=len(sets)).tolist()):
-        if not count:
-            continue
-        sa, w = _contour_nodes(alpha, beta, *sets[j])
+    for start, stop, j, b, a in groups:
+        mu, strip = _NODE_SETS[j] if j < len(_NODE_SETS) else (max(_FAR_MU[-1], b - a), _DISK_STRIP)
+        sa, w = _contour_nodes(a, b, mu, strip)
         step = max(1, _BLOCK // sa.size)
-        for lo in range(end, end + count, step):
-            hi = min(lo + step, end + count)
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
             d = sa - zs[lo:hi, None]
             np.divide(w, d, out=d)
             d.sum(axis=1, out=vals[lo:hi])
-        end += count
     out[by_set] += vals
     return out
 
 
-def _ml_row(alpha: float, beta: float, z: np.ndarray, direction=None) -> np.ndarray:
+def _reduced(alpha, beta, z: np.ndarray, n: int) -> np.ndarray:
+    """E_{alpha,beta} for alpha <= n through the exact order reduction at the
+    n-th roots of the arguments."""
+    root = np.zeros(z.shape, dtype=np.complex128)
+    nonzero = z != 0
+    root[nonzero] = np.exp(np.log(z[nonzero]) / n)
+    turns = np.exp(2j * math.pi * np.arange(n) / n)
+    if isinstance(alpha, np.ndarray):  # each point's order for each of its roots
+        alpha, beta = np.repeat(alpha, n), np.repeat(beta, n)
+    parts = _ml_row(alpha / n, beta, (root[:, None] * turns).ravel())
+    return parts.reshape(z.size, n).sum(axis=1) / n
+
+
+def _ml_row(alpha, beta, z: np.ndarray, direction=None) -> np.ndarray:
     """E_{alpha,beta} over a 1-D array of arguments: the asymptotic
-    expansion from ASYMPTOTIC_RADIUS on, the contour inside it.  With
-    ``direction`` (alpha <= 1) the arguments are direction * z on one ray,
-    for an array z >= 0."""
-    if alpha > 1.0:
-        # exact order reduction through the n-th roots of the argument
-        n = math.ceil(alpha)
-        root = np.zeros(z.shape, dtype=np.complex128)
-        nonzero = z != 0
-        root[nonzero] = np.exp(np.log(z[nonzero]) / n)
-        turns = np.exp(2j * math.pi * np.arange(n) / n)
-        parts = _ml_row(alpha / n, beta, (root[:, None] * turns).ravel())
-        return parts.reshape(z.size, n).sum(axis=1) / n
+    expansion from ASYMPTOTIC_RADIUS on, the contour inside it.  alpha and
+    beta are numbers or arrays of z's size.  With ``direction`` (alpha <= 1)
+    the arguments are direction * z on one ray, for an array z >= 0."""
+    if isinstance(alpha, np.ndarray):
+        n = np.ceil(alpha)
+        if (n > 1.0).any():  # the orders above 1, one root count at a time
+            out = np.empty(z.shape, dtype=np.complex128)
+            for m in sorted(set(n.tolist())):  # np.unique would import numpy.ma
+                at = np.flatnonzero(n == m)
+                out[at] = (_ml_row(alpha[at], beta[at], z[at], direction) if m == 1.0
+                           else _reduced(alpha[at], beta[at], z[at], int(m)))
+            return out
+    elif alpha > 1.0:
+        return _reduced(alpha, beta, z, math.ceil(alpha))
     rho, z = (np.abs(z), z) if direction is None else (z, direction * z)
     far = rho >= ASYMPTOTIC_RADIUS
     if far.all():
@@ -368,8 +451,8 @@ def _ml_row(alpha: float, beta: float, z: np.ndarray, direction=None) -> np.ndar
     if not far.any():
         return _contour_row(alpha, beta, z)
     out = np.empty(z.shape, dtype=np.complex128)
-    out[far] = _asymptotic_row(alpha, beta, z[far], rho[far], direction)
-    out[~far] = _contour_row(alpha, beta, z[~far])
+    out[far] = _asymptotic_row(_part(alpha, far), _part(beta, far), z[far], rho[far], direction)
+    out[~far] = _contour_row(_part(alpha, ~far), _part(beta, ~far), z[~far])
     return out
 
 
@@ -380,7 +463,9 @@ def _ml_row(alpha: float, beta: float, z: np.ndarray, direction=None) -> np.ndar
 def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
             verify: bool = True):
     """Evaluate E_{alpha,beta}(z) at a complex number (returns a complex) or
-    over an array (returns an array of its shape).
+    over an array (returns an array of its shape).  An order given as an
+    array is each point's own and must have z's shape; a number serves
+    every point.
 
     ``z_max`` caps the admissible modulus (raise it deliberately for
     long-horizon experiments).  With ``verify`` the value is cross-checked
@@ -389,6 +474,16 @@ def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
     Every element is checked.
     """
     z = np.asarray(z, dtype=np.complex128)
+    alpha, beta = params.alpha, params.beta
+    per_point = isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray)
+    if per_point:
+        for name, order in (("alpha", alpha), ("beta", beta)):
+            if isinstance(order, np.ndarray) and order.shape != z.shape:
+                raise MLDomainError(
+                    f"{name} has shape {order.shape}, the argument {z.shape}")
+        alpha, beta = (np.broadcast_to(order, z.shape).ravel() for order in (alpha, beta))
+    else:
+        alpha, beta = float(alpha), float(beta)
     flat = z.ravel()
     if not np.isfinite(flat).all():
         raise MLDomainError("argument must be finite")
@@ -396,22 +491,25 @@ def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
     if big.any():
         raise MLDomainError(f"|z|={abs(flat[big][0]):.4g} beyond cap {z_max:.4g}")
     try:
-        val = _ml_row(params.alpha, params.beta, flat)
+        val = _ml_row(alpha, beta, flat)
         if not np.isfinite(val).all():
             raise OverflowError
         if verify:
-            shifted = _ml_row(params.alpha, params.alpha + params.beta, flat)
-            gap = np.abs(val - rgamma_real(params.beta) - flat * shifted)
+            shifted = _ml_row(alpha, alpha + beta, flat)
+            first = (np.array([rgamma_real(b) for b in beta.tolist()]) if per_point
+                     else rgamma_real(beta))
+            gap = np.abs(val - first - flat * shifted)
             bad = np.flatnonzero(gap > 1e-9 * (1.0 + np.abs(val)))
             if bad.size:
                 i = bad[0]
+                a, b = (alpha[i], beta[i]) if per_point else (params.alpha, params.beta)
                 raise MLAccuracyError(
-                    f"recurrence check failed for (alpha={params.alpha}, "
-                    f"beta={params.beta}, z={complex(flat[i])}): residual {gap[i]:.3e}"
+                    f"recurrence check failed for (alpha={a}, beta={b}, "
+                    f"z={complex(flat[i])}): residual {gap[i]:.3e}"
                 )
     except OverflowError:  # also from math's gamma, lgamma or ceil at a |beta| near 1e308
-        raise MLOverflowError(
-            f"E_{{{params.alpha},{params.beta}}} exceeds double range") from None
+        orders = "alpha,beta" if per_point else f"{params.alpha},{params.beta}"
+        raise MLOverflowError(f"E_{{{orders}}} exceeds double range") from None
     return complex(val[0]) if z.ndim == 0 else val.reshape(z.shape)
 
 

@@ -85,17 +85,18 @@ def _c1_ml_correctness():
     val = ml_eval(MLParams(1.0, 1.0), z, verify=False)
     worst_exp = float(np.max(np.abs(val - np.exp(z)) / np.abs(np.exp(z))))
     assert worst_exp <= 1e-10, f"exp reduction error {worst_exp:.3e} > 1e-10"
-    worst_rec = 0.0
-    for _ in range(500):
-        alpha = rng.uniform(0.3, 1.8)
-        beta = rng.uniform(-0.5, 2.5)
+    alpha, beta, z = np.empty(500), np.empty(500), np.empty(500, dtype=complex)
+    for i in range(z.size):
+        alpha[i] = a = rng.uniform(0.3, 1.8)
+        beta[i] = rng.uniform(-0.5, 2.5)
         th = rng.uniform(-math.pi, math.pi)
-        r = _safe_radius(alpha, th, rng.random())
-        z = r * cmath.exp(1j * th)
-        e1 = ml_eval(MLParams(alpha, beta), z, verify=False)
-        e2 = ml_eval(MLParams(alpha, alpha + beta), z, verify=False)
-        res = abs(e1 - rgamma_real(beta) - z * e2) / (1.0 + abs(e1))
-        worst_rec = max(worst_rec, res)
+        z[i] = _safe_radius(a, th, rng.random()) * cmath.exp(1j * th)
+    # one row per function, each point at its own (alpha, beta)
+    e1 = ml_eval(MLParams(alpha, beta), z, verify=False).tolist()
+    e2 = ml_eval(MLParams(alpha, alpha + beta), z, verify=False).tolist()
+    worst_rec = 0.0
+    for b, zz, v1, v2 in zip(beta.tolist(), z.tolist(), e1, e2):
+        worst_rec = max(worst_rec, abs(v1 - rgamma_real(b) - zz * v2) / (1.0 + abs(v1)))
     assert worst_rec <= 1e-9, f"recurrence residual {worst_rec:.3e} > 1e-9"
     return f"exp sup {worst_exp:.2e}; recurrence sup {worst_rec:.2e}"
 

@@ -976,6 +976,20 @@ class TestMlEval:
         assert error["kind"] == "numerical"
         assert error["message"].startswith(f"E_{{{float(alpha)},{float(beta)}}}")
 
+    @pytest.mark.parametrize("beta", ["-5000", "-1e5", "-1e12", "-1e200"])
+    def test_expansion_without_a_term_exits_3_without_warnings(self, capsys, beta):
+        # the expansion's first weight 1/Gamma(beta - 0.5) is out of range
+        # and the pole term underflows: the row once summed nothing and
+        # printed the value 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["ml-eval", "--alpha", "0.5", f"--beta={beta}", "--re=0", "--im=-80"])
+        assert rc == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "numerical"
+        assert error["message"].startswith(f"E_{{0.5,{float(beta)}}}: the expansion's first")
+
     def test_underflowing_term_floor_exits_0_without_warnings(self, capsys):
         # 1e-17 times the first asymptotic term underflows to 0 at this beta
         with warnings.catch_warnings(record=True) as caught:

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -208,6 +209,74 @@ class TestMLEval:
             MLParams(0.5, math.inf)
         with pytest.raises(MLDomainError):
             MLParams(1e300, 1.0)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (np.full(3, 0.5), np.ones(3)),  # both orders a row too short
+        (np.full((2, 3), 0.5), 1.0),  # alpha a row of the wrong shape
+        (0.5, np.ones(4)),  # beta a row of the wrong size
+    ], ids=["both", "alpha", "beta"])
+    def test_order_rows_must_have_the_argument_shape(self, alpha, beta):
+        # a row of orders is each point's own: nothing is broadcast
+        z = np.ones((2, 2))
+        with pytest.raises(MLDomainError, match=r"has shape \(.*\), the argument \(2, 2\)"):
+            ml_eval(MLParams(alpha, beta), z)
+
+    @pytest.mark.parametrize("name,bad", [
+        ("alpha", 0.0), ("alpha", 2.5), ("alpha", math.nan), ("beta", math.inf),
+        ("beta", math.nan),
+    ])
+    def test_order_rows_name_their_first_bad_element(self, name, bad):
+        row = {"alpha": np.full((2, 3), 0.5), "beta": np.ones((2, 3))}
+        row[name][0, 1] = row[name][1, 2] = bad
+        want = "lie in" if name == "alpha" else "be finite"
+        with pytest.raises(MLDomainError, match=rf"{name} must {want}.*got {bad} at index \(0, 1\)"):
+            MLParams(**row)
+
+    def test_order_rows_are_read_only_copies(self):
+        alpha, beta = np.full(3, 0.5), np.ones(3)
+        params = MLParams(alpha, beta)
+        alpha[0] = 5.0
+        assert params.alpha.tolist() == [0.5] * 3 and not params.beta.flags.writeable
+
+    def test_per_point_orders_in_one_call(self):
+        # each point at its own (alpha, beta) equals its one-point call bit
+        # for bit, with the recurrence check of every point; a number is
+        # every point's order
+        rng = np.random.default_rng(np.random.Philox(47))
+        z = 40.0 * np.sqrt(rng.random((4, 5))) * np.exp(1j * math.pi * rng.uniform(0.5, 1.5, (4, 5)))
+        alpha, beta = rng.uniform(0.3, 1.8, z.shape), rng.uniform(-0.5, 2.5, z.shape)
+        got = ml_eval(MLParams(alpha, beta), z)
+        expect = [ml_eval(MLParams(a, b), v) for a, b, v in zip(alpha.flat, beta.flat, z.flat)]
+        assert got.shape == z.shape and got.tobytes() == np.array(expect).tobytes()
+        got = ml_eval(MLParams(0.7, beta), z)
+        expect = [ml_eval(MLParams(0.7, b), v) for b, v in zip(beta.flat, z.flat)]
+        assert got.tobytes() == np.array(expect).tobytes()
+        assert isinstance(ml_eval(MLParams(np.array(0.7), np.array(1.0)), 0.5), complex)
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (0.5, -5000.0), (0.5, -1e5), (0.5, -1e12), (0.5, -1e200), (0.1, -1e200), (0.3, -1e200),
+        (0.5, -170.0), (1.0, -170.5),
+    ])
+    def test_expansion_without_a_representable_term_overflows(self, alpha, beta):
+        # the expansion's first weight 1/Gamma(beta - alpha k) is out of range
+        # where Gamma(1 - x) would overflow; the sum once kept no term and
+        # returned exactly 0 (the pole term underflows on this ray)
+        with pytest.raises(MLOverflowError, match=re.escape(f"E_{{{alpha},{beta}}}: the expansion's")):
+            ml_eval(MLParams(alpha, beta), -80j)
+
+    def test_expansion_keeps_its_bits_at_beta_minus_100(self):
+        assert ml_eval(MLParams(0.5, -100.0), -80j) == complex(2.3938262357533283e+140,
+                                                              3.787310768989509e+156)
+
+    def test_pole_term_lifted_by_its_power_of_z(self):
+        # E_{1,-100}(z) = z^101 e^z: every expansion weight is zero, and at
+        # Re z < -745 e^z underflows while z^101 e^z does not; the branch was 0
+        mpmath = pytest.importorskip("mpmath")
+        z = np.array([-957.3847516729355 - 938.1071729675965j, -1422.239457584821 - 370.2108972047j])
+        got = ml_eval(MLParams(1.0, -100.0), z, verify=False)
+        with mpmath.workdps(40):
+            ref = [complex(mpmath.mpc(v) ** 101 * mpmath.exp(mpmath.mpc(v))) for v in z]
+        assert np.all(np.abs(got - ref) <= 2e-12 * np.abs(ref))
 
 
 class TestKernels:
@@ -663,6 +732,56 @@ class TestRowEvaluator:
                 row = mlf._ml_row(alpha, beta, r, ray)
                 points = [mlf._ml_row(alpha, beta, r[i:i + 1], ray) for i in range(r.size)]
                 assert row.tobytes() == np.concatenate(points).tobytes(), ray
+
+    def test_mixed_order_row_is_pointwise(self, monkeypatch):
+        # one row of per-point orders: six shared (alpha, beta) groups, two of
+        # them above alpha = 1, plus 150 points each at an order of its own,
+        # over the closed unit disk, every contour node set and the
+        # asymptotic sum with and without its exponential branch; the row
+        # equals its one-point calls (with numbers for orders) byte for byte.
+        # Orders from 0.7 up keep every contour pole term in double range.
+        used, groups = set(), set()
+        nodes, row_of = mlf._contour_nodes, mlf._asymptotic_row
+
+        def spy_nodes(a, b, mu, strip):
+            disk = strip == mlf._DISK_STRIP and mu >= mlf._FAR_MU[-1]
+            used.add("disk" if disk else (mu, strip))
+            return nodes(a, b, mu, strip)
+
+        def spy_row(a, b, z, rho, direction=None):
+            if not isinstance(a, np.ndarray):  # one (alpha, beta) group
+                branch = np.abs(np.angle(z)) <= a * math.pi
+                groups.add((a, b, bool(branch.any()), bool(not branch.all())))
+            return row_of(a, b, z, rho, direction)
+
+        monkeypatch.setattr(mlf, "_contour_nodes", spy_nodes)
+        monkeypatch.setattr(mlf, "_asymptotic_row", spy_row)
+        rng = np.random.default_rng(np.random.Philox(53))
+        shared = [(0.7, 0.7), (0.75, 1.0), (0.9, 1.9), (1.0, 2.0), (1.4, 0.9), (1.8, 1.0)]
+        pairs = [shared[i] for i in rng.integers(0, len(shared), 1_050)]
+        pairs += list(zip(rng.uniform(0.7, 1.8, 150), rng.uniform(-0.5, 2.5, 150)))
+        r = np.concatenate([rng.uniform(0.0, 1.0, 200), [0.0, 1.0, 50.0],
+                            10.0 ** rng.uniform(0.0, math.log10(50.0), 597),
+                            10.0 ** rng.uniform(math.log10(50.0), 4.0, 400)])
+        theta = rng.uniform(-math.pi, math.pi, r.size)
+        far = r >= mlf.ASYMPTOTIC_RADIUS  # at |arg z| >= pi/2 no branch overflows
+        theta[far] = np.copysign(rng.uniform(0.5 * math.pi, math.pi, far.sum()), theta[far])
+        order = rng.permutation(r.size)
+        r, z = r[order], (r * np.exp(1j * theta))[order]
+        alpha, beta = (np.array(v) for v in zip(*pairs))
+        row = mlf._ml_row(alpha, beta, z)
+        assert used >= set(mlf._NODE_SETS) | {"disk"}
+        for a, b in shared[:3]:  # expansions with and without the branch in one group
+            assert (a, b, True, True) in groups, (a, b)
+        assert len(groups) > 20  # and expansions at orders of their own
+        points = [mlf._ml_row(a, b, z[i:i + 1])
+                  for i, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist()))]
+        assert row.tobytes() == np.concatenate(points).tobytes()
+        low = alpha <= 1.0  # the moduli on the standard ray, as kernel_grid passes them
+        row = mlf._ml_row(alpha[low], beta[low], r[low], -1j)
+        points = [mlf._ml_row(a, b, r[i:i + 1], -1j)
+                  for i, a, b in zip(np.flatnonzero(low), alpha[low].tolist(), beta[low].tolist())]
+        assert row.tobytes() == np.concatenate(points).tobytes()
 
 
 class TestCertifyC0:
