@@ -475,7 +475,7 @@ def ml_eval(params: MLParams, z, *, z_max: float = Z_MAX_DEFAULT,
     """
     z = np.asarray(z, dtype=np.complex128)
     alpha, beta = params.alpha, params.beta
-    per_point = isinstance(alpha, np.ndarray) or isinstance(beta, np.ndarray)
+    per_point = np.ndim(alpha) > 0 or np.ndim(beta) > 0  # a 0-d array is a number
     if per_point:
         for name, order in (("alpha", alpha), ("beta", beta)):
             if isinstance(order, np.ndarray) and order.shape != z.shape:

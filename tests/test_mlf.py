@@ -252,6 +252,8 @@ class TestMLEval:
         expect = [ml_eval(MLParams(0.7, b), v) for b, v in zip(beta.flat, z.flat)]
         assert got.tobytes() == np.array(expect).tobytes()
         assert isinstance(ml_eval(MLParams(np.array(0.7), np.array(1.0)), 0.5), complex)
+        got = ml_eval(MLParams(np.array(0.7), np.array(1.0)), z)  # 0-d orders are numbers
+        assert got.tobytes() == ml_eval(MLParams(0.7, 1.0), z).tobytes()
 
     @pytest.mark.parametrize("alpha,beta", [
         (0.5, -5000.0), (0.5, -1e5), (0.5, -1e12), (0.5, -1e200), (0.1, -1e200), (0.3, -1e200),
