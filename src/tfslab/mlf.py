@@ -155,6 +155,9 @@ _NODE_SETS = tuple((mu, 1.0) for mu in _FAR_MU) + tuple((2.0, s) for s in _NEAR_
 _DISK_STRIP = 0.4
 _ASYMPTOTIC_CHUNK = 16  # expansion terms first tested per point
 _ASYMPTOTIC_TERMS = 199  # the expansion ends here at the latest
+# log(2^-52 / 1e-17): a sum cut short by Gamma's overflow stands where the
+# term it leaves out is below 2^-52 of the first, 22 times its floor
+_CUT_TAIL = math.log(2.0**-52 / 1e-17)
 
 
 def _frozen(*arrays):
@@ -241,7 +244,13 @@ def _term_counts(alpha: float, beta: float, ell: np.ndarray, floor: np.ndarray,
     the first whose envelope is below exp(floor); a weight near a zero of
     1/Gamma ends no sum early.  Tested in log space, in blocks of at most
     ``_BLOCK`` points x terms, and with twice the terms where needed; the
-    envelopes are those cached with the weights on the ray of ``direction``."""
+    envelopes are those cached with the weights on the ray of ``direction``.
+    Where the weights end before ``terms`` because Gamma(1 - x) would
+    overflow, a point that reaches the last of them without passing its
+    floor or its first rise raises ``MLOverflowError`` unless the envelope
+    of the first term left out, from ``math.lgamma``, is below 2^-52 of the
+    first term (``_CUT_TAIL`` above the floor); integer alpha and beta,
+    whose weights there are all zero, never raise."""
     _, env, rise = _asymptotic_weights(alpha, beta, terms, direction)
     m = env.size
     fall = np.searchsorted(rise, ell, side="right")  # terms before the first rise
@@ -255,6 +264,13 @@ def _term_counts(alpha: float, beta: float, ell: np.ndarray, floor: np.ndarray,
         np.less(env, bound, out=below[:, 1:m + 1])
         below.argmax(axis=1, out=small[lo:lo + step])
     count = np.minimum(fall, small)
+    if (m < min(terms, _ASYMPTOTIC_TERMS)
+            and not (float(alpha).is_integer() and float(beta).is_integer())):
+        x = beta - alpha * (m + 1)  # the first term left out, 1 - x > 171
+        left_out = math.lgamma(1.0 - x) - math.log(math.pi) - (m + 1) * ell
+        if ((small > m) & (fall == m) & (left_out > floor + _CUT_TAIL)).any():
+            raise MLOverflowError(f"E_{{{alpha},{beta}}}: the expansion ends where 1/Gamma(x)"
+                                  " at x < -170 is out of range, before its sum converges")
     more = np.flatnonzero((small > m) & (fall == m)) if m == terms else ()
     if len(more):  # the weights may go on
         count[more], terms = _term_counts(alpha, beta, ell[more], floor[more], direction,

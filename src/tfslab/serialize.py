@@ -1,24 +1,26 @@
 """CSV/JSON serialization with atomic writes and reproducible formatting.
 
-Floats are rendered with Python's shortest-roundtrip repr (max 17
-significant digits); JSON keys are sorted.  Identical inputs therefore
-produce byte-identical artifacts.
+Floats are written as Python's shortest-roundtrip ``repr`` spells them
+(max 17 significant digits); JSON keys are sorted.  Identical inputs
+therefore produce byte-identical artifacts.  Every float of an array
+goes through ``_reprs``: orjson's shortest round-trip writer, with
+``repr`` for the few floats it spells otherwise.
 
 The complex arrays of the field and the observed data are rendered a
 block of whole time rows at a time (``BLOCK_FLOATS``), drawn from a row
 source (a forward run synthesizes its field's rows from the modal
-solution, never holding the field), each float's repr once (``repr`` of
-the block's list, in C), and the CSV and the JSON artifact are both built
-from its strings: the JSON is the small document through ``json.dumps``
-with the array spliced in, as ``dumps_canonical`` splices a document's
-top-level float arrays.  An artifact pair comes as a ``RowChunks``: a
+solution, never holding the field), each float once (one ``_reprs`` of
+the block), and the CSV and the JSON artifact are both built from its
+strings: the JSON is the small document through ``json.dumps`` with the
+array spliced in, as ``dumps_canonical`` splices a document's top-level
+float arrays.  An artifact pair comes as a ``RowChunks``: a
 ``(csv, json)`` head, the chunk tuples of any row range, one per block,
 and a tail.  ``atomic_write_texts`` writes each tuple to both files
 before it draws the next: one rendered block per artifact pair and
 process is held, never a full artifact text.
 
-Rendering costs about 1 µs a float, and rows render independently.  A
-pair of at least ``2 * PART_FLOATS`` floats has its row range split into
+Writing a pair costs about 0.25 µs a float, and rows render independently.
+A pair of at least ``2 * PART_FLOATS`` floats has its row range split into
 one contiguous slice per usable CPU, each of at least ``PART_FLOATS``
 floats: forked children draw and render the later slices into part files
 next to the temp files while this process does the first, and it then
@@ -32,17 +34,20 @@ import shutil
 import signal
 
 import numpy as np
+import orjson
 
 # The fewest floats a forked row slice renders.  On a shared 2-vCPU host,
-# writing an artifact pair takes 0.8-1.6 µs a float and forking and reaping
-# a 40 MB process 1.4 ms (3.5 ms at most), so a slice of this size (50 ms
-# or more) pays for its fork more than ten times over, and the observed
-# data of an inversion (a few thousand complex values) is always written
-# in-process.
-PART_FLOATS = 65_536
+# writing a field pair in-process takes 0.22-0.33 µs a float; a split into
+# two slices pays 1.7 ms (3.2 ms at most) to fork and reap a 60 MB process
+# and 15 ns a float to append the child's parts, and its two writers run
+# far from twice as fast as one.  Two slices broke even at 65,000-110,000
+# floats and saved 13-21 % at 262,000 (21 alternating pairs per size), so a
+# slice is twice the break-even size or more, and the observed data of an
+# inversion (a few thousand complex values) is always written in-process.
+PART_FLOATS = 131_072
 
 # The floats of whole rows (at least two, see forward.synthesize_rows) rendered
-# as one block, so narrow rows share one repr; README gives the trade-off.
+# as one block, so narrow rows share one ``_reprs``; README gives the trade-off.
 BLOCK_FLOATS = 256
 
 
@@ -62,6 +67,24 @@ _SEP = ",\n    "
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _reprs(values) -> list[str]:
+    """``[repr(v) for v in values.tolist()]`` for a 1-D float64 array, from
+    orjson's shortest round-trip writer, which picks ``repr``'s digits.  The
+    two spell a float alike except where ``repr`` writes ``nan``, ``inf`` or
+    an exponent: non-finite floats (orjson's ``null``), 0 < |v| < 1e-4
+    (``7.66e-05`` against ``0.0000766``, ``1.5e-06`` against ``1.5e-6``) and
+    |v| >= 1e16 (``1e+16`` against ``1e16``), which ``repr`` renders again."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not values.size:
+        return []
+    parts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    size = np.abs(values)
+    odd = np.flatnonzero((size < 1e-4) & (size != 0.0) | ~(size < 1e16))
+    for i, value in zip(odd.tolist(), values[odd].tolist()):
+        parts[i] = repr(value)
+    return parts
+
+
 def _json_items(parts) -> str:
     """Rendered floats, ``repr``'s strings, as the items of a top-level JSON
     array, in json's spelling and at indent 4."""
@@ -74,8 +97,8 @@ def _json_items(parts) -> str:
 def dumps_canonical(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` with ``_json_default``,
     plus a newline.  The 1-D float64 arrays among the values of a top-level
-    dict are rendered by one ``repr`` of their list each and spliced in,
-    which skips json's pure-Python indenting encoder for them."""
+    dict are rendered by one ``_reprs`` each and spliced in, which skips
+    json's pure-Python indenting encoder for them."""
     arrays = {}
     if isinstance(obj, dict):
         arrays = {key: value for key, value in obj.items()
@@ -86,7 +109,7 @@ def dumps_canonical(obj) -> str:
     for key, values in arrays.items():
         # a top-level item's key at indent 2 is unique in the document
         item = f"\n  {json.dumps(key)}: "
-        items = _json_items(repr(values.tolist())[1:-1].split(", "))
+        items = _json_items(_reprs(values))
         array = f"[\n    {items}\n  ]" if values.size else "[]"
         text = text.replace(item + json.dumps(_SPLICE), item + array)
     return text
@@ -230,9 +253,9 @@ def _re_im(values) -> np.ndarray:
 def _render_block(prefixes, xs, floats) -> tuple[str, list]:
     """The CSV lines ``{prefix}x,re,im`` of the interleaved parts ``floats``,
     one row per prefix at the nodes ``xs`` (``"x,"`` each), and the floats'
-    strings, from one ``repr`` of their list; the slots raise ``ValueError``
-    where the nodes and the floats disagree."""
-    parts = repr(floats.ravel().tolist())[1:-1].split(", ")
+    strings, from ``_reprs``; the slots raise ``ValueError`` where the
+    nodes and the floats disagree."""
+    parts = _reprs(floats.ravel())
     cells = [None, None, None, ",", None, "\n"] * (len(parts) // 2)
     cells[0::6] = [prefix for prefix in prefixes for _ in xs]
     cells[1::6] = xs * len(prefixes)
@@ -252,9 +275,9 @@ class RowChunks:
     array, a top-level key's, is spliced in at indent 4."""
 
     def __init__(self, header, nodes, times, source, meta):
-        self.times, self.source = np.asarray(times, dtype=float), source
-        self.xs = [f"{x!r}," for x in np.asarray(nodes, dtype=float).tolist()]
-        self.n_rows, self.floats = len(self.times), 2 * len(self.xs) * len(self.times)
+        self.ts, self.xs = [f"{t}," for t in _reprs(times)], [f"{x}," for x in _reprs(nodes)]
+        self.source = source
+        self.n_rows, self.floats = len(self.ts), 2 * len(self.xs) * len(self.ts)
         head, _, tail = dumps_canonical({**meta, "values_re_im": _SPLICE}).partition(
             json.dumps(_SPLICE))
         self.head, self.tail = (header + "\n", head + "[\n    "), ("", "\n  ]" + tail)
@@ -267,8 +290,7 @@ class RowChunks:
             drawn = _re_im(self.source(first, min(first + 8 * step, stop)))
             for lo in range(first, first + len(drawn), step):
                 hi = min(lo + step, stop)
-                csv, parts = _render_block([f"{t!r}," for t in self.times[lo:hi].tolist()],
-                                           self.xs, drawn[lo - first:hi - first])
+                csv, parts = _render_block(self.ts[lo:hi], self.xs, drawn[lo - first:hi - first])
                 yield csv, (_SEP if lo else "") + _json_items(parts)
 
 
@@ -335,5 +357,5 @@ def result_to_json(result) -> dict:
 
 
 def spatial_to_csv(nodes, values) -> str:
-    xs = [f"{x!r}," for x in np.asarray(nodes, dtype=float).tolist()]
+    xs = [f"{x}," for x in _reprs(nodes)]
     return "x,re,im\n" + _render_block([""], xs, _re_im(values))[0]

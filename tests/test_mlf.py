@@ -270,6 +270,25 @@ class TestMLEval:
         assert ml_eval(MLParams(0.5, -100.0), -80j) == complex(2.3938262357533283e+140,
                                                               3.787310768989509e+156)
 
+    @pytest.mark.parametrize("beta", [-169.4, -169.0, -165.0, -160.0])
+    def test_expansion_cut_by_gammas_overflow_converges_or_raises(self, beta):
+        # the weights end at the first x = beta - alpha k with 1 - x > 171;
+        # a sum cut there before it converges (relative error 0.45 at -169.4,
+        # 1.3e-8 at -165) once returned its value, and -160 keeps its bits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            z = mpmath.mpc(0, -80)
+            ref = complex(-mpmath.fsum(z**-k * mpmath.rgamma(beta - mpmath.mpf(k) / 2)
+                                       for k in range(1, 120)))
+        try:
+            got = ml_eval(MLParams(0.5, beta), -80j)
+        except MLOverflowError as err:
+            assert beta != -160.0 and "before its sum converges" in str(err)
+        else:
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+            assert beta != -160.0 or got == complex(1.5714649541001562e+267,
+                                                    2.4400219417935457e+283)
+
     def test_pole_term_lifted_by_its_power_of_z(self):
         # E_{1,-100}(z) = z^101 e^z: every expansion weight is zero, and at
         # Re z < -745 e^z underflows while z^101 e^z does not; the branch was 0

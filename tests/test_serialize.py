@@ -561,6 +561,29 @@ def test_spatial_csv_matches_reference_text(values):
         spatial_to_csv(np.append(nodes, 1.0), values)
 
 
+@settings(max_examples=500, deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=st.floats()))
+@example(np.array([np.nextafter(1e-4, 0.0), 1e-4, -np.nextafter(1e-4, 0.0), -1e-4]))
+@example(np.array([9999999999999998.0, 1e16, -9999999999999998.0, -1e16]))
+@example(np.array([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -5e-324]))
+@example(np.array([-0.0, 0.0, float("nan"), float("inf"), -float("inf")]))
+@example(np.array([]))
+def test_reprs_equal_repr(values):
+    # orjson's digits, with repr where the two spell a float differently
+    assert serialize._reprs(values) == [repr(v) for v in values.tolist()]
+
+
+def test_reprs_equal_repr_on_random_bit_patterns():
+    # raw bit patterns are mostly far outside 1e-4 <= |v| < 1e16 and take
+    # the repr path; the same bits as 53-bit fractions over +-2^19 take
+    # orjson's
+    bits = np.random.default_rng(np.random.Philox(41)).integers(
+        0, 2**64, 1 << 20, dtype=np.uint64, endpoint=False)
+    fractions = (bits >> np.uint64(11)).astype(np.float64) * 2.0**-33 - 2.0**19
+    for values in (bits.view(np.float64), fractions):
+        assert serialize._reprs(values) == repr(values.tolist())[1:-1].split(", ")
+
+
 float_arrays = arrays(np.float64, st.integers(0, 6), elements=st.floats())
 json_values = st.one_of(float_arrays, st.floats(), st.integers(), st.text(max_size=3),
                         st.builds(lambda a: {"nested": a}, float_arrays))
